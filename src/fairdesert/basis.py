@@ -15,21 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import special
 
 
 def expit(u):
-    """Numerically stable logistic function."""
-    u = np.asarray(u, dtype=np.float64)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    if scalar:
-        return float(out[0])
-    return out
+    """Numerically stable logistic function; a float for scalar input."""
+    out = special.expit(np.asarray(u, dtype=np.float64))
+    return float(out) if out.ndim == 0 else out
 
 
 def logit(p):

@@ -12,6 +12,7 @@ violations), 2 errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -21,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .basis import BasisConfig
-from .data import CsvSchema, Dataset, apply_scaling, load_csv, scale_covariates
+from .data import CsvSchema, Dataset, apply_scaling, load_csv, read_csv, scale_covariates
 from .errors import FairdesertError
 from .identify import check_testable_implications
 from .modelio import ModelArtifact, load_model, save_model
 from .regress import fit_mu_models, fit_propensity
-from .sensitivity import DEFAULT_GRIDS, SweepSpec, run_sweep
+from .sensitivity import DEFAULT_GRIDS, SweepSpec, VariantFitter, run_sweep
 from .sievemle import FitOptions, SensitivityParams, fit, rate_threshold
 from .simulate import (
     DgpConfig,
@@ -62,13 +63,11 @@ def _schema_from(doc):
 
 def _sniff_covariates(path, schema_doc):
     """Default covariates: every column not mapped to s/z/y."""
-    import csv as _csv
-
     doc = dict(schema_doc or {})
     if doc.get("covariates"):
         return doc
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        header = next(_csv.reader(fh))
+        header = next(csv.reader(fh))
     reserved = {doc.get("s", "s"), doc.get("z", "z"), doc.get("y", "y")}
     doc["covariates"] = [c for c in header if c not in reserved]
     return doc
@@ -192,10 +191,8 @@ def cmd_estimate(resolved):
 
     t0, t1, a, b = est.values(data.x)
     tau_obs = np.where(data.z == 1, t1, t0)
-    import csv as _csv
-
     with (out / "per_unit.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["row", "tau0", "tau1", "tau_zx", "alpha", "beta"])
         for i in range(data.n):
             writer.writerow([i + 1, t0[i], t1[i], tau_obs[i], a[i], b[i]])
@@ -226,34 +223,20 @@ def cmd_estimate(resolved):
 
 def cmd_predict(resolved):
     out = _out_dir(resolved)
-    if not resolved.get("model"):
-        raise FairdesertError("--model is required")
+    if not resolved.get("model") or not resolved.get("input"):
+        raise FairdesertError("--model and --input are required")
     artifact = load_model(resolved["model"])
-    schema_doc = _sniff_covariates(resolved["input"], _load_json_arg(resolved.get("schema")))
+    schema_doc = dict(_load_json_arg(resolved.get("schema")) or {})
     schema_doc["covariates"] = list(artifact.covariate_names)
-    import csv as _csv
-
+    schema = _schema_from(schema_doc)
     with Path(resolved["input"]).open(newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        missing = [c for c in artifact.covariate_names if c not in (reader.fieldnames or [])]
-        zcol = schema_doc.get("z", "z")
-        if missing or zcol not in (reader.fieldnames or []):
-            raise FairdesertError(
-                f"prediction input must carry columns {list(artifact.covariate_names)} "
-                f"and {zcol!r}"
-            )
-        scol = schema_doc.get("s", "s")
-        has_s = scol in (reader.fieldnames or [])
-        z_raw, s_raw, x_rows = [], [], []
-        for row in reader:
-            z_raw.append(int(float(row[zcol])))
-            s_raw.append(int(float(row[scol])) if has_s else 0)
-            x_rows.append([float(row[c]) for c in artifact.covariate_names])
-    if not x_rows:
-        raise FairdesertError("prediction input has no rows")
-    x_scaled, clamped = apply_scaling(artifact.scaling, np.asarray(x_rows))
-    z = np.asarray(z_raw)
-    s = np.asarray(s_raw)
+        header = next(csv.reader(fh), [])
+    # s only enters kappa scores; without the column every row scores as s=0
+    binary, x_raw = read_csv(resolved["input"], schema,
+                             (schema.z, schema.s) if schema.s in header else (schema.z,))
+    z = binary[0]
+    s = binary[1] if len(binary) > 1 else np.zeros_like(z)
+    x_scaled, clamped = apply_scaling(artifact.scaling, x_raw)
     est = artifact.estimates
     from .sievemle import predict_tau_sz
 
@@ -268,7 +251,7 @@ def cmd_predict(resolved):
     decisions = scores >= threshold
 
     with (out / "predictions.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["row", "score", "decision", "covariates_clamped"])
         for i, (sc, dec, cl) in enumerate(zip(scores, decisions, clamped), start=1):
             writer.writerow([i, sc, int(dec), int(cl)])
@@ -299,7 +282,7 @@ def cmd_theta(resolved):
             "sensitivity variants support inference via --method bootstrap only"
         )
     if method == "bootstrap":
-        fitter = _CliFitter(config, options, variant, sensitivity)
+        fitter = VariantFitter(config, options, variant, sensitivity)
         estimate = theta_bootstrap(
             fitter, data, replicates=int(resolved["boot"]),
             seed=int(resolved["seed"]), level=level,
@@ -329,18 +312,6 @@ def cmd_theta(resolved):
     (out / "theta.txt").write_text(text + "\n", encoding="utf-8")
     _write_meta(out, resolved, "theta")
     return 0
-
-
-class _CliFitter:
-    def __init__(self, config, options, variant, sensitivity):
-        self.config = config
-        self.options = options
-        self.variant = variant
-        self.sensitivity = sensitivity
-
-    def __call__(self, dataset):
-        return fit(dataset, self.config, self.options,
-                   variant=self.variant, sensitivity=self.sensitivity)
 
 
 def cmd_check(resolved):

@@ -139,6 +139,57 @@ class Dataset:
         )
 
 
+def read_csv(path, schema: CsvSchema, binary_columns):
+    """Read the given binary columns and the covariates of a UTF-8,
+    comma-delimited, headered CSV.
+
+    Returns one int8 array per binary column, in order, and the raw (n, d)
+    covariate matrix.  Binary cells must parse to {0, 1} under the schema's
+    binary map and covariates must be finite numbers; a ParseError names the
+    first offending row.
+    """
+    path = Path(path)
+    binmap = schema.binary_map()
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataError(f"{path} has no header row")
+        # as with csv.DictReader: the last of duplicate names wins
+        position = {name: k for k, name in enumerate(header)}
+        missing = [
+            col for col in (*binary_columns, *schema.covariates) if col not in position
+        ]
+        if missing:
+            raise SchemaError(f"missing columns in {path}: {', '.join(missing)}")
+        binary_at = [position[col] for col in binary_columns]
+        covariates_at = [position[col] for col in schema.covariates]
+        width = max(binary_at + covariates_at) + 1
+        binary = [[] for _ in binary_columns]
+        rows = []
+        for i, row in enumerate(filter(None, reader), start=1):  # blank lines skipped
+            if len(row) < width:
+                raise ParseError(f"row {i} has {len(row)} cells, needs {width}", row=i)
+            for col, k, out in zip(binary_columns, binary_at, binary):
+                raw = row[k].strip()
+                if raw not in binmap:
+                    raise ParseError(
+                        f"non-binary value {raw!r} in column {col!r} at row {i}", row=i
+                    )
+                out.append(binmap[raw])
+            try:
+                rows.append([float(row[k]) for k in covariates_at])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric covariate at row {i}: {exc}", row=i) from exc
+    if not rows:
+        raise EmptyDataError(f"{path} contains no data rows")
+    x = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(x).all():
+        bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0][0]) + 1
+        raise ParseError(f"non-finite covariate at row {bad}", row=bad)
+    return [np.asarray(col, dtype=np.int8) for col in binary], x
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a UTF-8, comma-delimited, headered CSV into a raw Dataset.
 
@@ -147,38 +198,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     identical bounds.  s/z/y cells must parse to {0, 1} under the schema's
     binary map.
     """
-    path = Path(path)
-    binmap = schema.binary_map()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyDataError(f"{path} has no header row")
-        missing = [
-            col
-            for col in (schema.s, schema.z, schema.y, *schema.covariates)
-            if col not in reader.fieldnames
-        ]
-        if missing:
-            raise SchemaError(f"missing columns in {path}: {', '.join(missing)}")
-        s, z, y, rows = [], [], [], []
-        for i, row in enumerate(reader, start=1):
-            for col, out in ((schema.s, s), (schema.z, z), (schema.y, y)):
-                raw = (row[col] or "").strip()
-                if raw not in binmap:
-                    raise ParseError(
-                        f"non-binary value {raw!r} in column {col!r} at row {i}", row=i
-                    )
-                out.append(binmap[raw])
-            try:
-                rows.append([float(row[c]) for c in schema.covariates])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"non-numeric covariate at row {i}: {exc}", row=i) from exc
-    if not rows:
-        raise EmptyDataError(f"{path} contains no data rows")
-    x = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(x).all():
-        bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0][0]) + 1
-        raise ParseError(f"non-finite covariate at row {bad}", row=bad)
+    (s, z, y), x = read_csv(path, schema, (schema.s, schema.z, schema.y))
     scaling = compute_scaling(x, schema.covariates)
     return Dataset(s, z, y, x, tuple(schema.covariates), scaling, scaled=False)
 

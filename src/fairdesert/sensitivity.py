@@ -159,7 +159,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         row.mean_abs_tau_diff = float(np.mean(np.abs(scores - base_scores)))
         row.flip_rate = flip_rate(scores, base_scores, target)
         if spec.with_bootstrap:
-            fitter = _VariantFitter(config, options, spec.variant, point)
+            fitter = VariantFitter(config, options, spec.variant, point)
             try:
                 estimate = theta_bootstrap(
                     fitter, data, replicates=spec.bootstrap_replicates,
@@ -186,7 +186,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
     return SweepTable(variant=spec.variant, rows=rows, metadata=metadata)
 
 
-class _VariantFitter:
+class VariantFitter:
     """Picklable fitting closure for bootstrap replicates."""
 
     def __init__(self, config, options, variant, sensitivity):

@@ -17,8 +17,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
-from .basis import BasisConfig, SeriesFunction, expand_matrix, expit, logit
+from .basis import BasisConfig, SeriesFunction, expand_matrix, logit
 from .data import Dataset, require_positivity
 from .errors import FairdesertError, FitError
 from .identify import PointwiseMu, recover_mechanism
@@ -68,10 +69,6 @@ class SensitivityParams:
                 self._validate_value(float(value))
             out.append(vals)
         return out[0], out[1]
-
-    def is_zero(self):
-        return (not callable(self.v0) and not callable(self.v1)
-                and float(self.v0) == 0.0 and float(self.v1) == 0.0)
 
     def to_json_dict(self):
         return {
@@ -167,6 +164,39 @@ class NuisanceEstimates:
         )
 
 
+def stratum_table(s, z, variant="baseline", sv0=0.0, sv1=0.0):
+    """Per-row constants (e, g, u, w) of the stratum model; shape (4, n).
+
+    f(Y=1 | s, z, x) = e + g (tz - u)(m - w), with tz = tau_z(x) and
+    m = alpha(x) on s=0 rows, beta(x) on s=1 rows (see `SieveProblem`).
+    """
+    s, z, sv0, sv1 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (s, z, sv0, sv1))
+    )
+    s1 = s == 1
+    ind = np.where(s1, 1.0, 0.0)
+    ones = np.ones(s.shape)
+    if variant in ("baseline", "kappa"):
+        kz = np.where(z == 1, sv1, sv0) if variant == "kappa" else 0.0
+        k = (ind, -ones, ind * (1 - kz), ones)
+    elif variant == "delta":
+        k = (np.where(s1, 1 - sv1, sv0), -ones, ind, np.where(s1, 1 - sv1, 1 - sv0))
+    elif variant == "zeta":
+        f = 1 + np.where(z == 1, np.where(s1, sv1, sv0), 0.0)
+        k = (ind, -f, ind, ones)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return np.stack(k)
+
+
+def _bilinear(table, tz, m):
+    """Stratum probability and its partial derivatives in tz and m."""
+    e, g, u, w = table
+    dtz = tz - u
+    dp_dt = g * (m - w)
+    return e + dtz * dp_dt, dp_dt, g * dtz
+
+
 def stratum_probability(t0, t1, a, b, s, z, variant="baseline", sv0=0.0, sv1=0.0):
     """f(Y=1 | s, z, x) for candidate function values under a model variant.
 
@@ -177,25 +207,8 @@ def stratum_probability(t0, t1, a, b, s, z, variant="baseline", sv0=0.0, sv1=0.0
         *(np.asarray(v, dtype=np.float64) for v in (t0, t1, a, b, s, z, sv0, sv1))
     )
     tz = np.where(z == 1, t1, t0)
-    s1 = s == 1
-    p = np.empty_like(tz)
-    if variant == "baseline":
-        p[~s1] = (tz * (1 - a))[~s1]
-        p[s1] = (b + tz * (1 - b))[s1]
-    elif variant == "kappa":
-        kz = np.where(z == 1, sv1, sv0)
-        p[~s1] = (tz * (1 - a))[~s1]
-        p[s1] = (b + (tz + kz) * (1 - b))[s1]
-    elif variant == "delta":
-        p[~s1] = (sv0 + tz * (1 - sv0 - a))[~s1]
-        p[s1] = (b + tz * (1 - sv1 - b))[s1]
-    elif variant == "zeta":
-        f0 = np.where(z == 1, 1 + sv0, 1.0)
-        f1 = np.where(z == 1, 1 + sv1, 1.0)
-        p[~s1] = (f0 * tz * (1 - a))[~s1]
-        p[s1] = (1 - f1 * (1 - tz) * (1 - b))[s1]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    m = np.where(s == 1, b, a)
+    p, _, _ = _bilinear(stratum_table(s, z, variant, sv0, sv1), tz, m)
     return np.clip(p, 1e-12, 1 - 1e-12)
 
 
@@ -221,6 +234,22 @@ class SieveProblem:
     rotated coordinates - the polynomial Gram matrix is badly conditioned and
     quasi-Newton convergence suffers without this; `to_original` maps packed
     coefficients back to the raw basis exactly.
+
+    Every variant's stratum probability is bilinear in tz = tau_Z(x) and
+    m = alpha(x) (S=0 rows) or beta(x) (S=1 rows).  `stratum_table` stores it
+    per row as p = e + g (tz - u)(m - w), a product form that keeps p exact
+    next to 0 and 1, as the closed forms do (expanded, p = k0 + k1 tz + k2 m
+    + k3 tz m with (k0, k1, k2, k3) = (e + g u w, -g w, -g u, g)):
+
+        variant    S=0 rows (e, g, u, w)    S=1 rows (e, g, u, w)
+        baseline   (0, -1, 0, 1)            (1, -1, 1, 1)
+        kappa      (0, -1, 0, 1)            (1, -1, 1 - kz, 1)
+        delta      (v0, -1, 0, 1 - v0)      (1 - v1, -1, 1, 1 - v1)
+        zeta       (0, -f, 0, 1)            (1, -f, 1, 1)
+
+    with kz = v_Z and, for zeta, f = 1 + v_S on Z=1 rows and 1 on Z=0 rows.
+    One evaluation is then one (n, J) x (J, 4) product, one expit and one
+    (J, n) x (n, 4) product, whatever the variant.
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions,
@@ -242,9 +271,15 @@ class SieveProblem:
                 self.phi = q * scale
                 self.r_block = r / scale
         self.y = np.asarray(data.y, dtype=np.float64)
+        self.y1 = self.y == 1
+        # d(-mean log-likelihood)/dp = (p - y) / {p (1 - p) n} = dneg_sign / lik
+        self.dneg_sign = (1 - 2 * self.y) / self.n
         self.s = np.asarray(data.s, dtype=np.float64)
         self.z = np.asarray(data.z, dtype=np.float64)
+        self.s1 = self.s == 1
+        self.z1 = self.z == 1
         self.sv0, self.sv1 = sensitivity.evaluate(data.x)
+        self.table = stratum_table(self.s, self.z, variant, self.sv0, self.sv1)
         self.c = options.floor
         self.margin = options.margin
         self.lam = options.relevance_penalty
@@ -269,94 +304,59 @@ class SieveProblem:
             return np.asarray(stack, dtype=np.float64)
         return np.concatenate([self.r_block @ g for g in self.unpack(stack)])
 
+    def _blocks(self, stack):
+        """(n, 4) logits, function values and expit derivative factors."""
+        logits = self.phi @ np.reshape(stack, (4, self.j)).T
+        sig = special.expit(logits)
+        scale = 1 - 2 * self.c
+        return logits, self.c + scale * sig, scale * sig * (1 - sig)
+
     def functions(self, stack):
         """Function values, expit derivative factors, and logits per point."""
-        c = self.c
-        vals, slopes, logits = [], [], []
-        for gamma in self.unpack(stack):
-            u = self.phi @ gamma
-            sig = expit(u)
-            vals.append(c + (1 - 2 * c) * sig)
-            slopes.append((1 - 2 * c) * sig * (1 - sig))
-            logits.append(u)
-        return vals, slopes, logits
+        logits, vals, slopes = self._blocks(stack)
+        return list(vals.T), list(slopes.T), list(logits.T)
+
+    def _likelihood(self, vals):
+        """Per-row probability of the observed outcome, and the partials of
+        f(Y=1 | s, z, x) in tz and m."""
+        t0, t1, a, b = vals.T
+        p, dp_dt, dp_dm = _bilinear(self.table, np.where(self.z1, t1, t0),
+                                    np.where(self.s1, b, a))
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        return np.where(self.y1, p, 1 - p), dp_dt, dp_dm
 
     def value_grad(self, stack):
-        (t0, t1, a, b), slopes, logits = self.functions(stack)
-        s1 = self.s == 1
-        z1 = self.z == 1
-        tz = np.where(z1, t1, t0)
-        dp_dt = np.empty(self.n)
-        dp_da = np.zeros(self.n)
-        dp_db = np.zeros(self.n)
-        p = np.empty(self.n)
-        if self.variant == "baseline":
-            p[~s1] = (tz * (1 - a))[~s1]
-            p[s1] = (b + tz * (1 - b))[s1]
-            dp_dt[~s1] = (1 - a)[~s1]
-            dp_dt[s1] = (1 - b)[s1]
-            dp_da[~s1] = -tz[~s1]
-            dp_db[s1] = (1 - tz)[s1]
-        elif self.variant == "kappa":
-            kz = np.where(z1, self.sv1, self.sv0)
-            p[~s1] = (tz * (1 - a))[~s1]
-            p[s1] = (b + (tz + kz) * (1 - b))[s1]
-            dp_dt[~s1] = (1 - a)[~s1]
-            dp_dt[s1] = (1 - b)[s1]
-            dp_da[~s1] = -tz[~s1]
-            dp_db[s1] = (1 - tz - kz)[s1]
-        elif self.variant == "delta":
-            p[~s1] = (self.sv0 + tz * (1 - self.sv0 - a))[~s1]
-            p[s1] = (b + tz * (1 - self.sv1 - b))[s1]
-            dp_dt[~s1] = (1 - self.sv0 - a)[~s1]
-            dp_dt[s1] = (1 - self.sv1 - b)[s1]
-            dp_da[~s1] = -tz[~s1]
-            dp_db[s1] = (1 - tz)[s1]
-        elif self.variant == "zeta":
-            f0 = np.where(z1, 1 + self.sv0, 1.0)
-            f1 = np.where(z1, 1 + self.sv1, 1.0)
-            p[~s1] = (f0 * tz * (1 - a))[~s1]
-            p[s1] = (1 - f1 * (1 - tz) * (1 - b))[s1]
-            dp_dt[~s1] = (f0 * (1 - a))[~s1]
-            dp_dt[s1] = (f1 * (1 - b))[s1]
-            dp_da[~s1] = (-f0 * tz)[~s1]
-            dp_db[s1] = (f1 * (1 - tz))[s1]
-        else:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        p = np.clip(p, 1e-12, 1 - 1e-12)
-        value = -np.mean(self.y * np.log(p) + (1 - self.y) * np.log1p(-p))
-        dneg_dp = (p - self.y) / (p * (1 - p)) / self.n
+        logits, vals, slopes = self._blocks(stack)
+        lik, dp_dt, dp_dm = self._likelihood(vals)
+        value = -np.mean(np.log(lik))
+        dneg_dp = self.dneg_sign / lik
 
-        diff = t1 - t0
+        diff = vals[:, 1] - vals[:, 0]
         hinge = np.maximum(0.0, self.margin - np.abs(diff))
         value += self.lam * np.mean(hinge ** 2)
         dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff)) / self.n
 
+        z1, s1 = self.z1, self.s1
         w_t = dneg_dp * dp_dt
-        weights = [
+        w_m = dneg_dp * dp_dm
+        weights = np.stack([
             np.where(z1, 0.0, w_t) - dpen_ddiff,
             np.where(z1, w_t, 0.0) + dpen_ddiff,
-            dneg_dp * dp_da,
-            dneg_dp * dp_db,
-        ]
-        grad = np.concatenate(
-            [self.phi.T @ (w * slope) for w, slope in zip(weights, slopes)]
-        )
+            np.where(s1, 0.0, w_m),
+            np.where(s1, w_m, 0.0),
+        ], axis=1)
+        weights *= slopes
         if self.ridge > 0:
             # coordinate-free shrinkage of the demeaned logit functions;
             # stabilizes the decomposition into (tau, alpha, beta) at small n
-            j = self.j
-            for k, u in enumerate(logits):
-                centered = u - u.mean()
-                value += 0.5 * self.ridge * float(centered @ centered) / self.n
-                grad[k * j:(k + 1) * j] += self.ridge * (self.phi.T @ centered) / self.n
-        return float(value), grad
+            centered = logits - logits.mean(axis=0)
+            value += 0.5 * self.ridge * float(np.sum(centered * centered)) / self.n
+            weights += (self.ridge / self.n) * centered
+        return float(value), (self.phi.T @ weights).T.ravel()
 
     def criterion(self, stack):
         """Mean conditional log-likelihood (no penalty) at the packed point."""
-        (t0, t1, a, b), _, _ = self.functions(stack)
-        p = stratum_probability(t0, t1, a, b, self.s, self.z, self.variant, self.sv0, self.sv1)
-        return float(np.mean(self.y * np.log(p) + (1 - self.y) * np.log1p(-p)))
+        return float(np.mean(np.log(self._likelihood(self._blocks(stack)[1])[0])))
 
 
 def negloglik_and_grad(gamma_stack, data: Dataset, config: BasisConfig,

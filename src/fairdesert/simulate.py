@@ -29,7 +29,7 @@ from scipy.stats import rankdata
 
 from .basis import BasisConfig, expit, monomial_exponents, monomials_matrix
 from .data import Dataset
-from .errors import FairdesertError, UndefinedAUCError
+from .errors import UndefinedAUCError
 from .regress import fit_propensity, fit_series_logit
 from .sievemle import FitOptions, fit, predict_tau
 from .theta import theta_onestep
@@ -437,8 +437,8 @@ def _mc_worker(args):
     config, rep, settings, theta_true = args
     try:
         return run_replication(config, rep, settings, theta_true)
-    except FairdesertError as exc:
-        return {"rep": rep, "failed": str(exc)}
+    except Exception as exc:  # one bad draw must not end the whole study
+        return {"rep": rep, "failed": f"{type(exc).__name__}: {exc}"}
 
 
 def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = None,

@@ -103,6 +103,52 @@ def test_predict_rate_preserving(fitted_model, train_csv, tmp_path):
     assert (k - 1) / len(scores) < 0.0805
 
 
+def scoring_csv(train_csv, path, row, column, value):
+    """The first four training rows with one cell replaced."""
+    with train_csv.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))[:4]
+    rows[row - 1][column] = value
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("x1", "nan", "non-finite covariate at row 3"),
+    ("z", "2", "non-binary value '2' in column 'z' at row 3"),
+    ("z", "yes", "non-binary value 'yes' in column 'z' at row 3"),
+    ("s", "0.5", "non-binary value '0.5' in column 's' at row 3"),
+], ids=["nan-covariate", "z-two", "z-yes", "s-half"])
+def test_predict_rejects_bad_rows(fitted_model, train_csv, tmp_path, capsys,
+                                  column, value, message):
+    path = scoring_csv(train_csv, tmp_path / "score.csv", 3, column, value)
+    rc = main(["predict", "--model", str(fitted_model), "--input", str(path),
+               "--rate", "0.5", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+def test_predict_requires_input(fitted_model, tmp_path):
+    rc = main(["predict", "--model", str(fitted_model), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_predict_honours_schema_binary_values(fitted_model, train_csv, tmp_path):
+    scores = {}
+    for name, z, extra in (("plain", "1", []), ("coded", "yes", [
+            "--schema", json.dumps({"binary_values": {"yes": 1, "no": 0}})])):
+        path = scoring_csv(train_csv, tmp_path / f"{name}.csv", 1, "z", z)
+        rc = main(["predict", "--model", str(fitted_model), "--input", str(path),
+                   "--threshold", "0.5", "--out-dir", str(tmp_path / name), *extra])
+        assert rc == 0
+        with (tmp_path / name / "predictions.csv").open() as fh:
+            scores[name] = [row["score"] for row in csv.DictReader(fh)]
+    assert scores["coded"] == scores["plain"]
+
+
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     rc = main(["theta", "--input", str(train_csv), "--method", "plugin",
                "--out-dir", str(tmp_path / "plugin"), *FAST])

@@ -58,6 +58,14 @@ def test_load_csv_nonbinary_cites_row(tmp_path):
     assert err.value.row == 7
 
 
+def test_load_csv_short_row_cites_row(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("s,z,y,x0\n1,0,1,0.5\n\n0,1,0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="row 2") as err:
+        load_csv(path, CsvSchema(covariates=("x0",)))
+    assert err.value.row == 2
+
+
 def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "missing.csv"
     path.write_text("s,z,y\n1,0,1\n", encoding="utf-8")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdesert.basis import BasisConfig, logit
+from fairdesert.basis import BasisConfig, expit, logit
 from fairdesert.data import Dataset
 from fairdesert.errors import FitError
 from fairdesert.sievemle import (
@@ -17,10 +17,13 @@ from fairdesert.sievemle import (
     predict_tau,
     predict_tau_sz,
     rate_threshold,
+    stratum_probability,
+    stratum_table,
     threshold_preserving_rate,
 )
 from fairdesert.simulate import DgpConfig, gen_dataset
 
+VARIANTS = ("baseline", "kappa", "delta", "zeta")
 VARIANT_SENS = {
     "baseline": None,
     "kappa": SensitivityParams("kappa", 0.03, -0.02),
@@ -138,6 +141,140 @@ def test_gradients_match_finite_differences(variant):
         # on near-zero components
         rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
         assert rel < 1e-6
+
+
+def closed_form_stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1):
+    """Oracle: each variant's stratum model written out on its own."""
+    tz = np.where(z == 1, t1, t0)
+    s1 = s == 1
+    p = np.empty_like(tz)
+    if variant == "baseline":
+        p[~s1] = (tz * (1 - a))[~s1]
+        p[s1] = (b + tz * (1 - b))[s1]
+    elif variant == "kappa":
+        kz = np.where(z == 1, sv1, sv0)
+        p[~s1] = (tz * (1 - a))[~s1]
+        p[s1] = (b + (tz + kz) * (1 - b))[s1]
+    elif variant == "delta":
+        p[~s1] = (sv0 + tz * (1 - sv0 - a))[~s1]
+        p[s1] = (b + tz * (1 - sv1 - b))[s1]
+    else:
+        f0 = np.where(z == 1, 1 + sv0, 1.0)
+        f1 = np.where(z == 1, 1 + sv1, 1.0)
+        p[~s1] = (f0 * tz * (1 - a))[~s1]
+        p[s1] = (1 - f1 * (1 - tz) * (1 - b))[s1]
+    return np.clip(p, 1e-12, 1 - 1e-12)
+
+
+def reference_value_grad(problem, stack):
+    """Oracle: the objective evaluated one function and one variant at a time."""
+    c = problem.c
+    logits = [problem.phi @ g for g in problem.unpack(stack)]
+    sigs = [expit(u) for u in logits]
+    t0, t1, a, b = (c + (1 - 2 * c) * sig for sig in sigs)
+    slopes = [(1 - 2 * c) * sig * (1 - sig) for sig in sigs]
+    s1 = problem.s == 1
+    z1 = problem.z == 1
+    sv0, sv1 = problem.sv0, problem.sv1
+    tz = np.where(z1, t1, t0)
+    dp_da = np.zeros(problem.n)
+    dp_db = np.zeros(problem.n)
+    f0 = f1 = np.ones(problem.n)
+    kz = np.zeros(problem.n)
+    if problem.variant == "zeta":
+        f0 = np.where(z1, 1 + sv0, 1.0)
+        f1 = np.where(z1, 1 + sv1, 1.0)
+    if problem.variant == "kappa":
+        kz = np.where(z1, sv1, sv0)
+    if problem.variant == "delta":
+        dp_dt = np.where(s1, 1 - sv1 - b, 1 - sv0 - a)
+    else:
+        dp_dt = np.where(s1, f1 * (1 - b), f0 * (1 - a))
+    dp_da[~s1] = (-f0 * tz)[~s1]
+    dp_db[s1] = (f1 * (1 - tz - kz))[s1]
+    p = closed_form_stratum_probability(t0, t1, a, b, problem.s, problem.z,
+                                        problem.variant, sv0, sv1)
+    y, n = problem.y, problem.n
+    value = -np.mean(y * np.log(p) + (1 - y) * np.log1p(-p))
+    dneg_dp = (p - y) / (p * (1 - p)) / n
+    diff = t1 - t0
+    hinge = np.maximum(0.0, problem.margin - np.abs(diff))
+    value += problem.lam * np.mean(hinge ** 2)
+    dpen = problem.lam * 2 * hinge * (-np.sign(diff)) / n
+    w_t = dneg_dp * dp_dt
+    weights = [np.where(z1, 0.0, w_t) - dpen, np.where(z1, w_t, 0.0) + dpen,
+               dneg_dp * dp_da, dneg_dp * dp_db]
+    grad = np.concatenate([problem.phi.T @ (w * sl) for w, sl in zip(weights, slopes)])
+    j = problem.j
+    for k, u in enumerate(logits):
+        centered = u - u.mean()
+        value += 0.5 * problem.ridge * float(centered @ centered) / n
+        grad[k * j:(k + 1) * j] += problem.ridge * (problem.phi.T @ centered) / n
+    return float(value), grad
+
+
+X_DEPENDENT_SENS = {
+    "baseline": None,
+    "kappa": SensitivityParams("kappa", lambda x: 0.05 * x[:, 0] - 0.02,
+                               lambda x: -0.03 * x[:, 1]),
+    "delta": SensitivityParams("delta", lambda x: 0.02 + 0.05 * x[:, 0],
+                               lambda x: 0.1 * x[:, 1]),
+    "zeta": SensitivityParams("zeta", lambda x: 0.2 * x[:, 0] - 0.1,
+                              lambda x: 0.15 - 0.3 * x[:, 1]),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stratum_table_reproduces_closed_forms(variant):
+    rng = np.random.default_rng(21)
+    n = 5000
+    x = rng.uniform(size=(n, 2))
+    t0, t1, a, b = rng.uniform(0.001, 0.999, size=(4, n))
+    s = rng.integers(0, 2, n).astype(float)
+    z = rng.integers(0, 2, n).astype(float)
+    for sens in (VARIANT_SENS[variant], X_DEPENDENT_SENS[variant]):
+        sv0, sv1 = (sens or SensitivityParams(variant)).evaluate(x)
+        got = stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1)
+        want = closed_form_stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1)
+        assert np.max(np.abs(got - want)) <= 1e-15
+    assert stratum_table(s, z, variant, sv0, sv1).shape == (4, n)
+
+
+def test_zero_sensitivity_value_grad_bitwise_baseline():
+    data, _, _ = gen_dataset(DgpConfig(n=500, seed=8))
+    config = BasisConfig(interaction_order=1)
+    options = FitOptions(floor=0.05, relevance_margin=1e-3, ridge=3e-3)
+    base = SieveProblem(data, config, options, precondition=True)
+    rng = np.random.default_rng(4)
+    stacks = [rng.normal(0, 0.8, base.dim) for _ in range(10)]
+    for variant in ("kappa", "delta", "zeta"):
+        zero = SieveProblem(data, config, options, variant,
+                            SensitivityParams(variant, 0.0, 0.0), precondition=True)
+        assert np.array_equal(zero.table, base.table)
+        for stack in stacks:
+            value, grad = zero.value_grad(stack)
+            base_value, base_grad = base.value_grad(stack)
+            assert value == base_value
+            assert np.array_equal(grad, base_grad)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("options", [
+    FitOptions(),
+    FitOptions(floor=0.05, relevance_margin=1e-3, ridge=3e-3),
+], ids=["cli", "mc"])
+def test_fused_value_grad_matches_reference(variant, options):
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=6))
+    for sens in (VARIANT_SENS[variant], X_DEPENDENT_SENS[variant]):
+        problem = SieveProblem(data, BasisConfig(interaction_order=1), options,
+                               variant, sens, precondition=True)
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            stack = rng.normal(0, 0.8, problem.dim)
+            value, grad = problem.value_grad(stack)
+            ref_value, ref_grad = reference_value_grad(problem, stack)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 def test_truth_beats_perturbations_in_population_criterion():

@@ -197,6 +197,32 @@ def test_monte_carlo_parallel_parity():
     assert serial.replications == parallel.replications
 
 
+def test_monte_carlo_records_a_failing_replication(monkeypatch):
+    from fairdesert import simulate
+
+    real_fit = simulate.fit
+    calls = []
+
+    def flaky_fit(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "fit", flaky_fit)
+    settings_obj = MonteCarloSettings(methods=("dsd", "uml"), test_size=2000,
+                                      compute_theta=False)
+    summary = monte_carlo(DgpConfig(n=600, seed=2), reps=3, settings=settings_obj, jobs=1)
+    assert summary.failures == 1
+    failed = [r for r in summary.replications if "failed" in r]
+    assert [r["failed"] for r in failed] == ["LinAlgError: singular matrix"]
+    good = [r for r in summary.replications if "failed" not in r]
+    assert len(good) == 2
+    assert summary.method_auc["dsd"]["auc_ystar_mean"] == pytest.approx(
+        np.mean([r["auc_ystar_dsd"] for r in good]), abs=1e-12
+    )
+
+
 def test_monte_carlo_summary_csvs(tmp_path):
     from fairdesert.simulate import (
         write_auc_summary_csv,
