@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -73,7 +74,7 @@ def _sniff_covariates(path, schema_doc):
     return doc
 
 
-def _resolve(args, parser):
+def _resolve(args):
     """Merge the optional config file under explicit flags."""
     resolved = vars(args).copy()
     config_doc = _load_json_arg(resolved.pop("config", None)) or {}
@@ -147,6 +148,20 @@ def _fit_options(resolved):
     )
 
 
+def _sensitivity_point(flag, variant, text):
+    """Parse one "v0,v1" pair given to ``--flag``: two finite numbers that are
+    in range for the variant."""
+    try:
+        v0, v1 = (float(v) for v in str(text).split(","))
+        if not (math.isfinite(v0) and math.isfinite(v1)):
+            raise ValueError("values must be finite")
+        return SensitivityParams(variant, v0, v1)
+    except ValueError as exc:
+        raise FairdesertError(
+            f"--{flag} expects two numbers v0,v1 for variant {variant!r}, got {text!r}: {exc}"
+        ) from exc
+
+
 def _sensitivity(resolved):
     variant = resolved["variant"]
     if variant == "baseline":
@@ -154,8 +169,7 @@ def _sensitivity(resolved):
     raw = resolved.get(variant)
     if raw is None:
         raise FairdesertError(f"--{variant} v0,v1 required for variant {variant!r}")
-    v0, v1 = (float(v) for v in str(raw).split(","))
-    return variant, SensitivityParams(variant, v0, v1)
+    return variant, _sensitivity_point(variant, variant, raw)
 
 
 def _load_dataset(resolved) -> Dataset:
@@ -337,12 +351,10 @@ def cmd_sensitivity(resolved):
     variant = resolved["variant"]
     if variant == "baseline":
         raise FairdesertError("--variant kappa|delta|zeta is required for sweeps")
-    raw = resolved.get(variant) or resolved.get("grid")
+    flag = variant if resolved.get(variant) else "grid"
+    raw = resolved.get(flag)
     if raw:
-        grid = tuple(
-            tuple(float(v) for v in pair.split(","))
-            for pair in str(raw).split(";")
-        )
+        grid = tuple(_sensitivity_point(flag, variant, pair) for pair in str(raw).split(";"))
     else:
         grid = DEFAULT_GRIDS[variant]
     spec = SweepSpec(
@@ -474,19 +486,20 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    resolved = _resolve(args, parser)
-    handler = args.func
+    args = build_parser().parse_args(argv)
     try:
+        resolved = _resolve(args)
         started = time.perf_counter()
-        code = handler(resolved)
+        code = args.func(resolved)
         elapsed = time.perf_counter() - started
         print(f"{args.command} finished in {elapsed:.1f}s -> {resolved['out_dir']}",
               file=sys.stderr)
         return code
     except FairdesertError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit code 1 means "completed with warnings"
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

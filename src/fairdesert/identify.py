@@ -5,7 +5,9 @@ the latent quantities (tau_0, tau_1, alpha, beta) through the forward system
 
     mu_0z = tau_z (1 - alpha),      mu_1z = beta + tau_z (1 - beta),
 
-which is invertible in closed form.  This module houses the forward maps, the
+which is invertible in closed form.  This module owns the unfairness mechanism
+of every model variant (`mechanism`) and what is derived from it - the forward
+map, the per-row stratum model and the per-row unfairness rate - plus the
 inversions (including the three sensitivity-extended variants), the testable
 sign/monotonicity implications, and a small-perturbation bias approximation.
 Plug-in inversions of noisy mu-hat may leave [0, 1]; values are reported
@@ -58,53 +60,94 @@ class PointwiseMu:
         return (self.mu00, self.mu01, self.mu10, self.mu11)
 
 
-def forward_mu(p: PointwiseParams) -> PointwiseMu:
-    """Map latent parameters to observed stratum probabilities."""
-    return PointwiseMu(
-        mu00=p.tau0 * (1 - p.alpha),
-        mu01=p.tau1 * (1 - p.alpha),
-        mu10=p.beta + p.tau0 * (1 - p.beta),
-        mu11=p.beta + p.tau1 * (1 - p.beta),
-    )
+def mechanism(s, z, variant="baseline", v0=0.0, v1=0.0):
+    """Per-row unfairness mechanism (shift, c, f) of a model variant.
 
+    The deserved decision is Y* ~ Bernoulli(q) with q = tau_Z(x) + shift.  The
+    flip driven by m - the wrongful denial Y*=1 -> Y=0 at m = alpha(x) on S=0
+    rows, the wrongful favour Y*=0 -> Y=1 at m = beta(x) on S=1 rows - has rate
+    m + (1 - f)(1 - m); the opposite flip has rate c:
 
-def forward_mu_kappa(p: PointwiseParams, kappa0, kappa1) -> PointwiseMu:
-    """Forward map when the advantaged group receives legitimate support.
+        variant    shift          c          f
+        baseline   0              0          1
+        kappa      S kappa_Z      0          1
+        delta      0              delta_S    1
+        zeta       0              0          1 + Z zeta_S
 
-    ``p.tau0``/``p.tau1`` are the disadvantaged-group rules tau_{0z}; the
-    advantaged group follows tau_{0z} + kappa_z.
+    ``v0``/``v1`` are the variant's two levels, constants or per-row arrays.
+    The forward map, the sieve likelihood (`stratum_table`), the theta
+    integrand (`unfairness_rate`) and the data generator are all derived from
+    this table.
     """
-    return PointwiseMu(
-        mu00=p.tau0 * (1 - p.alpha),
-        mu01=p.tau1 * (1 - p.alpha),
-        mu10=p.beta + (p.tau0 + kappa0) * (1 - p.beta),
-        mu11=p.beta + (p.tau1 + kappa1) * (1 - p.beta),
-    )
+    s = np.asarray(s, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if variant == "baseline":
+        return 0.0, 0.0, 1.0
+    if variant == "kappa":
+        return s * np.where(z == 1, v1, v0), 0.0, 1.0
+    if variant == "delta":
+        return 0.0, np.where(s == 1, v1, v0), 1.0
+    if variant == "zeta":
+        return 0.0, 0.0, 1 + z * np.where(s == 1, v1, v0)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
-def forward_mu_delta(p: PointwiseParams, delta0, delta1) -> PointwiseMu:
-    """Forward map under two-sided unfairness (upgrades for S=0 at rate
-    delta0, downgrades for S=1 at rate delta1)."""
-    return PointwiseMu(
-        mu00=delta0 + p.tau0 * (1 - delta0 - p.alpha),
-        mu01=delta0 + p.tau1 * (1 - delta0 - p.alpha),
-        mu10=p.beta + p.tau0 * (1 - delta1 - p.beta),
-        mu11=p.beta + p.tau1 * (1 - delta1 - p.beta),
-    )
+def stratum_table(s, z, variant="baseline", v0=0.0, v1=0.0):
+    """Per-row constants (e, g, u, w) of the stratum model; shape (4, n).
 
-
-def forward_mu_zeta(p: PointwiseParams, zeta0, zeta1) -> PointwiseMu:
-    """Forward map when the mechanism differs across z.
-
-    ``p.alpha``/``p.beta`` play the role of the z=0 mechanism (alpha_0,
-    beta_0); zeta scales the survival factors at z=1.
+    f(Y=1 | s, z, x) = e + g (tz - u)(m - w), with tz = tau_z(x), m as in
+    `mechanism` and (e, g, u, w) = (c on S=0 / 1 - c on S=1, -f, s - shift,
+    1 - c/f) (derivation in `sievemle.SieveProblem`).
     """
-    return PointwiseMu(
-        mu00=p.tau0 * (1 - p.alpha),
-        mu01=(1 + zeta0) * p.tau1 * (1 - p.alpha),
-        mu10=1 - (1 - p.tau0) * (1 - p.beta),
-        mu11=1 - (1 + zeta1) * (1 - p.tau1) * (1 - p.beta),
+    s, z, v0, v1 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (s, z, v0, v1))
     )
+    shift, c, f = mechanism(s, z, variant, v0, v1)
+    e = np.where(s == 1, 1 - c, c)
+    return np.stack(np.broadcast_arrays(e, -f, s - shift, 1 - c / f))
+
+
+def _bilinear(table, tz, m):
+    """Stratum probability and its partial derivatives in tz and m."""
+    e, g, u, w = table
+    dtz = tz - u
+    dp_dt = g * (m - w)
+    return e + dtz * dp_dt, dp_dt, g * dtz
+
+
+def forward_mu(p: PointwiseParams, variant="baseline", v0=0.0, v1=0.0) -> PointwiseMu:
+    """Map latent parameters to observed stratum probabilities under a variant.
+
+    Under kappa ``p.tau0``/``p.tau1`` are the S=0 rules tau_{0z}; under zeta
+    ``p.alpha``/``p.beta`` are the Z=0 mechanism.
+    """
+    return PointwiseMu(*(
+        _bilinear(stratum_table(s, z, variant, v0, v1),
+                  p.tau1 if z else p.tau0, p.beta if s else p.alpha)[0]
+        for s in (0, 1) for z in (0, 1)
+    ))
+
+
+def flip_rates(tz, a, b, s, z, variant="baseline", v0=0.0, v1=0.0):
+    """Per-row deserved rate q = tau_Z + shift, clipped into [0, 1], and the
+    flip rates down (Y*=1 -> Y=0) and up (Y*=0 -> Y=1) of `mechanism`."""
+    shift, c, f = mechanism(s, z, variant, v0, v1)
+    s1 = np.asarray(s) == 1
+    m = np.where(s1, b, a)
+    r = m + (1 - f) * (1 - m)
+    return np.clip(tz + shift, 0.0, 1.0), np.where(s1, c, r), np.where(s1, r, c)
+
+
+def unfairness_rate(tz, a, b, s, z, variant="baseline", v0=0.0, v1=0.0):
+    """Per-row f(Y != Y* | s, z, x) = q down + (1 - q) up (see `flip_rates`)."""
+    q, down, up = flip_rates(tz, a, b, s, z, variant, v0, v1)
+    return q * down + (1 - q) * up
+
+
+def identification_denominator(m: PointwiseMu):
+    """mu_01 (1 - mu_10) - mu_00 (1 - mu_11); zero where Z carries no
+    information about the decision rule."""
+    return m.mu01 * (1 - m.mu10) - m.mu00 * (1 - m.mu11)
 
 
 def _check_denominator(denom, tol):
@@ -123,7 +166,7 @@ def invert_tau(m: PointwiseMu, tol=DENOM_TOL):
     T_z = mu_0z (mu_11 - mu_10) / {mu_01 (1 - mu_10) - mu_00 (1 - mu_11)};
     exact round trip of `forward_mu` on valid parameters.
     """
-    denom = m.mu01 * (1 - m.mu10) - m.mu00 * (1 - m.mu11)
+    denom = identification_denominator(m)
     _check_denominator(denom, tol)
     spread = m.mu11 - m.mu10
     return m.mu00 * spread / denom, m.mu01 * spread / denom
@@ -187,7 +230,7 @@ def invert_tau_kappa(m: PointwiseMu, kappa0, kappa1, tol=DENOM_TOL, validate=Tru
 
     Reduces exactly to `invert_tau` at kappa0 = kappa1 = 0.
     """
-    denom = m.mu01 * (1 - m.mu10) - m.mu00 * (1 - m.mu11)
+    denom = identification_denominator(m)
     _check_denominator(denom, tol)
     spread = m.mu11 - m.mu10
     num0 = m.mu00 * spread + kappa0 * m.mu00 * (1 - m.mu11) - kappa1 * m.mu00 * (1 - m.mu10)

@@ -22,7 +22,15 @@ from scipy import special
 from .basis import BasisConfig, SeriesFunction, expand_matrix, logit
 from .data import Dataset, require_positivity
 from .errors import FairdesertError, FitError
-from .identify import PointwiseMu, recover_mechanism
+from .identify import (
+    PointwiseMu,
+    _bilinear,
+    identification_denominator,
+    invert_tau,
+    mechanism,
+    recover_mechanism,
+    stratum_table,
+)
 from .optimize import bfgs_minimize
 from .regress import fit_mu_models
 
@@ -164,39 +172,6 @@ class NuisanceEstimates:
         )
 
 
-def stratum_table(s, z, variant="baseline", sv0=0.0, sv1=0.0):
-    """Per-row constants (e, g, u, w) of the stratum model; shape (4, n).
-
-    f(Y=1 | s, z, x) = e + g (tz - u)(m - w), with tz = tau_z(x) and
-    m = alpha(x) on s=0 rows, beta(x) on s=1 rows (see `SieveProblem`).
-    """
-    s, z, sv0, sv1 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (s, z, sv0, sv1))
-    )
-    s1 = s == 1
-    ind = np.where(s1, 1.0, 0.0)
-    ones = np.ones(s.shape)
-    if variant in ("baseline", "kappa"):
-        kz = np.where(z == 1, sv1, sv0) if variant == "kappa" else 0.0
-        k = (ind, -ones, ind * (1 - kz), ones)
-    elif variant == "delta":
-        k = (np.where(s1, 1 - sv1, sv0), -ones, ind, np.where(s1, 1 - sv1, 1 - sv0))
-    elif variant == "zeta":
-        f = 1 + np.where(z == 1, np.where(s1, sv1, sv0), 0.0)
-        k = (ind, -f, ind, ones)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return np.stack(k)
-
-
-def _bilinear(table, tz, m):
-    """Stratum probability and its partial derivatives in tz and m."""
-    e, g, u, w = table
-    dtz = tz - u
-    dp_dt = g * (m - w)
-    return e + dtz * dp_dt, dp_dt, g * dtz
-
-
 def stratum_probability(t0, t1, a, b, s, z, variant="baseline", sv0=0.0, sv1=0.0):
     """f(Y=1 | s, z, x) for candidate function values under a model variant.
 
@@ -236,20 +211,19 @@ class SieveProblem:
     coefficients back to the raw basis exactly.
 
     Every variant's stratum probability is bilinear in tz = tau_Z(x) and
-    m = alpha(x) (S=0 rows) or beta(x) (S=1 rows).  `stratum_table` stores it
-    per row as p = e + g (tz - u)(m - w), a product form that keeps p exact
-    next to 0 and 1, as the closed forms do (expanded, p = k0 + k1 tz + k2 m
-    + k3 tz m with (k0, k1, k2, k3) = (e + g u w, -g w, -g u, g)):
+    m = alpha(x) (S=0 rows) or beta(x) (S=1 rows).  With the (shift, c, f) of
+    `identify.mechanism`, q = tz + shift and the m-driven flip at rate
+    1 - f (1 - m),
 
-        variant    S=0 rows (e, g, u, w)    S=1 rows (e, g, u, w)
-        baseline   (0, -1, 0, 1)            (1, -1, 1, 1)
-        kappa      (0, -1, 0, 1)            (1, -1, 1 - kz, 1)
-        delta      (v0, -1, 0, 1 - v0)      (1 - v1, -1, 1, 1 - v1)
-        zeta       (0, -f, 0, 1)            (1, -f, 1, 1)
+        S=0 rows:  p = q f (1 - m) + (1 - q) c
+        S=1 rows:  p = 1 - c q - (1 - q) f (1 - m),
 
-    with kz = v_Z and, for zeta, f = 1 + v_S on Z=1 rows and 1 on Z=0 rows.
-    One evaluation is then one (n, J) x (J, 4) product, one expit and one
-    (J, n) x (n, 4) product, whatever the variant.
+    which `identify.stratum_table` stores per row as p = e + g (tz - u)(m - w)
+    with (e, g, u, w) = (c on S=0 / 1 - c on S=1, -f, S - shift, 1 - c/f).
+    The product form keeps p exact next to 0 and 1, as the closed forms do
+    (expanded, p = k0 + k1 tz + k2 m + k3 tz m with (k0, k1, k2, k3) =
+    (e + g u w, -g w, -g u, g)).  One evaluation is then one (n, J) x (J, 4)
+    product, one expit and one (J, n) x (n, 4) product, whatever the variant.
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions,
@@ -383,14 +357,13 @@ def _plugin_start(problem, data):
     """Initialization from the closed-form inversion of direct mu_sz fits."""
     mu_model = fit_mu_models(data, problem.config, ridge=max(problem.options.ridge_init, 1e-8))
     mu = mu_model.predict_all(data.x)
-    m = PointwiseMu(mu[:, 0], mu[:, 1], mu[:, 2], mu[:, 3])
-    denom = m.mu01 * (1 - m.mu10) - m.mu00 * (1 - m.mu11)
-    valid = np.abs(denom) > 1e-8
+    m = PointwiseMu(*mu.T)
+    valid = np.abs(identification_denominator(m)) > 1e-8
     if valid.sum() < problem.j:
         raise FitError("too few identifiable points for a plug-in start")
-    spread = m.mu11 - m.mu10
-    t0 = np.where(valid, m.mu00 * spread / np.where(valid, denom, 1.0), 0.5)
-    t1 = np.where(valid, m.mu01 * spread / np.where(valid, denom, 1.0), 0.5)
+    t0 = np.full(data.n, 0.5)
+    t1 = np.full(data.n, 0.5)
+    t0[valid], t1[valid] = invert_tau(PointwiseMu(*mu[valid].T), tol=1e-8)
     t0c = np.clip(t0, 0.02, 0.98)
     t1c = np.clip(t1, 0.02, 0.98)
     with warnings.catch_warnings():
@@ -509,17 +482,14 @@ def predict_tau(est: NuisanceEstimates, z, x):
 
 
 def predict_tau_sz(est: NuisanceEstimates, s, z, x):
-    """Decision rule including prescribed legitimate support (kappa variant):
-    tau_hat_{sz}(x) = tau_hat_{0z}(x) + s kappa_z(x), clipped into [0, 1]."""
-    base = predict_tau(est, z, x)
-    if est.variant != "kappa":
-        return base
-    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    k0, k1 = est.sensitivity.evaluate(x2)
-    z = np.broadcast_to(np.asarray(z), (x2.shape[0],))
-    s = np.broadcast_to(np.asarray(s), (x2.shape[0],))
-    kz = np.where(z == 1, k1, k0)
-    shifted = np.asarray(base) + s * kz
+    """Decision rule including prescribed legitimate support: tau_hat_{sz}(x) =
+    tau_hat_{0z}(x) + shift, the shift of `identify.mechanism` (s kappa_z(x)
+    under kappa, zero otherwise), clipped into [0, 1]."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    shift, _, _ = mechanism(np.broadcast_to(s, (n,)), np.broadcast_to(z, (n,)),
+                            est.variant, *est.sensitivity.evaluate(x))
+    shifted = np.atleast_1d(predict_tau(est, z, x)) + shift
     clipped = (shifted < 0) | (shifted > 1)
     if np.any(clipped):
         warnings.warn(
@@ -531,10 +501,8 @@ def predict_tau_sz(est: NuisanceEstimates, s, z, x):
 
 
 def decision_scores(est: NuisanceEstimates, data: Dataset):
-    """Per-row decision scores: tau_hat_sz under kappa, tau_hat(Z, X) otherwise."""
-    if est.variant == "kappa":
-        return np.asarray(predict_tau_sz(est, data.s, data.z, data.x))
-    return np.asarray(predict_tau(est, data.z, data.x))
+    """Per-row decision scores tau_hat_{SZ}(X) (see `predict_tau_sz`)."""
+    return np.asarray(predict_tau_sz(est, data.s, data.z, data.x))
 
 
 def rate_threshold(scores, target_rate):

@@ -7,8 +7,8 @@ deserved decision from tau_Z(X), and the observed decision by passing the
 latent one through the group-specific unfairness mechanism.  A scalar knob
 ``delta`` turns on two-sided misclassification (upgrades for the disadvantaged
 group and downgrades for the advantaged group at rate delta), violating the
-one-sided assumption the baseline estimator relies on; further knobs inject an
-additive group effect on the latent decision and a z-differential mechanism.
+one-sided assumption the baseline estimator relies on: the generator's
+mechanism is the delta variant of `identify.mechanism` at (delta, delta).
 
 Comparison methods: an unconstrained series logit of Y (UML), the same without
 the sensitive attribute (FTU), a constrained fit forcing a zero average causal
@@ -30,6 +30,7 @@ from scipy.stats import rankdata
 from .basis import BasisConfig, expit, monomial_exponents, monomials_matrix
 from .data import Dataset
 from .errors import UndefinedAUCError
+from .identify import flip_rates, unfairness_rate
 from .regress import fit_propensity, fit_series_logit
 from .sievemle import FitOptions, fit, predict_tau
 from .theta import theta_onestep
@@ -42,17 +43,13 @@ ALL_METHODS = ("dsd",) + BASELINE_METHODS
 class DgpConfig:
     """Generative-model settings.
 
-    ``delta`` in [0, 0.5) violates the one-sided unfairness assumption;
-    ``s_effect`` adds a direct group effect on the latent decision;
-    ``mech_zeta`` makes the mechanism differ across z (survival-factor
-    multipliers).  All knobs default off.
+    ``delta`` in [0, 0.5) violates the one-sided unfairness assumption
+    (default off).
     """
 
     n: int = 2000
     delta: float = 0.0
     seed: int = 0
-    s_effect: float = 0.0
-    mech_zeta: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if self.n < 100:
@@ -108,19 +105,6 @@ class TrueFunctions:
         ])
 
 
-def _mechanism(config: DgpConfig, s, z, x):
-    """Per-row (P(Y=0 | Y*=1), P(Y=1 | Y*=0)) under the configured knobs."""
-    z0, z1 = config.mech_zeta
-    a = _alpha(x)
-    b = _beta(x)
-    if z0 or z1:
-        a = np.where(z == 1, 1 - (1 + z0) * (1 - a), a)
-        b = np.where(z == 1, 1 - (1 + z1) * (1 - b), b)
-    down = np.where(s == 1, config.delta, a)
-    up = np.where(s == 1, b, config.delta)
-    return down, up
-
-
 def gen_dataset(config: DgpConfig, seed=None):
     """Draw one dataset; returns (Dataset, latent decisions, truth handles).
 
@@ -131,11 +115,9 @@ def gen_dataset(config: DgpConfig, seed=None):
     x = rng.uniform(size=(n, 2))
     s = (rng.random(n) < _p_s1(x)).astype(np.int8)
     z = (rng.random(n) < _p_z1(x)).astype(np.int8)
-    tau = np.where(z == 1, _tau1(x), _tau0(x))
-    if config.s_effect:
-        tau = np.clip(tau + s * config.s_effect, 0.0, 1.0)
-    ystar = (rng.random(n) < tau).astype(np.int8)
-    down, up = _mechanism(config, s, z, x)
+    q, down, up = flip_rates(np.where(z == 1, _tau1(x), _tau0(x)), _alpha(x), _beta(x),
+                             s, z, "delta", config.delta, config.delta)
+    ystar = (rng.random(n) < q).astype(np.int8)
     flip_to_0 = rng.random(n) < down
     flip_to_1 = rng.random(n) < up
     y = np.where(ystar == 1, np.where(flip_to_0, 0, 1), np.where(flip_to_1, 1, 0)).astype(np.int8)
@@ -157,7 +139,7 @@ def oracle_theta(config: DgpConfig, draws=10_000_000, seed=20_240_501):
     S, Z and both binary outcomes are integrated out analytically given X, so
     only the covariates are simulated; 1e7 draws give roughly +-1e-4.
     """
-    key = (config.delta, config.s_effect, tuple(config.mech_zeta), draws, seed)
+    key = (config.delta, draws, seed)
     if key in _ORACLE_CACHE:
         return _ORACLE_CACHE[key]
     rng = np.random.default_rng(seed)
@@ -169,17 +151,15 @@ def oracle_theta(config: DgpConfig, draws=10_000_000, seed=20_240_501):
         x = rng.uniform(size=(m, 2))
         ps = _p_s1(x)
         pz = _p_z1(x)
+        taus = (_tau0(x), _tau1(x))
+        a = _alpha(x)
+        b = _beta(x)
         acc = np.zeros(m)
         for s_val in (0, 1):
             for z_val in (0, 1):
                 w = (ps if s_val else 1 - ps) * (pz if z_val else 1 - pz)
-                tau = _tau1(x) if z_val else _tau0(x)
-                if config.s_effect:
-                    tau = np.clip(tau + s_val * config.s_effect, 0.0, 1.0)
-                down, up = _mechanism(
-                    config, np.full(m, s_val), np.full(m, z_val), x
-                )
-                acc += w * (tau * down + (1 - tau) * up)
+                acc += w * unfairness_rate(taus[z_val], a, b, s_val, z_val,
+                                           "delta", config.delta, config.delta)
         total += float(acc.sum())
         done += m
     value = total / draws

@@ -25,6 +25,7 @@ from scipy.stats import norm
 from .basis import BasisConfig
 from .data import Dataset
 from .errors import BootstrapError, FairdesertError, VariantMismatchError
+from .identify import unfairness_rate
 from .regress import PropensityModel, fit_propensity
 from .sievemle import FitOptions, NuisanceEstimates, fit, stratum_probability
 
@@ -71,29 +72,15 @@ class ThetaEstimate:
 
 
 def unfairness_integrand(est: NuisanceEstimates, data: Dataset):
-    """Per-row identified integrand of theta under the estimate's variant.
+    """Per-row identified integrand of theta, f(Y != Y* | S, Z, X), under the
+    estimate's variant (`identify.unfairness_rate`).
 
-    Baseline: (1-S) tau(Z,X) alpha + S {1 - tau(Z,X)} beta.  The sensitivity
-    variants add their prescribed misclassification contributions.
+    Baseline: (1-S) tau(Z,X) alpha + S {1 - tau(Z,X)} beta.
     """
     t0, t1, a, b = est.values(data.x)
-    z1 = data.z == 1
-    s1 = data.s == 1
-    tz = np.where(z1, t1, t0)
-    if est.variant == "baseline":
-        return np.where(s1, (1 - tz) * b, tz * a)
-    sv0, sv1 = est.sensitivity.evaluate(data.x)
-    if est.variant == "kappa":
-        kz = np.where(z1, sv1, sv0)
-        tz_adv = np.clip(tz + kz, 0.0, 1.0)
-        return np.where(s1, (1 - tz_adv) * b, tz * a)
-    if est.variant == "delta":
-        return np.where(s1, (1 - tz) * b + tz * sv1, tz * a + (1 - tz) * sv0)
-    if est.variant == "zeta":
-        az = np.where(z1, 1 - (1 + sv0) * (1 - a), a)
-        bz = np.where(z1, 1 - (1 + sv1) * (1 - b), b)
-        return np.where(s1, (1 - tz) * bz, tz * az)
-    raise ValueError(f"unknown variant {est.variant!r}")
+    v0, v1 = est.sensitivity.evaluate(data.x)
+    return unfairness_rate(np.where(data.z == 1, t1, t0), a, b, data.s, data.z,
+                           est.variant, v0, v1)
 
 
 def theta_plugin(est: NuisanceEstimates, data: Dataset) -> ThetaEstimate:

@@ -19,9 +19,6 @@ from fairdesert.identify import (
     PointwiseParams,
     check_testable_implications,
     forward_mu,
-    forward_mu_delta,
-    forward_mu_kappa,
-    forward_mu_zeta,
     invert_tau,
     invert_tau_delta,
     invert_tau_kappa,
@@ -91,7 +88,7 @@ def test_criterion_2_sensitivity_reductions():
     # each extended inversion round-trips its own forward model on its
     # validity region
     shrink = lambda v: 0.05 + 0.85 * (v - 0.05)  # noqa: E731
-    ks = forward_mu_kappa(PointwiseParams(shrink(t0), shrink(t1), a, b), 0.05, 0.05)
+    ks = forward_mu(PointwiseParams(shrink(t0), shrink(t1), a, b), "kappa", 0.05, 0.05)
     kt = invert_tau_kappa(ks, 0.05, 0.05, validate=False)
     kappa_err = max(
         float(np.max(np.abs(kt.tau00 - shrink(t0)))),
@@ -99,13 +96,13 @@ def test_criterion_2_sensitivity_reductions():
     )
 
     ok = (a + 0.05 < 1 - 1e-9) & (b + 0.05 < 1 - 1e-9)
-    ds = forward_mu_delta(PointwiseParams(t0[ok], t1[ok], a[ok], b[ok]), 0.05, 0.05)
+    ds = forward_mu(PointwiseParams(t0[ok], t1[ok], a[ok], b[ok]), "delta", 0.05, 0.05)
     d0, d1 = invert_tau_delta(ds, 0.05, 0.05)
     delta_err = max(
         float(np.max(np.abs(d0 - t0[ok]))), float(np.max(np.abs(d1 - t1[ok]))),
     )
 
-    zs = forward_mu_zeta(PointwiseParams(t0, t1, a, b), 0.1, -0.05)
+    zs = forward_mu(PointwiseParams(t0, t1, a, b), "zeta", 0.1, -0.05)
     z0, z1 = invert_tau_zeta(zs, 0.1, -0.05, validate=False)
     zeta_err = max(float(np.max(np.abs(z0 - t0))), float(np.max(np.abs(z1 - t1))))
 

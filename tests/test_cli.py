@@ -149,6 +149,28 @@ def test_predict_honours_schema_binary_values(fitted_model, train_csv, tmp_path)
     assert scores["coded"] == scores["plain"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--input", "{missing}"], "error: FileNotFoundError: "),
+    (["estimate", "--input", "{train}", "--schema", "{bad"], "error: JSONDecodeError: "),
+    (["theta", "--input", "{train}", "--variant", "delta", "--delta", "0.05",
+      "--method", "bootstrap"], "error: --delta expects two numbers"),
+    (["theta", "--input", "{train}", "--variant", "delta", "--delta", "0.05,x",
+      "--method", "bootstrap"], "error: --delta expects two numbers"),
+    (["theta", "--input", "{train}", "--variant", "delta", "--delta", "1.5,0",
+      "--method", "bootstrap"], "error: --delta expects two numbers"),
+    (["sensitivity", "--input", "{train}", "--variant", "delta", "--grid", "0.05"],
+     "error: --grid expects two numbers"),
+], ids=["missing-input", "bad-schema-json", "one-delta", "non-numeric-delta",
+        "delta-out-of-range", "one-value-grid"])
+def test_bad_arguments_exit_2_with_one_line(train_csv, tmp_path, capsys, argv, message):
+    argv = [a.replace("{missing}", str(tmp_path / "missing.csv"))
+             .replace("{train}", str(train_csv)) for a in argv]
+    rc = main([*argv, "--out-dir", str(tmp_path / "out"), *FAST])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     rc = main(["theta", "--input", str(train_csv), "--method", "plugin",
                "--out-dir", str(tmp_path / "plugin"), *FAST])

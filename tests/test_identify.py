@@ -12,9 +12,6 @@ from fairdesert.identify import (
     bias_linearization,
     check_testable_implications,
     forward_mu,
-    forward_mu_delta,
-    forward_mu_kappa,
-    forward_mu_zeta,
     invert_tau,
     invert_tau_delta,
     invert_tau_kappa,
@@ -96,7 +93,7 @@ def test_round_trip_kappa(params, k0, k1):
     t0, t1, a, b = params
     t0, t1 = 0.05 + 0.85 * (t0 - 0.05), 0.05 + 0.85 * (t1 - 0.05)  # room for the shift
     p = PointwiseParams(t0, t1, a, b)
-    m = forward_mu_kappa(p, k0, k1)
+    m = forward_mu(p, "kappa", k0, k1)
     taus = invert_tau_kappa(m, k0, k1)
     assert abs(taus.tau00 - t0) < 1e-12
     assert abs(taus.tau01 - t1) < 1e-12
@@ -128,14 +125,14 @@ def test_round_trip_delta(params, d0, d1):
     a = min(a, 0.9 - d0)
     b = min(b, 0.9 - d1)
     p = PointwiseParams(t0, t1, a, b)
-    m = forward_mu_delta(p, d0, d1)
+    m = forward_mu(p, "delta", d0, d1)
     r0, r1 = invert_tau_delta(m, d0, d1)
     assert abs(r0 - t0) < 1e-12 and abs(r1 - t1) < 1e-12
 
 
 def test_delta_worked_example():
     p = PointwiseParams(0.3, 0.6, 0.25, 0.15)
-    m = forward_mu_delta(p, 0.05, 0.05)
+    m = forward_mu(p, "delta", 0.05, 0.05)
     r0, r1 = invert_tau_delta(m, 0.05, 0.05)
     assert r0 == pytest.approx(0.3, abs=1e-12)
     assert r1 == pytest.approx(0.6, abs=1e-12)
@@ -156,14 +153,14 @@ def test_delta_negative_numerator_error():
 @given(valid_params, st.floats(-0.2, 0.3), st.floats(-0.2, 0.3))
 def test_round_trip_zeta(params, z0, z1):
     p = PointwiseParams(*params)
-    m = forward_mu_zeta(p, z0, z1)
+    m = forward_mu(p, "zeta", z0, z1)
     r0, r1 = invert_tau_zeta(m, z0, z1, validate=False)
     assert abs(r0 - p.tau0) < 1e-11 and abs(r1 - p.tau1) < 1e-11
 
 
 def test_zeta_worked_example():
     p = PointwiseParams(0.3, 0.6, 0.25, 0.15)
-    m = forward_mu_zeta(p, 0.1, -0.05)
+    m = forward_mu(p, "zeta", 0.1, -0.05)
     r0, r1 = invert_tau_zeta(m, 0.1, -0.05)
     assert r0 == pytest.approx(0.3, abs=1e-12)
     assert r1 == pytest.approx(0.6, abs=1e-12)
@@ -195,7 +192,7 @@ def test_bias_linearization_matches_exact(params):
     t0, t1, a, b = params
     a, b = min(a, 0.7), min(b, 0.7)
     d0 = d1 = 0.02
-    m = forward_mu_delta(PointwiseParams(t0, t1, a, b), d0, d1)
+    m = forward_mu(PointwiseParams(t0, t1, a, b), "delta", d0, d1)
     naive0, naive1 = invert_tau(m)
     for tz, naive in ((t0, naive0), (t1, naive1)):
         approx = bias_linearization(tz, a, b, d0, d1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from fairdesert.basis import BasisConfig, expit, logit
 from fairdesert.data import Dataset
 from fairdesert.errors import FitError
+from fairdesert.identify import PointwiseMu, PointwiseParams, forward_mu, stratum_table
 from fairdesert.sievemle import (
     FitOptions,
     SensitivityParams,
     SieveProblem,
+    _plugin_start,
     decision_scores,
     fit,
     model_prob,
@@ -18,7 +22,6 @@ from fairdesert.sievemle import (
     predict_tau_sz,
     rate_threshold,
     stratum_probability,
-    stratum_table,
     threshold_preserving_rate,
 )
 from fairdesert.simulate import DgpConfig, gen_dataset
@@ -237,6 +240,12 @@ def test_stratum_table_reproduces_closed_forms(variant):
         got = stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1)
         want = closed_form_stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1)
         assert np.max(np.abs(got - want)) <= 1e-15
+        # the forward map is the same table, one stratum at a time
+        mu = forward_mu(PointwiseParams(t0, t1, a, b), variant, sv0, sv1).as_tuple()
+        for k, (s_val, z_val) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            want = closed_form_stratum_probability(
+                t0, t1, a, b, np.full(n, s_val), np.full(n, z_val), variant, sv0, sv1)
+            assert np.max(np.abs(np.clip(mu[k], 1e-12, 1 - 1e-12) - want)) <= 1e-15
     assert stratum_table(s, z, variant, sv0, sv1).shape == (4, n)
 
 
@@ -275,6 +284,37 @@ def test_fused_value_grad_matches_reference(variant, options):
             ref_value, ref_grad = reference_value_grad(problem, stack)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def reference_plugin_start(problem, data):
+    """Oracle: the plug-in start with the tau inversion written out inline."""
+    from fairdesert.identify import recover_mechanism
+    from fairdesert.regress import fit_mu_models
+    from fairdesert.sievemle import _target_to_gamma
+
+    mu_model = fit_mu_models(data, problem.config, ridge=max(problem.options.ridge_init, 1e-8))
+    mu = mu_model.predict_all(data.x)
+    m = PointwiseMu(mu[:, 0], mu[:, 1], mu[:, 2], mu[:, 3])
+    denom = m.mu01 * (1 - m.mu10) - m.mu00 * (1 - m.mu11)
+    valid = np.abs(denom) > 1e-8
+    spread = m.mu11 - m.mu10
+    t0 = np.where(valid, m.mu00 * spread / np.where(valid, denom, 1.0), 0.5)
+    t1 = np.where(valid, m.mu01 * spread / np.where(valid, denom, 1.0), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = recover_mechanism(m, np.clip(t0, 0.02, 0.98), np.clip(t1, 0.02, 0.98))
+    return np.concatenate([
+        _target_to_gamma(problem, v, valid)
+        for v in (t0, t1, np.asarray(rec.alpha), np.asarray(rec.beta))
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plugin_start_matches_inline_inversion(seed):
+    data, _, _ = gen_dataset(DgpConfig(n=1000, seed=seed))
+    problem = SieveProblem(data, BasisConfig(interaction_order=1), FitOptions(),
+                           precondition=True)
+    assert np.array_equal(_plugin_start(problem, data), reference_plugin_start(problem, data))
 
 
 def test_truth_beats_perturbations_in_population_criterion():

@@ -56,6 +56,69 @@ def test_dgp_discrimination_rate_matches_quadrature():
     assert abs(observed - expected) < 0.005
 
 
+def reference_flip_rates(delta, s, x):
+    """Oracle: the generator's mechanism written out on its own."""
+    from fairdesert.simulate import _alpha, _beta
+
+    down = np.where(s == 1, delta, _alpha(x))
+    up = np.where(s == 1, _beta(x), delta)
+    return down, up
+
+
+def reference_gen_dataset(config, seed):
+    """Oracle: the generator with its own mechanism (draws as gen_dataset)."""
+    from fairdesert.simulate import _p_s1, _p_z1, _tau0, _tau1
+
+    rng = np.random.default_rng(seed)
+    n = config.n
+    x = rng.uniform(size=(n, 2))
+    s = (rng.random(n) < _p_s1(x)).astype(np.int8)
+    z = (rng.random(n) < _p_z1(x)).astype(np.int8)
+    tau = np.where(z == 1, _tau1(x), _tau0(x))
+    ystar = (rng.random(n) < tau).astype(np.int8)
+    down, up = reference_flip_rates(config.delta, s, x)
+    flip_to_0 = rng.random(n) < down
+    flip_to_1 = rng.random(n) < up
+    y = np.where(ystar == 1, np.where(flip_to_0, 0, 1), np.where(flip_to_1, 1, 0))
+    return s, z, y.astype(np.int8), x, ystar
+
+
+def reference_oracle_theta(config, draws, seed=20_240_501):
+    """Oracle: oracle_theta evaluating the truth once per stratum."""
+    from fairdesert.simulate import _p_s1, _p_z1, _tau0, _tau1
+
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    done = 0
+    while done < draws:
+        m = min(1_000_000, draws - done)
+        x = rng.uniform(size=(m, 2))
+        ps, pz = _p_s1(x), _p_z1(x)
+        acc = np.zeros(m)
+        for s_val in (0, 1):
+            for z_val in (0, 1):
+                w = (ps if s_val else 1 - ps) * (pz if z_val else 1 - pz)
+                tau = _tau1(x) if z_val else _tau0(x)
+                down, up = reference_flip_rates(config.delta, np.full(m, s_val), x)
+                acc += w * (tau * down + (1 - tau) * up)
+        total += float(acc.sum())
+        done += m
+    return total / draws
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_generator_matches_reference_mechanism(delta):
+    for seed in (0, 1, 2):
+        config = DgpConfig(n=20_000, delta=delta, seed=seed)
+        data, ystar, _ = gen_dataset(config)
+        s, z, y, x, ystar_ref = reference_gen_dataset(config, seed)
+        for got, want in ((data.s, s), (data.z, z), (data.y, y), (data.x, x),
+                          (ystar, ystar_ref)):
+            assert np.array_equal(got, want)
+    config = DgpConfig(delta=delta)
+    assert oracle_theta(config, draws=2_000_000) == reference_oracle_theta(config, 2_000_000)
+
+
 def test_gen_dataset_deterministic():
     a, ystar_a, _ = gen_dataset(DgpConfig(n=500, seed=9))
     b, ystar_b, _ = gen_dataset(DgpConfig(n=500, seed=9))

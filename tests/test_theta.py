@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairdesert.basis import BasisConfig, intercept_only
+from fairdesert.basis import BasisConfig, SeriesFunction, basis_dimension, intercept_only
 from fairdesert.data import Dataset
 from fairdesert.errors import BootstrapError, VariantMismatchError
 from fairdesert.identify import (
@@ -237,6 +237,49 @@ def test_bootstrap_variant_integrand():
     # s=0: tau alpha + (1-tau) delta0; s=1: (1-tau) beta + tau delta1
     expected = np.where(data.s == 1, 0.5 * 0.1 + 0.5 * 0.05, 0.5 * 0.2 + 0.5 * 0.05)
     assert np.allclose(vals, expected)
+
+
+def reference_unfairness_integrand(est, data):
+    """Oracle: the integrand written out one variant at a time."""
+    t0, t1, a, b = est.values(data.x)
+    z1 = data.z == 1
+    s1 = data.s == 1
+    tz = np.where(z1, t1, t0)
+    if est.variant == "baseline":
+        return np.where(s1, (1 - tz) * b, tz * a)
+    sv0, sv1 = est.sensitivity.evaluate(data.x)
+    if est.variant == "kappa":
+        kz = np.where(z1, sv1, sv0)
+        tz_adv = np.clip(tz + kz, 0.0, 1.0)
+        return np.where(s1, (1 - tz_adv) * b, tz * a)
+    if est.variant == "delta":
+        return np.where(s1, (1 - tz) * b + tz * sv1, tz * a + (1 - tz) * sv0)
+    az = np.where(z1, 1 - (1 + sv0) * (1 - a), a)
+    bz = np.where(z1, 1 - (1 + sv1) * (1 - b), b)
+    return np.where(s1, (1 - tz) * bz, tz * az)
+
+
+@pytest.mark.parametrize("variant, constant, x_dependent", [
+    ("baseline", (0.0, 0.0), (lambda x: 0.0 * x[:, 0], lambda x: 0.0 * x[:, 1])),
+    ("kappa", (0.03, -0.02), (lambda x: 0.05 * x[:, 0] - 0.02, lambda x: -0.03 * x[:, 1])),
+    ("delta", (0.04, 0.06), (lambda x: 0.02 + 0.05 * x[:, 0], lambda x: 0.1 * x[:, 1])),
+    ("zeta", (0.1, -0.08), (lambda x: 0.2 * x[:, 0] - 0.1, lambda x: 0.15 - 0.3 * x[:, 1])),
+])
+def test_unfairness_integrand_matches_per_variant_reference(variant, constant, x_dependent):
+    data, _, _ = gen_dataset(DgpConfig(n=3000, seed=4))
+    rng = np.random.default_rng(5)
+    # x-dependent nuisances over the full floor range, so the kappa clip binds
+    funcs = [SeriesFunction(CONFIG, rng.normal(0, 10, basis_dimension(CONFIG, 2)), 1e-3, 1 - 1e-3)
+             for _ in range(4)]
+    for v0, v1 in (constant, x_dependent):
+        est = NuisanceEstimates(*funcs, variant=variant,
+                                sensitivity=SensitivityParams(variant, v0, v1))
+        got = unfairness_integrand(est, data)
+        want = reference_unfairness_integrand(est, data)
+        if variant == "zeta":
+            assert np.max(np.abs(got - want)) <= 1e-15
+        else:
+            assert np.array_equal(got, want)
 
 
 def test_onestep_covers_on_one_easy_draw():
