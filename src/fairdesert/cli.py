@@ -85,6 +85,9 @@ def _resolve(args):
     for key, value in _DEFAULTS.items():
         if resolved.get(key) is None and key in resolved:
             resolved[key] = value
+    resolved["jobs"] = int(resolved["jobs"])
+    if resolved["jobs"] < 1:
+        raise FairdesertError(f"--jobs expects at least 1 process, got {resolved['jobs']}")
     return resolved
 
 
@@ -299,7 +302,7 @@ def cmd_theta(resolved):
         fitter = VariantFitter(config, options, variant, sensitivity)
         estimate = theta_bootstrap(
             fitter, data, replicates=int(resolved["boot"]),
-            seed=int(resolved["seed"]), level=level,
+            seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
         )
     else:
         if resolved.get("model"):
@@ -365,7 +368,7 @@ def cmd_sensitivity(resolved):
         target_rate=float(resolved["rate"]) if resolved.get("rate") else None,
         with_bootstrap=int(resolved["boot"]) > 0,
     )
-    table = run_sweep(data, config, options, spec)
+    table = run_sweep(data, config, options, spec, jobs=resolved["jobs"])
     table.write_csv(out / "sweep.csv")
     table.write_metadata(out / "sweep_meta.json")
     _write_meta(out, resolved, "sensitivity")
@@ -387,7 +390,7 @@ def cmd_simulate(resolved):
         fit_options=FitOptions(restarts=int(resolved["restarts"]), seed=int(resolved["seed"])),
         level=float(resolved["level"]),
     )
-    summary = monte_carlo(config, int(resolved["reps"]), settings, jobs=int(resolved["jobs"]))
+    summary = monte_carlo(config, int(resolved["reps"]), settings, jobs=resolved["jobs"])
     write_auc_summary_csv([summary], out / "auc_summary.csv")
     write_coverage_summary_csv([summary], out / "coverage_summary.csv")
     write_replications_csv([summary], out / "replications.csv")

@@ -128,8 +128,13 @@ def _sort_key(p: SensitivityParams):
 
 
 def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
-              spec: SweepSpec, baseline: NuisanceEstimates | None = None) -> SweepTable:
-    """One fitted row per grid point; per-point failures recorded in-row."""
+              spec: SweepSpec, baseline: NuisanceEstimates | None = None,
+              jobs=1) -> SweepTable:
+    """One fitted row per grid point; per-point failures recorded in-row.
+
+    The grid points are fitted in order (each warm-starts the next); only
+    each point's bootstrap replicates run on ``jobs`` processes.
+    """
     grid = sorted(spec.params(), key=_sort_key)
     if baseline is None:
         baseline = fit(data, config, options)
@@ -163,7 +168,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
             try:
                 estimate = theta_bootstrap(
                     fitter, data, replicates=spec.bootstrap_replicates,
-                    seed=options.seed, level=spec.level, full_fit=est,
+                    seed=options.seed, level=spec.level, full_fit=est, jobs=jobs,
                 )
                 row.theta = estimate.point
                 row.ci_low = estimate.ci_low

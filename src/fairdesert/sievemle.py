@@ -59,6 +59,8 @@ class SensitivityParams:
                 self._validate_value(float(v))
 
     def _validate_value(self, v):
+        if not math.isfinite(v):
+            raise ValueError(f"{self.variant} parameters must be finite, got {v}")
         if self.variant == "delta" and not 0.0 <= v < 1.0:
             raise ValueError("delta parameters must lie in [0, 1)")
         if self.variant == "zeta" and v <= -1.0:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from .basis import BasisConfig, expit, monomial_exponents, monomials_matrix
 from .data import Dataset
 from .errors import UndefinedAUCError
 from .identify import flip_rates, unfairness_rate
+from .parallel import map_jobs
 from .regress import fit_propensity, fit_series_logit
 from .sievemle import FitOptions, fit, predict_tau
 from .theta import theta_onestep
@@ -413,8 +413,7 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
     return out
 
 
-def _mc_worker(args):
-    config, rep, settings, theta_true = args
+def _mc_worker(config, settings, theta_true, rep):
     try:
         return run_replication(config, rep, settings, theta_true)
     except Exception as exc:  # one bad draw must not end the whole study
@@ -423,20 +422,15 @@ def _mc_worker(args):
 
 def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = None,
                 jobs=1) -> MonteCarloSummary:
-    """Replicate the experiment; deterministic per-replication sub-seeding
-    makes the result invariant to the parallelism level."""
+    """Replicate the experiment on ``jobs`` processes (`parallel.map_jobs`);
+    deterministic per-replication sub-seeding makes the result invariant to
+    the parallelism level."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
     settings = settings or MonteCarloSettings()
     started = time.perf_counter()
     theta_true = oracle_theta(config) if settings.compute_theta else None
-    tasks = [(config, rep, settings, theta_true) for rep in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_mc_worker, tasks, chunksize=max(1, reps // (4 * jobs))))
-    else:
-        rows = [_mc_worker(t) for t in tasks]
-    rows.sort(key=lambda r: r["rep"])
+    rows = map_jobs(_mc_worker, range(reps), jobs, shared=(config, settings, theta_true))
     good = [r for r in rows if "failed" not in r]
     failures = reps - len(good)
 

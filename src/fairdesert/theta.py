@@ -17,6 +17,7 @@ finite differences of the composite map.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .basis import BasisConfig
 from .data import Dataset
 from .errors import BootstrapError, FairdesertError, VariantMismatchError
 from .identify import unfairness_rate
+from .parallel import map_jobs
 from .regress import PropensityModel, fit_propensity
 from .sievemle import FitOptions, NuisanceEstimates, fit, stratum_probability
 
@@ -237,35 +239,45 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
     )
 
 
+def _bootstrap_replicate(est_fitter, data: Dataset, child):
+    """Integrand mean of the replicate drawn with seed ``child``, or the type
+    name of the `FairdesertError` its fit raised."""
+    rng = np.random.default_rng(child)
+    resampled = data.subset(rng.integers(0, data.n, size=data.n))
+    try:
+        est_b = est_fitter(resampled)
+        return float(np.mean(unfairness_integrand(est_b, resampled)))
+    except FairdesertError as exc:
+        return type(exc).__name__
+
+
 def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.95,
-                    full_fit: NuisanceEstimates | None = None) -> ThetaEstimate:
+                    full_fit: NuisanceEstimates | None = None, jobs=1) -> ThetaEstimate:
     """Nonparametric bootstrap over records with a percentile CI.
 
     ``est_fitter`` maps a Dataset to NuisanceEstimates (any variant); the point
-    estimate is the plug-in integrand mean on the full data.  Errors out when
-    more than 10% of replicate fits fail.
+    estimate is the plug-in integrand mean on the full data.  The replicates
+    run on ``jobs`` processes (`parallel.map_jobs`), each from its own seed, so
+    the result does not depend on ``jobs``; with ``jobs > 1`` ``est_fitter``
+    must be picklable.  A replicate fails when its fit raises a
+    `FairdesertError`; ``flags["failure_types"]`` counts the failures by
+    exception type.  Errors out when more than 10% of replicate fits fail.
     """
     if replicates < 200:
         raise ValueError("bootstrap requires at least 200 replicates")
     est = full_fit if full_fit is not None else est_fitter(data)
     point = float(np.mean(unfairness_integrand(est, data)))
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(31,))
-    draws = []
-    failures = 0
-    for child in seq.spawn(replicates):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, data.n, size=data.n)
-        resampled = data.subset(idx)
-        try:
-            est_b = est_fitter(resampled)
-            draws.append(float(np.mean(unfairness_integrand(est_b, resampled))))
-        except FairdesertError:
-            failures += 1
+    results = map_jobs(_bootstrap_replicate, seq.spawn(replicates), jobs,
+                       shared=(est_fitter, data))
+    draws = np.array([r for r in results if isinstance(r, float)])
+    failure_types = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
+    failures = replicates - len(draws)
     if failures > 0.10 * replicates:
+        kinds = ", ".join(f"{name} x{count}" for name, count in failure_types.items())
         raise BootstrapError(
-            f"{failures}/{replicates} bootstrap replicates failed to fit"
+            f"{failures}/{replicates} bootstrap replicates failed to fit ({kinds})"
         )
-    draws = np.asarray(draws)
     lo, hi = np.quantile(draws, [0.5 - level / 2, 0.5 + level / 2])
     return ThetaEstimate(
         point=point,
@@ -275,5 +287,6 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
         method="bootstrap",
         level=level,
         n_used=data.n,
-        flags={"replicates": int(len(draws)), "failures": failures},
+        flags={"replicates": int(len(draws)), "failures": failures,
+               "failure_types": failure_types},
     )

@@ -31,6 +31,7 @@ from fairdesert.regress import (
     fit_propensity,
     multinomial_negloglik,
 )
+from fairdesert.sensitivity import VariantFitter
 from fairdesert.sievemle import FitOptions, SensitivityParams, SieveProblem, fit
 from fairdesert.simulate import DgpConfig, MonteCarloSettings, gen_dataset, monte_carlo
 from fairdesert.theta import influence_coefficients, theta_bootstrap, theta_onestep
@@ -404,12 +405,10 @@ def test_criterion_10_application_workflow(tmp_path):
     prop = fit_propensity(scaled, config)
     one = theta_onestep(est, prop, scaled)
 
-    class _Fitter:
-        def __call__(self, ds):
-            return fit(ds, config, FitOptions(restarts=1, floor=0.05,
-                                              relevance_margin=1e-3, seed=SEED))
-
-    boot = theta_bootstrap(_Fitter(), scaled, replicates=200, seed=SEED, full_fit=est)
+    fitter = VariantFitter(config, FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3,
+                                              seed=SEED),
+                           "baseline", SensitivityParams.baseline())
+    boot = theta_bootstrap(fitter, scaled, replicates=200, seed=SEED, full_fit=est, jobs=JOBS)
     overlap = max(one.ci_low, boot.ci_low) <= min(one.ci_high, boot.ci_high)
 
     checks = [

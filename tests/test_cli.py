@@ -160,8 +160,12 @@ def test_predict_honours_schema_binary_values(fitted_model, train_csv, tmp_path)
       "--method", "bootstrap"], "error: --delta expects two numbers"),
     (["sensitivity", "--input", "{train}", "--variant", "delta", "--grid", "0.05"],
      "error: --grid expects two numbers"),
+    (["theta", "--input", "{train}", "--variant", "delta", "--delta", "0.05,0.05",
+      "--method", "bootstrap", "--jobs", "0"], "error: --jobs expects at least 1"),
+    (["sensitivity", "--input", "{train}", "--variant", "delta", "--jobs", "-1"],
+     "error: --jobs expects at least 1"),
 ], ids=["missing-input", "bad-schema-json", "one-delta", "non-numeric-delta",
-        "delta-out-of-range", "one-value-grid"])
+        "delta-out-of-range", "one-value-grid", "theta-jobs-0", "sensitivity-jobs-negative"])
 def test_bad_arguments_exit_2_with_one_line(train_csv, tmp_path, capsys, argv, message):
     argv = [a.replace("{missing}", str(tmp_path / "missing.csv"))
              .replace("{train}", str(train_csv)) for a in argv]
@@ -184,6 +188,22 @@ def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     onestep = json.loads((tmp_path / "onestep" / "theta.json").read_text())
     assert onestep["ci_low"] <= onestep["point"] <= onestep["ci_high"]
     assert abs(onestep["point"] - plugin["point"]) > 0  # differs by the augmentation mean
+
+
+def test_theta_bootstrap_same_output_for_every_jobs(tmp_path):
+    path = tmp_path / "small.csv"
+    write_csv(gen_dataset(DgpConfig(n=400, seed=9))[0], path)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["theta", "--input", str(path), "--method", "bootstrap", "--variant", "delta",
+                   "--delta", "0.05,0.05", "--basis-degree", "1", "--interaction-order", "1",
+                   "--restarts", "1", "--floor", "0.05", "--seed", "7", "--jobs", jobs,
+                   "--out-dir", str(out)])
+        assert rc == 0
+        outputs.append((out / "theta.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["flags"]["replicates"] == 200
 
 
 def test_theta_on_fair_outcomes(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,20 @@ def test_sweep_rows_deterministic_without_warm_start():
     t2 = run_sweep(data, CONFIG, OPTS, spec)
     assert [r.__dict__ for r in t1.rows] == [r.__dict__ for r in t2.rows]
     assert t1.metadata["cold_start_checked"] == 0
+
+
+def test_sweep_bootstrap_rows_same_for_every_jobs():
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=54))
+    config = BasisConfig(degree=1, interaction_order=1)
+    opts = FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3, seed=0)
+    spec = SweepSpec(variant="delta", grid=((0.0, 0.0), (0.05, 0.05)),
+                     bootstrap_replicates=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        serial = run_sweep(data, config, opts, spec, jobs=1)
+        parallel = run_sweep(data, config, opts, spec, jobs=2)
+    assert [r.__dict__ for r in serial.rows] == [r.__dict__ for r in parallel.rows]
+    assert all(r.error is None and r.ci_low <= r.theta <= r.ci_high for r in serial.rows)
 
 
 def test_sweep_records_per_point_failures():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -62,6 +63,17 @@ def test_sensitivity_params_validation():
     v0, v1 = table.evaluate(np.array([[0.0, 0.5], [1.0, 0.5]]))
     assert v0.tolist() == [0.02, 0.03]
     assert v1.tolist() == [0.05, 0.05]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_sensitivity_params_reject_non_finite_levels(variant, level):
+    with pytest.raises(ValueError, match="finite"):
+        SensitivityParams(variant, level, 0.0)
+    x = np.array([[0.0, 0.5], [1.0, 0.5]])
+    per_row = SensitivityParams(variant, 0.0, lambda x: np.where(x[:, 0] > 0.5, level, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        per_row.evaluate(x)
 
 
 def test_model_prob_baseline_worked():

@@ -260,6 +260,13 @@ def test_monte_carlo_parallel_parity():
     assert serial.replications == parallel.replications
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_monte_carlo_rejects_jobs_below_one(jobs):
+    settings_obj = MonteCarloSettings(methods=("uml",), test_size=1000, compute_theta=False)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        monte_carlo(DgpConfig(n=600, seed=2), reps=2, settings=settings_obj, jobs=jobs)
+
+
 def test_monte_carlo_records_a_failing_replication(monkeypatch):
     from fairdesert import simulate
 

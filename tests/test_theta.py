@@ -15,6 +15,7 @@ from fairdesert.identify import (
 )
 from fairdesert.regress import fit_propensity
 from fairdesert.sievemle import FitOptions, NuisanceEstimates, SensitivityParams, fit
+from fairdesert.sensitivity import VariantFitter
 from fairdesert.simulate import DgpConfig, gen_dataset, oracle_theta
 from fairdesert.theta import (
     _phi_values,
@@ -224,9 +225,62 @@ def test_bootstrap_error_on_failures():
     def failing_fitter(ds):
         raise FitError("nope")
 
-    with pytest.raises(BootstrapError):
+    with pytest.raises(BootstrapError, match=r"200/200 .* \(FitError x200\)"):
         theta_bootstrap(failing_fitter, half_split_dataset(100), replicates=200,
                         full_fit=constant_estimates(0.5, 0.5, 0.2, 0.2))
+
+
+class FlakyFitter:
+    """Constant estimates, but a replicate whose outcome total is 0 mod 37
+    fails with FitError, and 1 mod 37 with PositivityError (about 5% in all);
+    ``crash`` instead raises a non-package error on those replicates."""
+
+    def __init__(self, crash=False):
+        self.est = constant_estimates(0.5, 0.6, 0.2, 0.1)
+        self.crash = crash
+
+    def __call__(self, ds):
+        from fairdesert.errors import FitError, PositivityError
+
+        residue = int(ds.y.sum()) % 37
+        if residue < 2 and self.crash:
+            raise RuntimeError("not a fitting failure")
+        if residue == 0:
+            raise FitError("replicate did not converge")
+        if residue == 1:
+            raise PositivityError("replicate lost a stratum")
+        return self.est
+
+
+def test_bootstrap_same_result_for_every_jobs():
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    fitter = VariantFitter(BasisConfig(degree=1, interaction_order=1),
+                           FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3, seed=0),
+                           "delta", SensitivityParams("delta", 0.05, 0.05))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        serial = theta_bootstrap(fitter, data, replicates=200, seed=1, jobs=1)
+        parallel = theta_bootstrap(fitter, data, replicates=200, seed=1, jobs=2)
+    assert serial.to_json_dict() == parallel.to_json_dict()
+    assert serial.flags["failures"] == 0 and serial.flags["failure_types"] == {}
+
+
+def test_bootstrap_failure_counts_same_for_every_jobs():
+    data = half_split_dataset(300)
+    full = constant_estimates(0.5, 0.6, 0.2, 0.1)
+    serial = theta_bootstrap(FlakyFitter(), data, replicates=200, seed=2, full_fit=full)
+    parallel = theta_bootstrap(FlakyFitter(), data, replicates=200, seed=2, full_fit=full,
+                               jobs=2)
+    assert serial.to_json_dict() == parallel.to_json_dict()
+    types = serial.flags["failure_types"]
+    assert set(types) == {"FitError", "PositivityError"}
+    assert sum(types.values()) == serial.flags["failures"] == 200 - serial.flags["replicates"]
+
+
+def test_bootstrap_propagates_other_errors_from_workers():
+    with pytest.raises(RuntimeError, match="not a fitting failure"):
+        theta_bootstrap(FlakyFitter(crash=True), half_split_dataset(300), replicates=200,
+                        seed=2, full_fit=constant_estimates(0.5, 0.6, 0.2, 0.1), jobs=2)
 
 
 def test_bootstrap_variant_integrand():
