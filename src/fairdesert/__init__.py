@@ -27,9 +27,6 @@ from .identify import (
     check_testable_implications,
     forward_mu,
     invert_tau,
-    invert_tau_delta,
-    invert_tau_kappa,
-    invert_tau_zeta,
     recover_mechanism,
 )
 from .modelio import ModelArtifact, load_model, save_model

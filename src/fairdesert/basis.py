@@ -40,13 +40,13 @@ class BasisConfig:
     four covariates and to no interactions for wider problems, keeping the
     basis dimension well below n.  The B-spline family is univariate-additive
     (cubic, uniform knots) and is provided as an alternative; the polynomial
-    family is the default used throughout.
+    family is the default used throughout.  The constant basis function is
+    always included.
     """
 
     family: str = "polynomial"
     degree: int = 3
     interaction_order: int | None = None
-    include_intercept: bool = True
     knots: int = 3
 
     def __post_init__(self):
@@ -56,8 +56,6 @@ class BasisConfig:
             raise ValueError("degree must be >= 1")
         if self.interaction_order is not None and self.interaction_order < 0:
             raise ValueError("interaction_order must be non-negative")
-        if not self.include_intercept:
-            raise ValueError("the constant basis function is always included")
 
     def resolved_interaction_order(self, d):
         if self.interaction_order is None:
@@ -69,7 +67,6 @@ class BasisConfig:
             "family": self.family,
             "degree": self.degree,
             "interaction_order": self.interaction_order,
-            "include_intercept": self.include_intercept,
             "knots": self.knots,
         }
 
@@ -79,7 +76,6 @@ class BasisConfig:
             family=doc.get("family", "polynomial"),
             degree=int(doc.get("degree", 3)),
             interaction_order=doc.get("interaction_order"),
-            include_intercept=bool(doc.get("include_intercept", True)),
             knots=int(doc.get("knots", 3)),
         )
 

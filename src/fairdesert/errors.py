@@ -55,3 +55,7 @@ class UndefinedAUCError(FairdesertError):
 
 class VariantMismatchError(FairdesertError):
     """An operation requiring baseline-variant estimates received a sensitivity variant."""
+
+
+class RelevanceWarning(UserWarning):
+    """A fit leaves |tau1 - tau0| below the relevance margin on over 10% of rows."""

@@ -7,16 +7,18 @@ the latent quantities (tau_0, tau_1, alpha, beta) through the forward system
 
 which is invertible in closed form.  This module owns the unfairness mechanism
 of every model variant (`mechanism`) and what is derived from it - the forward
-map, the per-row stratum model and the per-row unfairness rate - plus the
-inversions (including the three sensitivity-extended variants), the testable
-sign/monotonicity implications, and a small-perturbation bias approximation.
-Plug-in inversions of noisy mu-hat may leave [0, 1]; values are reported
-unclipped - the sieve estimator is the range-respecting alternative.
+map, the per-row stratum model, the per-row unfairness rate and its partials,
+and the inversion (`invert_tau`, `recover_mechanism`), one closed form for all
+four variants - plus the testable sign/monotonicity implications and a
+small-perturbation bias approximation.  Plug-in inversions of noisy mu-hat may
+leave [0, 1]; values are reported unclipped unless validation is asked for -
+the sieve estimator is the range-respecting alternative.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,6 +28,8 @@ from .data import Dataset
 from .errors import InvalidIdentificationError, WeakAuxiliaryError
 
 DENOM_TOL = 1e-10
+# the (s, z) strata in the order of PointwiseMu
+STRATA = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -36,15 +40,6 @@ class PointwiseParams:
     tau1: float | np.ndarray
     alpha: float | np.ndarray
     beta: float | np.ndarray
-
-    def validate(self, c=0.0):
-        for name in ("tau0", "tau1", "alpha", "beta"):
-            v = np.asarray(getattr(self, name))
-            if np.any(v < c) or np.any(v > 1 - c):
-                raise InvalidIdentificationError(f"{name} outside [{c}, {1 - c}]")
-        if c > 0 and np.any(np.abs(np.asarray(self.tau1) - np.asarray(self.tau0)) < c):
-            raise InvalidIdentificationError(f"|tau1 - tau0| below relevance margin {c}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,7 @@ def forward_mu(p: PointwiseParams, variant="baseline", v0=0.0, v1=0.0) -> Pointw
     return PointwiseMu(*(
         _bilinear(stratum_table(s, z, variant, v0, v1),
                   p.tau1 if z else p.tau0, p.beta if s else p.alpha)[0]
-        for s in (0, 1) for z in (0, 1)
+        for s, z in STRATA
     ))
 
 
@@ -144,50 +139,121 @@ def unfairness_rate(tz, a, b, s, z, variant="baseline", v0=0.0, v1=0.0):
     return q * down + (1 - q) * up
 
 
-def identification_denominator(m: PointwiseMu):
-    """mu_01 (1 - mu_10) - mu_00 (1 - mu_11); zero where Z carries no
-    information about the decision rule."""
-    return m.mu01 * (1 - m.mu10) - m.mu00 * (1 - m.mu11)
+def unfairness_rate_partials(tz, a, b, s, z, variant="baseline", v0=0.0, v1=0.0):
+    """Partials of `unfairness_rate` in tz and in m (alpha on S=0 rows, beta on
+    S=1 rows) where q is inside [0, 1]: down - up, and f q on S=0 rows or
+    f (1 - q) on S=1 rows (the m-driven flip has slope f in m)."""
+    q, down, up = flip_rates(tz, a, b, s, z, variant, v0, v1)
+    f = mechanism(s, z, variant, v0, v1)[2]
+    return down - up, f * np.where(np.asarray(s) == 1, 1 - q, q)
 
 
-def _check_denominator(denom, tol):
-    denom = np.asarray(denom)
-    if np.any(np.abs(denom) < tol):
-        bad = int(np.sum(np.abs(denom) < tol))
-        raise WeakAuxiliaryError(
-            f"identification denominator within {tol:g} of zero at {bad} point(s); "
-            "the auxiliary variable appears irrelevant there"
-        )
+def check_levels(variant, *levels):
+    """Raise ValueError unless every sensitivity level (a constant or per-row
+    array) is finite and inside its variant's range: kappa in [-1, 1], delta
+    in [0, 1), zeta > -1."""
+    for v in levels:
+        v = np.asarray(v, dtype=np.float64)
+        lo, hi = float(v.min()), float(v.max())
+        for bound in (lo, hi):
+            if not math.isfinite(bound):
+                raise ValueError(f"{variant} parameters must be finite, got {bound}")
+        if variant == "delta" and not (lo >= 0 and hi < 1):
+            raise ValueError("delta parameters must lie in [0, 1)")
+        if variant == "zeta" and lo <= -1:
+            raise ValueError("zeta parameters must exceed -1")
+        if variant == "kappa" and not (lo >= -1 and hi <= 1):
+            raise ValueError("kappa parameters must lie in [-1, 1]")
 
 
-def invert_tau(m: PointwiseMu, tol=DENOM_TOL):
-    """Recover (tau0, tau1) from observed stratum probabilities.
+def _tables(variant, v0, v1):
+    """`stratum_table` of each stratum, in `STRATA` order, at checked levels."""
+    check_levels(variant, v0, v1)
+    # strata on a leading axis, so that per-row levels broadcast along the rows
+    shape = (4,) + (1,) * max(np.ndim(v0), np.ndim(v1))
+    s, z = (np.reshape(column, shape) for column in zip(*STRATA))
+    return np.moveaxis(stratum_table(s, z, variant, v0, v1), 1, 0)
 
-    T_z = mu_0z (mu_11 - mu_10) / {mu_01 (1 - mu_10) - mu_00 (1 - mu_11)};
-    exact round trip of `forward_mu` on valid parameters.
+
+def _denominator(tables, m: PointwiseMu):
+    a00, a01, a10, a11 = ((mu - e) / g for (e, g, _, _), mu in zip(tables, m.as_tuple()))
+    return a00 * a11 - a01 * a10
+
+
+def identification_denominator(m: PointwiseMu, variant="baseline", v0=0.0, v1=0.0):
+    """D = A_00 A_11 - A_01 A_10 (see `invert_tau`); zero where Z carries no
+    information about the decision rule.  At the baseline it is
+    mu_01 (1 - mu_10) - mu_00 (1 - mu_11)."""
+    return _denominator(_tables(variant, v0, v1), m)
+
+
+def invert_tau(m: PointwiseMu, variant="baseline", v0=0.0, v1=0.0, tol=DENOM_TOL,
+               validate=False):
+    """Recover the decision rules (tau0, tau1) from observed stratum
+    probabilities under a variant; exact round trip of `forward_mu`.
+
+    Every stratum model is p = e + g (tz - u)(m - w) (`stratum_table`), so
+    A_sz = (mu_sz - e_sz) / g_sz = (tau_z - u_sz)(m_s - w_s) and
+
+        tau_z = u_0z + A_0z {A_10 (u_01 - u_11) - A_11 (u_00 - u_10)} / D,
+        D = A_00 A_11 - A_01 A_10   (`identification_denominator`).
+
+    At the baseline tau_z = mu_0z (mu_11 - mu_10) / D.  Under kappa the result
+    is the S=0 rules tau_0z, as in `forward_mu`; the S=1 rules are
+    tau_0z + kappa_z.  Raises WeakAuxiliaryError where |D| < ``tol``; with
+    ``validate``, raises InvalidIdentificationError when a recovered rule or
+    shifted rule leaves [0, 1] by more than 1e-12.
     """
-    denom = identification_denominator(m)
-    _check_denominator(denom, tol)
-    spread = m.mu11 - m.mu10
-    return m.mu00 * spread / denom, m.mu01 * spread / denom
+    tables = _tables(variant, v0, v1)
+    (e00, g00, u00, _), (e01, g01, u01, _), (e10, g10, u10, _), (e11, g11, u11, _) = tables
+    denom = _denominator(tables, m)
+    weak = np.abs(denom) < tol
+    if np.any(weak):
+        raise WeakAuxiliaryError(
+            f"identification denominator within {tol:g} of zero at {int(np.sum(weak))} "
+            "point(s); the auxiliary variable appears irrelevant there"
+        )
+    # the braces, r1 (mu_10 - e_10) - r0 (mu_11 - e_11), rearranged around
+    # mu_10 - mu_11: at the baseline (r1 = r0 = 1, e = 1) that difference is
+    # all there is, without the two roundings of (1 - mu_11) - (1 - mu_10)
+    r1, r0 = (u01 - u11) / g10, (u00 - u10) / g11
+    spread = r1 * (m.mu10 - m.mu11) + (r1 - r0) * m.mu11 + (r0 * e11 - r1 * e10)
+    t0 = u00 + (m.mu00 - e00) / g00 * spread / denom
+    t1 = u01 + (m.mu01 - e01) / g01 * spread / denom
+    if validate:
+        for s, z in STRATA:
+            rule = (t1 if z else t0) + mechanism(s, z, variant, v0, v1)[0]
+            if np.any((rule < -1e-12) | (rule > 1 + 1e-12)):
+                raise InvalidIdentificationError(
+                    f"recovered decision rule outside [0, 1] under {variant}"
+                )
+    return t0, t1
 
 
-def recover_mechanism(m: PointwiseMu, t0, t1):
-    """Recover (alpha, beta) given mu and the decision rules.
+def recover_mechanism(m: PointwiseMu, t0, t1, variant="baseline", v0=0.0, v1=0.0):
+    """Recover (alpha, beta) given mu and the decision rules (the S=0 rules
+    under kappa, as `invert_tau` returns them).
 
-    Solves the forward system separately with the z=0 and the z=1 equations
-    and averages; on exact inputs the two solutions coincide (the gap fields
-    report the discrepancy).  Out-of-range values signal assumption violations
-    and are reported with a warning, not clipped.
+    In each stratum mu = q (1 - down) + (1 - q) up (`flip_rates`) is solved for
+    the m-driven flip r (down on S=0 rows, up on S=1 rows), and
+    r = m + (1 - f)(1 - m) for m.  At the baseline alpha = 1 - mu_0z / tau_z
+    and beta = (mu_1z - tau_z) / (1 - tau_z).  The z = 0 and z = 1 solutions
+    are averaged; on exact inputs they coincide (the gap fields report the
+    discrepancy).  Out-of-range values signal assumption violations and are
+    reported with a warning, not clipped.
     """
     t0 = np.asarray(t0, dtype=np.float64)
     t1 = np.asarray(t1, dtype=np.float64)
-    if np.any(t0 <= 0) or np.any(t0 >= 1) or np.any(t1 <= 0) or np.any(t1 >= 1):
-        raise InvalidIdentificationError("decision rules must lie strictly inside (0, 1)")
-    alpha_z0 = 1 - m.mu00 / t0
-    alpha_z1 = 1 - m.mu01 / t1
-    beta_z0 = (m.mu10 - t0) / (1 - t0)
-    beta_z1 = (m.mu11 - t1) / (1 - t1)
+    check_levels(variant, v0, v1)
+    solutions = []
+    for (s, z), mu in zip(STRATA, m.as_tuple()):
+        shift, c, f = mechanism(s, z, variant, v0, v1)
+        q = (t1 if z else t0) + shift
+        if np.any((q <= 0) | (q >= 1)):
+            raise InvalidIdentificationError("decision rules must lie strictly inside (0, 1)")
+        r = (mu - q * (1 - c)) / (1 - q) if s else 1 - (mu - (1 - q) * c) / q
+        solutions.append((r - (1 - f)) / f)
+    alpha_z0, alpha_z1, beta_z0, beta_z1 = solutions
     alpha = 0.5 * (alpha_z0 + alpha_z1)
     beta = 0.5 * (beta_z0 + beta_z1)
     out_of_range = (alpha < 0) | (alpha > 1) | (beta < 0) | (beta > 1)
@@ -213,79 +279,6 @@ class MechanismRecovery:
     alpha_gap: float
     beta_gap: float
     out_of_range: bool | np.ndarray
-
-
-@dataclass(frozen=True)
-class KappaTaus:
-    """Decision rules tau_sz under prescribed legitimate support."""
-
-    tau00: float | np.ndarray
-    tau01: float | np.ndarray
-    tau10: float | np.ndarray
-    tau11: float | np.ndarray
-
-
-def invert_tau_kappa(m: PointwiseMu, kappa0, kappa1, tol=DENOM_TOL, validate=True):
-    """Recover tau_sz given the legitimate-support levels (kappa0, kappa1).
-
-    Reduces exactly to `invert_tau` at kappa0 = kappa1 = 0.
-    """
-    denom = identification_denominator(m)
-    _check_denominator(denom, tol)
-    spread = m.mu11 - m.mu10
-    num0 = m.mu00 * spread + kappa0 * m.mu00 * (1 - m.mu11) - kappa1 * m.mu00 * (1 - m.mu10)
-    num1 = m.mu01 * spread + kappa0 * m.mu01 * (1 - m.mu11) - kappa1 * m.mu01 * (1 - m.mu10)
-    tau00 = num0 / denom
-    tau01 = num1 / denom
-    tau10 = tau00 + kappa0
-    tau11 = tau01 + kappa1
-    if validate:
-        for name, base, shifted in (("z=0", tau00, tau10), ("z=1", tau01, tau11)):
-            base = np.asarray(base)
-            shifted = np.asarray(shifted)
-            ok = (base >= 0) & (base <= 1)
-            if np.any(ok & ((shifted < 0) | (shifted > 1))):
-                raise InvalidIdentificationError(
-                    f"kappa at {name} pushes the advantaged-group rule outside [0, 1]"
-                )
-    return KappaTaus(tau00, tau01, tau10, tau11)
-
-
-def invert_tau_delta(m: PointwiseMu, delta0, delta1, tol=DENOM_TOL, validate=True):
-    """Recover (tau0, tau1) under two-sided unfairness levels (delta0, delta1)."""
-    if validate and (np.any(np.asarray(m.mu00) < np.asarray(delta0))
-                     or np.any(np.asarray(m.mu01) < np.asarray(delta0))):
-        raise InvalidIdentificationError(
-            "mu_0z below delta0: upgrade probability exceeds the observed rate"
-        )
-    spread = m.mu11 - m.mu10
-    denom = (
-        m.mu01 * (1 - m.mu10)
-        - m.mu00 * (1 - m.mu11)
-        - delta0 * spread
-        - delta1 * (m.mu01 - m.mu00)
-    )
-    _check_denominator(denom, tol)
-    return (m.mu00 - delta0) * spread / denom, (m.mu01 - delta0) * spread / denom
-
-
-def invert_tau_zeta(m: PointwiseMu, zeta0, zeta1, tol=DENOM_TOL, validate=True):
-    """Recover (tau0, tau1) under z-differential mechanism levels (zeta0, zeta1)."""
-    zeta0 = np.asarray(zeta0, dtype=np.float64)
-    zeta1 = np.asarray(zeta1, dtype=np.float64)
-    if np.any(zeta0 <= -1) or np.any(zeta1 <= -1):
-        raise InvalidIdentificationError("zeta must exceed -1")
-    denom = (1 + zeta1) * m.mu01 * (1 - m.mu10) - (1 + zeta0) * m.mu00 * (1 - m.mu11)
-    _check_denominator(denom, tol)
-    core = m.mu11 - m.mu10 + zeta1 * (1 - m.mu10)
-    t0 = (1 + zeta0) * m.mu00 * core / denom
-    t1 = m.mu01 * core / denom
-    if validate:
-        for name, t in (("tau0", t0), ("tau1", t1)):
-            t = np.asarray(t)
-            if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
-                raise InvalidIdentificationError(f"{name} outside [0, 1] under given zeta")
-    return t0, t1
 
 
 def bias_linearization(tau_z, alpha, beta, delta0, delta1):

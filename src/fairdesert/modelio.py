@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisConfig, SeriesFunction
+from .errors import FairdesertError
 from .regress import PropensityModel
 from .sievemle import FitDiagnostics, NuisanceEstimates, SensitivityParams
 
@@ -61,11 +62,15 @@ def load_model(path) -> ModelArtifact:
         config, np.asarray(coef[key], dtype=np.float64), lo=floor, hi=1 - floor
     )
     sens_doc = doc.get("sensitivity") or {"variant": "baseline", "v0": 0.0, "v1": 0.0}
-    sensitivity = SensitivityParams(
-        sens_doc.get("variant", "baseline"),
-        float(sens_doc.get("v0") or 0.0),
-        float(sens_doc.get("v1") or 0.0),
-    )
+    variant = sens_doc.get("variant", "baseline")
+    levels = [sens_doc.get(key) for key in ("v0", "v1")]
+    for key, level in zip(("v0", "v1"), levels):
+        if level is None and variant != "baseline":
+            raise FairdesertError(
+                f"model document: sensitivity.{key} of the {variant} variant is missing "
+                "or null (a per-row level cannot be stored); refit with constant levels"
+            )
+    sensitivity = SensitivityParams(variant, *(float(v or 0.0) for v in levels))
     diag_doc = doc.get("diagnostics")
     diagnostics = FitDiagnostics(**diag_doc) if diag_doc else None
     estimates = NuisanceEstimates(

@@ -31,10 +31,17 @@ from .sievemle import (
 )
 from .theta import theta_bootstrap, unfairness_integrand
 
+# share of the grid points refitted without warm starts
+COLD_START_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep: variant, grid of (v0, v1) pairs, and output settings."""
+    """A sweep: variant, grid of (v0, v1) pairs, and output settings.
+
+    ``bootstrap_replicates`` of 0 skips the bootstrap: each row's theta is
+    then the plug-in integrand mean, with no interval.
+    """
 
     variant: str
     grid: tuple = ()
@@ -42,8 +49,6 @@ class SweepSpec:
     bootstrap_replicates: int = 200
     level: float = 0.95
     target_rate: float | None = None
-    cold_start_fraction: float = 0.1
-    with_bootstrap: bool = True
 
     def params(self):
         if not self.grid:
@@ -163,7 +168,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         row.converged = est.diagnostics.converged
         row.mean_abs_tau_diff = float(np.mean(np.abs(scores - base_scores)))
         row.flip_rate = flip_rate(scores, base_scores, target)
-        if spec.with_bootstrap:
+        if spec.bootstrap_replicates > 0:
             fitter = VariantFitter(config, options, spec.variant, point)
             try:
                 estimate = theta_bootstrap(
@@ -210,7 +215,7 @@ def _cold_start_check(data, config, options, spec, grid, rows):
     criterion discrepancy as a path-dependence diagnostic."""
     if not spec.reuse_warm_start or not grid:
         return {"cold_start_checked": 0, "cold_start_max_gap": 0.0}
-    n_check = max(1, math.ceil(spec.cold_start_fraction * len(grid)))
+    n_check = max(1, math.ceil(COLD_START_FRACTION * len(grid)))
     gaps = []
     for point, row in list(zip(grid, rows))[:n_check]:
         if row.error is not None or row.criterion is None:

@@ -21,10 +21,11 @@ from scipy import special
 
 from .basis import BasisConfig, SeriesFunction, expand_matrix, logit
 from .data import Dataset, require_positivity
-from .errors import FairdesertError, FitError
+from .errors import FairdesertError, FitError, RelevanceWarning
 from .identify import (
     PointwiseMu,
     _bilinear,
+    check_levels,
     identification_denominator,
     invert_tau,
     mechanism,
@@ -35,6 +36,10 @@ from .optimize import bfgs_minimize
 from .regress import fit_mu_models
 
 VARIANTS = ("baseline", "kappa", "delta", "zeta")
+# BFGS stops once the gradient sup-norm falls below this
+GRAD_TOL = 1e-8
+# ridge of the per-stratum mu fits behind the plug-in start
+RIDGE_INIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,19 +59,7 @@ class SensitivityParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        for v in (self.v0, self.v1):
-            if not callable(v):
-                self._validate_value(float(v))
-
-    def _validate_value(self, v):
-        if not math.isfinite(v):
-            raise ValueError(f"{self.variant} parameters must be finite, got {v}")
-        if self.variant == "delta" and not 0.0 <= v < 1.0:
-            raise ValueError("delta parameters must lie in [0, 1)")
-        if self.variant == "zeta" and v <= -1.0:
-            raise ValueError("zeta parameters must exceed -1")
-        if self.variant == "kappa" and not -1.0 <= v <= 1.0:
-            raise ValueError("kappa parameters must lie in [-1, 1]")
+        check_levels(self.variant, *(float(v) for v in (self.v0, self.v1) if not callable(v)))
 
     def evaluate(self, x):
         """Per-row sensitivity values (v0_i, v1_i) at the scaled covariates."""
@@ -75,8 +68,7 @@ class SensitivityParams:
         for v in (self.v0, self.v1):
             vals = np.asarray(v(x) if callable(v) else v, dtype=np.float64)
             vals = np.broadcast_to(vals, (n,)).copy()
-            for value in (np.min(vals), np.max(vals)):
-                self._validate_value(float(value))
+            check_levels(self.variant, vals)
             out.append(vals)
         return out[0], out[1]
 
@@ -104,11 +96,9 @@ class FitOptions:
 
     restarts: int = 10
     max_iter: int = 500
-    grad_tol: float = 1e-8
     floor: float = 1e-3
     relevance_penalty: float = 1e3
     relevance_margin: float | None = None
-    ridge_init: float = 1e-8
     ridge: float = 0.0
     seed: int = 0
     include_plugin_start: bool = True
@@ -357,7 +347,7 @@ def _target_to_gamma(problem, values, valid):
 
 def _plugin_start(problem, data):
     """Initialization from the closed-form inversion of direct mu_sz fits."""
-    mu_model = fit_mu_models(data, problem.config, ridge=max(problem.options.ridge_init, 1e-8))
+    mu_model = fit_mu_models(data, problem.config, ridge=RIDGE_INIT)
     mu = mu_model.predict_all(data.x)
     m = PointwiseMu(*mu.T)
     valid = np.abs(identification_denominator(m)) > 1e-8
@@ -407,7 +397,7 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
 
     Deterministic given (data, config, options.seed).  Raises FitError when no
     restart reaches an acceptable gradient norm; attaches a warning when the
-    relevance constraint fails on more than 10% of the sample.
+    relevance constraint fails on more than 10% of the sample (`RelevanceWarning`).
     """
     options = options or FitOptions()
     sensitivity = sensitivity or SensitivityParams(variant)
@@ -434,7 +424,7 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
     )
 
     results = [
-        bfgs_minimize(problem.value_grad, s0, tol=options.grad_tol, max_iter=options.max_iter)
+        bfgs_minimize(problem.value_grad, s0, tol=GRAD_TOL, max_iter=options.max_iter)
         for s0 in starts
     ]
     acceptable = [r for r in results if np.isfinite(r.fun) and r.grad_norm <= 1e-4]
@@ -452,6 +442,7 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
         warnings.warn(
             f"relevance constraint |tau1 - tau0| >= {problem.margin:g} fails on "
             f"{viol_frac:.1%} of the sample: the auxiliary variable may be irrelevant",
+            RelevanceWarning,
             stacklevel=2,
         )
     criterion = problem.criterion(best.x)

@@ -25,8 +25,8 @@ from scipy.stats import norm
 
 from .basis import BasisConfig
 from .data import Dataset
-from .errors import BootstrapError, FairdesertError, VariantMismatchError
-from .identify import unfairness_rate
+from .errors import BootstrapError, FairdesertError, RelevanceWarning, VariantMismatchError
+from .identify import STRATA, _bilinear, stratum_table, unfairness_rate, unfairness_rate_partials
 from .parallel import map_jobs
 from .regress import PropensityModel, fit_propensity
 from .sievemle import FitOptions, NuisanceEstimates, fit, stratum_probability
@@ -79,7 +79,12 @@ def unfairness_integrand(est: NuisanceEstimates, data: Dataset):
 
     Baseline: (1-S) tau(Z,X) alpha + S {1 - tau(Z,X)} beta.
     """
-    t0, t1, a, b = est.values(data.x)
+    return _integrand(est, data, est.values(data.x))
+
+
+def _integrand(est: NuisanceEstimates, data: Dataset, values):
+    """`unfairness_integrand` from the series values (tau0, tau1, alpha, beta)."""
+    t0, t1, a, b = values
     v0, v1 = est.sensitivity.evaluate(data.x)
     return unfairness_rate(np.where(data.z == 1, t1, t0), a, b, data.s, data.z,
                            est.variant, v0, v1)
@@ -101,11 +106,13 @@ def influence_coefficients(tau0, tau1, alpha, beta, pi00, pi01, pi10, pi11):
 
     Solves F' v = dm/dxi where F is the Jacobian of the forward map
     mu(tau0, tau1, alpha, beta) and m is the theta integrand aggregated over
-    strata with the propensities as weights; C_sz = v_sz / pi_sz.  Points with
-    a numerically singular Jacobian come back as NaN for the caller to
-    exclude.
+    strata with the propensities as weights, both at the baseline: F from the
+    partials of the stratum model (`identify._bilinear`), dm/dxi from those of
+    the unfairness rate (`identify.unfairness_rate_partials`).  C_sz =
+    v_sz / pi_sz.  Points with a numerically singular Jacobian come back as NaN
+    for the caller to exclude.
     """
-    t0, t1, a, b, p00, p01, p10, p11 = np.atleast_1d(
+    t0, t1, a, b, *pis = np.atleast_1d(
         *np.broadcast_arrays(
             *(np.asarray(v, dtype=np.float64)
               for v in (tau0, tau1, alpha, beta, pi00, pi01, pi10, pi11))
@@ -113,23 +120,13 @@ def influence_coefficients(tau0, tau1, alpha, beta, pi00, pi01, pi10, pi11):
     )
     n = t0.shape[0]
     F = np.zeros((n, 4, 4))
-    F[:, 0, 0] = 1 - a
-    F[:, 0, 2] = -t0
-    F[:, 1, 1] = 1 - a
-    F[:, 1, 2] = -t1
-    F[:, 2, 0] = 1 - b
-    F[:, 2, 3] = 1 - t0
-    F[:, 3, 1] = 1 - b
-    F[:, 3, 3] = 1 - t1
-    w = np.stack(
-        [
-            p00 * a - p10 * b,
-            p01 * a - p11 * b,
-            p00 * t0 + p01 * t1,
-            p10 * (1 - t0) + p11 * (1 - t1),
-        ],
-        axis=1,
-    )
+    w = np.zeros((n, 4))
+    for k, (s, z) in enumerate(STRATA):
+        tz, m = (t1 if z else t0), (b if s else a)
+        _, F[:, k, z], F[:, k, 2 + s] = _bilinear(stratum_table(s, z), tz, m)
+        dr_dt, dr_dm = unfairness_rate_partials(tz, a, b, s, z)
+        w[:, z] += pis[k] * dr_dt
+        w[:, 2 + s] += pis[k] * dr_dm
     dets = np.linalg.det(F)
     good = np.abs(dets) > DEGENERATE_TOL
     dm_dmu = np.full((n, 4), np.nan)
@@ -137,15 +134,15 @@ def influence_coefficients(tau0, tau1, alpha, beta, pi00, pi01, pi10, pi11):
         dm_dmu[good] = np.linalg.solve(
             F[good].transpose(0, 2, 1), w[good][:, :, None]
         )[:, :, 0]
-    pis = np.stack([p00, p01, p10, p11], axis=1)
-    C = dm_dmu / pis
+    C = dm_dmu / np.stack(pis, axis=1)
     return C[:, 0], C[:, 1], C[:, 2], C[:, 3]
 
 
 def _phi_values(est: NuisanceEstimates, prop: PropensityModel, data: Dataset,
                 gap_tol=GAP_TOL):
     """Per-row influence-function values phi(O; eta_hat) and exclusion mask."""
-    t0, t1, a, b = est.values(data.x)
+    values = est.values(data.x)
+    t0, t1, a, b = values
     pis = prop.predict_matrix(data.x)
     C = np.stack(
         influence_coefficients(t0, t1, a, b, pis[:, 0], pis[:, 1], pis[:, 2], pis[:, 3]),
@@ -156,7 +153,7 @@ def _phi_values(est: NuisanceEstimates, prop: PropensityModel, data: Dataset,
     c_own = C[np.arange(data.n), cls]
     excluded = ~np.isfinite(c_own) | (np.abs(t1 - t0) < gap_tol)
     augmentation = np.where(excluded, 0.0, c_own * (data.y - mu_own))
-    plug = unfairness_integrand(est, data)
+    plug = _integrand(est, data, values)
     return plug + augmentation, plug, augmentation, excluded
 
 
@@ -173,27 +170,34 @@ def theta_onestep(est: NuisanceEstimates, prop: PropensityModel, data: Dataset,
             "for sensitivity variants"
         )
     phi, _, _, excluded = _phi_values(est, prop, data, gap_tol)
+    return _normal_estimate(phi, excluded, level)
+
+
+def _normal_estimate(phi, excluded, level, **flags):
+    """One-step estimate mean(phi) with its normal CI; warns when more than 5%
+    of the rows were excluded from the augmentation."""
+    n = phi.shape[0]
     point = float(np.mean(phi))
     sigma = float(np.sqrt(np.mean((phi - point) ** 2)))
-    half = norm.ppf(0.5 + level / 2) * sigma / np.sqrt(data.n)
+    half = norm.ppf(0.5 + level / 2) * sigma / np.sqrt(n)
     excl_frac = float(np.mean(excluded))
-    flags = {"excluded_fraction": excl_frac}
+    flags = {"excluded_fraction": excl_frac, **flags}
     if excl_frac > 0.05:
         warnings.warn(
             f"{excl_frac:.1%} of observations excluded from the augmentation "
             "(degenerate identification Jacobian)",
-            stacklevel=2,
+            stacklevel=3,
         )
     if not 0.0 <= point <= 1.0:
         flags["outside_unit_interval"] = True
     return ThetaEstimate(
         point=point,
-        stderr=sigma / np.sqrt(data.n),
+        stderr=sigma / np.sqrt(n),
         ci_low=point - half,
         ci_high=point + half,
         method="onestep",
         level=level,
-        n_used=data.n,
+        n_used=n,
         flags=flags,
     )
 
@@ -221,34 +225,29 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
         phi_k, _, _, excl_k = _phi_values(est_k, prop_k, fold_data)
         phi[hold] = phi_k
         excluded[hold] = excl_k
-    point = float(np.mean(phi))
-    sigma = float(np.sqrt(np.mean((phi - point) ** 2)))
-    half = norm.ppf(0.5 + level / 2) * sigma / np.sqrt(data.n)
-    flags = {"excluded_fraction": float(np.mean(excluded)), "crossfit_folds": folds}
-    if not 0.0 <= point <= 1.0:
-        flags["outside_unit_interval"] = True
-    return ThetaEstimate(
-        point=point,
-        stderr=sigma / np.sqrt(data.n),
-        ci_low=point - half,
-        ci_high=point + half,
-        method="onestep",
-        level=level,
-        n_used=data.n,
-        flags=flags,
-    )
+    return _normal_estimate(phi, excluded, level, crossfit_folds=folds)
 
 
 def _bootstrap_replicate(est_fitter, data: Dataset, child):
     """Integrand mean of the replicate drawn with seed ``child``, or the type
-    name of the `FairdesertError` its fit raised."""
+    name of the `FairdesertError` its fit raised; and the number of
+    `RelevanceWarning`s the fit emitted, which are counted instead of shown."""
     rng = np.random.default_rng(child)
     resampled = data.subset(rng.integers(0, data.n, size=data.n))
-    try:
-        est_b = est_fitter(resampled)
-        return float(np.mean(unfairness_integrand(est_b, resampled)))
-    except FairdesertError as exc:
-        return type(exc).__name__
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RelevanceWarning)
+        try:
+            est_b = est_fitter(resampled)
+            result = float(np.mean(unfairness_integrand(est_b, resampled)))
+        except FairdesertError as exc:
+            result = type(exc).__name__
+    relevance = 0
+    for w in caught:
+        if issubclass(w.category, RelevanceWarning):
+            relevance += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, relevance
 
 
 def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.95,
@@ -261,15 +260,25 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
     the result does not depend on ``jobs``; with ``jobs > 1`` ``est_fitter``
     must be picklable.  A replicate fails when its fit raises a
     `FairdesertError`; ``flags["failure_types"]`` counts the failures by
-    exception type.  Errors out when more than 10% of replicate fits fail.
+    exception type.  ``flags["relevance_warnings"]`` counts the replicate fits
+    that emitted a `RelevanceWarning`; one summary warning replaces theirs.
+    Errors out when more than 10% of replicate fits fail.
     """
     if replicates < 200:
         raise ValueError("bootstrap requires at least 200 replicates")
     est = full_fit if full_fit is not None else est_fitter(data)
     point = float(np.mean(unfairness_integrand(est, data)))
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(31,))
-    results = map_jobs(_bootstrap_replicate, seq.spawn(replicates), jobs,
-                       shared=(est_fitter, data))
+    results, relevance = zip(*map_jobs(_bootstrap_replicate, seq.spawn(replicates), jobs,
+                                       shared=(est_fitter, data)))
+    relevance_warnings = sum(relevance)
+    if relevance_warnings:
+        warnings.warn(
+            f"relevance constraint failed in {relevance_warnings}/{replicates} bootstrap "
+            "replicate fits: the auxiliary variable may be irrelevant",
+            RelevanceWarning,
+            stacklevel=2,
+        )
     draws = np.array([r for r in results if isinstance(r, float)])
     failure_types = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
     failures = replicates - len(draws)
@@ -288,5 +297,5 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
         level=level,
         n_used=data.n,
         flags={"replicates": int(len(draws)), "failures": failures,
-               "failure_types": failure_types},
+               "failure_types": failure_types, "relevance_warnings": relevance_warnings},
     )

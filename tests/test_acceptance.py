@@ -20,9 +20,6 @@ from fairdesert.identify import (
     check_testable_implications,
     forward_mu,
     invert_tau,
-    invert_tau_delta,
-    invert_tau_kappa,
-    invert_tau_zeta,
     recover_mechanism,
 )
 from fairdesert.regress import (
@@ -77,11 +74,11 @@ def test_criterion_2_sensitivity_reductions():
     t0, t1, a, b = _param_grid()
     m = forward_mu(PointwiseParams(t0, t1, a, b))
     base0, base1 = invert_tau(m)
-    kz = invert_tau_kappa(m, 0.0, 0.0, validate=False)
-    dz = invert_tau_delta(m, 0.0, 0.0, validate=False)
-    zz = invert_tau_zeta(m, 0.0, 0.0, validate=False)
+    kz = invert_tau(m, "kappa", 0.0, 0.0)
+    dz = invert_tau(m, "delta", 0.0, 0.0)
+    zz = invert_tau(m, "zeta", 0.0, 0.0)
     exact = (
-        np.array_equal(kz.tau00, base0) and np.array_equal(kz.tau01, base1)
+        np.array_equal(kz[0], base0) and np.array_equal(kz[1], base1)
         and np.array_equal(dz[0], base0) and np.array_equal(dz[1], base1)
         and np.array_equal(zz[0], base0) and np.array_equal(zz[1], base1)
     )
@@ -90,21 +87,21 @@ def test_criterion_2_sensitivity_reductions():
     # validity region
     shrink = lambda v: 0.05 + 0.85 * (v - 0.05)  # noqa: E731
     ks = forward_mu(PointwiseParams(shrink(t0), shrink(t1), a, b), "kappa", 0.05, 0.05)
-    kt = invert_tau_kappa(ks, 0.05, 0.05, validate=False)
+    k0, k1 = invert_tau(ks, "kappa", 0.05, 0.05)
     kappa_err = max(
-        float(np.max(np.abs(kt.tau00 - shrink(t0)))),
-        float(np.max(np.abs(kt.tau01 - shrink(t1)))),
+        float(np.max(np.abs(k0 - shrink(t0)))),
+        float(np.max(np.abs(k1 - shrink(t1)))),
     )
 
     ok = (a + 0.05 < 1 - 1e-9) & (b + 0.05 < 1 - 1e-9)
     ds = forward_mu(PointwiseParams(t0[ok], t1[ok], a[ok], b[ok]), "delta", 0.05, 0.05)
-    d0, d1 = invert_tau_delta(ds, 0.05, 0.05)
+    d0, d1 = invert_tau(ds, "delta", 0.05, 0.05, validate=True)
     delta_err = max(
         float(np.max(np.abs(d0 - t0[ok]))), float(np.max(np.abs(d1 - t1[ok]))),
     )
 
     zs = forward_mu(PointwiseParams(t0, t1, a, b), "zeta", 0.1, -0.05)
-    z0, z1 = invert_tau_zeta(zs, 0.1, -0.05, validate=False)
+    z0, z1 = invert_tau(zs, "zeta", 0.1, -0.05)
     zeta_err = max(float(np.max(np.abs(z0 - t0))), float(np.max(np.abs(z1 - t1))))
 
     _assert_all(2, [

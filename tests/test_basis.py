@@ -172,5 +172,3 @@ def test_invalid_configs():
         BasisConfig(degree=0)
     with pytest.raises(ValueError):
         BasisConfig(family="wavelet")
-    with pytest.raises(ValueError):
-        BasisConfig(include_intercept=False)

@@ -13,12 +13,10 @@ from fairdesert.identify import (
     check_testable_implications,
     forward_mu,
     invert_tau,
-    invert_tau_delta,
-    invert_tau_kappa,
-    invert_tau_zeta,
     recover_mechanism,
 )
 from fairdesert.regress import MuModel
+from fairdesert.sievemle import VARIANTS
 
 valid_params = st.tuples(
     st.floats(0.05, 0.95), st.floats(0.05, 0.95),
@@ -58,15 +56,31 @@ def test_boundary_alpha():
     assert m.mu00 == pytest.approx(0.5 * 0.05, abs=1e-15)
 
 
+# per variant: the range of both sensitivity levels, and the round-trip tolerance
+ROUND_TRIP = {
+    "baseline": ((0.0, 0.0), 1e-12),
+    "kappa": ((-0.04, 0.04), 1e-12),
+    "delta": ((0.0, 0.08), 1e-12),
+    "zeta": ((-0.2, 0.3), 1e-11),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=150, deadline=None)
-@given(valid_params)
-def test_round_trip_baseline(params):
-    p = PointwiseParams(*params)
-    m = forward_mu(p)
-    t0, t1 = invert_tau(m)
-    assert abs(t0 - p.tau0) < 1e-12 and abs(t1 - p.tau1) < 1e-12
-    rec = recover_mechanism(m, t0, t1)
-    assert abs(rec.alpha - p.alpha) < 1e-12 and abs(rec.beta - p.beta) < 1e-12
+@given(params=valid_params, draw=st.data())
+def test_round_trip(variant, params, draw):
+    (lo, hi), tol = ROUND_TRIP[variant]
+    v0, v1 = (draw.draw(st.floats(lo, hi)) for _ in range(2))
+    t0, t1, a, b = params
+    if variant == "kappa":  # room for the shift
+        t0, t1 = 0.05 + 0.85 * (t0 - 0.05), 0.05 + 0.85 * (t1 - 0.05)
+    if variant == "delta":
+        a, b = min(a, 0.9 - v0), min(b, 0.9 - v1)
+    m = forward_mu(PointwiseParams(t0, t1, a, b), variant, v0, v1)
+    r0, r1 = invert_tau(m, variant, v0, v1, validate=True)
+    assert abs(r0 - t0) < tol and abs(r1 - t1) < tol
+    rec = recover_mechanism(m, r0, r1, variant, v0, v1)
+    assert abs(rec.alpha - a) < tol and abs(rec.beta - b) < tol
 
 
 def test_weak_auxiliary_error():
@@ -87,27 +101,10 @@ def test_recover_out_of_range_warns():
     assert np.any(np.asarray(rec.out_of_range))
 
 
-@settings(max_examples=100, deadline=None)
-@given(valid_params, st.floats(-0.04, 0.04), st.floats(-0.04, 0.04))
-def test_round_trip_kappa(params, k0, k1):
-    t0, t1, a, b = params
-    t0, t1 = 0.05 + 0.85 * (t0 - 0.05), 0.05 + 0.85 * (t1 - 0.05)  # room for the shift
-    p = PointwiseParams(t0, t1, a, b)
-    m = forward_mu(p, "kappa", k0, k1)
-    taus = invert_tau_kappa(m, k0, k1)
-    assert abs(taus.tau00 - t0) < 1e-12
-    assert abs(taus.tau01 - t1) < 1e-12
-    assert abs(taus.tau10 - (t0 + k0)) < 1e-12
-    assert abs(taus.tau11 - (t1 + k1)) < 1e-12
-
-
 def test_kappa_zero_is_exactly_baseline():
     p = PointwiseParams(0.31, 0.62, 0.22, 0.13)
     m = forward_mu(p)
-    base = invert_tau(m)
-    taus = invert_tau_kappa(m, 0.0, 0.0)
-    assert taus.tau00 == base[0] and taus.tau01 == base[1]
-    assert taus.tau10 == base[0] and taus.tau11 == base[1]
+    assert invert_tau(m, "kappa", 0.0, 0.0, validate=True) == invert_tau(m)
 
 
 def test_kappa_range_error():
@@ -115,66 +112,53 @@ def test_kappa_range_error():
     # puts the advantaged-group rule at 1.28
     m = forward_mu(PointwiseParams(0.3, 0.6, 0.2, 0.1))
     with pytest.raises(InvalidIdentificationError):
-        invert_tau_kappa(m, 0.7, 0.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(valid_params, st.floats(0.0, 0.08), st.floats(0.0, 0.08))
-def test_round_trip_delta(params, d0, d1):
-    t0, t1, a, b = params
-    a = min(a, 0.9 - d0)
-    b = min(b, 0.9 - d1)
-    p = PointwiseParams(t0, t1, a, b)
-    m = forward_mu(p, "delta", d0, d1)
-    r0, r1 = invert_tau_delta(m, d0, d1)
-    assert abs(r0 - t0) < 1e-12 and abs(r1 - t1) < 1e-12
+        invert_tau(m, "kappa", 0.7, 0.0, validate=True)
 
 
 def test_delta_worked_example():
     p = PointwiseParams(0.3, 0.6, 0.25, 0.15)
     m = forward_mu(p, "delta", 0.05, 0.05)
-    r0, r1 = invert_tau_delta(m, 0.05, 0.05)
+    r0, r1 = invert_tau(m, "delta", 0.05, 0.05, validate=True)
     assert r0 == pytest.approx(0.3, abs=1e-12)
     assert r1 == pytest.approx(0.6, abs=1e-12)
 
 
 def test_delta_zero_is_exactly_baseline():
     m = forward_mu(PointwiseParams(0.31, 0.62, 0.22, 0.13))
-    assert invert_tau_delta(m, 0.0, 0.0) == invert_tau(m)
+    assert invert_tau(m, "delta", 0.0, 0.0, validate=True) == invert_tau(m)
 
 
 def test_delta_negative_numerator_error():
     m = PointwiseMu(0.04, 0.3, 0.5, 0.7)
     with pytest.raises(InvalidIdentificationError):
-        invert_tau_delta(m, 0.05, 0.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(valid_params, st.floats(-0.2, 0.3), st.floats(-0.2, 0.3))
-def test_round_trip_zeta(params, z0, z1):
-    p = PointwiseParams(*params)
-    m = forward_mu(p, "zeta", z0, z1)
-    r0, r1 = invert_tau_zeta(m, z0, z1, validate=False)
-    assert abs(r0 - p.tau0) < 1e-11 and abs(r1 - p.tau1) < 1e-11
+        invert_tau(m, "delta", 0.05, 0.0, validate=True)
 
 
 def test_zeta_worked_example():
     p = PointwiseParams(0.3, 0.6, 0.25, 0.15)
     m = forward_mu(p, "zeta", 0.1, -0.05)
-    r0, r1 = invert_tau_zeta(m, 0.1, -0.05)
+    r0, r1 = invert_tau(m, "zeta", 0.1, -0.05, validate=True)
     assert r0 == pytest.approx(0.3, abs=1e-12)
     assert r1 == pytest.approx(0.6, abs=1e-12)
 
 
 def test_zeta_zero_is_exactly_baseline():
     m = forward_mu(PointwiseParams(0.31, 0.62, 0.22, 0.13))
-    assert invert_tau_zeta(m, 0.0, 0.0) == invert_tau(m)
+    assert invert_tau(m, "zeta", 0.0, 0.0, validate=True) == invert_tau(m)
 
 
 def test_zeta_range_error():
     m = forward_mu(PointwiseParams(0.3, 0.6, 0.25, 0.15))
     with pytest.raises(InvalidIdentificationError):
-        invert_tau_zeta(m, 4.0, 0.0)
+        invert_tau(m, "zeta", 4.0, 0.0, validate=True)
+
+
+@pytest.mark.parametrize("variant,v0", [("zeta", -1.0), ("zeta", -2.0), ("delta", 1.0),
+                                        ("kappa", 1.5), ("kappa", np.nan)])
+def test_inversion_rejects_levels_out_of_range(variant, v0):
+    m = forward_mu(PointwiseParams(0.3, 0.6, 0.25, 0.15))
+    with pytest.raises(ValueError):
+        invert_tau(m, variant, v0, 0.0)
 
 
 def test_bias_linearization_values():

@@ -1,6 +1,12 @@
+import json
+
 import numpy as np
+import pytest
 
 from fairdesert.basis import BasisConfig
+from fairdesert.cli import main
+from fairdesert.data import write_csv
+from fairdesert.errors import FairdesertError
 from fairdesert.modelio import ModelArtifact, load_model, save_model
 from fairdesert.regress import fit_propensity
 from fairdesert.sievemle import FitOptions, SensitivityParams, fit, predict_tau
@@ -43,3 +49,41 @@ def test_model_document_variant_round_trip(tmp_path):
     assert loaded.estimates.variant == "delta"
     assert loaded.estimates.sensitivity.v0 == 0.03
     assert loaded.propensity is None
+
+
+@pytest.fixture(scope="module")
+def per_row_delta_model(tmp_path_factory):
+    """A delta fit whose v0 is per-row (callable): its model document stores
+    the level as null."""
+    data, _, _ = gen_dataset(DgpConfig(n=600, seed=32))
+    sens = SensitivityParams("delta", lambda x: 0.02 + 0.02 * x[:, 0], 0.05)
+    est = fit(data, BasisConfig(degree=1, interaction_order=1),
+              FitOptions(restarts=1, floor=0.05, seed=0), variant="delta", sensitivity=sens)
+    folder = tmp_path_factory.mktemp("model")
+    save_model(ModelArtifact(est, None, data.covariate_names, data.scaling),
+               folder / "model.json")
+    write_csv(data, folder / "data.csv")
+    return folder
+
+
+def test_load_rejects_null_or_missing_variant_level(per_row_delta_model, tmp_path):
+    path = per_row_delta_model / "model.json"
+    assert json.loads(path.read_text())["sensitivity"]["v0"] is None
+    with pytest.raises(FairdesertError, match=r"sensitivity\.v0"):
+        load_model(path)
+    doc = json.loads(path.read_text())
+    doc["sensitivity"]["v0"] = 0.03
+    del doc["sensitivity"]["v1"]
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps(doc))
+    with pytest.raises(FairdesertError, match=r"sensitivity\.v1"):
+        load_model(missing)
+
+
+@pytest.mark.parametrize("command", ["predict", "theta"])
+def test_cli_rejects_model_with_null_level(per_row_delta_model, tmp_path, capsys, command):
+    rc = main([command, "--model", str(per_row_delta_model / "model.json"),
+               "--input", str(per_row_delta_model / "data.csv"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sensitivity.v0" in capsys.readouterr().err

@@ -52,7 +52,7 @@ def test_default_grids_shape():
 
 def test_sweep_zero_point_reproduces_baseline():
     data, _, _ = gen_dataset(DgpConfig(n=1200, seed=50))
-    spec = SweepSpec(variant="delta", grid=((0.0, 0.0),), with_bootstrap=False)
+    spec = SweepSpec(variant="delta", grid=((0.0, 0.0),), bootstrap_replicates=0)
     table = run_sweep(data, CONFIG, OPTS, spec)
     row = table.rows[0]
     assert row.error is None
@@ -70,7 +70,7 @@ def test_sweep_recovers_true_delta_row():
     spec = SweepSpec(
         variant="delta",
         grid=((0.0, 0.0), (0.05, 0.05), (0.1, 0.1)),
-        with_bootstrap=False,
+        bootstrap_replicates=0,
     )
     table = run_sweep(data, CONFIG, OPTS, spec)
     errors = [abs(row.theta - theta_true) for row in table.rows]
@@ -81,7 +81,7 @@ def test_sweep_rows_deterministic_without_warm_start():
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=51))
     spec = SweepSpec(
         variant="zeta", grid=((0.0, 0.0), (0.05, 0.05)),
-        reuse_warm_start=False, with_bootstrap=False,
+        reuse_warm_start=False, bootstrap_replicates=0,
     )
     t1 = run_sweep(data, CONFIG, OPTS, spec)
     t2 = run_sweep(data, CONFIG, OPTS, spec)
@@ -107,7 +107,7 @@ def test_sweep_records_per_point_failures():
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=52))
     bad_opts = FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)
     spec = SweepSpec(variant="delta", grid=((0.0, 0.0), (0.05, 0.05)),
-                     with_bootstrap=False, reuse_warm_start=False)
+                     bootstrap_replicates=0, reuse_warm_start=False)
     table = run_sweep(data, CONFIG, bad_opts, spec, baseline=_quick_baseline(data))
     assert all(row.error is not None for row in table.rows)
     assert len(table.rows) == 2
@@ -121,7 +121,7 @@ def _quick_baseline(data):
 
 def test_sweep_csv_and_metadata(tmp_path):
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=53))
-    spec = SweepSpec(variant="kappa", grid=((0.0, 0.0),), with_bootstrap=False)
+    spec = SweepSpec(variant="kappa", grid=((0.0, 0.0),), bootstrap_replicates=0)
     table = run_sweep(data, CONFIG, OPTS, spec)
     table.write_csv(tmp_path / "sweep.csv")
     table.write_metadata(tmp_path / "sweep_meta.json")

@@ -11,6 +11,7 @@ from fairdesert.data import Dataset
 from fairdesert.errors import FitError
 from fairdesert.identify import PointwiseMu, PointwiseParams, forward_mu, stratum_table
 from fairdesert.sievemle import (
+    RIDGE_INIT,
     FitOptions,
     SensitivityParams,
     SieveProblem,
@@ -304,7 +305,7 @@ def reference_plugin_start(problem, data):
     from fairdesert.regress import fit_mu_models
     from fairdesert.sievemle import _target_to_gamma
 
-    mu_model = fit_mu_models(data, problem.config, ridge=max(problem.options.ridge_init, 1e-8))
+    mu_model = fit_mu_models(data, problem.config, ridge=RIDGE_INIT)
     mu = mu_model.predict_all(data.x)
     m = PointwiseMu(mu[:, 0], mu[:, 1], mu[:, 2], mu[:, 3])
     denom = m.mu01 * (1 - m.mu10) - m.mu00 * (1 - m.mu11)

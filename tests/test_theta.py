@@ -5,7 +5,7 @@ import pytest
 
 from fairdesert.basis import BasisConfig, SeriesFunction, basis_dimension, intercept_only
 from fairdesert.data import Dataset
-from fairdesert.errors import BootstrapError, VariantMismatchError
+from fairdesert.errors import BootstrapError, RelevanceWarning, VariantMismatchError
 from fairdesert.identify import (
     PointwiseMu,
     PointwiseParams,
@@ -18,6 +18,7 @@ from fairdesert.sievemle import FitOptions, NuisanceEstimates, SensitivityParams
 from fairdesert.sensitivity import VariantFitter
 from fairdesert.simulate import DgpConfig, gen_dataset, oracle_theta
 from fairdesert.theta import (
+    _normal_estimate,
     _phi_values,
     influence_coefficients,
     theta_bootstrap,
@@ -257,12 +258,17 @@ def test_bootstrap_same_result_for_every_jobs():
     fitter = VariantFitter(BasisConfig(degree=1, interaction_order=1),
                            FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3, seed=0),
                            "delta", SensitivityParams("delta", 0.05, 0.05))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        serial = theta_bootstrap(fitter, data, replicates=200, seed=1, jobs=1)
-        parallel = theta_bootstrap(fitter, data, replicates=200, seed=1, jobs=2)
+    emitted = []
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            emitted.append(theta_bootstrap(fitter, data, replicates=200, seed=1, jobs=jobs))
+        # the replicates' relevance warnings are counted, with one summary warning
+        assert sum(issubclass(w.category, RelevanceWarning) for w in caught) == 1
+    serial, parallel = emitted
     assert serial.to_json_dict() == parallel.to_json_dict()
     assert serial.flags["failures"] == 0 and serial.flags["failure_types"] == {}
+    assert serial.flags["relevance_warnings"] == parallel.flags["relevance_warnings"] > 0
 
 
 def test_bootstrap_failure_counts_same_for_every_jobs():
@@ -341,3 +347,12 @@ def test_onestep_covers_on_one_easy_draw():
     data, est, prop = fitted_pair(n=4000, seed=3)
     result = theta_onestep(est, prop, data)
     assert result.ci_low <= truth <= result.ci_high
+
+
+def test_normal_estimate_warns_above_five_percent_excluded():
+    phi = np.linspace(0.1, 0.3, 100)
+    excluded = np.arange(100) < 6
+    with pytest.warns(UserWarning, match="6.0% of observations excluded"):
+        est = _normal_estimate(phi, excluded, 0.95, crossfit_folds=5)
+    assert est.flags == {"excluded_fraction": 0.06, "crossfit_folds": 5}
+    assert est.n_used == 100 and est.ci_low < est.point < est.ci_high
