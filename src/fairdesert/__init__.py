@@ -13,7 +13,6 @@ from .basis import BasisConfig, SeriesFunction, eval_series, expand, expand_matr
 from .data import (
     CsvSchema,
     Dataset,
-    ObservationRecord,
     load_csv,
     scale_covariates,
     stratum_counts,

@@ -1,4 +1,4 @@
-"""Observed-data records, dataset container, covariate scaling, and CSV I/O.
+"""Observed-data container, covariate scaling, and CSV I/O.
 
 One observation is O = (S, Z, X, Y): binary sensitive attribute (1 = advantaged
 group), binary auxiliary variable, real covariate vector, binary observed
@@ -24,16 +24,6 @@ from .errors import (
 )
 
 _DEFAULT_BINARY = {"0": 0, "1": 1, "0.0": 0, "1.0": 1}
-
-
-@dataclass(frozen=True)
-class ObservationRecord:
-    """A single row (s, z, x, y) with x a length-d float vector."""
-
-    s: int
-    z: int
-    x: np.ndarray
-    y: int
 
 
 @dataclass(frozen=True)
@@ -122,13 +112,6 @@ class Dataset:
     @property
     def d(self):
         return self.x.shape[1]
-
-    def record(self, i) -> ObservationRecord:
-        return ObservationRecord(int(self.s[i]), int(self.z[i]), self.x[i].copy(), int(self.y[i]))
-
-    @property
-    def records(self):
-        return [self.record(i) for i in range(self.n)]
 
     def subset(self, idx) -> "Dataset":
         """Row-subset (or resample) preserving covariate metadata."""

@@ -31,6 +31,12 @@ class ModelArtifact:
 
 def save_model(artifact: ModelArtifact, path):
     est = artifact.estimates
+    for key in ("v0", "v1"):
+        if callable(getattr(est.sensitivity, key)):
+            raise FairdesertError(
+                f"sensitivity.{key} is a per-row (callable) level, which a model "
+                "document cannot store; refit with constant levels"
+            )
     coefficients = {
         "tau0": est.tau0.gamma.tolist(),
         "tau1": est.tau1.gamma.tolist(),

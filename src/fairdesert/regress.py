@@ -21,12 +21,9 @@ PI_FLOOR = 0.01  # propensity floor keeping 1/pi weights bounded
 STRATA = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def bernoulli_negloglik(gamma, phi, y, ridge=0.0, weights=None):
-    """Mean negative Bernoulli log-likelihood with optional ridge and weights.
-
-    Returns (value, gradient, hessian); the analytic derivatives are exercised
-    against finite differences in the test suite.
-    """
+def _bernoulli_terms(gamma, phi, y, ridge, weights):
+    """Value and gradient of `bernoulli_negloglik`, plus the fitted
+    probabilities and weights its Hessian is built from."""
     gamma = np.asarray(gamma, dtype=np.float64)
     p = expit(phi @ gamma)
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
@@ -36,6 +33,23 @@ def bernoulli_negloglik(gamma, phi, y, ridge=0.0, weights=None):
     value = -ll / wsum + 0.5 * ridge * gamma @ gamma
     resid = w * (p - y)
     grad = phi.T @ resid / wsum + ridge * gamma
+    return value, grad, p, w, wsum
+
+
+def bernoulli_value_grad(gamma, phi, y, ridge=0.0, weights=None):
+    """(value, gradient) of `bernoulli_negloglik`, without building the
+    Hessian: for first-order optimizers."""
+    value, grad, _, _, _ = _bernoulli_terms(gamma, phi, y, ridge, weights)
+    return value, grad
+
+
+def bernoulli_negloglik(gamma, phi, y, ridge=0.0, weights=None):
+    """Mean negative Bernoulli log-likelihood with optional ridge and weights.
+
+    Returns (value, gradient, hessian); the analytic derivatives are exercised
+    against finite differences in the test suite.
+    """
+    value, grad, p, w, wsum = _bernoulli_terms(gamma, phi, y, ridge, weights)
     curv = w * p * (1 - p)
     hess = (phi * curv[:, None]).T @ phi / wsum + ridge * np.eye(len(gamma))
     return value, grad, hess

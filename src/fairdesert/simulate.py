@@ -15,12 +15,21 @@ the sensitive attribute (FTU), a constrained fit forcing a zero average causal
 effect of S on the score (MLC), and a label-debiasing reweighting loop (LD).
 MLC and LD follow standard constructions from the fairness literature and are
 flagged as indicative in all outputs.
+
+Each replication scores every method on one large independent test draw.  The
+work there is shared across methods: one design matrix per distinct feature
+map (UML and MLC share one, FTU and LD the other), built and released in turn;
+one `predict_tau` of the desert-decision fit serving both its AUCs and its tau
+error; and one ranking per score vector, against which both label vectors
+(Y* and Y) are scored.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,16 +177,25 @@ def oracle_theta(config: DgpConfig, draws=10_000_000, seed=20_240_501):
 
 
 def auc(scores, labels):
-    """Mann-Whitney AUC with half credit for ties."""
+    """Mann-Whitney AUC with half credit for ties.
+
+    ``labels`` is one label vector, or a (k, n) stack of label vectors that
+    are all scored against one ranking of ``scores``; a stack returns a tuple
+    of k AUCs.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = labels == 1
-    n1 = int(pos.sum())
-    n0 = labels.size - n1
-    if n1 == 0 or n0 == 0:
+    positives = np.atleast_2d(labels == 1)
+    n = positives.shape[1]
+    counts = [int(pos.sum()) for pos in positives]
+    if any(n1 == 0 or n1 == n for n1 in counts):
         raise UndefinedAUCError("AUC needs both label classes present")
     ranks = rankdata(scores)
-    return float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
+    values = tuple(
+        float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * (n - n1)))
+        for pos, n1 in zip(positives, counts)
+    )
+    return values if labels.ndim > 1 else values[0]
 
 
 @dataclass(frozen=True)
@@ -221,9 +239,12 @@ class ScoreModel:
     label: str
     note: str = ""
 
-    def scores(self, data: Dataset):
-        psi = self.feature_map.matrix(data.s, data.z, data.x)
-        return expit(psi @ self.gamma)
+    def scores(self, data: Dataset, design=None):
+        """Scores on ``data``; ``design`` is ``feature_map.matrix`` on the same
+        rows when the caller has already built it."""
+        if design is None:
+            design = self.feature_map.matrix(data.s, data.z, data.x)
+        return expit(design @ self.gamma)
 
 
 def fit_uml(data: Dataset, degree=3, ridge=1e-8) -> ScoreModel:
@@ -247,7 +268,7 @@ def fit_mlc(data: Dataset, degree=3, ridge=1e-8, constraint_tol=1e-4,
     import warnings as _warnings
 
     from .optimize import bfgs_minimize
-    from .regress import bernoulli_negloglik
+    from .regress import bernoulli_value_grad
 
     fm = FeatureMap.build(data.d, use_s=True, degree=degree)
     psi = fm.matrix(data.s, data.z, data.x)
@@ -268,7 +289,7 @@ def fit_mlc(data: Dataset, degree=3, ridge=1e-8, constraint_tol=1e-4,
     gval = math.inf
     for _ in range(max_outer):
         def objective(gm, lam=lam, rho=rho):
-            f, grad, _ = bernoulli_negloglik(gm, psi, y, ridge)
+            f, grad = bernoulli_value_grad(gm, psi, y, ridge)
             g, dg = constraint(gm)
             return f + lam * g + 0.5 * rho * g * g, grad + (lam + rho * g) * dg
 
@@ -363,6 +384,8 @@ class MonteCarloSummary:
     theta_bias: float | None
     coverage: float | None
     ci_width_mean: float | None
+    excluded_fraction_mean: float | None
+    failure_types: dict
     runtime_s: float
     replications: list = field(default_factory=list)
 
@@ -386,6 +409,7 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
             out["theta_hat"] = estimate.point
             out["ci_low"] = estimate.ci_low
             out["ci_high"] = estimate.ci_high
+            out["excluded_fraction"] = estimate.flags["excluded_fraction"]
             if theta_true is not None:
                 out["covered"] = bool(estimate.ci_low <= theta_true <= estimate.ci_high)
     for name in settings.methods:
@@ -397,19 +421,25 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
     if settings.compute_auc or settings.compute_tau_error:
         test_cfg = replace(config, n=settings.test_size)
         test, ystar, _ = gen_dataset(test_cfg, seed=seed_test)
-        for name, model in models.items():
-            scores = (
-                predict_tau(model, test.z, test.x)
-                if name == "dsd"
-                else model.scores(test)
-            )
-            if settings.compute_auc:
-                out[f"auc_ystar_{name}"] = auc(scores, ystar)
-                out[f"auc_y_{name}"] = auc(scores, test.y)
+        scores = {}
+        if "dsd" in models:
+            scores["dsd"] = predict_tau(models["dsd"], test.z, test.x)
+        if settings.compute_auc:
+            sharing = {}
+            for name, model in models.items():
+                if name != "dsd":
+                    sharing.setdefault(model.feature_map, []).append(name)
+            for feature_map, names in sharing.items():
+                design = feature_map.matrix(test.s, test.z, test.x)
+                for name in names:
+                    scores[name] = models[name].scores(test, design)
+                del design
+            labels = np.stack([ystar, test.y])
+            for name in models:
+                out[f"auc_ystar_{name}"], out[f"auc_y_{name}"] = auc(scores[name], labels)
         if settings.compute_tau_error and "dsd" in models:
-            tau_hat = predict_tau(models["dsd"], test.z, test.x)
             tau_true = truth.tau(test.z, test.x)
-            out["tau_error"] = float(np.sqrt(np.mean((tau_hat - tau_true) ** 2)))
+            out["tau_error"] = float(np.sqrt(np.mean((scores["dsd"] - tau_true) ** 2)))
     return out
 
 
@@ -433,6 +463,10 @@ def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = N
     rows = map_jobs(_mc_worker, range(reps), jobs, shared=(config, settings, theta_true))
     good = [r for r in rows if "failed" not in r]
     failures = reps - len(good)
+    # _mc_worker records a failure as "<exception type>: <message>"
+    failure_types = dict(sorted(
+        Counter(r["failed"].partition(":")[0] for r in rows if "failed" in r).items()
+    ))
 
     def agg(key):
         vals = [r[key] for r in good if key in r and r[key] is not None]
@@ -455,6 +489,7 @@ def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = N
             }
     tau_mean, tau_sd = agg("tau_error")
     theta_mean, _ = agg("theta_hat")
+    excluded_mean, _ = agg("excluded_fraction")
     coverage = None
     width_mean = None
     if settings.compute_theta:
@@ -481,6 +516,8 @@ def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = N
         else theta_mean - theta_true,
         coverage=coverage,
         ci_width_mean=width_mean,
+        excluded_fraction_mean=excluded_mean,
+        failure_types=failure_types,
         runtime_s=time.perf_counter() - started,
         replications=rows,
     )
@@ -517,13 +554,14 @@ def write_coverage_summary_csv(summaries, path):
         writer.writerow([
             "delta", "n", "reps", "failures", "theta_true", "theta_mean",
             "theta_bias", "coverage", "ci_width_mean",
-            "tau_error_mean", "tau_error_sd",
+            "tau_error_mean", "tau_error_sd", "excluded_fraction_mean", "failure_types",
         ])
         for s in summaries:
             writer.writerow([
                 s.config.delta, s.config.n, s.reps, s.failures, s.theta_true,
                 s.theta_mean, s.theta_bias, s.coverage, s.ci_width_mean,
-                s.tau_error_mean, s.tau_error_sd,
+                s.tau_error_mean, s.tau_error_sd, s.excluded_fraction_mean,
+                json.dumps(s.failure_types, sort_keys=True),
             ])
 
 
@@ -533,7 +571,7 @@ def write_replications_csv(summaries, path):
     from pathlib import Path as _Path
 
     keys = ["delta", "n", "rep", "failed", "tau_error", "theta_hat",
-            "ci_low", "ci_high", "covered"]
+            "ci_low", "ci_high", "covered", "excluded_fraction"]
     method_keys = sorted({
         k for s in summaries for r in s.replications for k in r if k.startswith("auc_")
     })

@@ -25,6 +25,7 @@ from fairdesert.identify import (
 from fairdesert.regress import (
     MuModel,
     bernoulli_negloglik,
+    bernoulli_value_grad,
     fit_propensity,
     multinomial_negloglik,
 )
@@ -181,6 +182,14 @@ def test_criterion_3_gradient_checks():
         fd = _fd_gradient(lambda c: multinomial_negloglik(c, phi, classes, ridge=0.01)[0], coef)
         err = max(err, float(np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)))
     worst["multinomial"] = err
+
+    err = 0.0
+    for _ in range(100):
+        gamma = rng.normal(0, 1, 4)
+        _, grad = bernoulli_value_grad(gamma, phi, y, ridge=0.01)
+        fd = _fd_gradient(lambda g: bernoulli_value_grad(g, phi, y, ridge=0.01)[0], gamma)
+        err = max(err, float(np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8)))
+    worst["series_logit_value_grad"] = err
 
     elapsed = time.perf_counter() - started
     checks = [

@@ -206,10 +206,8 @@ def test_positivity_error_on_empty_stratum():
         require_positivity(ds)
 
 
-def test_records_and_subset():
+def test_subset():
     ds = make_dataset(n=10)
-    rec = ds.record(3)
-    assert rec.s == ds.s[3] and rec.x.shape == (2,)
     sub = ds.subset([1, 1, 4])
     assert sub.n == 3 and sub.s[0] == sub.s[1] == ds.s[1]
 

@@ -51,17 +51,31 @@ def test_model_document_variant_round_trip(tmp_path):
     assert loaded.propensity is None
 
 
-@pytest.fixture(scope="module")
-def per_row_delta_model(tmp_path_factory):
-    """A delta fit whose v0 is per-row (callable): its model document stores
-    the level as null."""
+def test_save_rejects_per_row_level(tmp_path):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=32))
     sens = SensitivityParams("delta", lambda x: 0.02 + 0.02 * x[:, 0], 0.05)
     est = fit(data, BasisConfig(degree=1, interaction_order=1),
               FitOptions(restarts=1, floor=0.05, seed=0), variant="delta", sensitivity=sens)
+    path = tmp_path / "model.json"
+    with pytest.raises(FairdesertError, match=r"sensitivity\.v0 is a per-row"):
+        save_model(ModelArtifact(est, None, data.covariate_names, data.scaling), path)
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def per_row_delta_model(tmp_path_factory):
+    """A delta model document whose v0 is null, the form in which a per-row
+    level was written before `save_model` refused it."""
+    data, _, _ = gen_dataset(DgpConfig(n=600, seed=32))
+    est = fit(data, BasisConfig(degree=1, interaction_order=1),
+              FitOptions(restarts=1, floor=0.05, seed=0), variant="delta",
+              sensitivity=SensitivityParams("delta", 0.03, 0.05))
     folder = tmp_path_factory.mktemp("model")
-    save_model(ModelArtifact(est, None, data.covariate_names, data.scaling),
-               folder / "model.json")
+    path = folder / "model.json"
+    save_model(ModelArtifact(est, None, data.covariate_names, data.scaling), path)
+    doc = json.loads(path.read_text())
+    doc["sensitivity"]["v0"] = None
+    path.write_text(json.dumps(doc))
     write_csv(data, folder / "data.csv")
     return folder
 

@@ -7,6 +7,7 @@ from fairdesert.basis import BasisConfig, expit
 from fairdesert.errors import PositivityError, SeparationError
 from fairdesert.regress import (
     bernoulli_negloglik,
+    bernoulli_value_grad,
     class_index,
     fit_multinomial,
     fit_mu_models,
@@ -75,6 +76,24 @@ def test_bernoulli_gradient_matches_fd(seed):
     _, grad, _ = bernoulli_negloglik(gamma, phi, y, ridge=0.01, weights=w)
     fd = central_diff(lambda g: bernoulli_negloglik(g, phi, y, ridge=0.01, weights=w)[0], gamma)
     assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_bernoulli_value_grad_matches_fd(seed):
+    rng = np.random.default_rng(seed)
+    n, j = 150, 4
+    phi = np.column_stack([np.ones(n), rng.uniform(size=(n, j - 1))])
+    y = rng.integers(0, 2, n).astype(float)
+    w = rng.uniform(0.5, 2.0, n)
+    gamma = rng.normal(0, 1, j)
+    value, grad = bernoulli_value_grad(gamma, phi, y, ridge=0.01, weights=w)
+    fd = central_diff(lambda g: bernoulli_value_grad(g, phi, y, ridge=0.01, weights=w)[0], gamma)
+    # relative to the largest component, so a near-zero one cannot trip it
+    assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8) < 1e-6
+    # the Newton path's value and gradient are the same arithmetic
+    full_value, full_grad, _ = bernoulli_negloglik(gamma, phi, y, ridge=0.01, weights=w)
+    assert value == full_value and np.array_equal(grad, full_grad)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,16 @@ def test_auc_single_class_error():
         auc([0.1, 0.9], [1, 1])
 
 
+def test_auc_label_stack_matches_per_label_calls():
+    rng = np.random.default_rng(11)
+    scores = np.round(rng.uniform(size=5000), 2)  # many ties
+    stack = rng.integers(0, 2, (3, 5000))
+    assert auc(scores, stack) == tuple(auc(scores, labels) for labels in stack)
+    stack[1] = 1
+    with pytest.raises(UndefinedAUCError):
+        auc(scores, stack)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_auc_monotone_invariance(seed):
@@ -250,6 +262,38 @@ def test_run_replication_keys():
         assert key in row
 
 
+# run_replication(DgpConfig(n=400, seed=7), rep, MonteCarloSettings(test_size=2_000),
+# theta_true=0.25) as computed before the test draw shared its design matrices
+# and rankings across methods; excluded_fraction is the one-step estimate's
+# flags["excluded_fraction"] of the same runs
+PINNED_REPLICATIONS = [
+    {"rep": 0, "theta_hat": 0.3477001335219466, "ci_low": 0.2487749002969398,
+     "ci_high": 0.4466253667469534, "covered": True,
+     "auc_ystar_dsd": 0.799652099456743, "auc_y_dsd": 0.5887327981651376,
+     "auc_ystar_uml": 0.6345093732088574, "auc_y_uml": 0.7564079884833106,
+     "auc_ystar_ftu": 0.7230329565244356, "auc_y_ftu": 0.5860051076842996,
+     "auc_ystar_mlc": 0.7037253766338472, "auc_y_mlc": 0.5851368826859262,
+     "auc_ystar_ld": 0.7025980508366918, "auc_y_ld": 0.581756498470948,
+     "tau_error": 0.1258463310115083, "excluded_fraction": 0.135},
+    {"rep": 1, "theta_hat": 0.23273633251482326, "ci_low": 0.0940276588593846,
+     "ci_high": 0.3714450061702619, "covered": True,
+     "auc_ystar_dsd": 0.7866239038779076, "auc_y_dsd": 0.5835690768926984,
+     "auc_ystar_uml": 0.620020359415829, "auc_y_uml": 0.7618637442524915,
+     "auc_ystar_ftu": 0.7546239519710158, "auc_y_ftu": 0.6209042075188091,
+     "auc_ystar_mlc": 0.7166434216643421, "auc_y_mlc": 0.6135316803075547,
+     "auc_ystar_ld": 0.6993799996793792, "auc_y_ld": 0.6132435492905529,
+     "tau_error": 0.14293730659426587, "excluded_fraction": 0.1475},
+]
+
+
+def test_run_replication_bitwise_pinned():
+    settings_obj = MonteCarloSettings(test_size=2_000)
+    for expected in PINNED_REPLICATIONS:
+        row = run_replication(DgpConfig(n=400, seed=7), expected["rep"], settings_obj,
+                              theta_true=0.25)
+        assert row == expected
+
+
 def test_monte_carlo_parallel_parity():
     settings_obj = MonteCarloSettings(methods=("dsd",), test_size=4000)
     serial = monte_carlo(DgpConfig(n=600, seed=2), reps=3, settings=settings_obj, jobs=1)
@@ -291,6 +335,42 @@ def test_monte_carlo_records_a_failing_replication(monkeypatch):
     assert summary.method_auc["dsd"]["auc_ystar_mean"] == pytest.approx(
         np.mean([r["auc_ystar_dsd"] for r in good]), abs=1e-12
     )
+
+
+def test_monte_carlo_counts_exclusions_and_failure_types(monkeypatch, tmp_path):
+    import csv
+
+    from fairdesert import simulate
+
+    real_fit = simulate.fit
+    calls = []
+
+    def flaky_fit(*args, **kwargs):
+        calls.append(1)
+        if len(calls) in (2, 4):
+            raise np.linalg.LinAlgError("singular matrix")
+        if len(calls) == 3:
+            raise FloatingPointError("overflow")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "fit", flaky_fit)
+    settings_obj = MonteCarloSettings(methods=("dsd",), test_size=2000)
+    summary = monte_carlo(DgpConfig(n=600, seed=2), reps=5, settings=settings_obj, jobs=1)
+    assert summary.failure_types == {"FloatingPointError": 1, "LinAlgError": 2}
+    assert sum(summary.failure_types.values()) == summary.failures == 3
+    fractions = [r["excluded_fraction"] for r in summary.replications if "failed" not in r]
+    assert len(fractions) == 2 and all(0.0 <= f < 1.0 for f in fractions)
+    assert summary.excluded_fraction_mean == pytest.approx(np.mean(fractions), abs=1e-15)
+
+    simulate.write_coverage_summary_csv([summary], tmp_path / "cov.csv")
+    simulate.write_replications_csv([summary], tmp_path / "reps.csv")
+    with (tmp_path / "cov.csv").open() as fh:
+        (cov,) = list(csv.DictReader(fh))
+    assert float(cov["excluded_fraction_mean"]) == summary.excluded_fraction_mean
+    assert json.loads(cov["failure_types"]) == summary.failure_types
+    with (tmp_path / "reps.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["excluded_fraction"]) for r in rows if not r["failed"]] == fractions
 
 
 def test_monte_carlo_summary_csvs(tmp_path):
