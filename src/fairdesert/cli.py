@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .basis import BasisConfig
@@ -119,6 +121,9 @@ def _out_dir(resolved):
     return out
 
 
+BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_meta(out, resolved, command, extra=None):
     meta = {
         "command": command,
@@ -127,6 +132,13 @@ def _write_meta(out, resolved, command, extra=None):
             k: v for k, v in sorted(resolved.items()) if k not in ("func",)
         },
         "seed": resolved.get("seed"),
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+            # BLAS reads these once, when it loads; unset means all cores
+            "blas_pins": {name: os.environ.get(name) for name in BLAS_PINS},
+        },
     }
     if extra:
         meta.update(extra)

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .basis import BasisConfig
 from .data import Dataset
@@ -179,7 +179,7 @@ def _normal_estimate(phi, excluded, level, **flags):
     n = phi.shape[0]
     point = float(np.mean(phi))
     sigma = float(np.sqrt(np.mean((phi - point) ** 2)))
-    half = norm.ppf(0.5 + level / 2) * sigma / np.sqrt(n)
+    half = ndtri(0.5 + level / 2) * sigma / np.sqrt(n)
     excl_frac = float(np.mean(excluded))
     flags = {"excluded_fraction": excl_frac, **flags}
     if excl_frac > 0.05:

@@ -1,9 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from fairdesert.cli import main
 from fairdesert.data import Dataset, write_csv
@@ -282,6 +287,26 @@ def test_simulate_cli(tmp_path):
         assert (tmp_path / "sim" / name).exists()
     meta = json.loads((tmp_path / "sim" / "run_meta.json").read_text())
     assert meta["resolved_config"]["seed"] == 5
+    env = meta["environment"]
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["nproc"] == len(os.sched_getaffinity(0))
+    assert env["blas_pins"] == {name: os.environ.get(name) for name in
+                                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats costs most of a second at every process start."""
+    code = ("import fairdesert, fairdesert.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+        if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_file_merge(train_csv, tmp_path):

@@ -12,6 +12,7 @@ from fairdesert.identify import (
     bias_linearization,
     check_testable_implications,
     forward_mu,
+    identification_denominator,
     invert_tau,
     recover_mechanism,
 )
@@ -56,31 +57,52 @@ def test_boundary_alpha():
     assert m.mu00 == pytest.approx(0.5 * 0.05, abs=1e-15)
 
 
-# per variant: the range of both sensitivity levels, and the round-trip tolerance
+# per variant: the range of both sensitivity levels, and the round-trip
+# tolerance where the inversion is well conditioned
 ROUND_TRIP = {
     "baseline": ((0.0, 0.0), 1e-12),
     "kappa": ((-0.04, 0.04), 1e-12),
     "delta": ((0.0, 0.08), 1e-12),
     "zeta": ((-0.2, 0.3), 1e-11),
 }
+# invert_tau divides by D = A_00 A_11 - A_01 A_10 with every |A_sz| <= 1, so a
+# rounding of a few eps in D moves the recovered rules by about eps / |D|.  D
+# nears 0 inside the kappa ranges, where D = (1-a)(1-b)[(t1-t0) + t0 k1 - t1 k0]
+# and the levels can cancel the rules' gap.  On 8.9e6 uniform kappa draws the
+# largest error * |D| / eps was 2.8; the bound allows 8.
+CONDITIONING = 8 * np.finfo(float).eps
+
+
+def check_round_trip(variant, t0, t1, a, b, v0, v1):
+    m = forward_mu(PointwiseParams(t0, t1, a, b), variant, v0, v1)
+    tol = max(ROUND_TRIP[variant][1],
+              CONDITIONING / abs(identification_denominator(m, variant, v0, v1)))
+    r0, r1 = invert_tau(m, variant, v0, v1, validate=True)
+    assert abs(r0 - t0) < tol and abs(r1 - t1) < tol
+    rec = recover_mechanism(m, r0, r1, variant, v0, v1)
+    assert abs(rec.alpha - a) < tol and abs(rec.beta - b) < tol
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=150, deadline=None)
 @given(params=valid_params, draw=st.data())
 def test_round_trip(variant, params, draw):
-    (lo, hi), tol = ROUND_TRIP[variant]
+    lo, hi = ROUND_TRIP[variant][0]
     v0, v1 = (draw.draw(st.floats(lo, hi)) for _ in range(2))
     t0, t1, a, b = params
     if variant == "kappa":  # room for the shift
         t0, t1 = 0.05 + 0.85 * (t0 - 0.05), 0.05 + 0.85 * (t1 - 0.05)
     if variant == "delta":
         a, b = min(a, 0.9 - v0), min(b, 0.9 - v1)
-    m = forward_mu(PointwiseParams(t0, t1, a, b), variant, v0, v1)
-    r0, r1 = invert_tau(m, variant, v0, v1, validate=True)
-    assert abs(r0 - t0) < tol and abs(r1 - t1) < tol
-    rec = recover_mechanism(m, r0, r1, variant, v0, v1)
-    assert abs(rec.alpha - a) < tol and abs(rec.beta - b) < tol
+    check_round_trip(variant, t0, t1, a, b, v0, v1)
+
+
+def test_round_trip_kappa_ill_conditioned():
+    """A kappa point where the levels nearly cancel the rules' gap (|D| 5.5e-7):
+    the round trip errs by 2.1e-11, inside the conditioning bound."""
+    t0, t1 = (0.05 + 0.85 * (t - 0.05) for t in (0.9034221877992149, 0.8498775876235733))
+    check_round_trip("kappa", t0, t1, 0.15790308420471066, 0.881926766133446,
+                     -0.023451216525170206, 0.036613555556179685)
 
 
 def test_weak_auxiliary_error():

@@ -85,27 +85,36 @@ def reference_gen_dataset(config, seed):
     return s, z, y.astype(np.int8), x, ystar
 
 
-def reference_oracle_theta(config, draws, seed=20_240_501):
-    """Oracle: oracle_theta evaluating the truth once per stratum."""
+def reference_oracle_integrand(config, x):
+    """Oracle: f(Y != Y* | X = x), evaluating the truth once per stratum."""
     from fairdesert.simulate import _p_s1, _p_z1, _tau0, _tau1
 
+    m = x.shape[0]
+    ps, pz = _p_s1(x), _p_z1(x)
+    acc = np.zeros(m)
+    for s_val in (0, 1):
+        for z_val in (0, 1):
+            w = (ps if s_val else 1 - ps) * (pz if z_val else 1 - pz)
+            tau = _tau1(x) if z_val else _tau0(x)
+            down, up = reference_flip_rates(config.delta, np.full(m, s_val), x)
+            acc += w * (tau * down + (1 - tau) * up)
+    return acc
+
+
+def reference_oracle_theta(config, draws, seed=20_240_501):
+    """Oracle: plain Monte Carlo over X of the reference integrand; returns
+    the mean and its standard error."""
     rng = np.random.default_rng(seed)
-    total = 0.0
+    total = total_sq = 0.0
     done = 0
     while done < draws:
         m = min(1_000_000, draws - done)
-        x = rng.uniform(size=(m, 2))
-        ps, pz = _p_s1(x), _p_z1(x)
-        acc = np.zeros(m)
-        for s_val in (0, 1):
-            for z_val in (0, 1):
-                w = (ps if s_val else 1 - ps) * (pz if z_val else 1 - pz)
-                tau = _tau1(x) if z_val else _tau0(x)
-                down, up = reference_flip_rates(config.delta, np.full(m, s_val), x)
-                acc += w * (tau * down + (1 - tau) * up)
+        acc = reference_oracle_integrand(config, rng.uniform(size=(m, 2)))
         total += float(acc.sum())
+        total_sq += float(acc @ acc)
         done += m
-    return total / draws
+    mean = total / draws
+    return mean, np.sqrt((total_sq / draws - mean**2) / (draws - 1))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1])
@@ -118,7 +127,33 @@ def test_generator_matches_reference_mechanism(delta):
                           (ystar, ystar_ref)):
             assert np.array_equal(got, want)
     config = DgpConfig(delta=delta)
-    assert oracle_theta(config, draws=2_000_000) == reference_oracle_theta(config, 2_000_000)
+    value = oracle_theta(config)
+    # the reference integrand on the default 64 x 64 Gauss-Legendre nodes
+    t, w = np.polynomial.legendre.leggauss(64)
+    t, w = (t + 1) / 2, w / 2
+    xx, yy = np.meshgrid(t, t, indexing="ij")
+    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    quadrature = float(np.outer(w, w).ravel() @ reference_oracle_integrand(config, nodes))
+    assert abs(value - quadrature) <= 1e-15
+    mean, se = reference_oracle_theta(config, 2_000_000)
+    assert abs(value - mean) <= 4 * se
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05, 0.1, 0.45])
+def test_oracle_theta_quadrature_converged(delta):
+    config = DgpConfig(delta=delta)
+    assert abs(oracle_theta(config, draws=32**2) - oracle_theta(config, draws=128**2)) <= 1e-13
+
+
+@pytest.mark.parametrize("delta, monte_carlo_value", [
+    (0.0, 0.2604663834066517),
+    (0.05, 0.28161802635624583),
+    (0.1, 0.3027696693058401),
+])
+def test_oracle_theta_within_old_monte_carlo_error(delta, monte_carlo_value):
+    """The quadrature agrees with the 10^7-draw Monte Carlo oracle it replaced
+    (seed 20240501, about +-1e-4) within that estimate's accuracy."""
+    assert abs(oracle_theta(DgpConfig(delta=delta)) - monte_carlo_value) < 1e-4
 
 
 def test_gen_dataset_deterministic():
@@ -140,7 +175,7 @@ def test_oracle_theta_matches_binary_simulation():
     value = oracle_theta(config)
     data, ystar, _ = gen_dataset(DgpConfig(n=2_000_000, seed=77))
     assert abs(value - float(np.mean(data.y != ystar))) < 0.002
-    assert oracle_theta(config) == value  # cached
+    assert oracle_theta(config) == value  # deterministic
 
 
 def test_auc_worked_example():
@@ -172,6 +207,30 @@ def test_auc_label_stack_matches_per_label_calls():
     stack[1] = 1
     with pytest.raises(UndefinedAUCError):
         auc(scores, stack)
+
+
+def reference_auc(scores, labels):
+    """Oracle: the Mann-Whitney AUC from scipy.stats.rankdata's average ranks."""
+    from scipy.stats import rankdata
+
+    ranks = rankdata(scores)
+    pos = np.asarray(labels) == 1
+    n, n1 = pos.size, int(pos.sum())
+    return float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * (n - n1)))
+
+
+@pytest.mark.parametrize("decimals", [None, 0, 1, 3])
+def test_auc_matches_rankdata(decimals):
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 17, 1000, 100_000):
+        scores = rng.normal(size=n)
+        if decimals is not None:  # ties
+            scores = np.round(scores, decimals)
+        labels = np.r_[0, 1, rng.integers(0, 2, n - 2)]
+        rng.shuffle(labels)
+        assert auc(scores, labels) == reference_auc(scores, labels)
+    scores[n // 2] = np.nan
+    assert np.isnan(auc(scores, labels)) and np.isnan(reference_auc(scores, labels))
 
 
 @settings(max_examples=30, deadline=None)
