@@ -28,6 +28,7 @@ from .data import CsvSchema, Dataset, apply_scaling, load_csv, read_csv, scale_c
 from .errors import FairdesertError
 from .identify import check_testable_implications
 from .modelio import ModelArtifact, load_model, save_model
+from .parallel import blas_threads
 from .regress import fit_mu_models, fit_propensity
 from .sensitivity import DEFAULT_GRIDS, SweepSpec, VariantFitter, run_sweep
 from .sievemle import FitOptions, SensitivityParams, fit, rate_threshold
@@ -103,7 +104,7 @@ _DEFAULTS = {
     "crossfit": 0,
     "method": "onestep",
     "variant": "baseline",
-    "jobs": 1,
+    "jobs": len(os.sched_getaffinity(0)),
     "reps": 100,
     "n": 2000,
     "dgp_delta": 0.0,
@@ -138,6 +139,8 @@ def _write_meta(out, resolved, command, extra=None):
             "nproc": len(os.sched_getaffinity(0)),
             # BLAS reads these once, when it loads; unset means all cores
             "blas_pins": {name: os.environ.get(name) for name in BLAS_PINS},
+            # in this process; pool workers pin BLAS to one thread
+            "blas_threads": blas_threads(),
         },
     }
     if extra:
@@ -203,7 +206,8 @@ def cmd_estimate(resolved):
     config = _basis(resolved)
     options = _fit_options(resolved)
     variant, sensitivity = _sensitivity(resolved)
-    est = fit(data, config, options, variant=variant, sensitivity=sensitivity)
+    est = fit(data, config, options, variant=variant, sensitivity=sensitivity,
+              jobs=resolved["jobs"])
     prop = fit_propensity(data, config)
     save_model(ModelArtifact(est, prop, data.covariate_names, data.scaling), out / "model.json")
 
@@ -220,8 +224,7 @@ def cmd_estimate(resolved):
     with (out / "per_unit.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "tau0", "tau1", "tau_zx", "alpha", "beta"])
-        for i in range(data.n):
-            writer.writerow([i + 1, t0[i], t1[i], tau_obs[i], a[i], b[i]])
+        writer.writerows(zip(range(1, data.n + 1), *(v.tolist() for v in (t0, t1, tau_obs, a, b))))
 
     fit_report = {
         "n": data.n,
@@ -279,8 +282,8 @@ def cmd_predict(resolved):
     with (out / "predictions.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "score", "decision", "covariates_clamped"])
-        for i, (sc, dec, cl) in enumerate(zip(scores, decisions, clamped), start=1):
-            writer.writerow([i, sc, int(dec), int(cl)])
+        writer.writerows(zip(range(1, scores.size + 1), scores.tolist(),
+                             decisions.astype(int).tolist(), clamped.astype(int).tolist()))
     report = {
         "threshold": threshold,
         "rate_target": rate_target,
@@ -313,20 +316,21 @@ def cmd_theta(resolved):
             fitter, data, replicates=int(resolved["boot"]),
             seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
         )
+    elif method == "onestep" and int(resolved["crossfit"]) >= 2:
+        # each fold fits its own nuisances; a full-data fit would go unused
+        estimate = theta_onestep_crossfit(
+            data, config, options, folds=int(resolved["crossfit"]),
+            seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
+        )
     else:
         if resolved.get("model"):
             artifact = load_model(resolved["model"])
             est, prop = artifact.estimates, artifact.propensity
         else:
-            est = fit(data, config, options)
+            est = fit(data, config, options, jobs=resolved["jobs"])
             prop = fit_propensity(data, config)
         if method == "plugin":
             estimate = theta_plugin(est, data)
-        elif int(resolved["crossfit"]) >= 2:
-            estimate = theta_onestep_crossfit(
-                data, config, options, folds=int(resolved["crossfit"]),
-                seed=int(resolved["seed"]), level=level,
-            )
         else:
             estimate = theta_onestep(est, prop, data, level=level)
     (out / "theta.json").write_text(
@@ -418,7 +422,8 @@ def build_parser():
         p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes (default: the usable CPUs)")
 
     def data_flags(p):
         p.add_argument("--input", help="input CSV path")

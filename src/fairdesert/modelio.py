@@ -78,7 +78,7 @@ def load_model(path) -> ModelArtifact:
             )
     sensitivity = SensitivityParams(variant, *(float(v or 0.0) for v in levels))
     diag_doc = doc.get("diagnostics")
-    diagnostics = FitDiagnostics(**diag_doc) if diag_doc else None
+    diagnostics = FitDiagnostics.from_json_dict(diag_doc) if diag_doc else None
     estimates = NuisanceEstimates(
         tau0=make("tau0"), tau1=make("tau1"), alpha=make("alpha"), beta=make("beta"),
         variant=doc.get("variant", "baseline"),

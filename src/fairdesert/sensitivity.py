@@ -137,12 +137,14 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
               jobs=1) -> SweepTable:
     """One fitted row per grid point; per-point failures recorded in-row.
 
-    The grid points are fitted in order (each warm-starts the next); only
-    each point's bootstrap replicates run on ``jobs`` processes.
+    The grid points are fitted in order (each warm-starts the next).  Every
+    fit - the baseline, each grid point and the cold-start check - runs its
+    restarts on ``jobs`` processes, and so does each point's bootstrap
+    replicates; the table does not depend on ``jobs``.
     """
     grid = sorted(spec.params(), key=_sort_key)
     if baseline is None:
-        baseline = fit(data, config, options)
+        baseline = fit(data, config, options, jobs=jobs)
     base_scores = decision_scores(baseline, data)
     target = spec.target_rate if spec.target_rate is not None else float(np.mean(data.y))
 
@@ -157,7 +159,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
             options, init_coefficients=warm
         )
         try:
-            est = fit(data, config, opts, variant=spec.variant, sensitivity=point)
+            est = fit(data, config, opts, variant=spec.variant, sensitivity=point, jobs=jobs)
         except FairdesertError as exc:
             row.error = str(exc)
             rows.append(row)
@@ -192,7 +194,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         "warm_start": spec.reuse_warm_start,
         "seed": options.seed,
     }
-    metadata.update(_cold_start_check(data, config, options, spec, grid, rows))
+    metadata.update(_cold_start_check(data, config, options, spec, grid, rows, jobs))
     return SweepTable(variant=spec.variant, rows=rows, metadata=metadata)
 
 
@@ -210,7 +212,7 @@ class VariantFitter:
                    variant=self.variant, sensitivity=self.sensitivity)
 
 
-def _cold_start_check(data, config, options, spec, grid, rows):
+def _cold_start_check(data, config, options, spec, grid, rows, jobs):
     """Refit a subset of grid points without warm starts; report the largest
     criterion discrepancy as a path-dependence diagnostic."""
     if not spec.reuse_warm_start or not grid:
@@ -221,7 +223,8 @@ def _cold_start_check(data, config, options, spec, grid, rows):
         if row.error is not None or row.criterion is None:
             continue
         try:
-            est = fit(data, config, options, variant=spec.variant, sensitivity=point)
+            est = fit(data, config, options, variant=spec.variant, sensitivity=point,
+                      jobs=jobs)
         except FairdesertError:
             continue
         gaps.append(abs(est.diagnostics.criterion - row.criterion))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
@@ -33,6 +33,7 @@ from .identify import (
     stratum_table,
 )
 from .optimize import bfgs_minimize
+from .parallel import map_jobs
 from .regress import fit_mu_models
 
 VARIANTS = ("baseline", "kappa", "delta", "zeta")
@@ -110,7 +111,29 @@ class FitOptions:
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """How one BFGS restart of a sieve fit ended.
+
+    ``start`` is "warm" (``FitOptions.init_coefficients``), "plugin" or
+    "random"; ``objective`` is the penalized negative log-likelihood it
+    reached.
+    """
+
+    start: str
+    iterations: int
+    objective: float
+    grad_norm: float
+    converged: bool
+
+
+@dataclass(frozen=True)
 class FitDiagnostics:
+    """The winning restart's fit, plus one record per restart in start order.
+
+    ``winner`` indexes ``restarts``; both default to empty for model
+    documents written before restarts were recorded.
+    """
+
     criterion: float
     penalty: float
     grad_norm: float
@@ -119,6 +142,8 @@ class FitDiagnostics:
     converged: bool
     relevance_violation_frac: float
     n: int
+    restarts: tuple = ()
+    winner: int | None = None
 
     def to_json_dict(self):
         return {
@@ -130,7 +155,14 @@ class FitDiagnostics:
             "converged": self.converged,
             "relevance_violation_frac": self.relevance_violation_frac,
             "n": self.n,
+            "restarts": [asdict(r) for r in self.restarts],
+            "winner": self.winner,
         }
+
+    @classmethod
+    def from_json_dict(cls, doc):
+        restarts = tuple(RestartRecord(**r) for r in doc.get("restarts", ()))
+        return cls(**{**doc, "restarts": restarts})
 
 
 @dataclass(frozen=True)
@@ -391,28 +423,38 @@ def _random_starts(problem, data, count, seed):
     return starts
 
 
+def _minimize_from(problem, max_iter, s0):
+    """One BFGS restart of the sieve objective from the packed start ``s0``."""
+    return bfgs_minimize(problem.value_grad, s0, tol=GRAD_TOL, max_iter=max_iter)
+
+
 def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
-        variant="baseline", sensitivity=None) -> NuisanceEstimates:
+        variant="baseline", sensitivity=None, jobs=1) -> NuisanceEstimates:
     """Sieve maximum likelihood fit; best of multi-start quasi-Newton runs.
 
-    Deterministic given (data, config, options.seed).  Raises FitError when no
-    restart reaches an acceptable gradient norm; attaches a warning when the
-    relevance constraint fails on more than 10% of the sample (`RelevanceWarning`).
+    The restarts run on ``jobs`` processes (`parallel.map_jobs`) and come back
+    in start order, so the fit does not depend on ``jobs``.  Deterministic
+    given (data, config, options.seed).  Raises FitError when no restart
+    reaches an acceptable gradient norm; attaches a warning when the
+    relevance constraint fails on more than 10% of the sample
+    (`RelevanceWarning`).
     """
     options = options or FitOptions()
     sensitivity = sensitivity or SensitivityParams(variant)
     require_positivity(data)
     problem = SieveProblem(data, config, options, variant, sensitivity, precondition=True)
 
-    starts = []
+    starts, kinds = [], []
     if options.init_coefficients is not None:
         init = np.asarray(options.init_coefficients, dtype=np.float64)
         if init.size != problem.dim:
             raise ValueError("init_coefficients length mismatch")
         starts.append(problem.from_original(init))
+        kinds.append("warm")
     if options.include_plugin_start:
         try:
             starts.append(_plugin_start(problem, data))
+            kinds.append("plugin")
         except (FairdesertError, np.linalg.LinAlgError):
             pass
     n_random = max(options.restarts - len(starts), 0)
@@ -422,19 +464,19 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
         problem.from_original(s0)
         for s0 in _random_starts(problem, data, n_random, options.seed)
     )
+    kinds.extend(["random"] * n_random)
 
-    results = [
-        bfgs_minimize(problem.value_grad, s0, tol=GRAD_TOL, max_iter=options.max_iter)
-        for s0 in starts
-    ]
-    acceptable = [r for r in results if np.isfinite(r.fun) and r.grad_norm <= 1e-4]
+    results = map_jobs(_minimize_from, starts, jobs, shared=(problem, options.max_iter))
+    acceptable = [i for i, r in enumerate(results)
+                  if np.isfinite(r.fun) and r.grad_norm <= 1e-4]
     if not acceptable:
         best_norm = min((r.grad_norm for r in results), default=math.inf)
         raise FitError(
             f"no restart converged (best gradient norm {best_norm:.2e} over "
             f"{len(results)} starts)"
         )
-    best = min(acceptable, key=lambda r: r.fun)
+    winner = min(acceptable, key=lambda i: results[i].fun)
+    best = results[winner]
 
     (t0, t1, a, b), _, _ = problem.functions(best.x)
     viol_frac = float(np.mean(np.abs(t1 - t0) < problem.margin))
@@ -455,6 +497,11 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
         converged=best.converged,
         relevance_violation_frac=viol_frac,
         n=data.n,
+        restarts=tuple(
+            RestartRecord(kind, r.iterations, float(r.fun), r.grad_norm, r.converged)
+            for kind, r in zip(kinds, results)
+        ),
+        winner=winner,
     )
     c = options.floor
     g0, g1, ga, gb = problem.unpack(problem.to_original(best.x))

@@ -204,8 +204,11 @@ def _normal_estimate(phi, excluded, level, **flags):
 
 def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
                            options: FitOptions | None = None, folds=5, seed=0,
-                           level=0.95, pi_ridge=1e-8) -> ThetaEstimate:
-    """K-fold cross-fitted one-step estimator: nuisances fit on fold complements."""
+                           level=0.95, pi_ridge=1e-8, jobs=1) -> ThetaEstimate:
+    """K-fold cross-fitted one-step estimator: nuisances fit on fold complements.
+
+    Each fold's sieve fit runs its restarts on ``jobs`` processes.
+    """
     if folds < 2:
         raise ValueError("cross-fitting requires at least 2 folds")
     options = options or FitOptions()
@@ -219,7 +222,7 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
     for k in range(folds):
         hold = assignments == k
         train = data.subset(np.flatnonzero(~hold))
-        est_k = fit(train, config, options)
+        est_k = fit(train, config, options, jobs=jobs)
         prop_k = fit_propensity(train, config, ridge=pi_ridge)
         fold_data = data.subset(np.flatnonzero(hold))
         phi_k, _, _, excl_k = _phi_values(est_k, prop_k, fold_data)

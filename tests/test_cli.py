@@ -12,6 +12,7 @@ import scipy
 
 from fairdesert.cli import main
 from fairdesert.data import Dataset, write_csv
+from fairdesert.parallel import blas_threads
 from fairdesert.simulate import DgpConfig, gen_dataset
 
 FAST = ["--interaction-order", "1", "--restarts", "2", "--floor", "0.05", "--seed", "7"]
@@ -49,6 +50,56 @@ def test_estimate_outputs_and_determinism(train_csv, tmp_path):
     rc2 = main(["estimate", "--input", str(train_csv), "--out-dir", str(tmp_path / "b"), *FAST])
     assert rc2 == rc
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+
+def test_estimate_same_output_for_every_jobs(train_csv, tmp_path):
+    for jobs in ("1", "2"):
+        rc = main(["estimate", "--input", str(train_csv), "--out-dir", str(tmp_path / jobs),
+                   *FAST, "--restarts", "4", "--jobs", jobs])
+        assert rc in (0, 1)
+    assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "2")
+    report = json.loads((tmp_path / "1" / "fit_report.json").read_text())
+    assert len(report["diagnostics"]["restarts"]) == report["diagnostics"]["restarts_used"] == 4
+
+
+def _old_row_writer(path, header, columns, int_columns=()):
+    """The per-row writer the CLI used before it wrote rows from lists."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(columns[0])):
+            writer.writerow([i + 1, *(int(c[i]) if k in int_columns else c[i]
+                                      for k, c in enumerate(columns))])
+    return path.read_bytes()
+
+
+def test_row_csvs_match_the_per_row_writer(fitted_model, train_csv, tmp_path):
+    from fairdesert.data import CsvSchema, apply_scaling, load_csv, read_csv, scale_covariates
+    from fairdesert.modelio import load_model
+    from fairdesert.sievemle import predict_tau_sz
+
+    artifact = load_model(fitted_model)
+    est = artifact.estimates
+    schema = CsvSchema(covariates=artifact.covariate_names)
+    data = scale_covariates(load_csv(train_csv, schema))
+    t0, t1, a, b = est.values(data.x)
+    tau_obs = np.where(data.z == 1, t1, t0)
+    old = _old_row_writer(tmp_path / "per_unit.csv",
+                          ["row", "tau0", "tau1", "tau_zx", "alpha", "beta"],
+                          [t0, t1, tau_obs, a, b])
+    assert (fitted_model.parent / "per_unit.csv").read_bytes() == old
+
+    rc = main(["predict", "--model", str(fitted_model), "--input", str(train_csv),
+               "--rate", "0.3", "--out-dir", str(tmp_path / "pred")])
+    assert rc == 0
+    (z, s), x_raw = read_csv(train_csv, schema, ("z", "s"))
+    x, clamped = apply_scaling(artifact.scaling, x_raw)
+    scores = np.asarray(predict_tau_sz(est, s, z, x))
+    threshold = json.loads((tmp_path / "pred" / "predict_report.json").read_text())["threshold"]
+    old = _old_row_writer(tmp_path / "predictions.csv",
+                          ["row", "score", "decision", "covariates_clamped"],
+                          [scores, scores >= threshold, clamped], int_columns=(1, 2))
+    assert (tmp_path / "pred" / "predictions.csv").read_bytes() == old
 
 
 def test_estimate_positivity_exit_code(tmp_path):
@@ -195,6 +246,17 @@ def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     assert abs(onestep["point"] - plugin["point"]) > 0  # differs by the augmentation mean
 
 
+def test_theta_crossfit_same_output_for_every_jobs(train_csv, tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        rc = main(["theta", "--input", str(train_csv), "--method", "onestep", "--crossfit", "2",
+                   "--out-dir", str(tmp_path / jobs), *FAST, "--jobs", jobs])
+        assert rc == 0
+        outputs.append((tmp_path / jobs / "theta.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["flags"]["crossfit_folds"] == 2
+
+
 def test_theta_bootstrap_same_output_for_every_jobs(tmp_path):
     path = tmp_path / "small.csv"
     write_csv(gen_dataset(DgpConfig(n=400, seed=9))[0], path)
@@ -292,6 +354,7 @@ def test_simulate_cli(tmp_path):
     assert env["nproc"] == len(os.sched_getaffinity(0))
     assert env["blas_pins"] == {name: os.environ.get(name) for name in
                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert env["blas_threads"] == blas_threads()
 
 
 def test_import_does_not_load_scipy_stats():

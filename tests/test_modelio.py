@@ -37,6 +37,23 @@ def test_model_document_round_trip(tmp_path):
     assert loaded.estimates.variant == "baseline"
 
 
+def test_model_document_keeps_restart_records(tmp_path):
+    data, _, _ = gen_dataset(DgpConfig(n=900, seed=30))
+    est = fit(data, BasisConfig(interaction_order=1), FitOptions(restarts=2, floor=0.05, seed=0))
+    path = tmp_path / "model.json"
+    save_model(ModelArtifact(est, None, data.covariate_names, data.scaling), path)
+    assert load_model(path).estimates.diagnostics == est.diagnostics
+
+    # a document written before restarts were recorded still loads
+    doc = json.loads(path.read_text())
+    del doc["diagnostics"]["restarts"], doc["diagnostics"]["winner"]
+    path.write_text(json.dumps(doc))
+    old = load_model(path).estimates.diagnostics
+    assert old.restarts == () and old.winner is None
+    assert old.criterion == est.diagnostics.criterion
+    assert old.restarts_used == est.diagnostics.restarts_used
+
+
 def test_model_document_variant_round_trip(tmp_path):
     config = BasisConfig(interaction_order=1)
     data, _, _ = gen_dataset(DgpConfig(n=900, seed=31))

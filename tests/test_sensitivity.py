@@ -139,3 +139,17 @@ def test_sweep_grid_validation():
         SweepSpec(variant="delta").params()
     spec = SweepSpec(variant="delta", grid=((0.0, 0.0),))
     assert spec.params()[0].variant == "delta"
+
+
+def test_sweep_fit_rows_same_for_every_jobs():
+    # without a bootstrap, jobs reaches only the restarts of every fit
+    data, _, _ = gen_dataset(DgpConfig(n=600, seed=55))
+    spec = SweepSpec(variant="delta", grid=((0.0, 0.0), (0.05, 0.05)), bootstrap_replicates=0)
+    opts = FitOptions(restarts=3, floor=0.05, relevance_margin=1e-3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        serial = run_sweep(data, CONFIG, opts, spec, jobs=1)
+        parallel = run_sweep(data, CONFIG, opts, spec, jobs=2)
+    assert [r.__dict__ for r in serial.rows] == [r.__dict__ for r in parallel.rows]
+    assert serial.metadata == parallel.metadata
+    assert all(r.error is None for r in serial.rows)

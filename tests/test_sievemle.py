@@ -362,6 +362,38 @@ def test_fit_deterministic(univariate_basis):
     assert np.array_equal(est1.coefficient_stack(), est2.coefficient_stack())
 
 
+def test_fit_same_for_every_jobs(univariate_basis):
+    data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
+    cold = {jobs: fit(data, univariate_basis, FitOptions(restarts=10, seed=4), jobs=jobs)
+            for jobs in (1, 2)}
+    warm_options = FitOptions(restarts=3, seed=4,
+                              init_coefficients=cold[1].coefficient_stack())
+    sens = SensitivityParams("delta", 0.05, 0.05)
+    warm = {jobs: fit(data, univariate_basis, warm_options, variant="delta",
+                      sensitivity=sens, jobs=jobs)
+            for jobs in (1, 2)}
+    for fits in (cold, warm):
+        assert np.array_equal(fits[1].coefficient_stack(), fits[2].coefficient_stack())
+        assert fits[1].diagnostics == fits[2].diagnostics
+    assert [r.start for r in warm[1].diagnostics.restarts] == ["warm", "plugin", "random"]
+
+
+def test_fit_records_every_restart(univariate_basis):
+    data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
+    diag = fit(data, univariate_basis, FitOptions(restarts=4, seed=123)).diagnostics
+    assert len(diag.restarts) == diag.restarts_used == 4
+    assert [r.start for r in diag.restarts] == ["plugin", "random", "random", "random"]
+    winner = diag.restarts[diag.winner]
+    # penalty = objective + criterion, so this holds up to one rounding
+    assert winner.objective == pytest.approx(diag.penalty - diag.criterion, rel=1e-14, abs=1e-14)
+    assert winner.objective == min(r.objective for r in diag.restarts if r.grad_norm <= 1e-4)
+    assert (winner.iterations, winner.grad_norm, winner.converged) == (
+        diag.iterations, diag.grad_norm, diag.converged)
+    doc = diag.to_json_dict()
+    assert doc["winner"] == diag.winner and len(doc["restarts"]) == 4
+    assert type(diag).from_json_dict(doc) == diag
+
+
 def test_fit_respects_floor(univariate_basis):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=10))
     est = fit(data, univariate_basis, FitOptions(restarts=2, floor=0.05, seed=0))
