@@ -11,11 +11,16 @@ Ordering is graded lexicographic so serialized coefficient vectors are stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy import special
+
+# rows per block of `monomials_matrix`: a block's powers and columns stay in
+# cache
+MONOMIAL_BLOCK_ROWS = 4096
 
 
 def expit(u):
@@ -113,17 +118,54 @@ def _compositions(k, total_budget, caps):
 
 
 def monomials_matrix(x, exponents):
-    """Evaluate monomial features for a (n, d) matrix; returns (n, J)."""
+    """Evaluate monomial features for a (n, d) matrix; returns (n, J), C-ordered.
+
+    Rows are done in blocks of MONOMIAL_BLOCK_ROWS: each block computes every
+    (coordinate, power) it needs once, on a contiguous copy of its columns,
+    and forms each monomial as the left-to-right product of its factors, as
+    per-column evaluation ``x[:, 0] ** e0 * x[:, 1] ** e1 * ...`` does, so the
+    result is the same to the bit.  The block keeps the powers in cache and
+    the memory used beyond the output small.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
-    cols = np.empty((n, len(exponents)))
-    for j, e in enumerate(exponents):
-        col = np.ones(n)
-        for dim, p in enumerate(e):
-            if p:
-                col = col * x[:, dim] ** p
-        cols[:, j] = col
-    return cols
+    out = np.empty((n, len(exponents)))
+    factors = [[(dim, p) for dim, p in enumerate(e) if p] for e in exponents]
+    needed = sorted({f for fs in factors for f in fs})
+    for start in range(0, n, MONOMIAL_BLOCK_ROWS):
+        stop = min(start + MONOMIAL_BLOCK_ROWS, n)
+        xt = np.ascontiguousarray(x[start:stop].T)
+        # x ** 1 is x exactly, so a first power is the row of the copy itself
+        powers = {(dim, p): xt[dim] if p == 1 else xt[dim] ** p for dim, p in needed}
+        block = out[start:stop]
+        for j, fs in enumerate(factors):
+            if not fs:
+                block[:, j] = 1.0
+                continue
+            col = powers[fs[0]]
+            for f in fs[1:]:
+                col = col * powers[f]
+            block[:, j] = col
+    return out
+
+
+def orthonormal_design(phi):
+    """QR preconditioner of a design matrix, or None when it is near-singular.
+
+    With phi = Q R, returns (Q sqrt(n), R / sqrt(n)): the first has orthogonal
+    columns of mean square one and, times the second, gives phi back, so a
+    fit on the first with coefficients u is the fit on phi with coefficients
+    gamma = (R / sqrt(n))^-1 u.  Polynomial designs are badly conditioned and
+    quasi-Newton steps converge slowly in their raw coordinates.  When some
+    |R_jj| is at most 1e-10 max |R_jj| the inverse is unreliable, and None
+    tells the caller to stay in the raw coordinates.
+    """
+    q, r = np.linalg.qr(phi)
+    diag = np.abs(np.diag(r))
+    if not np.min(diag) > 1e-10 * np.max(diag):
+        return None
+    scale = math.sqrt(phi.shape[0])
+    return q * scale, r / scale
 
 
 def _bspline_knots(num_interior, degree=3):

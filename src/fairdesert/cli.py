@@ -312,9 +312,13 @@ def cmd_theta(resolved):
         )
     if method == "bootstrap":
         fitter = VariantFitter(config, options, variant, sensitivity)
+        # the full-data fit runs its restarts on the pool; VariantFitter's
+        # replicate fits are already spread over it
+        full_fit = fit(data, config, options, variant=variant, sensitivity=sensitivity,
+                       jobs=resolved["jobs"])
         estimate = theta_bootstrap(
             fitter, data, replicates=int(resolved["boot"]),
-            seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
+            seed=int(resolved["seed"]), level=level, full_fit=full_fit, jobs=resolved["jobs"],
         )
     elif method == "onestep" and int(resolved["crossfit"]) >= 2:
         # each fold fits its own nuisances; a full-data fit would go unused
@@ -406,7 +410,8 @@ def cmd_simulate(resolved):
     write_auc_summary_csv([summary], out / "auc_summary.csv")
     write_coverage_summary_csv([summary], out / "coverage_summary.csv")
     write_replications_csv([summary], out / "replications.csv")
-    _write_meta(out, resolved, "simulate", extra={"runtime_s": summary.runtime_s})
+    _write_meta(out, resolved, "simulate", extra={"runtime_s": summary.runtime_s,
+                                                  "stage_seconds": summary.stage_seconds})
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import special
 
-from .basis import BasisConfig, SeriesFunction, expand_matrix, logit
+from .basis import BasisConfig, SeriesFunction, expand_matrix, logit, orthonormal_design
 from .data import Dataset, require_positivity
 from .errors import FairdesertError, FitError, RelevanceWarning
 from .identify import (
@@ -229,10 +229,10 @@ class SieveProblem:
 
     Packs the four coefficient vectors as [tau0, tau1, alpha, beta]; each
     function is c + (1 - 2c) expit(gamma' phi).  With ``precondition`` the
-    feature columns are orthonormalized (QR) and optimization runs in the
-    rotated coordinates - the polynomial Gram matrix is badly conditioned and
-    quasi-Newton convergence suffers without this; `to_original` maps packed
-    coefficients back to the raw basis exactly.
+    feature columns are orthonormalized (`basis.orthonormal_design`) and
+    optimization runs in the rotated coordinates - the polynomial Gram matrix
+    is badly conditioned and quasi-Newton convergence suffers without this;
+    `to_original` maps packed coefficients back to the raw basis exactly.
 
     Every variant's stratum probability is bilinear in tz = tau_Z(x) and
     m = alpha(x) (S=0 rows) or beta(x) (S=1 rows).  With the (shift, c, f) of
@@ -262,12 +262,9 @@ class SieveProblem:
         self.phi = expand_matrix(data.x, config)
         self.n, self.j = self.phi.shape
         self.r_block = None
-        if precondition:
-            q, r = np.linalg.qr(self.phi)
-            if np.min(np.abs(np.diag(r))) > 1e-10 * np.max(np.abs(np.diag(r))):
-                scale = math.sqrt(self.n)
-                self.phi = q * scale
-                self.r_block = r / scale
+        pre = orthonormal_design(self.phi) if precondition else None
+        if pre is not None:
+            self.phi, self.r_block = pre
         self.y = np.asarray(data.y, dtype=np.float64)
         self.y1 = self.y == 1
         # d(-mean log-likelihood)/dp = (p - y) / {p (1 - p) n} = dneg_sign / lik

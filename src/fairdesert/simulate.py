@@ -24,7 +24,9 @@ work there is shared across methods: one design matrix per distinct feature
 map (UML and MLC share one, FTU and LD the other), built and released in turn;
 one `predict_tau` of the desert-decision fit serving both its AUCs and its tau
 error; and one ranking per score vector, against which both label vectors
-(Y* and Y) are scored.
+(Y* and Y) are scored.  The ranking uses numpy's default sort, which is not
+stable: tied scores all get their tie's average rank, so the order within a
+tie cannot change an AUC, and the stable sort would only cost more.
 """
 
 from __future__ import annotations
@@ -32,17 +34,25 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisConfig, expit, monomial_exponents, monomials_matrix
+from .basis import (
+    BasisConfig,
+    expit,
+    monomial_exponents,
+    monomials_matrix,
+    orthonormal_design,
+)
 from .data import Dataset
 from .errors import UndefinedAUCError
 from .identify import flip_rates, unfairness_rate
+from .optimize import bfgs_minimize
 from .parallel import map_jobs
-from .regress import fit_propensity, fit_series_logit
+from .regress import bernoulli_value_grad, fit_propensity, fit_series_logit
 from .sievemle import FitOptions, fit, predict_tau
 from .theta import theta_onestep
 
@@ -186,8 +196,10 @@ def auc(scores, labels):
         raise UndefinedAUCError("AUC needs both label classes present")
     # average ranks (ties share the mean of their positions), as
     # scipy.stats.rankdata computes them; NaN sorts last and, as there,
-    # makes every rank NaN
-    order = np.argsort(scores, kind="stable")
+    # makes every rank NaN.  Each member of a tie gets its group's mean
+    # position, which does not depend on the order within the group, so the
+    # default (unstable, several times faster) sort gives the same ranks.
+    order = np.argsort(scores)
     ordered = scores[order]
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     dense = np.cumsum(first)
@@ -269,59 +281,70 @@ def fit_ftu(data: Dataset, degree=3, ridge=1e-8) -> ScoreModel:
 def fit_mlc(data: Dataset, degree=3, ridge=1e-8, constraint_tol=1e-4,
             max_outer=30) -> ScoreModel:
     """Series logit of Y on (S, Z, X) constrained to a zero average causal
-    effect of S on the score, via an augmented Lagrangian."""
-    import warnings as _warnings
+    effect of S on the score, via an augmented Lagrangian.
 
-    from .optimize import bfgs_minimize
-    from .regress import bernoulli_value_grad
-
+    BFGS runs in the coordinates u of the QR preconditioner
+    `basis.orthonormal_design` of the design, gamma = (R / sqrt(n))^-1 u, as
+    `sievemle.SieveProblem` does: on the raw polynomial design each round
+    takes several times as many iterations.  The ridge stays on gamma, so the
+    objective is the same function of gamma; a near-singular design is fitted
+    in its raw coordinates.  The returned gamma is in the raw basis.
+    """
     fm = FeatureMap.build(data.d, use_s=True, degree=degree)
     psi = fm.matrix(data.s, data.z, data.x)
     psi1 = fm.matrix(np.ones(data.n), data.z, data.x)
     psi0 = fm.matrix(np.zeros(data.n), data.z, data.x)
+    # gamma = to_raw @ u
+    to_raw = np.eye(psi.shape[1])
+    pre = orthonormal_design(psi)
+    if pre is not None:
+        psi, r = pre
+        to_raw = np.linalg.inv(r)
+        psi1 = psi1 @ to_raw
+        psi0 = psi0 @ to_raw
     y = np.asarray(data.y, dtype=np.float64)
 
-    def constraint(gamma):
-        d1 = expit(psi1 @ gamma)
-        d0 = expit(psi0 @ gamma)
+    def constraint(u):
+        d1 = expit(psi1 @ u)
+        d0 = expit(psi0 @ u)
         g = float(np.mean(d1 - d0))
         dg = (psi1.T @ (d1 * (1 - d1)) - psi0.T @ (d0 * (1 - d0))) / data.n
         return g, dg
 
     lam = 0.0
     rho = 10.0
-    gamma = np.zeros(psi.shape[1])
+    u = np.zeros(psi.shape[1])
     gval = math.inf
     for _ in range(max_outer):
-        def objective(gm, lam=lam, rho=rho):
-            f, grad = bernoulli_value_grad(gm, psi, y, ridge)
-            g, dg = constraint(gm)
-            return f + lam * g + 0.5 * rho * g * g, grad + (lam + rho * g) * dg
+        def objective(v, lam=lam, rho=rho):
+            f, grad = bernoulli_value_grad(v, psi, y)
+            gamma = to_raw @ v
+            g, dg = constraint(v)
+            return (f + 0.5 * ridge * gamma @ gamma + lam * g + 0.5 * rho * g * g,
+                    grad + ridge * (to_raw.T @ gamma) + (lam + rho * g) * dg)
 
-        res = bfgs_minimize(objective, gamma, tol=1e-8, max_iter=400)
-        gamma = res.x
+        res = bfgs_minimize(objective, u, tol=1e-8, max_iter=400)
+        u = res.x
         prev = abs(gval)
-        gval, _ = constraint(gamma)
+        gval, _ = constraint(u)
         if abs(gval) <= constraint_tol:
             break
         lam += rho * gval
         if abs(gval) > 0.5 * prev:
             rho *= 5.0
     else:
-        _warnings.warn(
+        warnings.warn(
             f"constrained fit stopped with |constraint| = {abs(gval):.2e} "
             f"(target {constraint_tol:g})",
             stacklevel=2,
         )
-    return ScoreModel(fm, gamma, "mlc", note="indicative reconstruction")
+    return ScoreModel(fm, to_raw @ u, "mlc", note="indicative reconstruction")
 
 
 def fit_ld(data: Dataset, degree=3, ridge=1e-8, parity_tol=1e-3, max_rounds=50,
            step=2.0) -> ScoreModel:
     """Label-debiasing reweighting: refit Y ~ (Z, X) with multiplicative
     per-group weights until the mean score gap across S closes."""
-    import warnings as _warnings
-
     fm = FeatureMap.build(data.d, use_s=False, degree=degree)
     psi = fm.matrix(None, data.z, data.x)
     y = np.asarray(data.y, dtype=np.float64)
@@ -339,7 +362,7 @@ def fit_ld(data: Dataset, degree=3, ridge=1e-8, parity_tol=1e-3, max_rounds=50,
             break
         lam += step * disparity
     else:
-        _warnings.warn(
+        warnings.warn(
             f"reweighting stopped with score disparity {disparity:.2e} "
             f"(target {parity_tol:g})",
             stacklevel=2,
@@ -392,15 +415,36 @@ class MonteCarloSummary:
     excluded_fraction_mean: float | None
     failure_types: dict
     runtime_s: float
+    # wall seconds per stage of `run_replication`, summed over replications
+    # (failed ones included, up to their failure); timings stay out of
+    # ``replications`` so the rows are deterministic
+    stage_seconds: dict = field(default_factory=dict)
     replications: list = field(default_factory=list)
 
 
 def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
-                    theta_true=None):
-    """One training draw, all fits, one independent test draw of metrics."""
+                    theta_true=None, stage_seconds=None):
+    """One training draw, all fits, one independent test draw of metrics.
+
+    When ``stage_seconds`` is a dict, each stage's wall time is added to it
+    under the stage's name: "train_draw", "dsd" (the sieve fit), "theta", one
+    key per baseline method, "test_draw" and "scoring" (predictions, AUCs and
+    the tau error).  The returned row holds no timings, so it is a
+    deterministic function of the arguments.
+    """
+    last = time.perf_counter()
+
+    def lap(stage):
+        nonlocal last
+        now = time.perf_counter()
+        if stage_seconds is not None:
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + (now - last)
+        last = now
+
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(101, rep))
     seed_train, seed_test, seed_fit = ss.spawn(3)
     train, _, truth = gen_dataset(config, seed=seed_train)
+    lap("train_draw")
     out = {"rep": rep}
     options = replace(settings.fit_options, seed=int(seed_fit.generate_state(1)[0]))
 
@@ -408,6 +452,7 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
     if "dsd" in settings.methods:
         est = fit(train, settings.basis, options)
         models["dsd"] = est
+        lap("dsd")
         if settings.compute_theta:
             prop = fit_propensity(train, settings.basis, ridge=settings.pi_ridge)
             estimate = theta_onestep(est, prop, train, level=settings.level)
@@ -417,15 +462,18 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
             out["excluded_fraction"] = estimate.flags["excluded_fraction"]
             if theta_true is not None:
                 out["covered"] = bool(estimate.ci_low <= theta_true <= estimate.ci_high)
+            lap("theta")
     for name in settings.methods:
         if name == "dsd":
             continue
         fitter = {"uml": fit_uml, "ftu": fit_ftu, "mlc": fit_mlc, "ld": fit_ld}[name]
         models[name] = fitter(train, degree=settings.basis.degree)
+        lap(name)
 
     if settings.compute_auc or settings.compute_tau_error:
         test_cfg = replace(config, n=settings.test_size)
         test, ystar, _ = gen_dataset(test_cfg, seed=seed_test)
+        lap("test_draw")
         scores = {}
         if "dsd" in models:
             scores["dsd"] = predict_tau(models["dsd"], test.z, test.x)
@@ -445,14 +493,19 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
         if settings.compute_tau_error and "dsd" in models:
             tau_true = truth.tau(test.z, test.x)
             out["tau_error"] = float(np.sqrt(np.mean((scores["dsd"] - tau_true) ** 2)))
+        lap("scoring")
     return out
 
 
 def _mc_worker(config, settings, theta_true, rep):
+    """(row, stage seconds) of one replication; a failed one keeps the times
+    of the stages it finished."""
+    seconds = {}
     try:
-        return run_replication(config, rep, settings, theta_true)
+        row = run_replication(config, rep, settings, theta_true, seconds)
     except Exception as exc:  # one bad draw must not end the whole study
-        return {"rep": rep, "failed": f"{type(exc).__name__}: {exc}"}
+        row = {"rep": rep, "failed": f"{type(exc).__name__}: {exc}"}
+    return row, seconds
 
 
 def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = None,
@@ -465,7 +518,11 @@ def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = N
     settings = settings or MonteCarloSettings()
     started = time.perf_counter()
     theta_true = oracle_theta(config) if settings.compute_theta else None
-    rows = map_jobs(_mc_worker, range(reps), jobs, shared=(config, settings, theta_true))
+    results = map_jobs(_mc_worker, range(reps), jobs, shared=(config, settings, theta_true))
+    rows = [row for row, _ in results]
+    stage_seconds = Counter()
+    for _, seconds in results:
+        stage_seconds.update(seconds)
     good = [r for r in rows if "failed" not in r]
     failures = reps - len(good)
     # _mc_worker records a failure as "<exception type>: <message>"
@@ -524,6 +581,7 @@ def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = N
         excluded_fraction_mean=excluded_mean,
         failure_types=failure_types,
         runtime_s=time.perf_counter() - started,
+        stage_seconds=dict(stage_seconds),
         replications=rows,
     )
 

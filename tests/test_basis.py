@@ -16,7 +16,10 @@ from fairdesert.basis import (
     intercept_only,
     logit,
     monomial_exponents,
+    monomials_matrix,
+    orthonormal_design,
 )
+from fairdesert.simulate import FeatureMap
 
 
 def enumerate_exponents(d, degree, io):
@@ -172,3 +175,49 @@ def test_invalid_configs():
         BasisConfig(degree=0)
     with pytest.raises(ValueError):
         BasisConfig(family="wavelet")
+
+
+def per_column_monomials(x, exponents):
+    """Reference: each monomial column as the left-to-right product of its
+    powers, one full-length column at a time."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    cols = np.empty((n, len(exponents)))
+    for j, e in enumerate(exponents):
+        col = np.ones(n)
+        for dim, p in enumerate(e):
+            if p:
+                col = col * x[:, dim] ** p
+        cols[:, j] = col
+    return cols
+
+
+# the Monte Carlo feature maps' exponent sets (two covariates, with and
+# without S); the sieve basis is checked through expand_matrix
+FEATURE_MAP_EXPONENTS = [FeatureMap.build(2, use_s=use_s).exponents for use_s in (True, False)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 100_000])
+def test_monomials_matrix_matches_per_column_reference(n):
+    rng = np.random.default_rng(n)
+    for exps in FEATURE_MAP_EXPONENTS:
+        x = rng.uniform(-1.5, 1.5, size=(n, len(exps[0])))
+        got = monomials_matrix(x, exps)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, per_column_monomials(x, exps))
+    for d, io in product(range(2, 6), (1, 2)):
+        x = rng.uniform(-1.5, 1.5, size=(n, d))
+        got = expand_matrix(x, BasisConfig(interaction_order=io))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, per_column_monomials(x, monomial_exponents(d, 3, io)))
+
+
+def test_orthonormal_design_round_trip_and_fallback():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(500, 2))
+    phi = expand_matrix(x, BasisConfig())
+    q, r = orthonormal_design(phi)
+    np.testing.assert_allclose(q.T @ q / len(x), np.eye(phi.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(q @ r, phi, atol=1e-12)
+    # a duplicated covariate duplicates columns: R is singular
+    assert orthonormal_design(expand_matrix(x[:, [0, 0]], BasisConfig())) is None

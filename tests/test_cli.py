@@ -257,7 +257,16 @@ def test_theta_crossfit_same_output_for_every_jobs(train_csv, tmp_path):
     assert json.loads(outputs[0])["flags"]["crossfit_folds"] == 2
 
 
-def test_theta_bootstrap_same_output_for_every_jobs(tmp_path):
+def test_theta_bootstrap_same_output_for_every_jobs(tmp_path, monkeypatch):
+    from fairdesert import cli
+
+    real_fit, full_fit_jobs = cli.fit, []
+
+    def recording_fit(*args, **kwargs):
+        full_fit_jobs.append(kwargs.get("jobs"))
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
     path = tmp_path / "small.csv"
     write_csv(gen_dataset(DgpConfig(n=400, seed=9))[0], path)
     outputs = []
@@ -265,10 +274,12 @@ def test_theta_bootstrap_same_output_for_every_jobs(tmp_path):
         out = tmp_path / f"jobs{jobs}"
         rc = main(["theta", "--input", str(path), "--method", "bootstrap", "--variant", "delta",
                    "--delta", "0.05,0.05", "--basis-degree", "1", "--interaction-order", "1",
-                   "--restarts", "1", "--floor", "0.05", "--seed", "7", "--jobs", jobs,
+                   "--restarts", "3", "--floor", "0.05", "--seed", "7", "--jobs", jobs,
                    "--out-dir", str(out)])
         assert rc == 0
         outputs.append((out / "theta.json").read_bytes())
+    # the full-data fit is made once, with the resolved --jobs
+    assert full_fit_jobs == [1, 2]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["flags"]["replicates"] == 200
 
@@ -355,6 +366,9 @@ def test_simulate_cli(tmp_path):
     assert env["blas_pins"] == {name: os.environ.get(name) for name in
                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     assert env["blas_threads"] == blas_threads()
+    stages = meta["stage_seconds"]
+    assert set(stages) == {"train_draw", "dsd", "theta", "test_draw", "scoring"}
+    assert 0 < sum(stages.values()) <= meta["runtime_s"]
 
 
 def test_import_does_not_load_scipy_stats():

@@ -1,14 +1,19 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairdesert.basis import expit, orthonormal_design
 from fairdesert.errors import SeparationError, UndefinedAUCError
 from fairdesert.data import Dataset
+from fairdesert.optimize import bfgs_minimize
+from fairdesert.regress import bernoulli_value_grad
 from fairdesert.simulate import (
     DgpConfig,
+    FeatureMap,
     MonteCarloSettings,
     auc,
     fit_ftu,
@@ -279,16 +284,96 @@ def test_uml_separates_when_y_equals_s():
     assert abs(ftu.scores(data).mean() - s.mean()) < 0.05
 
 
+def raw_coordinate_mlc(data, ridge=1e-8, constraint_tol=1e-4, max_outer=30):
+    """Reference: `fit_mlc`'s augmented Lagrangian with BFGS on the raw
+    polynomial design; returns (gamma, total BFGS iterations)."""
+    fm = FeatureMap.build(data.d, use_s=True)
+    psi = fm.matrix(data.s, data.z, data.x)
+    psi1 = fm.matrix(np.ones(data.n), data.z, data.x)
+    psi0 = fm.matrix(np.zeros(data.n), data.z, data.x)
+    y = np.asarray(data.y, dtype=np.float64)
+
+    def constraint(gamma):
+        d1 = expit(psi1 @ gamma)
+        d0 = expit(psi0 @ gamma)
+        dg = (psi1.T @ (d1 * (1 - d1)) - psi0.T @ (d0 * (1 - d0))) / data.n
+        return float(np.mean(d1 - d0)), dg
+
+    lam, rho, gval, iterations = 0.0, 10.0, np.inf, 0
+    gamma = np.zeros(psi.shape[1])
+    for _ in range(max_outer):
+        def objective(gm, lam=lam, rho=rho):
+            f, grad = bernoulli_value_grad(gm, psi, y, ridge)
+            g, dg = constraint(gm)
+            return f + lam * g + 0.5 * rho * g * g, grad + (lam + rho * g) * dg
+
+        res = bfgs_minimize(objective, gamma, tol=1e-8, max_iter=400)
+        gamma, iterations = res.x, iterations + res.iterations
+        prev = abs(gval)
+        gval, _ = constraint(gamma)
+        if abs(gval) <= constraint_tol:
+            break
+        lam += rho * gval
+        if abs(gval) > 0.5 * prev:
+            rho *= 5.0
+    return gamma, iterations
+
+
+def mlc_constraint(model, data):
+    """Average causal effect of S on a fitted score over the data's rows."""
+    psi1 = model.feature_map.matrix(np.ones(data.n), data.z, data.x)
+    psi0 = model.feature_map.matrix(np.zeros(data.n), data.z, data.x)
+    return float(np.mean(expit(psi1 @ model.gamma) - expit(psi0 @ model.gamma)))
+
+
 def test_mlc_constraint_enforced(small_dgp):
     data, _, _ = small_dgp
     model = fit_mlc(data)
-    psi1 = model.feature_map.matrix(np.ones(data.n), data.z, data.x)
-    psi0 = model.feature_map.matrix(np.zeros(data.n), data.z, data.x)
-    from fairdesert.basis import expit
-
-    gap = float(np.mean(expit(psi1 @ model.gamma) - expit(psi0 @ model.gamma)))
-    assert abs(gap) <= 1e-4
+    assert abs(mlc_constraint(model, data)) <= 1e-4
     assert model.note == "indicative reconstruction"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mlc_preconditioned_matches_raw_coordinate_fit(seed, monkeypatch):
+    from fairdesert import simulate
+
+    iterations = []
+
+    def counting_bfgs(*args, **kwargs):
+        res = bfgs_minimize(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(simulate, "bfgs_minimize", counting_bfgs)
+    data, _, _ = gen_dataset(DgpConfig(n=2000, seed=seed))
+    model = fit_mlc(data)
+    raw_gamma, raw_iterations = raw_coordinate_mlc(data)
+    assert abs(mlc_constraint(model, data)) <= 1e-4
+    raw_scores = expit(model.feature_map.matrix(data.s, data.z, data.x) @ raw_gamma)
+    assert np.max(np.abs(model.scores(data) - raw_scores)) <= 1e-4
+    assert sum(iterations) <= raw_iterations / 2
+
+
+def test_mlc_near_singular_design_fits_in_raw_coordinates(monkeypatch):
+    from fairdesert import simulate
+
+    data, _, _ = gen_dataset(DgpConfig(n=2000, seed=3))
+    twin = Dataset(data.s, data.z, data.y, data.x[:, [0, 0]],
+                   covariate_names=("x1", "x1_copy"), scaling=data.scaling, scaled=True)
+    preconditioners = []
+
+    def recording(phi):
+        out = orthonormal_design(phi)
+        preconditioners.append(out)
+        return out
+
+    monkeypatch.setattr(simulate, "orthonormal_design", recording)
+    model = fit_mlc(twin)
+    assert preconditioners == [None]
+    assert np.isfinite(model.gamma).all()
+    assert abs(mlc_constraint(model, twin)) <= 1e-4
+    raw_gamma, _ = raw_coordinate_mlc(twin)
+    np.testing.assert_allclose(model.gamma, raw_gamma, rtol=0, atol=1e-12)
 
 
 def test_mlc_matches_uml_when_constraint_inactive():
@@ -324,14 +409,16 @@ def test_run_replication_keys():
 # run_replication(DgpConfig(n=400, seed=7), rep, MonteCarloSettings(test_size=2_000),
 # theta_true=0.25) as computed before the test draw shared its design matrices
 # and rankings across methods; excluded_fraction is the one-step estimate's
-# flags["excluded_fraction"] of the same runs
+# flags["excluded_fraction"] of the same runs.  The MLC AUCs are those of the
+# QR-preconditioned fit, which stops at a slightly different point of the
+# augmented Lagrangian than the raw-coordinate fit did (AUCs within 7.1e-6)
 PINNED_REPLICATIONS = [
     {"rep": 0, "theta_hat": 0.3477001335219466, "ci_low": 0.2487749002969398,
      "ci_high": 0.4466253667469534, "covered": True,
      "auc_ystar_dsd": 0.799652099456743, "auc_y_dsd": 0.5887327981651376,
      "auc_ystar_uml": 0.6345093732088574, "auc_y_uml": 0.7564079884833106,
      "auc_ystar_ftu": 0.7230329565244356, "auc_y_ftu": 0.5860051076842996,
-     "auc_ystar_mlc": 0.7037253766338472, "auc_y_mlc": 0.5851368826859262,
+     "auc_ystar_mlc": 0.7037253766338472, "auc_y_mlc": 0.585137899342833,
      "auc_ystar_ld": 0.7025980508366918, "auc_y_ld": 0.581756498470948,
      "tau_error": 0.1258463310115083, "excluded_fraction": 0.135},
     {"rep": 1, "theta_hat": 0.23273633251482326, "ci_low": 0.0940276588593846,
@@ -339,7 +426,7 @@ PINNED_REPLICATIONS = [
      "auc_ystar_dsd": 0.7866239038779076, "auc_y_dsd": 0.5835690768926984,
      "auc_ystar_uml": 0.620020359415829, "auc_y_uml": 0.7618637442524915,
      "auc_ystar_ftu": 0.7546239519710158, "auc_y_ftu": 0.6209042075188091,
-     "auc_ystar_mlc": 0.7166434216643421, "auc_y_mlc": 0.6135316803075547,
+     "auc_ystar_mlc": 0.7166364080860546, "auc_y_mlc": 0.6135266430520127,
      "auc_ystar_ld": 0.6993799996793792, "auc_y_ld": 0.6132435492905529,
      "tau_error": 0.14293730659426587, "excluded_fraction": 0.1475},
 ]
@@ -361,6 +448,29 @@ def test_monte_carlo_parallel_parity():
     assert serial.theta_mean == parallel.theta_mean
     assert serial.coverage == parallel.coverage
     assert serial.replications == parallel.replications
+
+
+def test_monte_carlo_stage_seconds_within_replication_wall_time(monkeypatch):
+    from fairdesert import simulate
+
+    real, walls = simulate.run_replication, []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            walls.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(simulate, "run_replication", timed)
+    settings_obj = MonteCarloSettings(test_size=4000)
+    summary = monte_carlo(DgpConfig(n=600, seed=2), reps=2, settings=settings_obj, jobs=1)
+    assert len(walls) == 2
+    assert list(summary.stage_seconds) == [
+        "train_draw", "dsd", "theta", "uml", "ftu", "mlc", "ld", "test_draw", "scoring"]
+    assert all(v > 0 for v in summary.stage_seconds.values())
+    assert sum(summary.stage_seconds.values()) <= sum(walls)
+    assert not any("seconds" in key for row in summary.replications for key in row)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
