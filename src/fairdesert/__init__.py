@@ -46,7 +46,6 @@ from .sievemle import (
     SensitivityParams,
     fit,
     model_prob,
-    negloglik_and_grad,
     predict_tau,
     predict_tau_sz,
     threshold_preserving_rate,

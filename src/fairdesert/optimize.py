@@ -8,6 +8,7 @@ reproducible for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,16 +16,19 @@ import numpy as np
 
 @dataclass
 class OptResult:
+    """Where a minimizer stopped; ``evaluations`` counts its objective calls."""
+
     x: np.ndarray
     fun: float
     grad_norm: float
     iterations: int
     converged: bool
     message: str = ""
+    evaluations: int = 0
 
 
 def _sup(g):
-    return float(np.max(np.abs(g))) if g.size else 0.0
+    return float(np.abs(g).max()) if g.size else 0.0
 
 
 def newton_minimize(fgh, x0, tol=1e-8, max_iter=200):
@@ -36,10 +40,11 @@ def newton_minimize(fgh, x0, tol=1e-8, max_iter=200):
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g, h = fgh(x)
+    evals = 1
     for it in range(1, max_iter + 1):
         gnorm = _sup(g)
         if gnorm <= tol:
-            return OptResult(x, f, gnorm, it - 1, True)
+            return OptResult(x, f, gnorm, it - 1, True, evaluations=evals)
         try:
             step = np.linalg.solve(h, -g)
             if not np.isfinite(step).all() or g @ step >= 0:
@@ -51,21 +56,24 @@ def newton_minimize(fgh, x0, tol=1e-8, max_iter=200):
         for _ in range(60):
             xn = x + t * step
             fn, gn, hn = fgh(xn)
-            if np.isfinite(fn) and fn <= f + 1e-4 * t * gdots:
+            evals += 1
+            if math.isfinite(fn) and fn <= f + 1e-4 * t * gdots:
                 break
             t *= 0.5
         else:
-            return OptResult(x, f, gnorm, it, False, "line search failed")
+            return OptResult(x, f, gnorm, it, False, "line search failed", evals)
         x, f, g, h = xn, fn, gn, hn
-    return OptResult(x, f, _sup(g), max_iter, _sup(g) <= tol, "iteration limit")
+    gnorm = _sup(g)
+    return OptResult(x, f, gnorm, max_iter, gnorm <= tol, "iteration limit", evals)
 
 
 def bfgs_minimize(fg, x0, tol=1e-8, max_iter=500):
     """BFGS with Armijo backtracking; convergence on gradient sup-norm."""
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fg(x)
-    if not np.isfinite(f):
-        return OptResult(x, f, _sup(g), 0, False, "non-finite start")
+    evals = 1
+    if not math.isfinite(f):
+        return OptResult(x, f, _sup(g), 0, False, "non-finite start", evals)
     n = x.size
     eye = np.eye(n)
     hinv = eye.copy()
@@ -73,7 +81,7 @@ def bfgs_minimize(fg, x0, tol=1e-8, max_iter=500):
     for it in range(1, max_iter + 1):
         gnorm = _sup(g)
         if gnorm <= tol:
-            return OptResult(x, f, gnorm, it - 1, True)
+            return OptResult(x, f, gnorm, it - 1, True, evaluations=evals)
         step = -(hinv @ g)
         gdots = g @ step
         if gdots >= 0:  # stale curvature; restart from steepest descent
@@ -85,22 +93,25 @@ def bfgs_minimize(fg, x0, tol=1e-8, max_iter=500):
         for _ in range(60):
             xn = x + t * step
             fn, gn = fg(xn)
-            if np.isfinite(fn) and fn <= f + 1e-4 * t * gdots:
+            evals += 1
+            if math.isfinite(fn) and fn <= f + 1e-4 * t * gdots:
                 break
             t *= 0.5
         else:
-            return OptResult(x, f, gnorm, it, gnorm <= 100 * tol, "line search failed")
+            return OptResult(x, f, gnorm, it, gnorm <= 100 * tol, "line search failed", evals)
         s = xn - x
         yv = gn - g
         sy = s @ yv
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+        # the norms as np.linalg.norm computes them, without its overhead
+        if sy > 1e-12 * math.sqrt(s @ s) * math.sqrt(yv @ yv):
             if first_update:
                 # scale the seed matrix to the problem's curvature before the
                 # first update; standard and cuts iteration counts sharply
                 hinv = (sy / (yv @ yv)) * eye
                 first_update = False
             rho = 1.0 / sy
-            v = eye - rho * np.outer(s, yv)
-            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
+            v = eye - rho * (s[:, None] * yv)
+            hinv = v @ hinv @ v.T + rho * (s[:, None] * s)
         x, f, g = xn, fn, gn
-    return OptResult(x, f, _sup(g), max_iter, _sup(g) <= tol, "iteration limit")
+    gnorm = _sup(g)
+    return OptResult(x, f, gnorm, max_iter, gnorm <= tol, "iteration limit", evals)

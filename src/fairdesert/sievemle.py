@@ -116,7 +116,8 @@ class RestartRecord:
 
     ``start`` is "warm" (``FitOptions.init_coefficients``), "plugin" or
     "random"; ``objective`` is the penalized negative log-likelihood it
-    reached.
+    reached; ``evaluations`` counts its objective evaluations (None in model
+    documents written before they were counted).
     """
 
     start: str
@@ -124,6 +125,7 @@ class RestartRecord:
     objective: float
     grad_norm: float
     converged: bool
+    evaluations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,15 @@ class SieveProblem:
     (expanded, p = k0 + k1 tz + k2 m + k3 tz m with (k0, k1, k2, k3) =
     (e + g u w, -g w, -g u, g)).  One evaluation is then one (n, J) x (J, 4)
     product, one expit and one (J, n) x (n, 4) product, whatever the variant.
+
+    The (n, 4) blocks of logits, values and gradient weights are C-ordered, so
+    row i's four functions sit at flat positions 4i .. 4i + 3.  ``idx_t`` =
+    4i + Z_i and ``idx_m`` = 4i + 2 + S_i are the flat positions of the two
+    values row i's likelihood reads, tau_Z(x_i) and m(x_i): `value_grad`
+    gathers them with one ``take`` each and scatters their gradient weights
+    back into a zero block the same way.  The other two entries of a row get
+    weight only from the relevance hinge (tau0, tau1), which is worked out on
+    the few rows where |tau1 - tau0| is below the margin, and from the ridge.
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions,
@@ -271,10 +282,11 @@ class SieveProblem:
         self.dneg_sign = (1 - 2 * self.y) / self.n
         self.s = np.asarray(data.s, dtype=np.float64)
         self.z = np.asarray(data.z, dtype=np.float64)
-        self.s1 = self.s == 1
-        self.z1 = self.z == 1
         self.sv0, self.sv1 = sensitivity.evaluate(data.x)
         self.table = stratum_table(self.s, self.z, variant, self.sv0, self.sv1)
+        rows = 4 * np.arange(self.n)
+        self.idx_t = rows + (self.z == 1)
+        self.idx_m = rows + 2 + (self.s == 1)
         self.c = options.floor
         self.margin = options.margin
         self.lam = options.relevance_penalty
@@ -303,8 +315,8 @@ class SieveProblem:
         """(n, 4) logits, function values and expit derivative factors."""
         logits = self.phi @ np.reshape(stack, (4, self.j)).T
         sig = special.expit(logits)
-        scale = 1 - 2 * self.c
-        return logits, self.c + scale * sig, scale * sig * (1 - sig)
+        scaled = (1 - 2 * self.c) * sig
+        return logits, self.c + scaled, scaled * (1 - sig)
 
     def functions(self, stack):
         """Function values, expit derivative factors, and logits per point."""
@@ -314,55 +326,48 @@ class SieveProblem:
     def _likelihood(self, vals):
         """Per-row probability of the observed outcome, and the partials of
         f(Y=1 | s, z, x) in tz and m."""
-        t0, t1, a, b = vals.T
-        p, dp_dt, dp_dm = _bilinear(self.table, np.where(self.z1, t1, t0),
-                                    np.where(self.s1, b, a))
-        p = np.clip(p, 1e-12, 1 - 1e-12)
+        flat = vals.ravel()
+        p, dp_dt, dp_dm = _bilinear(self.table, flat.take(self.idx_t), flat.take(self.idx_m))
+        # np.clip's values, without its wrapper's overhead
+        p = np.minimum(np.maximum(p, 1e-12, out=p), 1 - 1e-12, out=p)
         return np.where(self.y1, p, 1 - p), dp_dt, dp_dm
 
     def value_grad(self, stack):
         logits, vals, slopes = self._blocks(stack)
         lik, dp_dt, dp_dm = self._likelihood(vals)
-        value = -np.mean(np.log(lik))
+        n = self.n
+        value = -(np.log(lik).sum() / n)
         dneg_dp = self.dneg_sign / lik
 
+        weights = np.zeros((n, 4))
+        flat = weights.ravel()
+        flat[self.idx_t] = dneg_dp * dp_dt
+        flat[self.idx_m] = dneg_dp * dp_dm
         diff = vals[:, 1] - vals[:, 0]
-        hinge = np.maximum(0.0, self.margin - np.abs(diff))
-        value += self.lam * np.mean(hinge ** 2)
-        dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff)) / self.n
-
-        z1, s1 = self.z1, self.s1
-        w_t = dneg_dp * dp_dt
-        w_m = dneg_dp * dp_dm
-        weights = np.stack([
-            np.where(z1, 0.0, w_t) - dpen_ddiff,
-            np.where(z1, w_t, 0.0) + dpen_ddiff,
-            np.where(s1, 0.0, w_m),
-            np.where(s1, w_m, 0.0),
-        ], axis=1)
+        gap = np.abs(diff)
+        # the relevance hinge is zero where the gap meets the margin, which is
+        # on all but a few rows (a NaN gap counts as active)
+        active = np.nonzero(~(gap >= self.margin))[0]
+        if active.size:
+            hinge = self.margin - gap[active]
+            squares = np.zeros(n)
+            squares[active] = hinge ** 2
+            value += self.lam * (squares.sum() / n)
+            dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff[active])) / n
+            weights[active, 0] -= dpen_ddiff
+            weights[active, 1] += dpen_ddiff
         weights *= slopes
         if self.ridge > 0:
             # coordinate-free shrinkage of the demeaned logit functions;
             # stabilizes the decomposition into (tau, alpha, beta) at small n
             centered = logits - logits.mean(axis=0)
-            value += 0.5 * self.ridge * float(np.sum(centered * centered)) / self.n
-            weights += (self.ridge / self.n) * centered
+            value += 0.5 * self.ridge * float(np.sum(centered * centered)) / n
+            weights += (self.ridge / n) * centered
         return float(value), (self.phi.T @ weights).T.ravel()
 
     def criterion(self, stack):
         """Mean conditional log-likelihood (no penalty) at the packed point."""
         return float(np.mean(np.log(self._likelihood(self._blocks(stack)[1])[0])))
-
-
-def negloglik_and_grad(gamma_stack, data: Dataset, config: BasisConfig,
-                       variant="baseline", sensitivity=None,
-                       options: FitOptions | None = None):
-    """Penalized empirical negative log-likelihood and its analytic gradient."""
-    problem = SieveProblem(data, config, options or FitOptions(), variant, sensitivity)
-    stack = np.asarray(gamma_stack, dtype=np.float64)
-    if stack.size != problem.dim:
-        raise ValueError(f"packed coefficients must have length {problem.dim}")
-    return problem.value_grad(stack)
 
 
 def _target_to_gamma(problem, values, valid):
@@ -495,7 +500,8 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
         relevance_violation_frac=viol_frac,
         n=data.n,
         restarts=tuple(
-            RestartRecord(kind, r.iterations, float(r.fun), r.grad_norm, r.converged)
+            RestartRecord(kind, r.iterations, float(r.fun), r.grad_norm, r.converged,
+                          r.evaluations)
             for kind, r in zip(kinds, results)
         ),
         winner=winner,

@@ -1,6 +1,70 @@
 import numpy as np
+import pytest
 
-from fairdesert.optimize import bfgs_minimize, newton_minimize
+from fairdesert.basis import BasisConfig
+from fairdesert.optimize import OptResult, bfgs_minimize, newton_minimize
+from fairdesert.sievemle import FitOptions, SensitivityParams, SieveProblem
+from fairdesert.simulate import DgpConfig, gen_dataset
+
+
+def _old_sup(g):
+    return float(np.max(np.abs(g))) if g.size else 0.0
+
+
+def old_bfgs_minimize(fg, x0, tol=1e-8, max_iter=500):
+    """Oracle: BFGS as written before its bookkeeping was trimmed, verbatim."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    f, g = fg(x)
+    if not np.isfinite(f):
+        return OptResult(x, f, _old_sup(g), 0, False, "non-finite start")
+    n = x.size
+    eye = np.eye(n)
+    hinv = eye.copy()
+    first_update = True
+    for it in range(1, max_iter + 1):
+        gnorm = _old_sup(g)
+        if gnorm <= tol:
+            return OptResult(x, f, gnorm, it - 1, True)
+        step = -(hinv @ g)
+        gdots = g @ step
+        if gdots >= 0:  # stale curvature; restart from steepest descent
+            hinv = eye.copy()
+            first_update = True
+            step = -g
+            gdots = g @ step
+        t = 1.0
+        for _ in range(60):
+            xn = x + t * step
+            fn, gn = fg(xn)
+            if np.isfinite(fn) and fn <= f + 1e-4 * t * gdots:
+                break
+            t *= 0.5
+        else:
+            return OptResult(x, f, gnorm, it, gnorm <= 100 * tol, "line search failed")
+        s = xn - x
+        yv = gn - g
+        sy = s @ yv
+        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            if first_update:
+                # scale the seed matrix to the problem's curvature before the
+                # first update; standard and cuts iteration counts sharply
+                hinv = (sy / (yv @ yv)) * eye
+                first_update = False
+            rho = 1.0 / sy
+            v = eye - rho * np.outer(s, yv)
+            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
+        x, f, g = xn, fn, gn
+    return OptResult(x, f, _old_sup(g), max_iter, _old_sup(g) <= tol, "iteration limit")
+
+
+def counted(fg):
+    """``fg`` plus a list that grows by one entry per call."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(1)
+        return fg(x)
+    return wrapped, calls
 
 
 def quadratic(center, scale):
@@ -28,15 +92,17 @@ def test_bfgs_on_ill_conditioned_quadratic():
     assert np.allclose(res.x, [0.5, -0.5, 2.0], atol=1e-5)
 
 
+def rosenbrock(x):
+    f = (1 - x[0]) ** 2 + 5 * (x[1] - x[0] ** 2) ** 2
+    g = np.array([
+        -2 * (1 - x[0]) - 20 * (x[1] - x[0] ** 2) * x[0],
+        10 * (x[1] - x[0] ** 2),
+    ])
+    return f, g
+
+
 def test_bfgs_on_nonconvex_smooth():
-    def fg(x):
-        f = (1 - x[0]) ** 2 + 5 * (x[1] - x[0] ** 2) ** 2
-        g = np.array([
-            -2 * (1 - x[0]) - 20 * (x[1] - x[0] ** 2) * x[0],
-            10 * (x[1] - x[0] ** 2),
-        ])
-        return f, g
-    res = bfgs_minimize(fg, np.array([-1.0, 1.0]), tol=1e-9, max_iter=2000)
+    res = bfgs_minimize(rosenbrock, np.array([-1.0, 1.0]), tol=1e-9, max_iter=2000)
     assert res.converged
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
 
@@ -49,12 +115,48 @@ def test_optimizers_deterministic():
 
 
 def test_bfgs_reports_nonconvergence():
-    def fg(x):
-        f = (1 - x[0]) ** 2 + 5 * (x[1] - x[0] ** 2) ** 2
-        g = np.array([
-            -2 * (1 - x[0]) - 20 * (x[1] - x[0] ** 2) * x[0],
-            10 * (x[1] - x[0] ** 2),
-        ])
-        return f, g
-    res = bfgs_minimize(fg, np.array([-1.2, 0.7]), tol=1e-12, max_iter=2)
+    res = bfgs_minimize(rosenbrock, np.array([-1.2, 0.7]), tol=1e-12, max_iter=2)
     assert not res.converged
+
+
+def sieve_objective(variant, precondition):
+    data, _, _ = gen_dataset(DgpConfig(n=500, seed=13))
+    sens = None if variant == "baseline" else SensitivityParams(variant, 0.04, 0.06)
+    problem = SieveProblem(data, BasisConfig(interaction_order=1), FitOptions(),
+                           variant, sens, precondition=precondition)
+    start = np.zeros(problem.dim)
+    start[::problem.j] = (-0.4, 0.5, -1.5, -1.2)
+    return problem.value_grad, start
+
+
+CASES = {
+    "ill-conditioned-quadratic": lambda: (
+        quadratic(np.array([0.5, -0.5, 2.0]), np.array([1000.0, 1.0, 0.001]))[1],
+        np.zeros(3), dict(tol=1e-10, max_iter=500)),
+    "rosenbrock": lambda: (rosenbrock, np.array([-1.0, 1.0]), dict(tol=1e-9, max_iter=2000)),
+    "rosenbrock-classic-start": lambda: (
+        rosenbrock, np.array([-1.2, 1.0]), dict(tol=1e-9, max_iter=2000)),
+    "rosenbrock-iteration-limit": lambda: (
+        rosenbrock, np.array([-1.2, 0.7]), dict(tol=1e-12, max_iter=2)),
+    "sieve-baseline": lambda: (*sieve_objective("baseline", True), {}),
+    "sieve-delta-raw": lambda: (*sieve_objective("delta", False), dict(max_iter=60)),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bfgs_bitwise_old_bookkeeping(case):
+    fg, x0, kwargs = CASES[case]()
+    counting, calls = counted(fg)
+    got = bfgs_minimize(counting, x0, **kwargs)
+    want = old_bfgs_minimize(fg, x0, **kwargs)
+    assert np.array_equal(got.x, want.x)
+    assert (got.fun, got.grad_norm, got.iterations, got.converged, got.message) == (
+        want.fun, want.grad_norm, want.iterations, want.converged, want.message)
+    assert got.evaluations == len(calls) > got.iterations
+
+
+def test_newton_counts_evaluations():
+    fgh, _ = quadratic(np.array([1.0, -2.0, 3.0]), np.array([4.0, 1.0, 0.25]))
+    counting, calls = counted(fgh)
+    res = newton_minimize(counting, np.zeros(3))
+    assert res.evaluations == len(calls) == res.iterations + 1

@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from fairdesert.basis import BasisConfig, expit, logit
 from fairdesert.data import Dataset
 from fairdesert.errors import FitError
-from fairdesert.identify import PointwiseMu, PointwiseParams, forward_mu, stratum_table
+from fairdesert.identify import (
+    PointwiseMu,
+    PointwiseParams,
+    _bilinear,
+    forward_mu,
+    stratum_table,
+)
 from fairdesert.sievemle import (
     RIDGE_INIT,
     FitOptions,
@@ -19,7 +26,6 @@ from fairdesert.sievemle import (
     decision_scores,
     fit,
     model_prob,
-    negloglik_and_grad,
     predict_tau,
     predict_tau_sz,
     rate_threshold,
@@ -114,7 +120,7 @@ def test_negloglik_single_record_hand_value():
     options = FitOptions(floor=0.0, relevance_penalty=0.0)
     # intercept-only: tau0 = 0.5, alpha = 0.2 -> p = 0.4
     stack = np.array([0.0, 0.0, logit(0.2), 0.0])
-    value, grad = negloglik_and_grad(stack, data, config, options=options)
+    value, grad = SieveProblem(data, config, options).value_grad(stack)
     assert value == pytest.approx(-np.log(0.4), abs=1e-12)
     assert grad.shape == (4,)
 
@@ -299,6 +305,200 @@ def test_fused_value_grad_matches_reference(variant, options):
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
+class WhereStackSieveProblem(SieveProblem):
+    """Oracle: the objective as it was before the gather/scatter rewrite, which
+    selected each row's values with np.where and stacked the weight columns.
+
+    `_blocks`, `_likelihood` and `value_grad` are the earlier bodies verbatim;
+    the rewrite must reproduce them bit for bit, since a last-ulp change can
+    send a fit to another mode.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.s1 = self.s == 1
+        self.z1 = self.z == 1
+
+    def _blocks(self, stack):
+        """(n, 4) logits, function values and expit derivative factors."""
+        logits = self.phi @ np.reshape(stack, (4, self.j)).T
+        sig = special.expit(logits)
+        scale = 1 - 2 * self.c
+        return logits, self.c + scale * sig, scale * sig * (1 - sig)
+
+    def _likelihood(self, vals):
+        """Per-row probability of the observed outcome, and the partials of
+        f(Y=1 | s, z, x) in tz and m."""
+        t0, t1, a, b = vals.T
+        p, dp_dt, dp_dm = _bilinear(self.table, np.where(self.z1, t1, t0),
+                                    np.where(self.s1, b, a))
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        return np.where(self.y1, p, 1 - p), dp_dt, dp_dm
+
+    def value_grad(self, stack):
+        logits, vals, slopes = self._blocks(stack)
+        lik, dp_dt, dp_dm = self._likelihood(vals)
+        value = -np.mean(np.log(lik))
+        dneg_dp = self.dneg_sign / lik
+
+        diff = vals[:, 1] - vals[:, 0]
+        hinge = np.maximum(0.0, self.margin - np.abs(diff))
+        value += self.lam * np.mean(hinge ** 2)
+        dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff)) / self.n
+
+        z1, s1 = self.z1, self.s1
+        w_t = dneg_dp * dp_dt
+        w_m = dneg_dp * dp_dm
+        weights = np.stack([
+            np.where(z1, 0.0, w_t) - dpen_ddiff,
+            np.where(z1, w_t, 0.0) + dpen_ddiff,
+            np.where(s1, 0.0, w_m),
+            np.where(s1, w_m, 0.0),
+        ], axis=1)
+        weights *= slopes
+        if self.ridge > 0:
+            # coordinate-free shrinkage of the demeaned logit functions;
+            # stabilizes the decomposition into (tau, alpha, beta) at small n
+            centered = logits - logits.mean(axis=0)
+            value += 0.5 * self.ridge * float(np.sum(centered * centered)) / self.n
+            weights += (self.ridge / self.n) * centered
+        return float(value), (self.phi.T @ weights).T.ravel()
+
+
+def hinge_rows(problem, stack):
+    """Rows on which the relevance hinge is active at the packed point."""
+    (t0, t1, _, _), _, _ = problem.functions(stack)
+    return int(np.sum(np.abs(t1 - t0) < problem.margin))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("options", [
+    FitOptions(),
+    FitOptions(floor=0.05, relevance_margin=1e-3, ridge=3e-3),
+], ids=["cli", "mc"])
+def test_value_grad_bitwise_where_stack_objective(variant, options):
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=6))
+    config = BasisConfig(interaction_order=1)
+    for sens in (VARIANT_SENS[variant], X_DEPENDENT_SENS[variant]):
+        for precondition in (False, True):
+            args = (data, config, options, variant, sens)
+            problem = SieveProblem(*args, precondition=precondition)
+            oracle = WhereStackSieveProblem(*args, precondition=precondition)
+            rng = np.random.default_rng(12)
+            j = problem.j
+            active = []
+            for k in range(30):
+                stack = rng.normal(0, 0.8, problem.dim)
+                if k % 3 == 1:
+                    # tau1 a small perturbation of tau0: the hinge binds on some rows
+                    stack[j:2 * j] = stack[:j] + rng.normal(0, 1e-2, j)
+                elif k % 3 == 2:
+                    # tau1 far above tau0 everywhere: the hinge binds nowhere
+                    stack[:j] = 0.0
+                    stack[j:2 * j] = 0.0
+                    stack[j] = 3.0
+                active.append(hinge_rows(problem, stack))
+                value, grad = problem.value_grad(stack)
+                want_value, want_grad = oracle.value_grad(stack)
+                assert value == want_value
+                assert np.array_equal(grad, want_grad)
+                assert problem.criterion(stack) == oracle.criterion(stack)
+            assert any(0 < a < problem.n for a in active[1::3])
+            assert all(a == 0 for a in active[2::3])
+
+
+# fit(DgpConfig(n=600, seed=4) draw, BasisConfig(interaction_order=1),
+# FitOptions(restarts=3)) per variant at the VARIANT_SENS levels, as the
+# objective and BFGS computed them before the gather/scatter rewrite:
+# (diagnostics.criterion, coefficient_stack())
+PINNED_FITS = {
+    "baseline": (-0.515425217363901, [
+        2.2522111506056706, -8.768270137894593, -24.677415469456527,
+        46.280590785275095, 40.94098926699988, -36.231039070702515,
+        -20.52846048154517, 2.6627281118231254, -11.556799260428093,
+        -14.907872975618984, 34.79160678868291, 34.810674472550936,
+        -26.614495248621893, -20.001043607981767, 6.633969775086742,
+        -10.410383768426609, -30.4649096188054, 28.125631060902585,
+        51.215449846348605, -21.827729564343468, -29.02691121816057,
+        -15.104005520142945, 56.187126377925736, 51.34189861376758,
+        -159.88307625076453, -78.45496315591105, 113.03149401582735,
+        36.524828746740496,
+    ]),
+    "kappa": (-0.514308231868971, [
+        -0.9089616658808782, 0.5454251393390305, -6.787950584366667,
+        21.850634977034137, 8.29121492166947, -20.57132937678705,
+        -2.185829125495334, 1.2819077387050188, -9.178617451426168,
+        -4.491105604454731, 30.227759118270132, 13.342139167878797,
+        -24.520977858876677, -6.651143899082041, 5.6695960578639175,
+        -5.814860702266506, -23.104114420781947, 16.327558973439668,
+        35.32335578581533, -14.423381708019539, -18.95618903634097,
+        2.2100818542457046, 52.78165840212381, -106.03006325720737,
+        -175.627993576643, 342.3235630814279, 131.92764865955584,
+        -298.95689884175334,
+    ]),
+    "delta": (-0.5079157183627317, [
+        30.403548627067472, 338.85062914832247, -739.1087216368721,
+        -406.7449900333781, 1344.648746690098, 164.45090214600896,
+        -738.2222679351605, 3.097179342442196, -7.140225633429785,
+        -18.762886107759602, 18.058117566685517, 28.29502815491453,
+        -12.15989251961514, -3.7026993635709413, 10.531481353408505,
+        0.8057968555724891, -69.36892577517426, -6.315650600891163,
+        128.01380615482796, 5.200124733214156, -71.66201108982403,
+        -13.538035470141136, 12.244128625744738, 67.31240316285073,
+        -24.440469242978807, -109.06985957544813, 12.565421617963096,
+        54.118134920065295,
+    ]),
+    "zeta": (-0.5169422698666946, [
+        -5.26516233627383, 28.13584238789136, -20.23983428560796,
+        -35.26315304086955, 33.26747394156099, 18.095385519318565,
+        -12.659365601697074, -0.1086051909076621, 3.616716092604049,
+        -7.788276530282438, -15.025266873935667, 22.56124949034241,
+        12.197189416699034, -12.227495056105566, 5.531069643531627,
+        4.5482799130825855, -34.85748556878278, -21.880716370240254,
+        61.418976820577015, 18.044063888231783, -33.21778359972447,
+        1.3960851547688817, -2.4647783786633015, -22.782225180216454,
+        18.4765809184712, 71.39654561282865, -19.903392682506336,
+        -60.5619993607179,
+    ]),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_bitwise_pinned(variant, univariate_basis):
+    data, _, _ = gen_dataset(DgpConfig(n=600, seed=4))
+    est = fit(data, univariate_basis, FitOptions(restarts=3), variant, VARIANT_SENS[variant])
+    criterion, stack = PINNED_FITS[variant]
+    assert est.diagnostics.criterion == criterion
+    assert est.coefficient_stack().tolist() == stack
+
+
+def test_restart_evaluations_count_value_grad_calls(univariate_basis, monkeypatch):
+    data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
+    calls = []
+    value_grad = SieveProblem.value_grad
+
+    def counting(self, stack):
+        calls.append(1)
+        return value_grad(self, stack)
+    monkeypatch.setattr(SieveProblem, "value_grad", counting)
+    cold = fit(data, univariate_basis, FitOptions(restarts=3, seed=2))
+    assert sum(r.evaluations for r in cold.diagnostics.restarts) == len(calls)
+    calls.clear()
+    warm = fit(data, univariate_basis,
+               FitOptions(restarts=2, seed=2, init_coefficients=cold.coefficient_stack()),
+               variant="delta", sensitivity=SensitivityParams("delta", 0.05, 0.05))
+    records = warm.diagnostics.restarts
+    assert [r.start for r in records] == ["warm", "plugin"]
+    assert sum(r.evaluations for r in records) == len(calls)
+    assert all(r.evaluations > r.iterations for r in records)
+    # documents written before evaluations were counted still load
+    doc = warm.diagnostics.to_json_dict()
+    for r in doc["restarts"]:
+        del r["evaluations"]
+    assert all(r.evaluations is None
+               for r in type(warm.diagnostics).from_json_dict(doc).restarts)
+
+
 def reference_plugin_start(problem, data):
     """Oracle: the plug-in start with the tau inversion written out inline."""
     from fairdesert.identify import recover_mechanism
@@ -335,11 +535,11 @@ def test_truth_beats_perturbations_in_population_criterion():
     config = BasisConfig(degree=1, interaction_order=0)
     options = FitOptions(floor=0.0, relevance_penalty=0.0)
     truth = np.array([logit(0.3), logit(0.6), logit(0.25), logit(0.15)])
-    base_value, _ = negloglik_and_grad(truth, data, config, options=options)
+    problem = SieveProblem(data, config, options)
+    base_value, _ = problem.value_grad(truth)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        value, _ = negloglik_and_grad(truth + rng.normal(0, 0.4, 4), data, config,
-                                      options=options)
+        value, _ = problem.value_grad(truth + rng.normal(0, 0.4, 4))
         assert base_value <= value
 
 
