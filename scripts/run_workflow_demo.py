@@ -42,10 +42,14 @@ def main():
     if args.schema:
         common += ["--schema", args.schema]
 
-    rc = cli_main(["estimate", "--input", str(csv_path),
-                   "--out-dir", str(out / "estimate"), *common])
-    if rc >= 2:
-        sys.exit(rc)
+    def run(argv):
+        # exit with the first failing step's code (1 only flags warnings)
+        rc = cli_main(argv)
+        if rc >= 2:
+            sys.exit(rc)
+
+    run(["estimate", "--input", str(csv_path),
+         "--out-dir", str(out / "estimate"), *common])
 
     predict_args = ["predict", "--model", str(out / "estimate" / "model.json"),
                     "--input", str(csv_path), "--out-dir", str(out / "predict")]
@@ -53,16 +57,16 @@ def main():
         predict_args += ["--schema", args.schema]
     if args.rate is not None:
         predict_args += ["--rate", str(args.rate)]
-    cli_main(predict_args)
+    run(predict_args)
 
-    cli_main(["theta", "--input", str(csv_path), "--method", "onestep",
-              "--model", str(out / "estimate" / "model.json"),
-              "--out-dir", str(out / "theta_onestep"), *common])
-    cli_main(["theta", "--input", str(csv_path), "--method", "bootstrap",
-              "--boot", str(args.boot), "--restarts", "2",
-              "--out-dir", str(out / "theta_bootstrap"), *common])
-    cli_main(["sensitivity", "--input", str(csv_path), "--variant", "delta",
-              "--boot", "0", "--out-dir", str(out / "sweep"), *common])
+    run(["theta", "--input", str(csv_path), "--method", "onestep",
+         "--model", str(out / "estimate" / "model.json"),
+         "--out-dir", str(out / "theta_onestep"), *common])
+    run(["theta", "--input", str(csv_path), "--method", "bootstrap",
+         "--boot", str(args.boot), "--restarts", "2",
+         "--out-dir", str(out / "theta_bootstrap"), *common])
+    run(["sensitivity", "--input", str(csv_path), "--variant", "delta",
+         "--boot", "0", "--out-dir", str(out / "sweep"), *common])
     print(f"workflow outputs under {out}")
 
 

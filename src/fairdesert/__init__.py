@@ -9,7 +9,7 @@ without entering the distortion mechanism.
 
 __version__ = "0.1.0"
 
-from .basis import BasisConfig, SeriesFunction, eval_series, expand, expand_matrix
+from .basis import BasisConfig, SeriesFunction, expand_matrix
 from .data import (
     CsvSchema,
     Dataset,
@@ -36,8 +36,6 @@ from .regress import (
     fit_multinomial,
     fit_propensity,
     fit_series_logit,
-    predict_mu,
-    predict_pi,
 )
 from .sensitivity import SweepSpec, SweepTable, flip_rate, run_sweep
 from .sievemle import (
@@ -45,10 +43,8 @@ from .sievemle import (
     NuisanceEstimates,
     SensitivityParams,
     fit,
-    model_prob,
     predict_tau,
     predict_tau_sz,
-    threshold_preserving_rate,
 )
 from .simulate import (
     DgpConfig,

@@ -213,14 +213,6 @@ def expand_matrix(x, config: BasisConfig):
     return np.hstack(blocks)
 
 
-def expand(x, config: BasisConfig):
-    """Feature vector phi(x) for a single covariate vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expand takes a single covariate vector; use expand_matrix for batches")
-    return expand_matrix(x[None, :], config)[0]
-
-
 def basis_dimension(config: BasisConfig, d):
     if config.family == "polynomial":
         return len(monomial_exponents(d, config.degree, config.resolved_interaction_order(d)))
@@ -262,11 +254,6 @@ class SeriesFunction:
         if x.ndim == 1:
             return float(self.eval_matrix(x[None, :])[0])
         return self.eval_matrix(x)
-
-
-def eval_series(f: SeriesFunction, x):
-    """Evaluate a logistic series function at a covariate vector; in (0, 1)."""
-    return f(x)
 
 
 def intercept_only(config: BasisConfig, value, lo=0.0, hi=1.0, d=1):

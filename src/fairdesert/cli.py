@@ -157,12 +157,26 @@ def _basis(resolved):
     )
 
 
-def _fit_options(resolved):
-    return FitOptions(
-        restarts=int(resolved["restarts"]),
-        floor=float(resolved["floor"]),
-        seed=int(resolved["seed"]),
-    )
+def _fit_options(resolved, **fields):
+    """FitOptions from --restarts, --seed and ``fields``; a bad value fails
+    naming its flag, before any fit."""
+    try:
+        return FitOptions(restarts=int(resolved["restarts"]), seed=int(resolved["seed"]),
+                          **fields)
+    except ValueError as exc:
+        # FitOptions starts each message with the field, named like its flag
+        raise FairdesertError(f"--{exc}") from exc
+
+
+def _rate(resolved):
+    """The --rate target, or None when the flag is absent."""
+    rate = resolved.get("rate")
+    if rate is None:
+        return None
+    rate = float(rate)
+    if not 0.0 < rate <= 1.0:
+        raise FairdesertError(f"--rate must lie in (0, 1], got {rate}")
+    return rate
 
 
 def _sensitivity_point(flag, variant, text):
@@ -204,7 +218,7 @@ def cmd_estimate(resolved):
     out = _out_dir(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
-    options = _fit_options(resolved)
+    options = _fit_options(resolved, floor=float(resolved["floor"]))
     variant, sensitivity = _sensitivity(resolved)
     est = fit(data, config, options, variant=variant, sensitivity=sensitivity,
               jobs=resolved["jobs"])
@@ -254,6 +268,7 @@ def cmd_predict(resolved):
     out = _out_dir(resolved)
     if not resolved.get("model") or not resolved.get("input"):
         raise FairdesertError("--model and --input are required")
+    rate_target = _rate(resolved)
     artifact = load_model(resolved["model"])
     schema_doc = dict(_load_json_arg(resolved.get("schema")) or {})
     schema_doc["covariates"] = list(artifact.covariate_names)
@@ -275,7 +290,8 @@ def cmd_predict(resolved):
         threshold = float(resolved["threshold"])
         rate_target = None
     else:
-        rate_target = float(resolved["rate"]) if resolved.get("rate") else float(np.mean(scores))
+        if rate_target is None:
+            rate_target = float(np.mean(scores))
         threshold = rate_threshold(scores, rate_target)
     decisions = scores >= threshold
 
@@ -301,7 +317,7 @@ def cmd_theta(resolved):
     out = _out_dir(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
-    options = _fit_options(resolved)
+    options = _fit_options(resolved, floor=float(resolved["floor"]))
     variant, sensitivity = _sensitivity(resolved)
     method = resolved["method"]
     level = float(resolved["level"])
@@ -365,9 +381,10 @@ def cmd_check(resolved):
 
 def cmd_sensitivity(resolved):
     out = _out_dir(resolved)
+    target_rate = _rate(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
-    options = _fit_options(resolved)
+    options = _fit_options(resolved, floor=float(resolved["floor"]))
     variant = resolved["variant"]
     if variant == "baseline":
         raise FairdesertError("--variant kappa|delta|zeta is required for sweeps")
@@ -382,7 +399,7 @@ def cmd_sensitivity(resolved):
         grid=grid,
         bootstrap_replicates=int(resolved["boot"]),
         level=float(resolved["level"]),
-        target_rate=float(resolved["rate"]) if resolved.get("rate") else None,
+        target_rate=target_rate,
     )
     table = run_sweep(data, config, options, spec, jobs=resolved["jobs"])
     table.write_csv(out / "sweep.csv")
@@ -403,7 +420,7 @@ def cmd_simulate(resolved):
         methods=methods,
         test_size=int(resolved["test_size"]),
         basis=_basis(resolved),
-        fit_options=FitOptions(restarts=int(resolved["restarts"]), seed=int(resolved["seed"])),
+        fit_options=_fit_options(resolved),
         level=float(resolved["level"]),
     )
     summary = monte_carlo(config, int(resolved["reps"]), settings, jobs=resolved["jobs"])

@@ -125,11 +125,6 @@ def fit_mu_models(data: Dataset, config: BasisConfig, ridge=1e-8) -> MuModel:
     return MuModel(functions)
 
 
-def predict_mu(model: MuModel, s, z, x):
-    """Evaluate a fitted mu_sz at x; value in (0, 1)."""
-    return model.predict(s, z, x)
-
-
 def multinomial_negloglik(coef_flat, phi, classes, ridge=0.0):
     """Mean negative multinomial log-likelihood, reference class 0.
 
@@ -240,12 +235,3 @@ def fit_propensity(data: Dataset, config: BasisConfig, ridge=1e-8) -> Propensity
     phi = expand_matrix(data.x, config)
     model = fit_multinomial(phi, class_index(data.s, data.z), ridge=ridge, config=config)
     return model
-
-
-def predict_pi(model: PropensityModel, s, z, x):
-    """Floored, renormalized stratum propensity at x."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    probs = model.predict_matrix(x[None, :] if single else x)
-    out = probs[:, class_index(s, z)]
-    return float(out[0]) if single else out

@@ -2,10 +2,9 @@
 misspecification settings and tabulate how the decision rule and the degree
 of unfairness move.
 
-Grid points are traversed in lexicographic order with warm starting from the
-neighbouring solution (the criterion is non-convex, and neighbouring fits are
-close); a cold-start pass on a tenth of the points guards against path
-dependence.  Inference per grid point uses the bootstrap.
+Each grid point is an independent fit with the caller's options, so a row
+does not depend on which other points the grid holds.  Inference per grid
+point uses the bootstrap.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,21 +30,19 @@ from .sievemle import (
 )
 from .theta import theta_bootstrap, unfairness_integrand
 
-# share of the grid points refitted without warm starts
-COLD_START_FRACTION = 0.1
-
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep: variant, grid of (v0, v1) pairs, and output settings.
 
+    Every grid point gets its own cold fit; the table lists the points in
+    sorted (v0, v1) order, whatever order ``grid`` gives them in.
     ``bootstrap_replicates`` of 0 skips the bootstrap: each row's theta is
     then the plug-in integrand mean, with no interval.
     """
 
     variant: str
     grid: tuple = ()
-    reuse_warm_start: bool = True
     bootstrap_replicates: int = 200
     level: float = 0.95
     target_rate: float | None = None
@@ -137,9 +134,9 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
               jobs=1) -> SweepTable:
     """One fitted row per grid point; per-point failures recorded in-row.
 
-    The grid points are fitted in order (each warm-starts the next).  Every
-    fit - the baseline, each grid point and the cold-start check - runs its
-    restarts on ``jobs`` processes, and so does each point's bootstrap
+    Rows come in sorted (v0, v1) order, and each grid point is fitted on its
+    own with ``options``.  Every fit - the baseline and each grid point - runs
+    its restarts on ``jobs`` processes, and so does each point's bootstrap
     replicates; the table does not depend on ``jobs``.
     """
     grid = sorted(spec.params(), key=_sort_key)
@@ -149,22 +146,17 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
     target = spec.target_rate if spec.target_rate is not None else float(np.mean(data.y))
 
     rows = []
-    warm = None
     for point in grid:
         row = SweepRow(
             v0=None if callable(point.v0) else float(point.v0),
             v1=None if callable(point.v1) else float(point.v1),
         )
-        opts = options if warm is None or not spec.reuse_warm_start else replace(
-            options, init_coefficients=warm
-        )
         try:
-            est = fit(data, config, opts, variant=spec.variant, sensitivity=point, jobs=jobs)
+            est = fit(data, config, options, variant=spec.variant, sensitivity=point, jobs=jobs)
         except FairdesertError as exc:
             row.error = str(exc)
             rows.append(row)
             continue
-        warm = est.coefficient_stack()
         scores = decision_scores(est, data)
         row.criterion = est.diagnostics.criterion
         row.converged = est.diagnostics.converged
@@ -191,10 +183,8 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         "n": data.n,
         "target_rate": target,
         "baseline_criterion": baseline.diagnostics.criterion,
-        "warm_start": spec.reuse_warm_start,
         "seed": options.seed,
     }
-    metadata.update(_cold_start_check(data, config, options, spec, grid, rows, jobs))
     return SweepTable(variant=spec.variant, rows=rows, metadata=metadata)
 
 
@@ -210,27 +200,3 @@ class VariantFitter:
     def __call__(self, dataset):
         return fit(dataset, self.config, self.options,
                    variant=self.variant, sensitivity=self.sensitivity)
-
-
-def _cold_start_check(data, config, options, spec, grid, rows, jobs):
-    """Refit a subset of grid points without warm starts; report the largest
-    criterion discrepancy as a path-dependence diagnostic."""
-    if not spec.reuse_warm_start or not grid:
-        return {"cold_start_checked": 0, "cold_start_max_gap": 0.0}
-    n_check = max(1, math.ceil(COLD_START_FRACTION * len(grid)))
-    gaps = []
-    for point, row in list(zip(grid, rows))[:n_check]:
-        if row.error is not None or row.criterion is None:
-            continue
-        try:
-            est = fit(data, config, options, variant=spec.variant, sensitivity=point,
-                      jobs=jobs)
-        except FairdesertError:
-            continue
-        gaps.append(abs(est.diagnostics.criterion - row.criterion))
-    max_gap = max(gaps, default=0.0)
-    return {
-        "cold_start_checked": len(gaps),
-        "cold_start_max_gap": max_gap,
-        "path_dependence_flag": bool(max_gap > 1e-4),
-    }

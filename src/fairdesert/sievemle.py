@@ -89,10 +89,10 @@ class SensitivityParams:
 class FitOptions:
     """Optimizer settings for the sieve fit.
 
-    ``restarts`` counts total initializations: the plug-in start derived from
-    the closed-form inversion (always included when it can be built) plus
-    randomized stratum-mean intercept starts.  ``init_coefficients`` prepends
-    a warm start (used by sensitivity sweeps).
+    ``restarts`` (at least 1) counts total initializations: the plug-in start
+    derived from the closed-form inversion (always included when it can be
+    built) plus randomized stratum-mean intercept starts.
+    ``init_coefficients`` prepends a warm start.
     """
 
     restarts: int = 10
@@ -104,6 +104,15 @@ class FitOptions:
     seed: int = 0
     include_plugin_start: bool = True
     init_coefficients: np.ndarray | None = None
+
+    def __post_init__(self):
+        # each message starts with the field's name; the CLI flags share them
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0.0 <= self.floor < 0.5:
+            raise ValueError(f"floor must satisfy 0 <= floor < 0.5, got {self.floor}")
 
     @property
     def margin(self):
@@ -211,19 +220,6 @@ def stratum_probability(t0, t1, a, b, s, z, variant="baseline", sv0=0.0, sv1=0.0
     m = np.where(s == 1, b, a)
     p, _, _ = _bilinear(stratum_table(s, z, variant, sv0, sv1), tz, m)
     return np.clip(p, 1e-12, 1 - 1e-12)
-
-
-def model_prob(xi, s, z, x, variant="baseline", sensitivity=None):
-    """f(Y=1 | s, z, x) for a candidate xi (NuisanceEstimates or 4 callables)."""
-    sensitivity = sensitivity or SensitivityParams(variant)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if isinstance(xi, NuisanceEstimates):
-        t0, t1, a, b = xi.values(x)
-    else:
-        t0, t1, a, b = (np.asarray(f(x), dtype=np.float64) for f in xi)
-    sv0, sv1 = sensitivity.evaluate(x)
-    out = stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1)
-    return float(out[0]) if out.shape == (1,) else out
 
 
 class SieveProblem:
@@ -460,8 +456,6 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
         except (FairdesertError, np.linalg.LinAlgError):
             pass
     n_random = max(options.restarts - len(starts), 0)
-    if not starts and n_random == 0:
-        n_random = 1
     starts.extend(
         problem.from_original(s0)
         for s0 in _random_starts(problem, data, n_random, options.seed)
@@ -556,8 +550,3 @@ def rate_threshold(scores, target_rate):
     n = scores.size
     k = min(max(int(math.ceil(target_rate * n)), 1), n)
     return float(np.partition(scores, n - k)[n - k])
-
-
-def threshold_preserving_rate(est: NuisanceEstimates, data: Dataset, target_rate):
-    """Largest score cutoff whose sample positive rate meets the target."""
-    return rate_threshold(decision_scores(est, data), target_rate)

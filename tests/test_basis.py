@@ -9,8 +9,6 @@ from fairdesert.basis import (
     BasisConfig,
     SeriesFunction,
     basis_dimension,
-    eval_series,
-    expand,
     expand_matrix,
     expit,
     intercept_only,
@@ -38,13 +36,13 @@ def enumerate_exponents(d, degree, io):
 
 
 def test_univariate_cubic_at_half():
-    phi = expand(np.array([0.5]), BasisConfig(degree=3, interaction_order=1))
+    phi = expand_matrix(np.array([[0.5]]), BasisConfig(degree=3, interaction_order=1))[0]
     assert phi.tolist() == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_pairwise_degree_one():
     a, b = 0.3, 0.7
-    phi = expand(np.array([a, b]), BasisConfig(degree=1, interaction_order=2))
+    phi = expand_matrix(np.array([[a, b]]), BasisConfig(degree=1, interaction_order=2))[0]
     assert phi.tolist() == [1.0, a, b, a * b]
 
 
@@ -96,7 +94,7 @@ def test_expand_values_are_monomials(d, degree, io, seed):
     x = rng.uniform(size=d)
     cfg = BasisConfig(degree=degree, interaction_order=min(io, d))
     exps = monomial_exponents(d, degree, min(io, d))
-    phi = expand(x, cfg)
+    phi = expand_matrix(x[None, :], cfg)[0]
     expected = [float(np.prod([x[j] ** p for j, p in enumerate(e)])) for e in exps]
     assert np.allclose(phi, expected, rtol=0, atol=1e-14)
     assert phi[0] == 1.0
@@ -104,8 +102,6 @@ def test_expand_values_are_monomials(d, degree, io, seed):
 
 def test_expand_dimension_mismatch():
     fn = intercept_only(BasisConfig(interaction_order=1), 0.4, d=2)
-    with pytest.raises(ValueError):
-        expand(np.zeros((3, 2)), BasisConfig())
     with pytest.raises(ValueError):
         fn(np.zeros(5))
 
@@ -122,7 +118,7 @@ def test_eval_series_constants():
 def test_eval_series_expit_two():
     cfg = BasisConfig(degree=1, interaction_order=1)
     fn = SeriesFunction(cfg, np.array([2.0, 0.0]))
-    value = eval_series(fn, np.array([0.5]))
+    value = fn(np.array([0.5]))
     assert value == pytest.approx(0.8807970779778823, abs=1e-12)
 
 

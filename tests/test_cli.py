@@ -231,6 +231,37 @@ def test_bad_arguments_exit_2_with_one_line(train_csv, tmp_path, capsys, argv, m
     assert err.startswith(message) and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--restarts", "0"], "error: --restarts must be at least 1, got 0"),
+    (["estimate", "--restarts", "-3"], "error: --restarts must be at least 1, got -3"),
+    (["estimate", "--floor", "0.6"], "error: --floor must satisfy 0 <= floor < 0.5"),
+    (["predict", "--model", "{model}", "--rate", "0"], "error: --rate must lie in (0, 1]"),
+    (["sensitivity", "--variant", "delta", "--boot", "0", "--restarts", "1", "--rate", "0"],
+     "error: --rate must lie in (0, 1]"),
+], ids=["restarts-0", "restarts-negative", "floor-0.6", "predict-rate-0", "sensitivity-rate-0"])
+def test_bad_values_exit_2_before_any_fit(train_csv, fitted_model, tmp_path, capsys,
+                                          monkeypatch, argv, message):
+    import fairdesert.cli as cli
+    import fairdesert.sensitivity as sensitivity
+
+    started = []
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            started.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((cli, "fit"), (sensitivity, "fit"), (cli, "load_model")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    argv = [a.replace("{model}", str(fitted_model)) for a in argv]
+    rc = main([*argv, "--input", str(train_csv), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert started == []
+
+
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     rc = main(["theta", "--input", str(train_csv), "--method", "plugin",
                "--out-dir", str(tmp_path / "plugin"), *FAST])

@@ -15,8 +15,6 @@ from fairdesert.regress import (
     fit_series_logit,
     floor_probabilities,
     multinomial_negloglik,
-    predict_mu,
-    predict_pi,
 )
 from fairdesert.simulate import DgpConfig, gen_dataset
 
@@ -176,7 +174,8 @@ def test_predict_pi_uniform():
     model = fit_multinomial(
         np.ones((400, 1)), np.repeat([0, 1, 2, 3], 100), config=INTERCEPT_CONFIG
     )
-    assert predict_pi(model, 1, 0, np.array([0.3])) == pytest.approx(0.25, abs=1e-6)
+    probs = model.predict_matrix(np.array([[0.3]]))
+    assert probs[0, class_index(1, 0)] == pytest.approx(0.25, abs=1e-6)
 
 
 def test_mu_models_intercept_only_hit_stratum_means(tiny_dataset):
@@ -186,7 +185,7 @@ def test_mu_models_intercept_only_hit_stratum_means(tiny_dataset):
         for z in (0, 1):
             mask = (tiny_dataset.s == s) & (tiny_dataset.z == z)
             mean = tiny_dataset.y[mask].mean()
-            pred = predict_mu(model, s, z, tiny_dataset.x[0])
+            pred = model.predict(s, z, tiny_dataset.x[0])
             assert pred == pytest.approx(mean, abs=1e-6)
 
 

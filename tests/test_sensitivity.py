@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairdesert import sensitivity
 from fairdesert.basis import BasisConfig
 from fairdesert.sensitivity import DEFAULT_GRIDS, SweepSpec, flip_rate, run_sweep
-from fairdesert.sievemle import FitOptions
+from fairdesert.sievemle import FitOptions, fit
 from fairdesert.simulate import DgpConfig, gen_dataset, oracle_theta
 
 CONFIG = BasisConfig(interaction_order=1)
@@ -80,13 +81,11 @@ def test_sweep_recovers_true_delta_row():
 def test_sweep_rows_deterministic_without_warm_start():
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=51))
     spec = SweepSpec(
-        variant="zeta", grid=((0.0, 0.0), (0.05, 0.05)),
-        reuse_warm_start=False, bootstrap_replicates=0,
+        variant="zeta", grid=((0.0, 0.0), (0.05, 0.05)), bootstrap_replicates=0,
     )
     t1 = run_sweep(data, CONFIG, OPTS, spec)
     t2 = run_sweep(data, CONFIG, OPTS, spec)
     assert [r.__dict__ for r in t1.rows] == [r.__dict__ for r in t2.rows]
-    assert t1.metadata["cold_start_checked"] == 0
 
 
 def test_sweep_bootstrap_rows_same_for_every_jobs():
@@ -107,16 +106,42 @@ def test_sweep_records_per_point_failures():
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=52))
     bad_opts = FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)
     spec = SweepSpec(variant="delta", grid=((0.0, 0.0), (0.05, 0.05)),
-                     bootstrap_replicates=0, reuse_warm_start=False)
+                     bootstrap_replicates=0)
     table = run_sweep(data, CONFIG, bad_opts, spec, baseline=_quick_baseline(data))
     assert all(row.error is not None for row in table.rows)
     assert len(table.rows) == 2
 
 
 def _quick_baseline(data):
-    from fairdesert.sievemle import fit
-
     return fit(data, CONFIG, OPTS)
+
+
+def test_sweep_fits_each_grid_point_once(monkeypatch):
+    data, _, _ = gen_dataset(DgpConfig(n=600, seed=56))
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(kwargs.get("sensitivity"))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "fit", counting_fit)
+    spec = SweepSpec(variant="delta", grid=((0.05, 0.05), (0.0, 0.0), (0.1, 0.1)),
+                     bootstrap_replicates=0)
+    run_sweep(data, CONFIG, OPTS, spec)
+    # the baseline, then one fit per grid point
+    assert len(calls) == 1 + len(spec.grid)
+
+
+def test_sweep_row_does_not_depend_on_other_points():
+    data, _, _ = gen_dataset(DgpConfig(n=600, seed=57))
+    baseline = _quick_baseline(data)
+    pair = run_sweep(data, CONFIG, OPTS, SweepSpec(
+        variant="delta", grid=((0.0, 0.0), (0.05, 0.05)), bootstrap_replicates=0,
+    ), baseline=baseline)
+    alone = run_sweep(data, CONFIG, OPTS, SweepSpec(
+        variant="delta", grid=((0.05, 0.05),), bootstrap_replicates=0,
+    ), baseline=baseline)
+    assert pair.rows[1].__dict__ == alone.rows[0].__dict__
 
 
 def test_sweep_csv_and_metadata(tmp_path):
@@ -131,7 +156,7 @@ def test_sweep_csv_and_metadata(tmp_path):
 
     meta = json.loads((tmp_path / "sweep_meta.json").read_text())
     assert meta["variant"] == "kappa"
-    assert "cold_start_max_gap" in meta
+    assert set(meta) == {"variant", "n", "target_rate", "baseline_criterion", "seed"}
 
 
 def test_sweep_grid_validation():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from fairdesert.basis import BasisConfig, expit, logit
+from fairdesert.basis import BasisConfig, expit, intercept_only, logit
 from fairdesert.data import Dataset
 from fairdesert.errors import FitError
 from fairdesert.identify import (
@@ -20,17 +20,16 @@ from fairdesert.identify import (
 from fairdesert.sievemle import (
     RIDGE_INIT,
     FitOptions,
+    NuisanceEstimates,
     SensitivityParams,
     SieveProblem,
     _plugin_start,
     decision_scores,
     fit,
-    model_prob,
     predict_tau,
     predict_tau_sz,
     rate_threshold,
     stratum_probability,
-    threshold_preserving_rate,
 )
 from fairdesert.simulate import DgpConfig, gen_dataset
 
@@ -84,32 +83,25 @@ def test_sensitivity_params_reject_non_finite_levels(variant, level):
 
 
 def test_model_prob_baseline_worked():
-    xi = (lambda x: 0.5, lambda x: 0.7, lambda x: 0.2, lambda x: 0.1)
-    p = model_prob(xi, 0, 0, np.array([0.4, 0.6]))
+    # (tau0, tau1, alpha, beta) = (0.5, 0.7, 0.2, 0.1) at s = z = 0
+    p = stratum_probability(0.5, 0.7, 0.2, 0.1, 0, 0)
     assert p == pytest.approx(0.5 * 0.8, abs=1e-12)
 
 
 def test_model_prob_delta_worked():
-    xi = (lambda x: 0.4, lambda x: 0.6, lambda x: 0.2, lambda x: 0.15)
-    p = model_prob(
-        xi, 1, 1, np.array([0.4, 0.6]),
-        variant="delta", sensitivity=SensitivityParams("delta", 0.0, 0.05),
-    )
+    p = stratum_probability(0.4, 0.6, 0.2, 0.15, 1, 1, "delta", 0.0, 0.05)
     assert p == pytest.approx(0.15 + 0.6 * 0.80, abs=1e-12)
 
 
 def test_model_prob_kappa_zero_reduces_to_baseline():
     rng = np.random.default_rng(3)
-    xi = tuple(
-        (lambda c: (lambda x: np.full(np.atleast_2d(x).shape[0], c)))(c)
-        for c in (0.3, 0.55, 0.2, 0.12)
-    )
+    config = BasisConfig(interaction_order=1)
+    est = NuisanceEstimates(*(intercept_only(config, c, d=2) for c in (0.3, 0.55, 0.2, 0.12)))
     x = rng.uniform(size=(50, 2))
     s = rng.integers(0, 2, 50)
     z = rng.integers(0, 2, 50)
-    base = model_prob(xi, s, z, x)
-    kap = model_prob(xi, s, z, x, variant="kappa",
-                     sensitivity=SensitivityParams("kappa", 0.0, 0.0))
+    base = stratum_probability(*est.values(x), s, z)
+    kap = stratum_probability(*est.values(x), s, z, "kappa", 0.0, 0.0)
     assert np.array_equal(base, kap)
 
 
@@ -721,6 +713,6 @@ def test_threshold_preserving_rate_end_to_end(univariate_basis):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=22))
     est = fit(data, univariate_basis, FitOptions(restarts=2, seed=0))
     target = 0.25
-    t_star = threshold_preserving_rate(est, data, target)
     scores = decision_scores(est, data)
+    t_star = rate_threshold(scores, target)
     assert np.mean(scores >= t_star) >= target
