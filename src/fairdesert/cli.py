@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,15 @@ import scipy
 
 from . import __version__
 from .basis import BasisConfig
-from .data import CsvSchema, Dataset, apply_scaling, load_csv, read_csv, scale_covariates
+from .data import (
+    CsvSchema,
+    Dataset,
+    apply_scaling,
+    load_csv,
+    read_csv,
+    scale_covariates,
+    write_columns,
+)
 from .errors import FairdesertError
 from .identify import check_testable_implications
 from .modelio import ModelArtifact, load_model, save_model
@@ -179,6 +188,25 @@ def _rate(resolved):
     return rate
 
 
+def _threshold(resolved):
+    """The --threshold cut-off, or None when the flag is absent."""
+    threshold = resolved.get("threshold")
+    if threshold is None:
+        return None
+    threshold = float(threshold)
+    if not math.isfinite(threshold):
+        raise FairdesertError(f"--threshold must be a finite number, got {threshold}")
+    return threshold
+
+
+def _level(resolved):
+    """The --level of a confidence interval."""
+    level = float(resolved["level"])
+    if not 0.0 < level < 1.0:
+        raise FairdesertError(f"--level must lie in (0, 1), got {level}")
+    return level
+
+
 def _sensitivity_point(flag, variant, text):
     """Parse one "v0,v1" pair given to ``--flag``: two finite numbers that are
     in range for the variant."""
@@ -235,10 +263,8 @@ def cmd_estimate(resolved):
 
     t0, t1, a, b = est.values(data.x)
     tau_obs = np.where(data.z == 1, t1, t0)
-    with (out / "per_unit.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "tau0", "tau1", "tau_zx", "alpha", "beta"])
-        writer.writerows(zip(range(1, data.n + 1), *(v.tolist() for v in (t0, t1, tau_obs, a, b))))
+    write_columns(out / "per_unit.csv", ["row", "tau0", "tau1", "tau_zx", "alpha", "beta"],
+                  [np.arange(1, data.n + 1), t0, t1, tau_obs, a, b])
 
     fit_report = {
         "n": data.n,
@@ -269,6 +295,7 @@ def cmd_predict(resolved):
     if not resolved.get("model") or not resolved.get("input"):
         raise FairdesertError("--model and --input are required")
     rate_target = _rate(resolved)
+    threshold = _threshold(resolved)
     artifact = load_model(resolved["model"])
     schema_doc = dict(_load_json_arg(resolved.get("schema")) or {})
     schema_doc["covariates"] = list(artifact.covariate_names)
@@ -284,10 +311,10 @@ def cmd_predict(resolved):
     est = artifact.estimates
     from .sievemle import predict_tau_sz
 
-    scores = np.asarray(predict_tau_sz(est, s, z, x_scaled))
+    # predict_tau_sz returns a float for a single row
+    scores = np.atleast_1d(predict_tau_sz(est, s, z, x_scaled))
 
-    if resolved.get("threshold") is not None:
-        threshold = float(resolved["threshold"])
+    if threshold is not None:
         rate_target = None
     else:
         if rate_target is None:
@@ -295,11 +322,9 @@ def cmd_predict(resolved):
         threshold = rate_threshold(scores, rate_target)
     decisions = scores >= threshold
 
-    with (out / "predictions.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "score", "decision", "covariates_clamped"])
-        writer.writerows(zip(range(1, scores.size + 1), scores.tolist(),
-                             decisions.astype(int).tolist(), clamped.astype(int).tolist()))
+    write_columns(out / "predictions.csv", ["row", "score", "decision", "covariates_clamped"],
+                  [np.arange(1, scores.size + 1), scores, decisions.astype(int),
+                   clamped.astype(int)])
     report = {
         "threshold": threshold,
         "rate_target": rate_target,
@@ -315,12 +340,12 @@ def cmd_predict(resolved):
 
 def cmd_theta(resolved):
     out = _out_dir(resolved)
+    level = _level(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
     variant, sensitivity = _sensitivity(resolved)
     method = resolved["method"]
-    level = float(resolved["level"])
 
     if variant != "baseline" and method != "bootstrap":
         raise FairdesertError(
@@ -382,6 +407,7 @@ def cmd_check(resolved):
 def cmd_sensitivity(resolved):
     out = _out_dir(resolved)
     target_rate = _rate(resolved)
+    level = _level(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
@@ -398,7 +424,7 @@ def cmd_sensitivity(resolved):
         variant=variant,
         grid=grid,
         bootstrap_replicates=int(resolved["boot"]),
-        level=float(resolved["level"]),
+        level=level,
         target_rate=target_rate,
     )
     table = run_sweep(data, config, options, spec, jobs=resolved["jobs"])
@@ -421,7 +447,7 @@ def cmd_simulate(resolved):
         test_size=int(resolved["test_size"]),
         basis=_basis(resolved),
         fit_options=_fit_options(resolved),
-        level=float(resolved["level"]),
+        level=_level(resolved),
     )
     summary = monte_carlo(config, int(resolved["reps"]), settings, jobs=resolved["jobs"])
     write_auc_summary_csv([summary], out / "auc_summary.csv")

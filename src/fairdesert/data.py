@@ -10,6 +10,7 @@ dataset so the identical map can be replayed on prediction data.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -130,6 +131,15 @@ def read_csv(path, schema: CsvSchema, binary_columns):
     covariate matrix.  Binary cells must parse to {0, 1} under the schema's
     binary map and covariates must be finite numbers; a ParseError names the
     first offending row.
+
+    The body is read column by column by numpy's C tokenizer when that is
+    known to give what the row-wise parser gives: no ``"`` or NUL in the
+    file, no line longer than ``csv.field_size_limit()``, every row long
+    enough, every binary cell exactly a key of the binary map (one that
+    ``strip`` leaves as it is, mapped to 0 or 1), and every covariate finite.
+    Any other file, and every file with an error, goes through the row-wise
+    parser, so each file yields the same arrays, or the same error with the
+    same row number, either way.
     """
     path = Path(path)
     binmap = schema.binary_map()
@@ -148,6 +158,9 @@ def read_csv(path, schema: CsvSchema, binary_columns):
         binary_at = [position[col] for col in binary_columns]
         covariates_at = [position[col] for col in schema.covariates]
         width = max(binary_at + covariates_at) + 1
+        columns = _read_columns(path, binary_at, covariates_at, binmap)
+        if columns is not None:
+            return columns
         binary = [[] for _ in binary_columns]
         rows = []
         for i, row in enumerate(filter(None, reader), start=1):  # blank lines skipped
@@ -173,6 +186,51 @@ def read_csv(path, schema: CsvSchema, binary_columns):
     return [np.asarray(col, dtype=np.int8) for col in binary], x
 
 
+def _read_columns(path, binary_at, covariates_at, binmap):
+    """The body of ``path`` parsed by ``np.loadtxt``: the same result as
+    `read_csv`'s row-wise loop, or None when that cannot be shown."""
+    raw = path.read_bytes()
+    if b'"' in raw or b"\0" in raw or _longest_line(raw) > csv.field_size_limit():
+        return None
+    # one character wider than any key, so a cut-off cell never equals a key
+    key_width = max(map(len, binmap)) + 1
+    fields = ([(f"b{k}", f"U{key_width}") for k in range(len(binary_at))]
+              + [(f"x{j}", "f8") for j in range(len(covariates_at))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. an empty body
+            # with no quote in the file, the header is its first line
+            table = np.loadtxt(path, dtype=fields, comments=None, delimiter=",", skiprows=1,
+                               usecols=binary_at + covariates_at, ndmin=1, encoding="utf-8")
+    except (ValueError, Warning):
+        return None
+    binary = []
+    for k in range(len(binary_at)):
+        cells = table[f"b{k}"]
+        codes = np.full(cells.shape, -1, dtype=np.int8)
+        for key, value in binmap.items():
+            # the row-wise loop strips a cell before looking it up
+            if key == key.strip() and value in (0, 1):
+                codes[cells == key] = value
+        if (codes < 0).any():
+            return None
+        binary.append(codes)
+    x = np.empty((table.size, len(covariates_at)))
+    for j in range(len(covariates_at)):
+        x[:, j] = table[f"x{j}"]
+    if not np.isfinite(x).all():
+        return None
+    return binary, x
+
+
+def _longest_line(raw):
+    """The length in bytes of the longest line of ``raw``; ``\\r`` and ``\\n``
+    each end a line."""
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+    return int(np.diff(ends, prepend=-1, append=codes.size).max()) - 1
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a UTF-8, comma-delimited, headered CSV into a raw Dataset.
 
@@ -189,15 +247,27 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 def write_csv(data: Dataset, path, schema: CsvSchema | None = None):
     """Write a Dataset back to CSV at full (repr round-trip) precision."""
     schema = schema or CsvSchema(covariates=data.covariate_names)
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.s, schema.z, schema.y, *schema.covariates])
-        for i in range(data.n):
-            writer.writerow(
-                [int(data.s[i]), int(data.z[i]), int(data.y[i])]
-                + [repr(float(v)) for v in data.x[i]]
-            )
+    write_columns(path, [schema.s, schema.z, schema.y, *schema.covariates],
+                  [data.s, data.z, data.y, *data.x.T])
+
+
+_WRITE_BLOCK_ROWS = 8192
+
+
+def write_columns(path, header, columns):
+    """Write equal-length integer or float arrays as the columns of a CSV with
+    a header row.
+
+    The bytes are those of ``csv.writer`` given one row of Python numbers at a
+    time: ``str(int)``, ``repr(float)`` and ``\\r\\n`` line ends.  Rows are
+    formatted in blocks of fixed size, so memory does not grow with the row
+    count.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            cells = (map(repr, col[start:start + _WRITE_BLOCK_ROWS].tolist()) for col in columns)
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def compute_scaling(x, names):

@@ -1,14 +1,21 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairdesert.cli import main
 from fairdesert.data import Dataset, write_csv
@@ -205,6 +212,49 @@ def test_predict_honours_schema_binary_values(fitted_model, train_csv, tmp_path)
     assert scores["coded"] == scores["plain"]
 
 
+_SCORE_CELL = st.one_of(
+    st.sampled_from(["0", "1", "0.0", "1.0", " 1", "2", "yes", "", "nan", "inf", "1e400",
+                     "0x1p3", "1_0", '"0.5"', "\x00"]),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789+-.eE ", max_size=6),
+)
+
+
+_SCORE_ROW = st.one_of(
+    st.tuples(*[st.sampled_from(["0", "1"])] * 3,
+              *[st.floats(-1e3, 1e3).map(repr)] * 2).map(list),
+    st.lists(_SCORE_CELL, min_size=4, max_size=6),
+)
+
+
+@pytest.fixture(scope="module")
+def scoring_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scoring")
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(_SCORE_ROW, max_size=5))
+@example(rows=[["0", "1", "0", "0.5", "0.25"]])
+def test_predict_scores_every_row_or_exits_2(fitted_model, scoring_dir, rows):
+    path = scoring_dir / "score.csv"
+    path.write_bytes("\r\n".join(["s,z,y,x1,x2", *map(",".join, rows)]).encode("utf-8"))
+    out = Path(tempfile.mkdtemp(dir=scoring_dir))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["predict", "--model", str(fitted_model), "--input", str(path),
+                   "--rate", "0.5", "--out-dir", str(out)])
+    if rc == 0:
+        with (out / "predictions.csv").open(newline="") as fh:
+            scores = [float(row["score"]) for row in csv.DictReader(fh)]
+        assert len(scores) == len(rows) and all(map(math.isfinite, scores))
+    else:
+        lines = err.getvalue().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        # a FairdesertError is printed bare; any other exception with its type
+        assert not re.match(r"error: \w+: ", lines[0]), lines[0]
+        assert not (out / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--input", "{missing}"], "error: FileNotFoundError: "),
     (["estimate", "--input", "{train}", "--schema", "{bad"], "error: JSONDecodeError: "),
@@ -256,6 +306,50 @@ def test_bad_values_exit_2_before_any_fit(train_csv, fitted_model, tmp_path, cap
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     argv = [a.replace("{model}", str(fitted_model)) for a in argv]
     rc = main([*argv, "--input", str(train_csv), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert started == []
+
+
+def _level_argv(command, level):
+    return {
+        "theta": ["theta", "--input", "{train}"],
+        "sensitivity": ["sensitivity", "--input", "{train}", "--variant", "delta"],
+        "simulate": ["simulate", "--n", "200", "--reps", "1"],
+    }[command] + ["--level", level]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param(_level_argv(command, level),
+                   f"error: --level must lie in (0, 1), got {float(level)}",
+                   id=f"{command}-level-{level}")
+      for command in ("theta", "sensitivity", "simulate") for level in ("0", "1", "1.5", "nan")),
+    *(pytest.param(["predict", "--model", "{model}", "--input", "{train}",
+                    f"--threshold={threshold}"],
+                   f"error: --threshold must be a finite number, got {float(threshold)}",
+                   id=f"predict-threshold-{threshold}")
+      for threshold in ("nan", "inf", "-inf")),
+])
+def test_bad_level_or_threshold_exits_2_before_any_work(train_csv, fitted_model, tmp_path,
+                                                        capsys, monkeypatch, argv, message):
+    import fairdesert.cli as cli
+    import fairdesert.sensitivity as sensitivity
+
+    started = []
+
+    def stopping(name):
+        def stub(*args, **kwargs):
+            started.append(name)
+            raise RuntimeError(f"{name} was reached")
+        return stub
+
+    for module, name in ((cli, "fit"), (sensitivity, "fit"), (cli, "load_model"),
+                         (cli, "load_csv"), (cli, "monte_carlo")):
+        monkeypatch.setattr(module, name, stopping(name))
+    argv = [a.replace("{model}", str(fitted_model)).replace("{train}", str(train_csv))
+            for a in argv]
+    rc = main([*argv, "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(message) and len(err.splitlines()) == 1

@@ -1,13 +1,19 @@
+import csv
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fairdesert.data as data_module
 from fairdesert.data import (
     CsvSchema,
     Dataset,
     apply_scaling,
     load_csv,
+    read_csv,
     require_positivity,
     scale_covariates,
     stratum_counts,
@@ -118,6 +124,148 @@ def test_csv_round_trip_full_precision(tmp_path):
     assert np.array_equal(back.z, ds.z)
     assert np.array_equal(back.y, ds.y)
 
+
+def _old_write_csv(data, path, schema):
+    """The per-row writer `write_csv` used before it wrote blocks of columns."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([schema.s, schema.z, schema.y, *schema.covariates])
+        for i in range(data.n):
+            writer.writerow(
+                [int(data.s[i]), int(data.z[i]), int(data.y[i])]
+                + [repr(float(v)) for v in data.x[i]]
+            )
+    return path.read_bytes()
+
+
+def test_write_csv_matches_the_per_row_writer(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * data_module._WRITE_BLOCK_ROWS + 3
+    x = rng.standard_normal((n, 3)) * np.array([1e-7, 1.0, 1e16])
+    x[:4, 0] = [-0.0, 5e-324, 1e16, 1e-7]
+    names = ("plain", "a,b", 'say "hi"')
+    ds = Dataset(
+        s=rng.integers(0, 2, n), z=rng.integers(0, 2, n), y=rng.integers(0, 2, n),
+        x=x, covariate_names=names,
+        scaling=tuple((float(x[:, j].min()), float(x[:, j].max())) for j in range(3)),
+    )
+    for schema in (None, CsvSchema(s="group, s", z='"z"', covariates=names)):
+        write_csv(ds, tmp_path / "new.csv", schema)
+        old = _old_write_csv(ds, tmp_path / "old.csv", schema or CsvSchema(covariates=names))
+        assert (tmp_path / "new.csv").read_bytes() == old
+
+
+# custom keys: the longest sets the text width of binary cells, " maybe" can never
+# match a stripped cell, and 300 does not fit in int8
+DIFF_SCHEMA = CsvSchema(covariates=("x0", "x1"),
+                        binary_values={"yes": 1, "no": 0, "female": 0, " maybe": 1, "big": 300})
+
+
+def _read_outcome(path, columns, row_wise):
+    """`read_csv`'s arrays as bytes, or its exception's type, message and row."""
+    forced = mock.patch.object(data_module, "_read_columns", return_value=None)
+    with forced if row_wise else nullcontext():
+        try:
+            binary, x = read_csv(path, DIFF_SCHEMA, columns)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "row", None)
+    return [(b.dtype, b.tobytes()) for b in binary], x.dtype, x.shape, x.tobytes()
+
+
+_BINARY = st.sampled_from(["0", "1", "0.0", "1.0", "yes", "no"])
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_CELL = st.one_of(
+    _BINARY,
+    _NUMBER,
+    st.text(alphabet="0123456789+-.eE_ \t\"xpinfaIty", max_size=7),
+    st.sampled_from(["inf", "-inf", "nan", "Infinity", "1e0", "+1", " 1", "1 ", "0x1p3",
+                     "1_0", "", "\x00", "1\x00", "yes ", "1.0 x", "\uff11", "female", "females",
+                     " maybe", "big"]),
+)
+_ROW = st.one_of(
+    st.tuples(_BINARY, _BINARY, _BINARY, _NUMBER, _NUMBER).map(",".join),
+    st.lists(_CELL, max_size=7).map(",".join),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    header = draw(st.sampled_from(
+        ["s,z,y,x0,x1", "x1,y,z,s,x0", "s,z,y,x0,x1,note", "s,z,y,x0,x0,x1", "s,z,y,x0",
+         "s,z,y,a,b,x0,x1"]
+    ))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    rows = draw(st.lists(_ROW, max_size=6))
+    return end.join([header, *rows]) + draw(st.sampled_from(["", end]))
+
+
+@pytest.fixture(scope="module")
+def diff_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts(), columns=st.sampled_from([("s", "z", "y"), ("z", "s"), ("z",)]))
+@example(text="s,z,y,x0,x1\n1,0,1,0.5,2\n   \n0,1,0,0.25,3\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,0.5,2\n\t\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,0x1p3,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,1_0,2\n0,1,0,0.5,3\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1e0,0,1,0.5,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n+1,0,1,0.5,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n 1,0,1,0.5,2\n0,1,0,0.25,3\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0 ,1,0.5,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,0.5,2,9,extra\n0,1,0,0.25,3\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,0.5,2\n0,1,0,0.25\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\r1,0,1,0.5,2\r0,1,0,0.25,3\r", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\r\n1,0,1,0.5,2\r\n\r\n0,1,0,0.25,3\r\n", columns=("s", "z", "y"))
+@example(text='s,z,y,x0,x1\n1,0,1,"0,5",2\n', columns=("s", "z", "y"))
+@example(text='s,z,y,x0,x1\n1,0,1,"0.5",2\n0,1,0,0.25,3\n', columns=("s", "z", "y"))
+@example(text='s,z,y,a,b,x0,x1\n1,0,1,"a,b",5,6\n', columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n maybe,0,1,0.5,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\nfemale,0,1,0.5,2\nfemales,1,0,0.5,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1\x00,0,1,0.5,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,0.5\x00,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,nan,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,0.5,2\n0,1,0,Infinity,3\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1", columns=("s", "z", "y"))
+@example(text="", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\nyes,no,1.0,0.5,2\n0.0,yes,no,1e-300,-3\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1.0 x,0,1,0.5,2\n", columns=("s", "z", "y"))
+@example(text="s,z,y,x0,x1\n1,0,1,\uff11,2\n", columns=("s", "z", "y"))
+@example(text="\ufeffs,z,y,x0,x1\n1,0,1,0.5,2\n", columns=("z",))
+def test_column_and_row_parsers_agree(diff_dir, text, columns):
+    path = diff_dir / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(path, columns, row_wise=False) == _read_outcome(path, columns,
+                                                                         row_wise=True)
+
+
+def test_field_size_limit_still_applies(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("s,z,y,x0,x1\n1,0,1,0.25000000000000001,2\n", encoding="utf-8")
+    limit = csv.field_size_limit(10)
+    try:
+        outcome = _read_outcome(path, ("s", "z", "y"), row_wise=False)
+        assert outcome == _read_outcome(path, ("s", "z", "y"), row_wise=True)
+    finally:
+        csv.field_size_limit(limit)
+    assert outcome[0] is csv.Error
+
+def test_plain_csv_is_read_column_wise(tmp_path):
+    ds = make_dataset(n=50, d=3)
+    write_csv(ds, tmp_path / "plain.csv")
+    results = []
+    original = data_module._read_columns
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    with mock.patch.object(data_module, "_read_columns", recording):
+        back = load_csv(tmp_path / "plain.csv", CsvSchema(covariates=ds.covariate_names))
+    assert len(results) == 1 and results[0] is not None
+    assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
 
 def test_scale_affine_map():
     ds = Dataset(
