@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import special
 
 # rows per block of `monomials_matrix`: a block's powers and columns stay in
 # cache
@@ -24,8 +23,18 @@ MONOMIAL_BLOCK_ROWS = 4096
 
 
 def expit(u):
-    """Numerically stable logistic function; a float for scalar input."""
-    out = special.expit(np.asarray(u, dtype=np.float64))
+    """Logistic function 1 / (1 + exp(-u)); a float for scalar input.
+
+    Built in place in one new array.  Below u = -709.78 exp(-u) overflows to
+    inf and the result is 0 (the exact value is below 5.6e-309), so the
+    overflow is not reported.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    out = np.negative(u, out=np.empty(u.shape))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

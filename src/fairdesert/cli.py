@@ -40,7 +40,7 @@ from .modelio import ModelArtifact, load_model, save_model
 from .parallel import blas_threads
 from .regress import fit_mu_models, fit_propensity
 from .sensitivity import DEFAULT_GRIDS, SweepSpec, VariantFitter, run_sweep
-from .sievemle import FitOptions, SensitivityParams, fit, rate_threshold
+from .sievemle import FitOptions, SensitivityParams, fit, predict_tau_sz, rate_threshold
 from .simulate import (
     DgpConfig,
     MonteCarloSettings,
@@ -309,10 +309,7 @@ def cmd_predict(resolved):
     s = binary[1] if len(binary) > 1 else np.zeros_like(z)
     x_scaled, clamped = apply_scaling(artifact.scaling, x_raw)
     est = artifact.estimates
-    from .sievemle import predict_tau_sz
-
-    # predict_tau_sz returns a float for a single row
-    scores = np.atleast_1d(predict_tau_sz(est, s, z, x_scaled))
+    scores = predict_tau_sz(est, s, z, x_scaled)
 
     if threshold is not None:
         rate_target = None

@@ -42,6 +42,11 @@ class CsvSchema:
     covariates: tuple[str, ...] = ()
     binary_values: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        codes = self.binary_values
+        if not isinstance(codes, dict) or any(v not in (0, 1) for v in codes.values()):
+            raise SchemaError(f"binary_values must map cell text to 0 or 1; got {codes!r}")
+
     def binary_map(self):
         mapping = dict(_DEFAULT_BINARY)
         mapping.update({str(k): int(v) for k, v in self.binary_values.items()})
@@ -210,7 +215,7 @@ def _read_columns(path, binary_at, covariates_at, binmap):
         codes = np.full(cells.shape, -1, dtype=np.int8)
         for key, value in binmap.items():
             # the row-wise loop strips a cell before looking it up
-            if key == key.strip() and value in (0, 1):
+            if key == key.strip():
                 codes[cells == key] = value
         if (codes < 0).any():
             return None

@@ -211,9 +211,10 @@ def fit_multinomial(features, class_labels, ridge=1e-8, config=None, tol=1e-8, m
     """Fit the four-class stratum propensity model on explicit features."""
     phi = np.asarray(features, dtype=np.float64)
     classes = np.asarray(class_labels, dtype=int)
-    present = np.unique(classes)
-    if not np.array_equal(present, np.arange(4)):
-        missing = sorted(set(range(4)) - set(present.tolist()))
+    if classes.size and not 0 <= classes.min() <= classes.max() <= 3:
+        raise ValueError("class labels must lie in {0, 1, 2, 3}")
+    missing = np.flatnonzero(np.bincount(classes, minlength=4) == 0).tolist()
+    if missing:
         pretty = ", ".join(f"(s={m // 2}, z={m % 2})" for m in missing)
         raise PositivityError(f"propensity fit requires all four classes; missing {pretty}")
     res = newton_minimize(

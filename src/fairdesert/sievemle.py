@@ -17,9 +17,9 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import special
+from numpy.random import SeedSequence, default_rng
 
-from .basis import BasisConfig, SeriesFunction, expand_matrix, logit, orthonormal_design
+from .basis import BasisConfig, SeriesFunction, expand_matrix, expit, logit, orthonormal_design
 from .data import Dataset, require_positivity
 from .errors import FairdesertError, FitError, RelevanceWarning
 from .identify import (
@@ -310,7 +310,7 @@ class SieveProblem:
     def _blocks(self, stack):
         """(n, 4) logits, function values and expit derivative factors."""
         logits = self.phi @ np.reshape(stack, (4, self.j)).T
-        sig = special.expit(logits)
+        sig = expit(logits)
         scaled = (1 - 2 * self.c) * sig
         return logits, self.c + scaled, scaled * (1 - sig)
 
@@ -401,7 +401,7 @@ def _plugin_start(problem, data):
 
 def _random_starts(problem, data, count, seed):
     """Zero-slope starts with randomized intercepts around stratum means."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
+    rng = default_rng(SeedSequence(entropy=seed, spawn_key=(17,)))
     means = {}
     for s in (0, 1):
         for z in (0, 1):
@@ -510,23 +510,27 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
 
 
 def predict_tau(est: NuisanceEstimates, z, x):
-    """tau_hat(z, x) = (1 - z) tau0_hat(x) + z tau1_hat(x) at scaled covariates."""
+    """tau_hat(z, x) = (1 - z) tau0_hat(x) + z tau1_hat(x) at scaled covariates:
+    a float for one point x (1-d), an (n,) array for an (n, d) matrix."""
+    point = np.ndim(x) < 2
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     phi = expand_matrix(x, est.config)
     z = np.broadcast_to(np.asarray(z), (x.shape[0],))
     out = np.where(z == 1, est.tau1.eval_features(phi), est.tau0.eval_features(phi))
-    return float(out[0]) if out.shape == (1,) else out
+    return float(out[0]) if point else out
 
 
 def predict_tau_sz(est: NuisanceEstimates, s, z, x):
     """Decision rule including prescribed legitimate support: tau_hat_{sz}(x) =
     tau_hat_{0z}(x) + shift, the shift of `identify.mechanism` (s kappa_z(x)
-    under kappa, zero otherwise), clipped into [0, 1]."""
+    under kappa, zero otherwise), clipped into [0, 1].  A float for one point
+    x (1-d), an (n,) array for an (n, d) matrix."""
+    point = np.ndim(x) < 2
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     shift, _, _ = mechanism(np.broadcast_to(s, (n,)), np.broadcast_to(z, (n,)),
                             est.variant, *est.sensitivity.evaluate(x))
-    shifted = np.atleast_1d(predict_tau(est, z, x)) + shift
+    shifted = predict_tau(est, z, x) + shift
     clipped = (shifted < 0) | (shifted > 1)
     if np.any(clipped):
         warnings.warn(
@@ -534,12 +538,12 @@ def predict_tau_sz(est: NuisanceEstimates, s, z, x):
             stacklevel=2,
         )
     out = np.clip(shifted, 0.0, 1.0)
-    return float(out[0]) if out.shape == (1,) else out
+    return float(out[0]) if point else out
 
 
 def decision_scores(est: NuisanceEstimates, data: Dataset):
-    """Per-row decision scores tau_hat_{SZ}(X) (see `predict_tau_sz`)."""
-    return np.asarray(predict_tau_sz(est, data.s, data.z, data.x))
+    """Per-row decision scores tau_hat_{SZ}(X), shape (n,) (see `predict_tau_sz`)."""
+    return predict_tau_sz(est, data.s, data.z, data.x)
 
 
 def rate_threshold(scores, target_rate):

@@ -39,6 +39,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.random import SeedSequence, default_rng
 
 from .basis import (
     BasisConfig,
@@ -131,7 +133,7 @@ def gen_dataset(config: DgpConfig, seed=None):
 
     The latent vector is for evaluation only and is never part of the Dataset.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = default_rng(config.seed if seed is None else seed)
     n = config.n
     x = rng.uniform(size=(n, 2))
     s = (rng.random(n) < _p_s1(x)).astype(np.int8)
@@ -162,7 +164,7 @@ def oracle_theta(config: DgpConfig, draws=4096):
     agree with 128 to that level), and the result is deterministic.
     """
     k = max(1, round(math.sqrt(draws)))
-    t, w1 = np.polynomial.legendre.leggauss(k)
+    t, w1 = leggauss(k)
     t, w1 = (t + 1) / 2, w1 / 2
     x = np.column_stack([np.repeat(t, k), np.tile(t, k)])
     weights = np.outer(w1, w1).ravel()
@@ -441,7 +443,7 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
             stage_seconds[stage] = stage_seconds.get(stage, 0.0) + (now - last)
         last = now
 
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(101, rep))
+    ss = SeedSequence(entropy=config.seed, spawn_key=(101, rep))
     seed_train, seed_test, seed_fit = ss.spawn(3)
     train, _, truth = gen_dataset(config, seed=seed_train)
     lap("train_draw")

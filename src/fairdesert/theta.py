@@ -19,9 +19,10 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import SeedSequence, default_rng
 
 from .basis import BasisConfig
 from .data import Dataset
@@ -179,7 +180,7 @@ def _normal_estimate(phi, excluded, level, **flags):
     n = phi.shape[0]
     point = float(np.mean(phi))
     sigma = float(np.sqrt(np.mean((phi - point) ** 2)))
-    half = ndtri(0.5 + level / 2) * sigma / np.sqrt(n)
+    half = NormalDist().inv_cdf(0.5 + level / 2) * sigma / np.sqrt(n)
     excl_frac = float(np.mean(excluded))
     flags = {"excluded_fraction": excl_frac, **flags}
     if excl_frac > 0.05:
@@ -212,7 +213,7 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
     if folds < 2:
         raise ValueError("cross-fitting requires at least 2 folds")
     options = options or FitOptions()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(29,)))
+    rng = default_rng(SeedSequence(entropy=seed, spawn_key=(29,)))
     perm = rng.permutation(data.n)
     assignments = np.empty(data.n, dtype=int)
     for k in range(folds):
@@ -235,7 +236,7 @@ def _bootstrap_replicate(est_fitter, data: Dataset, child):
     """Integrand mean of the replicate drawn with seed ``child``, or the type
     name of the `FairdesertError` its fit raised; and the number of
     `RelevanceWarning`s the fit emitted, which are counted instead of shown."""
-    rng = np.random.default_rng(child)
+    rng = default_rng(child)
     resampled = data.subset(rng.integers(0, data.n, size=data.n))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RelevanceWarning)
@@ -271,7 +272,7 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
         raise ValueError("bootstrap requires at least 200 replicates")
     est = full_fit if full_fit is not None else est_fitter(data)
     point = float(np.mean(unfairness_integrand(est, data)))
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(31,))
+    seq = SeedSequence(entropy=seed, spawn_key=(31,))
     results, relevance = zip(*map_jobs(_bootstrap_replicate, seq.spawn(replicates), jobs,
                                        shared=(est_fitter, data)))
     relevance_warnings = sum(relevance)

@@ -1,9 +1,12 @@
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fairdesert import basis, theta
 from fairdesert.basis import BasisConfig
 from fairdesert.data import Dataset
 from fairdesert.simulate import DgpConfig, gen_dataset
@@ -35,6 +38,28 @@ def tiny_dataset():
         scaling=((0.0, 1.0), (0.0, 1.0)),
         scaled=True,
     )
+
+
+def _scipy_expit(u):
+    """`basis.expit` as it was when it called scipy.special.expit."""
+    from scipy import special
+
+    out = special.expit(np.asarray(u, dtype=np.float64))
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.fixture
+def scipy_primitives(monkeypatch):
+    """scipy's expit and normal quantile in place of the package's own, in
+    every module that binds them: values pinned before the package dropped
+    scipy.special must then come back to the bit."""
+    from scipy.special import ndtri
+
+    shipped = basis.expit
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fairdesert") and getattr(module, "expit", None) is shipped:
+            monkeypatch.setattr(module, "expit", _scipy_expit)
+    monkeypatch.setattr(theta, "NormalDist", lambda: SimpleNamespace(inv_cdf=ndtri))
 
 
 def record_criterion(number, passed, detail):

@@ -1,3 +1,5 @@
+import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -149,6 +151,30 @@ def test_expit_logit_stability():
     assert expit(800.0) < 1.0 or expit(800.0) == 1.0  # no overflow
     assert expit(-800.0) >= 0.0
     assert logit(expit(3.7)) == pytest.approx(3.7, abs=1e-9)
+
+
+def test_expit_matches_scipy():
+    """scipy.special.expit as the oracle; its exp and numpy's differ in the
+    last few bits, and in the subnormal range by less than 1e-300."""
+    from scipy import special
+
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.normal(0, 30, 100_000), np.linspace(-760, 760, 20_001),
+                        [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, 1e308,
+                         -1e308, 5e-324]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(u)
+        edge = [expit(v) for v in (745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan)]
+    want = special.expit(u)
+    assert got.dtype == np.float64 and got.shape == u.shape
+    assert np.all(np.abs(got - want) <= 1e-300 + 1e-15 * np.abs(want))
+    assert edge[:6] == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    assert all(type(v) is float for v in edge)
+    assert math.isnan(edge[6])
+    assert type(expit(np.float64(0.3))) is float
+    assert expit(np.array(0.3)) == pytest.approx(special.expit(0.3), rel=1e-15)
+    assert np.isnan(expit(np.array([np.nan, 1.0]))[0])
 
 
 def test_bspline_family():

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,16 @@ def test_predict_honours_schema_binary_values(fitted_model, train_csv, tmp_path)
         with (tmp_path / name / "predictions.csv").open() as fh:
             scores[name] = [row["score"] for row in csv.DictReader(fh)]
     assert scores["coded"] == scores["plain"]
+
+
+def test_predict_rejects_binary_codes_other_than_0_1(fitted_model, train_csv, tmp_path, capsys):
+    path = scoring_csv(train_csv, tmp_path / "coded.csv", 1, "z", "yes")
+    rc = main(["predict", "--model", str(fitted_model), "--input", str(path),
+               "--threshold", "0.5", "--out-dir", str(tmp_path / "out"),
+               "--schema", json.dumps({"binary_values": {"yes": 2}})])
+    assert rc == 2
+    assert "binary_values must map cell text to 0 or 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
 _SCORE_CELL = st.one_of(
@@ -496,19 +507,60 @@ def test_simulate_cli(tmp_path):
     assert 0 < sum(stages.values()) <= meta["runtime_s"]
 
 
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats costs most of a second at every process start."""
-    code = ("import fairdesert, fairdesert.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+def _run_fresh(code):
+    """stdout of ``python -c code`` in a fresh process that imports the package
+    from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
         if p
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.special, scipy.stats and scipy.linalg cost most of a second at
+    every process start, and scipy's OpenBLAS starts a second thread pool."""
+    out = _run_fresh(
+        "import json, sys, fairdesert, fairdesert.cli\n"
+        "from fairdesert.parallel import blas_threads\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.special', 'scipy.stats', 'scipy.linalg'))), sorted(blas_threads())]))"
+    )
+    loaded, blas = json.loads(out)
+    assert loaded == []
+    assert "scipy" not in blas
+
+
+def test_first_use_imports_no_numpy_submodule(tmp_path):
+    """Every numpy submodule a run needs loads with the package, not inside a
+    timed stage."""
+    out = _run_fresh(textwrap.dedent(f"""
+        import json, sys
+        from fairdesert.cli import main
+        from fairdesert.data import write_csv
+        from fairdesert.simulate import (DgpConfig, MonteCarloSettings, gen_dataset,
+                                         oracle_theta, run_replication)
+
+        before = {{m for m in sys.modules if m.startswith("numpy")}}
+        config = DgpConfig(n=300, seed=3)
+        theta = oracle_theta(config)
+        run_replication(config, 0, MonteCarloSettings(test_size=1000), theta_true=theta)
+        out = {str(tmp_path)!r}
+        write_csv(gen_dataset(config)[0], out + "/train.csv")
+        fast = {FAST!r}
+        assert main(["estimate", "--input", out + "/train.csv", "--out-dir", out + "/fit",
+                     *fast]) in (0, 1)
+        assert main(["theta", "--input", out + "/train.csv", "--out-dir", out + "/theta",
+                     *fast]) in (0, 1)
+        assert main(["predict", "--model", out + "/fit/model.json", "--input",
+                     out + "/train.csv", "--out-dir", out + "/pred"]) == 0
+        print(json.dumps(sorted({{m for m in sys.modules if m.startswith("numpy")}} - before)))
+    """))
+    assert json.loads(out.splitlines()[-1]) == []
 
 
 def test_config_file_merge(train_csv, tmp_path):

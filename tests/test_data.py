@@ -107,6 +107,13 @@ def test_load_csv_custom_binary_encoding(tmp_path):
     assert ds.s.tolist() == [1, 0, 1, 0]
 
 
+@pytest.mark.parametrize("codes", [{"yes": 2}, {"no": -1}, {"yes": 0.5}, {"yes": "1"},
+                                   {"yes": None}, ["yes", 1]])
+def test_schema_rejects_binary_codes_other_than_0_1(codes):
+    with pytest.raises(SchemaError, match="binary_values must map cell text to 0 or 1"):
+        CsvSchema(binary_values=codes)
+
+
 def test_csv_round_trip_full_precision(tmp_path):
     rng = np.random.default_rng(3)
     n = 25
@@ -155,10 +162,10 @@ def test_write_csv_matches_the_per_row_writer(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == old
 
 
-# custom keys: the longest sets the text width of binary cells, " maybe" can never
-# match a stripped cell, and 300 does not fit in int8
+# custom keys: the longest sets the text width of binary cells, and " maybe" can
+# never match a stripped cell
 DIFF_SCHEMA = CsvSchema(covariates=("x0", "x1"),
-                        binary_values={"yes": 1, "no": 0, "female": 0, " maybe": 1, "big": 300})
+                        binary_values={"yes": 1, "no": 0, "female": 0, " maybe": 1})
 
 
 def _read_outcome(path, columns, row_wise):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from fairdesert.basis import BasisConfig, expit, intercept_only, logit
 from fairdesert.data import Dataset
@@ -314,7 +313,7 @@ class WhereStackSieveProblem(SieveProblem):
     def _blocks(self, stack):
         """(n, 4) logits, function values and expit derivative factors."""
         logits = self.phi @ np.reshape(stack, (4, self.j)).T
-        sig = special.expit(logits)
+        sig = expit(logits)
         scale = 1 - 2 * self.c
         return logits, self.c + scale * sig, scale * sig * (1 - sig)
 
@@ -401,8 +400,8 @@ def test_value_grad_bitwise_where_stack_objective(variant, options):
 
 # fit(DgpConfig(n=600, seed=4) draw, BasisConfig(interaction_order=1),
 # FitOptions(restarts=3)) per variant at the VARIANT_SENS levels, as the
-# objective and BFGS computed them before the gather/scatter rewrite:
-# (diagnostics.criterion, coefficient_stack())
+# objective and BFGS computed them before the gather/scatter rewrite, with
+# scipy.special's expit: (diagnostics.criterion, coefficient_stack())
 PINNED_FITS = {
     "baseline": (-0.515425217363901, [
         2.2522111506056706, -8.768270137894593, -24.677415469456527,
@@ -455,13 +454,75 @@ PINNED_FITS = {
 }
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_fit_bitwise_pinned(variant, univariate_basis):
+# the same fits with the package's numpy expit, which differs from scipy's in
+# the last few bits of some values; the fit is multimodal, so the criterion
+# moves by up to 7.3e-6 (kappa)
+SHIPPED_FITS = {
+    "baseline": (-0.5154259587953156, [
+        2.250703858174536, -8.565924054439343, -24.641139389084216,
+        45.87422877748539, 40.67815988468355, -36.003572439426186,
+        -20.307388675643253, 2.681623737406021, -11.743317158908358,
+        -15.0338084191848, 35.1963946034936, 35.17719390900526,
+        -26.84829997145177, -20.263583015860817, 6.6329149571425345,
+        -10.399302168667244, -30.452004170443495, 28.083273756491515,
+        51.18490523759399, -21.788669397133013, -29.009586253301233,
+        -15.140307544044429, 56.07579518078965, 51.616817695411484,
+        -159.6063028628806, -78.909803831706, 112.84472505309859,
+        36.75499103060414,
+    ]),
+    "kappa": (-0.514300906689657, [
+        -0.8874449114030597, 0.38596746414587907, -6.926925128772015,
+        22.154844432874153, 8.630996201921105, -20.732277257073967,
+        -2.393858502935483, 1.2598345354410556, -9.044979615516846,
+        -4.3836741187428165, 30.01354904685153, 13.106245068257257,
+        -24.43026210149442, -6.512570545210744, 5.6695127587789935,
+        -5.843507601162731, -23.105298464695988, 16.412023227778104,
+        35.33430953673223, -14.484491104016417, -18.965424047842482,
+        2.195328631017496, 52.742182596737706, -105.7714980293946,
+        -175.40954362480412, 341.50091745322675, 131.74199966210205,
+        -298.2426359665755,
+    ]),
+    "delta": (-0.5079145434838892, [
+        30.53162600941816, 350.1269877507366, -756.7070118735805,
+        -421.2616778256249, 1376.6496730966019, 170.61191815575813,
+        -755.8391056176, 3.0907539512744235, -7.1239284590324745,
+        -18.674149971728326, 17.992025305618302, 27.996698228314898,
+        -12.104983029161138, -3.4297332649204466, 10.494465377986122,
+        0.8223700798631375, -69.11159039175409, -6.3351296749528725,
+        127.54556528051658, 5.204554373452007, -71.41223441706971,
+        -13.521379232857708, 12.23001666285355, 67.24769814718174,
+        -24.38579649326436, -108.99987953608614, 12.51702228118581,
+        54.09928974372097,
+    ]),
+    "zeta": (-0.5169369153520894, [
+        -5.5283411899236485, 28.55595087674366, -19.10383258263357,
+        -36.04537147280783, 31.349909132120256, 18.549530517815707,
+        -11.668807024336598, -0.2153456797641613, 3.84715667591055,
+        -7.133511495818208, -15.880068803873415, 21.318099425199136,
+        12.860495948741642, -11.505647993418572, 5.448322455064457,
+        4.594571526277406, -34.34083743285612, -22.16870002583196,
+        60.522507732454955, 18.298552973241886, -32.74052509110653,
+        1.455582631366406, -2.4189299323997195, -23.14366861700117,
+        18.34897389321757, 71.88216053538513, -19.73572641105374,
+        -60.70072566997239,
+    ]),
+}
+
+
+def _pinned_fit(variant, basis_config):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=4))
-    est = fit(data, univariate_basis, FitOptions(restarts=3), variant, VARIANT_SENS[variant])
-    criterion, stack = PINNED_FITS[variant]
-    assert est.diagnostics.criterion == criterion
-    assert est.coefficient_stack().tolist() == stack
+    est = fit(data, basis_config, FitOptions(restarts=3), variant, VARIANT_SENS[variant])
+    return est.diagnostics.criterion, est.coefficient_stack().tolist()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_bitwise_pinned(variant, univariate_basis, scipy_primitives):
+    assert _pinned_fit(variant, univariate_basis) == PINNED_FITS[variant]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_bitwise_pinned_shipped_primitives(variant, univariate_basis):
+    assert _pinned_fit(variant, univariate_basis) == SHIPPED_FITS[variant]
 
 
 def test_restart_evaluations_count_value_grad_calls(univariate_basis, monkeypatch):
@@ -683,6 +744,18 @@ def test_predict_tau_sz_kappa_shift(univariate_basis):
     assert np.allclose(np.asarray(adv) - np.asarray(base), 0.05, atol=1e-12)
     scores = decision_scores(est, data)
     assert scores.shape == (data.n,)
+
+
+def test_one_row_scores_are_one_dimensional(univariate_basis):
+    data, _, _ = gen_dataset(DgpConfig(n=800, seed=20))
+    est = fit(data, univariate_basis, FitOptions(restarts=2, seed=0))
+    row = data.subset(np.array([3]))
+    scores = decision_scores(est, row)
+    assert scores.shape == (1,)
+    assert rate_threshold(scores, 0.5) == scores[0]
+    assert predict_tau(est, row.z, row.x).shape == (1,)
+    # one point x (1-d) still gives a float
+    assert predict_tau_sz(est, 1, 0, data.x[3]) == predict_tau_sz(est, 1, 0, data.x[3:4])[0]
 
 
 def test_rate_threshold_order_statistics():

@@ -411,7 +411,8 @@ def test_run_replication_keys():
 # and rankings across methods; excluded_fraction is the one-step estimate's
 # flags["excluded_fraction"] of the same runs.  The MLC AUCs are those of the
 # QR-preconditioned fit, which stops at a slightly different point of the
-# augmented Lagrangian than the raw-coordinate fit did (AUCs within 7.1e-6)
+# augmented Lagrangian than the raw-coordinate fit did (AUCs within 7.1e-6).
+# All with scipy.special's expit and normal quantile
 PINNED_REPLICATIONS = [
     {"rep": 0, "theta_hat": 0.3477001335219466, "ci_low": 0.2487749002969398,
      "ci_high": 0.4466253667469534, "covered": True,
@@ -432,12 +433,44 @@ PINNED_REPLICATIONS = [
 ]
 
 
-def test_run_replication_bitwise_pinned():
+# the same runs with the package's numpy expit and statistics.NormalDist
+# quantile: the sieve fit lands elsewhere in its multimodal criterion, so theta
+# moves by up to 1.9e-3 and the dsd AUCs by up to 4.6e-4; the other methods'
+# AUCs are unchanged
+SHIPPED_REPLICATIONS = [
+    {"rep": 0, "theta_hat": 0.3457745899994686, "ci_low": 0.24514502498922247,
+     "ci_high": 0.4464041550097147, "covered": True,
+     "auc_ystar_dsd": 0.8000622179809965, "auc_y_dsd": 0.5888232806298392,
+     "auc_ystar_uml": 0.6345093732088574, "auc_y_uml": 0.7564079884833106,
+     "auc_ystar_ftu": 0.7230329565244356, "auc_y_ftu": 0.5860051076842996,
+     "auc_ystar_mlc": 0.7037253766338472, "auc_y_mlc": 0.585137899342833,
+     "auc_ystar_ld": 0.7025980508366918, "auc_y_ld": 0.581756498470948,
+     "tau_error": 0.12541491480394043, "excluded_fraction": 0.135},
+    {"rep": 1, "theta_hat": 0.23375364791302108, "ci_low": 0.09704293490935825,
+     "ci_high": 0.3704643609166839, "covered": True,
+     "auc_ystar_dsd": 0.7861610077109283, "auc_y_dsd": 0.583509637277303,
+     "auc_ystar_uml": 0.620020359415829, "auc_y_uml": 0.7618637442524915,
+     "auc_ystar_ftu": 0.7546239519710158, "auc_y_ftu": 0.6209042075188091,
+     "auc_ystar_mlc": 0.7166364080860546, "auc_y_mlc": 0.6135266430520127,
+     "auc_ystar_ld": 0.6993799996793792, "auc_y_ld": 0.6132435492905529,
+     "tau_error": 0.14313682710239164, "excluded_fraction": 0.1525},
+]
+
+
+def _assert_replications(pinned):
     settings_obj = MonteCarloSettings(test_size=2_000)
-    for expected in PINNED_REPLICATIONS:
+    for expected in pinned:
         row = run_replication(DgpConfig(n=400, seed=7), expected["rep"], settings_obj,
                               theta_true=0.25)
         assert row == expected
+
+
+def test_run_replication_bitwise_pinned(scipy_primitives):
+    _assert_replications(PINNED_REPLICATIONS)
+
+
+def test_run_replication_bitwise_pinned_shipped_primitives():
+    _assert_replications(SHIPPED_REPLICATIONS)
 
 
 def test_monte_carlo_parallel_parity():
