@@ -43,6 +43,7 @@ from .sievemle import (
     NuisanceEstimates,
     SensitivityParams,
     fit,
+    fit_many,
     predict_tau,
     predict_tau_sz,
 )

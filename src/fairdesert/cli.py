@@ -49,7 +49,13 @@ from .simulate import (
     write_coverage_summary_csv,
     write_replications_csv,
 )
-from .theta import theta_bootstrap, theta_onestep, theta_onestep_crossfit, theta_plugin
+from .theta import (
+    MIN_REPLICATES,
+    theta_bootstrap,
+    theta_onestep,
+    theta_onestep_crossfit,
+    theta_plugin,
+)
 
 
 def _load_json_arg(value):
@@ -207,6 +213,24 @@ def _level(resolved):
     return level
 
 
+def _crossfit(resolved):
+    """The --crossfit fold count: 0 (off) or at least 2."""
+    folds = int(resolved["crossfit"])
+    if folds < 0 or folds == 1:
+        raise FairdesertError(f"--crossfit must be 0 (off) or at least 2 folds, got {folds}")
+    return folds
+
+
+def _sweep_boot(resolved):
+    """The --boot replicates of a sweep: 0 (no bootstrap) or at least 200."""
+    boot = int(resolved["boot"])
+    if boot < 0 or 0 < boot < MIN_REPLICATES:
+        raise FairdesertError(
+            f"--boot must be 0 (no bootstrap) or at least {MIN_REPLICATES}, got {boot}"
+        )
+    return boot
+
+
 def _sensitivity_point(flag, variant, text):
     """Parse one "v0,v1" pair given to ``--flag``: two finite numbers that are
     in range for the variant."""
@@ -338,6 +362,7 @@ def cmd_predict(resolved):
 def cmd_theta(resolved):
     out = _out_dir(resolved)
     level = _level(resolved)
+    folds = _crossfit(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
@@ -358,10 +383,10 @@ def cmd_theta(resolved):
             fitter, data, replicates=int(resolved["boot"]),
             seed=int(resolved["seed"]), level=level, full_fit=full_fit, jobs=resolved["jobs"],
         )
-    elif method == "onestep" and int(resolved["crossfit"]) >= 2:
+    elif method == "onestep" and folds:
         # each fold fits its own nuisances; a full-data fit would go unused
         estimate = theta_onestep_crossfit(
-            data, config, options, folds=int(resolved["crossfit"]),
+            data, config, options, folds=folds,
             seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
         )
     else:
@@ -405,6 +430,7 @@ def cmd_sensitivity(resolved):
     out = _out_dir(resolved)
     target_rate = _rate(resolved)
     level = _level(resolved)
+    boot = _sweep_boot(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
@@ -420,7 +446,7 @@ def cmd_sensitivity(resolved):
     spec = SweepSpec(
         variant=variant,
         grid=grid,
-        bootstrap_replicates=int(resolved["boot"]),
+        bootstrap_replicates=boot,
         level=level,
         target_rate=target_rate,
     )

@@ -3,8 +3,11 @@ misspecification settings and tabulate how the decision rule and the degree
 of unfairness move.
 
 Each grid point is an independent fit with the caller's options, so a row
-does not depend on which other points the grid holds.  Inference per grid
-point uses the bootstrap.
+does not depend on which other points the grid holds.  The baseline and the
+grid points are fitted together by `sievemle.fit_many`, whose restarts share
+one process pool; a point whose fit is bitwise the baseline's (a zero level
+reads the same stratum table) reuses the baseline's restarts instead of
+repeating them.  Inference per grid point uses the bootstrap.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .sievemle import (
     SensitivityParams,
     decision_scores,
     fit,
+    fit_many,
     rate_threshold,
 )
 from .theta import theta_bootstrap, unfairness_integrand
@@ -135,26 +139,35 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
     """One fitted row per grid point; per-point failures recorded in-row.
 
     Rows come in sorted (v0, v1) order, and each grid point is fitted on its
-    own with ``options``.  Every fit - the baseline and each grid point - runs
-    its restarts on ``jobs`` processes, and so does each point's bootstrap
-    replicates; the table does not depend on ``jobs``.
+    own with ``options``.  The fits - the baseline (unless given) and every
+    grid point - are one `fit_many` call, so their restarts share one pool of
+    ``jobs`` processes, and a point whose objective and starts are bitwise
+    the baseline's reuses its restarts.  After that, each point's bootstrap
+    replicates run on their own pool of ``jobs`` processes.  The table does
+    not depend on ``jobs``.  A failing grid point keeps its row, with the
+    error; a failing baseline fit raises.  ``metadata["fits"]`` counts the
+    sieve fits that ran restarts of their own (`fit_many`).
     """
     grid = sorted(spec.params(), key=_sort_key)
+    requests = [(data, config, options, spec.variant, point) for point in grid]
     if baseline is None:
-        baseline = fit(data, config, options, jobs=jobs)
+        requests.insert(0, (data, config, options))
+    outcomes, fits = fit_many(requests, jobs)
+    if baseline is None:
+        baseline, *outcomes = outcomes
+        if isinstance(baseline, FairdesertError):
+            raise baseline
     base_scores = decision_scores(baseline, data)
     target = spec.target_rate if spec.target_rate is not None else float(np.mean(data.y))
 
     rows = []
-    for point in grid:
+    for point, est in zip(grid, outcomes):
         row = SweepRow(
             v0=None if callable(point.v0) else float(point.v0),
             v1=None if callable(point.v1) else float(point.v1),
         )
-        try:
-            est = fit(data, config, options, variant=spec.variant, sensitivity=point, jobs=jobs)
-        except FairdesertError as exc:
-            row.error = str(exc)
+        if isinstance(est, FairdesertError):
+            row.error = str(est)
             rows.append(row)
             continue
         scores = decision_scores(est, data)
@@ -184,6 +197,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         "target_rate": target,
         "baseline_criterion": baseline.diagnostics.criterion,
         "seed": options.seed,
+        "fits": fits,
     }
     return SweepTable(variant=spec.variant, rows=rows, metadata=metadata)
 

@@ -125,8 +125,10 @@ class RestartRecord:
 
     ``start`` is "warm" (``FitOptions.init_coefficients``), "plugin" or
     "random"; ``objective`` is the penalized negative log-likelihood it
-    reached; ``evaluations`` counts its objective evaluations (None in model
-    documents written before they were counted).
+    reached; ``evaluations`` counts its objective evaluations; ``message`` is
+    why BFGS stopped: "" (gradient tolerance met), "line search failed",
+    "iteration limit" or "non-finite start".  ``evaluations`` and ``message``
+    are None in model documents written before they were recorded.
     """
 
     start: str
@@ -135,6 +137,7 @@ class RestartRecord:
     grad_norm: float
     converged: bool
     evaluations: int | None = None
+    message: str | None = None
 
 
 @dataclass(frozen=True)
@@ -421,22 +424,27 @@ def _random_starts(problem, data, count, seed):
     return starts
 
 
-def _minimize_from(problem, max_iter, s0):
-    """One BFGS restart of the sieve objective from the packed start ``s0``."""
-    return bfgs_minimize(problem.value_grad, s0, tol=GRAD_TOL, max_iter=max_iter)
+def _minimize_task(problems, task):
+    """One BFGS restart: problem ``k`` of ``problems`` from the packed start ``s0``."""
+    k, max_iter, s0 = task
+    return bfgs_minimize(problems[k].value_grad, s0, tol=GRAD_TOL, max_iter=max_iter)
 
 
-def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
-        variant="baseline", sensitivity=None, jobs=1) -> NuisanceEstimates:
-    """Sieve maximum likelihood fit; best of multi-start quasi-Newton runs.
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    The restarts run on ``jobs`` processes (`parallel.map_jobs`) and come back
-    in start order, so the fit does not depend on ``jobs``.  Deterministic
-    given (data, config, options.seed).  Raises FitError when no restart
-    reaches an acceptable gradient norm; attaches a warning when the
-    relevance constraint fails on more than 10% of the sample
-    (`RelevanceWarning`).
-    """
+
+def _same_objective(a: SieveProblem, b: SieveProblem):
+    """Whether ``a.value_grad`` and ``b.value_grad`` read bitwise-equal inputs
+    (the stratum table, which tells sensitivity levels apart, before the
+    larger design)."""
+    return all(_same_bits(getattr(a, name), getattr(b, name))
+               for name in ("c", "margin", "lam", "ridge", "y", "idx_t", "idx_m", "table", "phi"))
+
+
+def _setup(data, config, options=None, variant="baseline", sensitivity=None):
+    """The preconditioned problem of one `fit` call, its packed starts and their kinds."""
     options = options or FitOptions()
     sensitivity = sensitivity or SensitivityParams(variant)
     require_positivity(data)
@@ -461,8 +469,11 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
         for s0 in _random_starts(problem, data, n_random, options.seed)
     )
     kinds.extend(["random"] * n_random)
+    return problem, starts, kinds
 
-    results = map_jobs(_minimize_from, starts, jobs, shared=(problem, options.max_iter))
+
+def _finish(problem, kinds, results):
+    """The estimates from one fit's restart results, in start order."""
     acceptable = [i for i, r in enumerate(results)
                   if np.isfinite(r.fun) and r.grad_norm <= 1e-4]
     if not acceptable:
@@ -477,11 +488,12 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
     (t0, t1, a, b), _, _ = problem.functions(best.x)
     viol_frac = float(np.mean(np.abs(t1 - t0) < problem.margin))
     if viol_frac > 0.10:
+        # _finish <- _fit_many <- fit or fit_many <- their caller
         warnings.warn(
             f"relevance constraint |tau1 - tau0| >= {problem.margin:g} fails on "
             f"{viol_frac:.1%} of the sample: the auxiliary variable may be irrelevant",
             RelevanceWarning,
-            stacklevel=2,
+            stacklevel=4,
         )
     criterion = problem.criterion(best.x)
     diagnostics = FitDiagnostics(
@@ -489,24 +501,102 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
         penalty=float(best.fun + criterion),
         grad_norm=best.grad_norm,
         iterations=best.iterations,
-        restarts_used=len(starts),
+        restarts_used=len(kinds),
         converged=best.converged,
         relevance_violation_frac=viol_frac,
-        n=data.n,
+        n=problem.n,
         restarts=tuple(
             RestartRecord(kind, r.iterations, float(r.fun), r.grad_norm, r.converged,
-                          r.evaluations)
+                          r.evaluations, r.message)
             for kind, r in zip(kinds, results)
         ),
         winner=winner,
     )
-    c = options.floor
+    c = problem.c
     g0, g1, ga, gb = problem.unpack(problem.to_original(best.x))
-    make = lambda g: SeriesFunction(config, g, lo=c, hi=1 - c)  # noqa: E731
+    make = lambda g: SeriesFunction(problem.config, g, lo=c, hi=1 - c)  # noqa: E731
     return NuisanceEstimates(
         tau0=make(g0), tau1=make(g1), alpha=make(ga), beta=make(gb),
-        variant=variant, sensitivity=sensitivity, diagnostics=diagnostics,
+        variant=problem.variant, sensitivity=problem.sensitivity, diagnostics=diagnostics,
     )
+
+
+def _fit_many(requests, jobs):
+    """`fit_many`; `fit` calls this rather than `fit_many`, so that a tracer
+    that wraps the public functions (``perfbench/tracing.py``) still sees a
+    fit's restarts directly under its ``fit`` span."""
+    setups = []
+    problems, tasks, slot_of = [], [], {}
+    fits = 0
+    for request in requests:
+        try:
+            problem, starts, kinds = _setup(*request)
+        except FairdesertError as exc:
+            setups.append(exc)
+            continue
+        k = next((i for i, p in enumerate(problems) if _same_objective(p, problem)), None)
+        if k is None:
+            k = len(problems)
+            problems.append(problem)
+        max_iter = problem.options.max_iter
+        fresh = len(tasks)
+        slots = []
+        for s0 in starts:
+            key = (k, max_iter, s0.tobytes())
+            if key not in slot_of:
+                slot_of[key] = len(tasks)
+                tasks.append((k, max_iter, s0))
+            slots.append(slot_of[key])
+        fits += len(tasks) > fresh
+        setups.append((problem, kinds, slots))
+
+    results = map_jobs(_minimize_task, tasks, jobs, shared=(tuple(problems),))
+    outcomes = []
+    for setup in setups:
+        if isinstance(setup, FairdesertError):
+            outcomes.append(setup)
+            continue
+        problem, kinds, slots = setup
+        try:
+            outcomes.append(_finish(problem, kinds, [results[i] for i in slots]))
+        except FairdesertError as exc:
+            outcomes.append(exc)
+    return outcomes, fits
+
+
+def fit_many(requests, jobs=1):
+    """`fit` for each request, with every restart of every request on one pool.
+
+    Each request is a tuple of `fit`'s arguments ``(data, config, options,
+    variant, sensitivity)``; trailing ones may be left out.  All restarts run
+    in one `parallel.map_jobs` call on ``jobs`` processes.  A restart runs once
+    when an earlier request minimizes the same objective - bitwise-equal
+    design, outcomes, stratum table, gather indices and options - from a
+    bitwise-equal start with the same ``max_iter``; the later request reuses
+    its result, so a zero-level sensitivity point repeats no work of the
+    baseline.  Returns ``(outcomes, fits)``: per request, in order, the
+    `NuisanceEstimates` that ``fit(*request)`` returns or the `FairdesertError`
+    it raises; and ``fits``, the number of requests that ran a restart of
+    their own.  Other exceptions propagate.
+    """
+    return _fit_many(requests, jobs)
+
+
+def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
+        variant="baseline", sensitivity=None, jobs=1) -> NuisanceEstimates:
+    """Sieve maximum likelihood fit; best of multi-start quasi-Newton runs.
+
+    The restarts run on ``jobs`` processes (`parallel.map_jobs`) and come back
+    in start order, so the fit does not depend on ``jobs``.  Deterministic
+    given (data, config, options.seed).  Raises FitError when no restart
+    reaches an acceptable gradient norm; attaches a warning when the
+    relevance constraint fails on more than 10% of the sample
+    (`RelevanceWarning`).  The one-request case of `fit_many`.
+    """
+    (outcome,), _ = _fit_many([(data, config, options, variant, sensitivity)], jobs)
+    if isinstance(outcome, FairdesertError):
+        raise outcome
+    return outcome
 
 
 def predict_tau(est: NuisanceEstimates, z, x):

@@ -30,7 +30,7 @@ from .errors import BootstrapError, FairdesertError, RelevanceWarning, VariantMi
 from .identify import STRATA, _bilinear, stratum_table, unfairness_rate, unfairness_rate_partials
 from .parallel import map_jobs
 from .regress import PropensityModel, fit_propensity
-from .sievemle import FitOptions, NuisanceEstimates, fit, stratum_probability
+from .sievemle import FitOptions, NuisanceEstimates, fit_many, stratum_probability
 
 DEGENERATE_TOL = 1e-12
 # Observations where the fitted decision rules nearly coincide carry
@@ -39,6 +39,8 @@ DEGENERATE_TOL = 1e-12
 # augmentation (the plug-in term is kept - the augmentation is conditionally
 # mean zero, so dropping it costs efficiency, not consistency).
 GAP_TOL = 0.05
+# fewest replicates `theta_bootstrap` accepts
+MIN_REPLICATES = 200
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,8 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
                            level=0.95, pi_ridge=1e-8, jobs=1) -> ThetaEstimate:
     """K-fold cross-fitted one-step estimator: nuisances fit on fold complements.
 
-    Each fold's sieve fit runs its restarts on ``jobs`` processes.
+    The folds' sieve fits are one `sievemle.fit_many` call, so their restarts
+    share one pool of ``jobs`` processes.
     """
     if folds < 2:
         raise ValueError("cross-fitting requires at least 2 folds")
@@ -218,12 +221,14 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
     assignments = np.empty(data.n, dtype=int)
     for k in range(folds):
         assignments[perm[k::folds]] = k
+    trains = [data.subset(np.flatnonzero(assignments != k)) for k in range(folds)]
+    fold_fits, _ = fit_many([(train, config, options) for train in trains], jobs)
     phi = np.empty(data.n)
     excluded = np.zeros(data.n, dtype=bool)
-    for k in range(folds):
+    for k, (train, est_k) in enumerate(zip(trains, fold_fits)):
+        if isinstance(est_k, FairdesertError):
+            raise est_k
         hold = assignments == k
-        train = data.subset(np.flatnonzero(~hold))
-        est_k = fit(train, config, options, jobs=jobs)
         prop_k = fit_propensity(train, config, ridge=pi_ridge)
         fold_data = data.subset(np.flatnonzero(hold))
         phi_k, _, _, excl_k = _phi_values(est_k, prop_k, fold_data)
@@ -268,8 +273,8 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
     that emitted a `RelevanceWarning`; one summary warning replaces theirs.
     Errors out when more than 10% of replicate fits fail.
     """
-    if replicates < 200:
-        raise ValueError("bootstrap requires at least 200 replicates")
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"bootstrap requires at least {MIN_REPLICATES} replicates")
     est = full_fit if full_fit is not None else est_fitter(data)
     point = float(np.mean(unfairness_integrand(est, data)))
     seq = SeedSequence(entropy=seed, spawn_key=(31,))

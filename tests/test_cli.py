@@ -68,6 +68,12 @@ def test_estimate_same_output_for_every_jobs(train_csv, tmp_path):
     assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "2")
     report = json.loads((tmp_path / "1" / "fit_report.json").read_text())
     assert len(report["diagnostics"]["restarts"]) == report["diagnostics"]["restarts_used"] == 4
+    model = json.loads((tmp_path / "1" / "model.json").read_text())
+    assert model["diagnostics"] == report["diagnostics"]
+    # why each restart stopped; the winner met the gradient tolerance
+    messages = [r["message"] for r in report["diagnostics"]["restarts"]]
+    assert set(messages) <= {"", "line search failed", "iteration limit", "non-finite start"}
+    assert messages[report["diagnostics"]["winner"]] == ""
 
 
 def _old_row_writer(path, header, columns, int_columns=()):
@@ -299,11 +305,22 @@ def test_bad_arguments_exit_2_with_one_line(train_csv, tmp_path, capsys, argv, m
     (["predict", "--model", "{model}", "--rate", "0"], "error: --rate must lie in (0, 1]"),
     (["sensitivity", "--variant", "delta", "--boot", "0", "--restarts", "1", "--rate", "0"],
      "error: --rate must lie in (0, 1]"),
-], ids=["restarts-0", "restarts-negative", "floor-0.6", "predict-rate-0", "sensitivity-rate-0"])
+    (["sensitivity", "--variant", "delta", "--boot", "-1"],
+     "error: --boot must be 0 (no bootstrap) or at least 200, got -1"),
+    (["sensitivity", "--variant", "delta", "--boot", "50"],
+     "error: --boot must be 0 (no bootstrap) or at least 200, got 50"),
+    (["theta", "--method", "onestep", "--crossfit", "1"],
+     "error: --crossfit must be 0 (off) or at least 2 folds, got 1"),
+    (["theta", "--method", "onestep", "--crossfit", "-2"],
+     "error: --crossfit must be 0 (off) or at least 2 folds, got -2"),
+], ids=["restarts-0", "restarts-negative", "floor-0.6", "predict-rate-0", "sensitivity-rate-0",
+        "sensitivity-boot-negative", "sensitivity-boot-50", "theta-crossfit-1",
+        "theta-crossfit-negative"])
 def test_bad_values_exit_2_before_any_fit(train_csv, fitted_model, tmp_path, capsys,
                                           monkeypatch, argv, message):
     import fairdesert.cli as cli
     import fairdesert.sensitivity as sensitivity
+    import fairdesert.theta as theta
 
     started = []
 
@@ -313,7 +330,8 @@ def test_bad_values_exit_2_before_any_fit(train_csv, fitted_model, tmp_path, cap
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in ((cli, "fit"), (sensitivity, "fit"), (cli, "load_model")):
+    for module, name in ((cli, "fit"), (sensitivity, "fit"), (sensitivity, "fit_many"),
+                         (theta, "fit_many"), (cli, "load_model")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     argv = [a.replace("{model}", str(fitted_model)) for a in argv]
     rc = main([*argv, "--input", str(train_csv), "--out-dir", str(tmp_path / "out")])
@@ -485,6 +503,8 @@ def test_sensitivity_cli(train_csv, tmp_path):
     assert len(lines) == 3
     meta = json.loads((tmp_path / "sweep" / "sweep_meta.json").read_text())
     assert meta["variant"] == "delta"
+    # the baseline and the 0.05 point; the (0, 0) point reuses the baseline's fit
+    assert meta["fits"] == 2
 
 
 def test_simulate_cli(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdesert import sensitivity
+from fairdesert import sievemle
 from fairdesert.basis import BasisConfig
+from fairdesert.errors import FitError
 from fairdesert.sensitivity import DEFAULT_GRIDS, SweepSpec, flip_rate, run_sweep
 from fairdesert.sievemle import FitOptions, fit
 from fairdesert.simulate import DgpConfig, gen_dataset, oracle_theta
@@ -118,18 +119,34 @@ def _quick_baseline(data):
 
 def test_sweep_fits_each_grid_point_once(monkeypatch):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=56))
-    calls = []
+    runs = []
+    bfgs = sievemle.bfgs_minimize
 
-    def counting_fit(*args, **kwargs):
-        calls.append(kwargs.get("sensitivity"))
-        return fit(*args, **kwargs)
+    def counting(fg, x0, **kwargs):
+        runs.append(1)
+        return bfgs(fg, x0, **kwargs)
 
-    monkeypatch.setattr(sensitivity, "fit", counting_fit)
+    monkeypatch.setattr(sievemle, "bfgs_minimize", counting)
     spec = SweepSpec(variant="delta", grid=((0.05, 0.05), (0.0, 0.0), (0.1, 0.1)),
                      bootstrap_replicates=0)
-    run_sweep(data, CONFIG, OPTS, spec)
-    # the baseline, then one fit per grid point
-    assert len(calls) == 1 + len(spec.grid)
+    table = run_sweep(data, CONFIG, OPTS, spec)
+    # one set of restarts per distinct problem: the baseline, then every grid
+    # point but (0, 0), whose objective and starts are bitwise the baseline's
+    distinct = 1 + len(spec.grid) - 1
+    assert len(runs) == distinct * OPTS.restarts
+    assert table.metadata["fits"] == distinct
+    zero = table.rows[0]
+    assert (zero.v0, zero.v1) == (0.0, 0.0)
+    assert zero.criterion == table.metadata["baseline_criterion"]
+    assert zero.mean_abs_tau_diff == 0.0 and zero.flip_rate == 0.0
+
+
+def test_sweep_raises_when_the_baseline_fit_fails():
+    data, _, _ = gen_dataset(DgpConfig(n=1000, seed=52))
+    bad_opts = FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)
+    spec = SweepSpec(variant="delta", grid=((0.05, 0.05),), bootstrap_replicates=0)
+    with pytest.raises(FitError, match="no restart converged"):
+        run_sweep(data, CONFIG, bad_opts, spec)
 
 
 def test_sweep_row_does_not_depend_on_other_points():
@@ -156,7 +173,9 @@ def test_sweep_csv_and_metadata(tmp_path):
 
     meta = json.loads((tmp_path / "sweep_meta.json").read_text())
     assert meta["variant"] == "kappa"
-    assert set(meta) == {"variant", "n", "target_rate", "baseline_criterion", "seed"}
+    assert set(meta) == {"variant", "n", "target_rate", "baseline_criterion", "seed", "fits"}
+    # the (0, 0) point reuses the baseline's restarts
+    assert meta["fits"] == 1
 
 
 def test_sweep_grid_validation():

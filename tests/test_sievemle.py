@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairdesert import sievemle
 from fairdesert.basis import BasisConfig, expit, intercept_only, logit
 from fairdesert.data import Dataset
-from fairdesert.errors import FitError
+from fairdesert.errors import FitError, RelevanceWarning
 from fairdesert.identify import (
     PointwiseMu,
     PointwiseParams,
@@ -25,6 +26,7 @@ from fairdesert.sievemle import (
     _plugin_start,
     decision_scores,
     fit,
+    fit_many,
     predict_tau,
     predict_tau_sz,
     rate_threshold,
@@ -645,6 +647,93 @@ def test_fit_records_every_restart(univariate_basis):
     doc = diag.to_json_dict()
     assert doc["winner"] == diag.winner and len(doc["restarts"]) == 4
     assert type(diag).from_json_dict(doc) == diag
+
+
+def _outcome(call):
+    """What ``call()`` returns or the `FitError` it raises, and the messages
+    of the `RelevanceWarning`s it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RelevanceWarning)
+        try:
+            out = call()
+        except FitError as exc:
+            out = exc
+    return out, [str(w.message) for w in caught if w.category is RelevanceWarning]
+
+
+def _same_fit(a, b):
+    if isinstance(a, FitError):
+        return type(b) is FitError and str(a) == str(b)
+    return (a.coefficient_stack().tobytes() == b.coefficient_stack().tobytes()
+            and a.diagnostics == b.diagnostics
+            and (a.variant, a.sensitivity) == (b.variant, b.sensitivity))
+
+
+def test_fit_many_equals_one_fit_per_request(univariate_basis):
+    data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
+    weak, _, _ = gen_dataset(DgpConfig(n=800, seed=16))
+    opts = FitOptions(restarts=3, seed=4)
+    requests = [
+        (data, univariate_basis, opts),
+        (data, univariate_basis, opts, "delta", SensitivityParams("delta", 0.05, 0.05)),
+        # the baseline's objective and starts, under its own labels
+        (data, univariate_basis, opts, "delta", SensitivityParams("delta", 0.0, 0.0)),
+        (data, univariate_basis,
+         FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)),
+        (weak, univariate_basis,
+         FitOptions(restarts=1, seed=0, relevance_margin=0.5, relevance_penalty=0.0)),
+    ]
+    singles = [_outcome(lambda r=r: fit(*r)) for r in requests]
+    expected_warnings = [m for _, caught in singles for m in caught]
+    assert isinstance(singles[3][0], FitError) and len(expected_warnings) == 1
+    for jobs in (1, 2):
+        (outcomes, fits), caught = _outcome(lambda: fit_many(requests, jobs=jobs))
+        assert all(_same_fit(o, f) for o, (f, _) in zip(outcomes, singles, strict=True))
+        assert caught == expected_warnings
+        # the zero-level request reused the baseline's restarts
+        assert fits == 4
+    assert outcomes[2].diagnostics == outcomes[0].diagnostics
+    assert outcomes[2].variant == "delta"
+
+
+def test_fit_many_runs_each_distinct_restart_once(univariate_basis, monkeypatch):
+    data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
+    runs = []
+    bfgs = sievemle.bfgs_minimize
+
+    def counting(fg, x0, **kwargs):
+        runs.append(1)
+        return bfgs(fg, x0, **kwargs)
+    monkeypatch.setattr(sievemle, "bfgs_minimize", counting)
+    opts = FitOptions(restarts=3, seed=0)
+    (base, reseeded, zero, _), fits = fit_many([
+        (data, univariate_basis, opts),
+        # another seed changes the random starts only
+        (data, univariate_basis, FitOptions(restarts=3, seed=1)),
+        (data, univariate_basis, opts, "zeta", SensitivityParams("zeta", 0.0, 0.0)),
+        # another iteration limit is another minimization
+        (data, univariate_basis, FitOptions(restarts=3, seed=0, max_iter=400)),
+    ])
+    assert len(runs) == 3 + 2 + 0 + 3
+    assert fits == 3
+    assert [r.start for r in reseeded.diagnostics.restarts] == ["plugin", "random", "random"]
+    assert reseeded.diagnostics.restarts[0] == base.diagnostics.restarts[0]
+    assert zero.diagnostics == base.diagnostics
+
+
+def test_restart_records_carry_the_stop_message(univariate_basis):
+    # the zeta plug-in start is far from feasible and its line search fails
+    data, _, _ = gen_dataset(DgpConfig(n=600, seed=4))
+    diag = fit(data, univariate_basis, FitOptions(restarts=3), "zeta",
+               VARIANT_SENS["zeta"]).diagnostics
+    assert [r.message for r in diag.restarts] == ["line search failed", "", ""]
+    doc = diag.to_json_dict()
+    assert [r["message"] for r in doc["restarts"]] == ["line search failed", "", ""]
+    assert type(diag).from_json_dict(doc) == diag
+    # documents written before messages were recorded still load
+    for r in doc["restarts"]:
+        del r["message"]
+    assert all(r.message is None for r in type(diag).from_json_dict(doc).restarts)
 
 
 def test_fit_respects_floor(univariate_basis):

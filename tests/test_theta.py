@@ -18,6 +18,7 @@ from fairdesert.sievemle import FitOptions, NuisanceEstimates, SensitivityParams
 from fairdesert.sensitivity import VariantFitter
 from fairdesert.simulate import DgpConfig, gen_dataset, oracle_theta
 from fairdesert.theta import (
+    ThetaEstimate,
     _normal_estimate,
     _phi_values,
     influence_coefficients,
@@ -201,6 +202,21 @@ def test_crossfit_runs_and_brackets():
     assert result.ci_low <= result.point <= result.ci_high
     with pytest.raises(ValueError):
         theta_onestep_crossfit(data, CONFIG, folds=1)
+
+
+def test_crossfit_pinned():
+    # the folds' fits share one fit_many call; the estimate is the one that
+    # fitting the folds one by one gave, to the bit, for every jobs
+    data, _, _ = gen_dataset(DgpConfig(n=2000, seed=11))
+    options = FitOptions(restarts=3, floor=0.05, relevance_margin=1e-3, ridge=3e-3, seed=2)
+    pinned = ThetaEstimate(
+        point=0.30263179022805536, stderr=0.07317551199913697,
+        ci_low=0.15921042215946837, ci_high=0.4460531582966424, method="onestep",
+        level=0.95, n_used=2000, flags={"excluded_fraction": 0.0935, "crossfit_folds": 3},
+    )
+    for jobs in (1, 2):
+        assert theta_onestep_crossfit(data, CONFIG, options, folds=3, seed=1,
+                                      jobs=jobs) == pinned
 
 
 def test_bootstrap_zero_width_when_integrand_constant():
