@@ -17,8 +17,12 @@ from itertools import combinations
 
 import numpy as np
 
-# rows per block of `monomials_matrix`: a block's powers and columns stay in
-# cache
+# rows per block of `monomials_matrix`, of `sievemle.predict_tau` and of the
+# Monte Carlo test-draw scoring: a block's powers and columns stay in cache,
+# and no (n, J) design is built for a whole large array.  A multiple of 8, so
+# that a BLAS matrix-vector product gives each row of a block the bits it gets
+# in the whole array (OpenBLAS computes the rows past its kernel's unroll on
+# another path, so other block sizes can differ in the last bit)
 MONOMIAL_BLOCK_ROWS = 4096
 
 

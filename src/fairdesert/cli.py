@@ -42,6 +42,7 @@ from .regress import fit_mu_models, fit_propensity
 from .sensitivity import DEFAULT_GRIDS, SweepSpec, VariantFitter, run_sweep
 from .sievemle import FitOptions, SensitivityParams, fit, predict_tau_sz, rate_threshold
 from .simulate import (
+    MIN_ROWS,
     DgpConfig,
     MonteCarloSettings,
     monte_carlo,
@@ -221,14 +222,22 @@ def _crossfit(resolved):
     return folds
 
 
-def _sweep_boot(resolved):
-    """The --boot replicates of a sweep: 0 (no bootstrap) or at least 200."""
+def _boot(resolved, allow_off):
+    """The --boot replicates: at least MIN_REPLICATES, or 0 (no bootstrap)
+    where ``allow_off``, as a sweep does."""
     boot = int(resolved["boot"])
-    if boot < 0 or 0 < boot < MIN_REPLICATES:
-        raise FairdesertError(
-            f"--boot must be 0 (no bootstrap) or at least {MIN_REPLICATES}, got {boot}"
-        )
+    if not (boot >= MIN_REPLICATES or (allow_off and boot == 0)):
+        allowed = "0 (no bootstrap) or at least" if allow_off else "at least"
+        raise FairdesertError(f"--boot must be {allowed} {MIN_REPLICATES}, got {boot}")
     return boot
+
+
+def _test_size(resolved):
+    """The --test-size rows of each replication's test draw."""
+    size = int(resolved["test_size"])
+    if size < MIN_ROWS:
+        raise FairdesertError(f"--test-size must be at least {MIN_ROWS}, got {size}")
+    return size
 
 
 def _sensitivity_point(flag, variant, text):
@@ -363,11 +372,12 @@ def cmd_theta(resolved):
     out = _out_dir(resolved)
     level = _level(resolved)
     folds = _crossfit(resolved)
+    method = resolved["method"]
+    boot = _boot(resolved, allow_off=False) if method == "bootstrap" else None
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
     variant, sensitivity = _sensitivity(resolved)
-    method = resolved["method"]
 
     if variant != "baseline" and method != "bootstrap":
         raise FairdesertError(
@@ -380,7 +390,7 @@ def cmd_theta(resolved):
         full_fit = fit(data, config, options, variant=variant, sensitivity=sensitivity,
                        jobs=resolved["jobs"])
         estimate = theta_bootstrap(
-            fitter, data, replicates=int(resolved["boot"]),
+            fitter, data, replicates=boot,
             seed=int(resolved["seed"]), level=level, full_fit=full_fit, jobs=resolved["jobs"],
         )
     elif method == "onestep" and folds:
@@ -430,7 +440,7 @@ def cmd_sensitivity(resolved):
     out = _out_dir(resolved)
     target_rate = _rate(resolved)
     level = _level(resolved)
-    boot = _sweep_boot(resolved)
+    boot = _boot(resolved, allow_off=True)
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
@@ -467,7 +477,7 @@ def cmd_simulate(resolved):
     methods = tuple(m.strip() for m in str(resolved["methods"]).split(",") if m.strip())
     settings = MonteCarloSettings(
         methods=methods,
-        test_size=int(resolved["test_size"]),
+        test_size=_test_size(resolved),
         basis=_basis(resolved),
         fit_options=_fit_options(resolved),
         level=_level(resolved),

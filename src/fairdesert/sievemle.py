@@ -19,7 +19,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .basis import BasisConfig, SeriesFunction, expand_matrix, expit, logit, orthonormal_design
+from .basis import (
+    MONOMIAL_BLOCK_ROWS,
+    BasisConfig,
+    SeriesFunction,
+    expand_matrix,
+    expit,
+    logit,
+    orthonormal_design,
+)
 from .data import Dataset, require_positivity
 from .errors import FairdesertError, FitError, RelevanceWarning
 from .identify import (
@@ -601,12 +609,21 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
 
 def predict_tau(est: NuisanceEstimates, z, x):
     """tau_hat(z, x) = (1 - z) tau0_hat(x) + z tau1_hat(x) at scaled covariates:
-    a float for one point x (1-d), an (n,) array for an (n, d) matrix."""
+    a float for one point x (1-d), an (n,) array for an (n, d) matrix.
+
+    Rows are done in blocks of `basis.MONOMIAL_BLOCK_ROWS`, each expanding its
+    own basis, so the memory used beyond the output stays small; every row
+    gets the bits it gets from one expansion of the whole matrix."""
     point = np.ndim(x) < 2
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    phi = expand_matrix(x, est.config)
-    z = np.broadcast_to(np.asarray(z), (x.shape[0],))
-    out = np.where(z == 1, est.tau1.eval_features(phi), est.tau0.eval_features(phi))
+    n = x.shape[0]
+    z = np.broadcast_to(np.asarray(z), (n,))
+    out = np.empty(n)
+    for start in range(0, n, MONOMIAL_BLOCK_ROWS):
+        rows = slice(start, start + MONOMIAL_BLOCK_ROWS)
+        phi = expand_matrix(x[rows], est.config)
+        out[rows] = np.where(z[rows] == 1, est.tau1.eval_features(phi),
+                             est.tau0.eval_features(phi))
     return float(out[0]) if point else out
 
 

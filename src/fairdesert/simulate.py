@@ -19,14 +19,17 @@ effect of S on the score (MLC), and a label-debiasing reweighting loop (LD).
 MLC and LD follow standard constructions from the fairness literature and are
 flagged as indicative in all outputs.
 
-Each replication scores every method on one large independent test draw.  The
-work there is shared across methods: one design matrix per distinct feature
-map (UML and MLC share one, FTU and LD the other), built and released in turn;
-one `predict_tau` of the desert-decision fit serving both its AUCs and its tau
-error; and one ranking per score vector, against which both label vectors
-(Y* and Y) are scored.  The ranking uses numpy's default sort, which is not
-stable: tied scores all get their tie's average rank, so the order within a
-tie cannot change an AUC, and the stable sort would only cost more.
+Each replication scores every method on one large independent test draw, in
+row blocks of `basis.MONOMIAL_BLOCK_ROWS`, so no design matrix of the whole
+draw is built.  The work is shared across methods: within a block, one design
+per distinct feature map (UML and MLC share one, FTU and LD the other); one
+`predict_tau` of the desert-decision fit serving both its AUCs and its tau
+error; and one sort per score vector, against which both label vectors (Y*
+and Y) are scored.  The AUC is the Mann-Whitney statistic from exact integer
+rank sums: the sorted positions of the positives, plus a correction at tied
+positions only.  The sort is numpy's default, which is not stable: tied
+scores all get their tie's average rank, so the order within a tie cannot
+change an AUC, and the stable sort would only cost more.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.random import SeedSequence, default_rng
 
 from .basis import (
+    MONOMIAL_BLOCK_ROWS,
     BasisConfig,
     expit,
     monomial_exponents,
@@ -60,6 +64,8 @@ from .theta import theta_onestep
 
 BASELINE_METHODS = ("uml", "ftu", "mlc", "ld")
 ALL_METHODS = ("dsd",) + BASELINE_METHODS
+# fewest rows the generator draws, for training and test draws alike
+MIN_ROWS = 100
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,8 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 100:
-            raise ValueError("n must be at least 100")
+        if self.n < MIN_ROWS:
+            raise ValueError(f"n must be at least {MIN_ROWS}")
         if not 0.0 <= self.delta < 0.5:
             raise ValueError("delta must lie in [0, 0.5)")
 
@@ -185,36 +191,49 @@ def oracle_theta(config: DgpConfig, draws=4096):
 def auc(scores, labels):
     """Mann-Whitney AUC with half credit for ties.
 
-    ``labels`` is one label vector, or a (k, n) stack of label vectors that
-    are all scored against one ranking of ``scores``; a stack returns a tuple
-    of k AUCs.
+    ``scores`` is a 1-d vector and ``labels`` one vector of 0/1 labels of the
+    same length, or a (k, n) stack of them that are all scored against one
+    sort of ``scores``; a stack returns a tuple of k AUCs.  Any other shape or
+    label value raises ValueError.  A NaN score makes the AUC NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if scores.ndim != 1 or labels.ndim not in (1, 2) or labels.shape[-1] != scores.size:
+        raise ValueError(
+            f"AUC needs 1-d scores and labels of the same length, got shapes "
+            f"{scores.shape} and {labels.shape}"
+        )
     positives = np.atleast_2d(labels == 1)
-    n = positives.shape[1]
+    if not (positives | (labels == 0)).all():
+        raise ValueError("AUC labels must be 0 or 1")
+    n = scores.size
     counts = [int(pos.sum()) for pos in positives]
     if any(n1 == 0 or n1 == n for n1 in counts):
         raise UndefinedAUCError("AUC needs both label classes present")
-    # average ranks (ties share the mean of their positions), as
-    # scipy.stats.rankdata computes them; NaN sorts last and, as there,
-    # makes every rank NaN.  Each member of a tie gets its group's mean
-    # position, which does not depend on the order within the group, so the
-    # default (unstable, several times faster) sort gives the same ranks.
     order = np.argsort(scores)
     ordered = scores[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    dense = np.cumsum(first)
-    count = np.append(np.flatnonzero(first), n)
-    ranks = np.empty(n)
-    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
-    if np.isnan(ordered[-1]):
-        ranks[:] = np.nan
-    values = tuple(
-        float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * (n - n1)))
-        for pos, n1 in zip(positives, counts)
-    )
-    return values if labels.ndim > 1 else values[0]
+    if np.isnan(ordered[-1]):  # NaN sorts last
+        values = (math.nan,) * len(counts)
+        return values if labels.ndim > 1 else values[0]
+    # Twice the rank sum of the positives, in integers.  Untied, the rank of
+    # sorted position i is i + 1; a tie spanning positions a..b gives each
+    # member the average rank (a + b) / 2 + 1 (as scipy.stats.rankdata), so
+    # a tied position i adds a + b - 2i to twice its rank.  The order within
+    # a tie cannot change the sum, so the unstable default sort serves.
+    differs = ordered[1:] != ordered[:-1]
+    first = np.append(True, differs)  # a run of equal scores starts here
+    last = np.append(differs, True)  # and ends here
+    tied = np.flatnonzero(~(first & last))  # empty when no score repeats
+    group = np.cumsum(first[tied]) - 1
+    shift = tied[first[tied]][group] + tied[last[tied]][group] - 2 * tied
+    values = []
+    for pos, n1 in zip(positives, counts):
+        pos = pos[order]
+        twice = 2 * (int(np.flatnonzero(pos).sum()) + n1) + int(shift[pos[tied]].sum())
+        # each rank is a half-integer and the sum is below 2^53, so this is
+        # the exact rank sum, as any float summation of the ranks gives
+        values.append(float((twice / 2 - n1 * (n1 + 1) / 2) / (n1 * (n - n1))))
+    return tuple(values) if labels.ndim > 1 else values[0]
 
 
 @dataclass(frozen=True)
@@ -258,9 +277,10 @@ class ScoreModel:
     label: str
     note: str = ""
 
-    def scores(self, data: Dataset, design=None):
-        """Scores on ``data``; ``design`` is ``feature_map.matrix`` on the same
-        rows when the caller has already built it."""
+    def scores(self, data: Dataset | None, design=None):
+        """Scores on ``data``, or on the rows of ``design`` when the caller has
+        already built ``feature_map.matrix`` for them (``data`` is then not
+        read)."""
         if design is None:
             design = self.feature_map.matrix(data.s, data.z, data.x)
         return expit(design @ self.gamma)
@@ -398,6 +418,10 @@ class MonteCarloSettings:
     compute_tau_error: bool = True
     pi_ridge: float = 1e-8
 
+    def __post_init__(self):
+        if self.test_size < MIN_ROWS:
+            raise ValueError(f"test_size must be at least {MIN_ROWS}, got {self.test_size}")
+
 
 @dataclass
 class MonteCarloSummary:
@@ -480,15 +504,8 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
         if "dsd" in models:
             scores["dsd"] = predict_tau(models["dsd"], test.z, test.x)
         if settings.compute_auc:
-            sharing = {}
-            for name, model in models.items():
-                if name != "dsd":
-                    sharing.setdefault(model.feature_map, []).append(name)
-            for feature_map, names in sharing.items():
-                design = feature_map.matrix(test.s, test.z, test.x)
-                for name in names:
-                    scores[name] = models[name].scores(test, design)
-                del design
+            scores.update(_baseline_scores(
+                {name: model for name, model in models.items() if name != "dsd"}, test))
             labels = np.stack([ystar, test.y])
             for name in models:
                 out[f"auc_ystar_{name}"], out[f"auc_y_{name}"] = auc(scores[name], labels)
@@ -497,6 +514,23 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
             out["tau_error"] = float(np.sqrt(np.mean((scores["dsd"] - tau_true) ** 2)))
         lap("scoring")
     return out
+
+
+def _baseline_scores(models, data: Dataset):
+    """Each `ScoreModel`'s scores on ``data``, filled in row blocks of
+    `basis.MONOMIAL_BLOCK_ROWS`; within a block, models that share a feature
+    map share its design.  Bitwise equal to ``model.scores(data)``."""
+    sharing = {}
+    for name, model in models.items():
+        sharing.setdefault(model.feature_map, []).append(name)
+    scores = {name: np.empty(data.n) for name in models}
+    for start in range(0, data.n, MONOMIAL_BLOCK_ROWS):
+        rows = slice(start, start + MONOMIAL_BLOCK_ROWS)
+        for feature_map, names in sharing.items():
+            design = feature_map.matrix(data.s[rows], data.z[rows], data.x[rows])
+            for name in names:
+                scores[name][rows] = models[name].scores(None, design)
+    return scores
 
 
 def _mc_worker(config, settings, theta_true, rep):

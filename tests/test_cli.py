@@ -359,6 +359,14 @@ def _level_argv(command, level):
                    f"error: --threshold must be a finite number, got {float(threshold)}",
                    id=f"predict-threshold-{threshold}")
       for threshold in ("nan", "inf", "-inf")),
+    *(pytest.param(["theta", "--input", "{train}", "--method", "bootstrap", "--variant", "delta",
+                    "--delta", "0.05,0.05", "--boot", boot],
+                   f"error: --boot must be at least 200, got {boot}", id=f"theta-boot-{boot}")
+      for boot in ("0", "50", "-1")),
+    *(pytest.param(["simulate", "--n", "200", "--reps", "1", "--test-size", size],
+                   f"error: --test-size must be at least 100, got {size}",
+                   id=f"simulate-test-size-{size}")
+      for size in ("0", "50", "99")),
 ])
 def test_bad_level_or_threshold_exits_2_before_any_work(train_csv, fitted_model, tmp_path,
                                                         capsys, monkeypatch, argv, message):

@@ -1,6 +1,8 @@
-"""Every experiment script still imports and parses its arguments, and the
-workflow demo stops with the exit code of the first step that fails."""
+"""Every experiment script still imports and parses its arguments, the
+workflow demo stops with the exit code of the first step that fails, and the
+tables script runs end to end at desk scale."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -36,3 +38,17 @@ def test_workflow_demo_exits_nonzero_when_a_step_fails(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "error: --rate must lie in (0, 1]" in proc.stderr
     assert (tmp_path / "estimate" / "model.json").exists()
+
+
+def test_run_tables_desk_scale_writes_the_three_tables(tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_tables.py"),
+                           "--reps", "2", "--sizes", "200", "--deltas", "0",
+                           "--test-size", "2000", "--jobs", "1", "--out-dir", str(tmp_path)],
+                          env=_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    tables = {name: list(csv.DictReader((tmp_path / f"{name}.csv").read_text().splitlines()))
+              for name in ("auc_summary", "coverage_summary", "replications")}
+    assert [row["method"] for row in tables["auc_summary"]] == ["dsd", "uml", "ftu", "mlc", "ld"]
+    (coverage,) = tables["coverage_summary"]
+    assert (coverage["n"], coverage["reps"], coverage["failures"]) == ("200", "2", "0")
+    assert [row["failed"] for row in tables["replications"]] == ["", ""]

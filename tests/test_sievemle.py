@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdesert import sievemle
-from fairdesert.basis import BasisConfig, expit, intercept_only, logit
+from fairdesert.basis import (
+    MONOMIAL_BLOCK_ROWS,
+    BasisConfig,
+    SeriesFunction,
+    expand_matrix,
+    expit,
+    intercept_only,
+    logit,
+)
 from fairdesert.data import Dataset
 from fairdesert.errors import FitError, RelevanceWarning
 from fairdesert.identify import (
@@ -833,6 +841,27 @@ def test_predict_tau_sz_kappa_shift(univariate_basis):
     assert np.allclose(np.asarray(adv) - np.asarray(base), 0.05, atol=1e-12)
     scores = decision_scores(est, data)
     assert scores.shape == (data.n,)
+
+
+@pytest.mark.parametrize("config, dim", [
+    (BasisConfig(degree=1, interaction_order=1), 3),
+    (BasisConfig(interaction_order=1), 7),
+    (BasisConfig(), 10),
+])
+def test_predict_tau_blocks_match_one_expansion(config, dim):
+    # 3 blocks plus 5 rows, so the last block is a short tail
+    n = 3 * MONOMIAL_BLOCK_ROWS + 5
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(size=(n, 2))
+    z = rng.integers(0, 2, n)
+    est = NuisanceEstimates(*(SeriesFunction(config, rng.normal(size=dim), 0.05, 0.95)
+                              for _ in range(4)))
+    # one-shot reference: the whole (n, J) expansion at once
+    phi = expand_matrix(x, config)
+    assert phi.shape == (n, dim)
+    expected = np.where(z == 1, est.tau1.eval_features(phi), est.tau0.eval_features(phi))
+    assert np.array_equal(predict_tau(est, z, x), expected)
+    assert np.array_equal(predict_tau(est, 1, x), est.tau1.eval_features(phi))
 
 
 def test_one_row_scores_are_one_dimensional(univariate_basis):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdesert.basis import expit, orthonormal_design
+from fairdesert.basis import MONOMIAL_BLOCK_ROWS, expit, orthonormal_design
 from fairdesert.errors import SeparationError, UndefinedAUCError
 from fairdesert.data import Dataset
 from fairdesert.optimize import bfgs_minimize
@@ -15,6 +15,8 @@ from fairdesert.simulate import (
     DgpConfig,
     FeatureMap,
     MonteCarloSettings,
+    ScoreModel,
+    _baseline_scores,
     auc,
     fit_ftu,
     fit_ld,
@@ -202,6 +204,23 @@ def test_auc_ties_half_credit():
 def test_auc_single_class_error():
     with pytest.raises(UndefinedAUCError):
         auc([0.1, 0.9], [1, 1])
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.1, 0.2, 0.3, 0.4], [0, 2, 1, 1]),
+    ([0.1, 0.2, 0.3, 0.4], [0, -1, 1, 1]),
+    ([0.1, 0.2, 0.3, 0.4], [0, 0.5, 1, 1]),
+    ([0.1, 0.2, 0.3, 0.4], [[0, 1, 1, 0], [0, 1, 2, 0]]),
+    ([0.1, 0.2, 0.3], [0, 1, 1, 0]),
+    ([0.1, 0.2, 0.3, 0.4], [0, 1, 1]),
+    ([[0.1, 0.2], [0.3, 0.4]], [0, 1]),
+    ([[0.1, 0.2], [0.3, 0.4]], [[0, 1], [1, 0]]),
+    (0.5, 1),
+], ids=["label-2", "label-minus-1", "label-half", "label-2-in-stack", "more-labels",
+        "fewer-labels", "2d-scores", "2d-scores-2d-labels", "scalars"])
+def test_auc_rejects_bad_input(scores, labels):
+    with pytest.raises(ValueError, match="AUC"):
+        auc(scores, labels)
 
 
 def test_auc_label_stack_matches_per_label_calls():
@@ -398,6 +417,39 @@ def test_ld_reduces_disparity(small_dgp):
     assert abs(disparity) <= 1e-3 + 5e-4
 
 
+def test_monte_carlo_settings_reject_a_test_draw_below_the_generator_minimum():
+    for size in (-1, 0, 50, 99):
+        with pytest.raises(ValueError, match=f"test_size must be at least 100, got {size}"):
+            MonteCarloSettings(test_size=size)
+    assert MonteCarloSettings(test_size=100).test_size == 100
+
+
+def test_baseline_scores_blocks_match_one_design():
+    # OpenBLAS computes the rows past its matrix-vector kernel's unroll on
+    # another path, so only blocks whose size is a multiple of 8 give every
+    # row its one-shot bits
+    assert MONOMIAL_BLOCK_ROWS % 8 == 0
+    n = 3 * MONOMIAL_BLOCK_ROWS + 5
+    rng = np.random.default_rng(3)
+    data = Dataset(
+        s=rng.integers(0, 2, n), z=rng.integers(0, 2, n), y=rng.integers(0, 2, n),
+        x=rng.uniform(size=(n, 2)), covariate_names=("x1", "x2"),
+        scaling=((0.0, 1.0), (0.0, 1.0)), scaled=True,
+    )
+    models = {}
+    for use_s in (True, False):
+        feature_map = FeatureMap.build(2, use_s=use_s)
+        for k in range(2):
+            models[f"{use_s}-{k}"] = ScoreModel(
+                feature_map, rng.normal(size=len(feature_map.exponents)), "test")
+    scores = _baseline_scores(models, data)
+    assert list(scores) == list(models)
+    for name, model in models.items():
+        # one-shot reference: the design of all n rows at once
+        design = model.feature_map.matrix(data.s, data.z, data.x)
+        assert np.array_equal(scores[name], expit(design @ model.gamma))
+
+
 def test_run_replication_keys():
     settings_obj = MonteCarloSettings(methods=("dsd", "uml"), test_size=5000)
     row = run_replication(DgpConfig(n=800, seed=1), 0, settings_obj, theta_true=0.25)
@@ -457,6 +509,21 @@ SHIPPED_REPLICATIONS = [
 ]
 
 
+# run_replication(DgpConfig(n=400, seed=7), 0, MonteCarloSettings(test_size=12_293))
+# with the package's own primitives, as computed before the test draw was
+# scored in row blocks; 12 293 rows are 3 blocks and 5 rows
+PINNED_BLOCKED_REPLICATION = {
+    "rep": 0, "theta_hat": 0.3457745899994686, "ci_low": 0.24514502498922247,
+    "ci_high": 0.4464041550097147, "excluded_fraction": 0.135,
+    "auc_ystar_dsd": 0.7956002806223288, "auc_y_dsd": 0.6016938078519163,
+    "auc_ystar_uml": 0.6217605765898664, "auc_y_uml": 0.7508758887006163,
+    "auc_ystar_ftu": 0.7352344224404604, "auc_y_ftu": 0.6049014920974813,
+    "auc_ystar_mlc": 0.7095880002161894, "auc_y_mlc": 0.6014811273625414,
+    "auc_ystar_ld": 0.7175952743538957, "auc_y_ld": 0.602020410873969,
+    "tau_error": 0.125119782487648,
+}
+
+
 def _assert_replications(pinned):
     settings_obj = MonteCarloSettings(test_size=2_000)
     for expected in pinned:
@@ -471,6 +538,11 @@ def test_run_replication_bitwise_pinned(scipy_primitives):
 
 def test_run_replication_bitwise_pinned_shipped_primitives():
     _assert_replications(SHIPPED_REPLICATIONS)
+
+
+def test_run_replication_bitwise_pinned_multi_block():
+    row = run_replication(DgpConfig(n=400, seed=7), 0, MonteCarloSettings(test_size=12_293))
+    assert row == PINNED_BLOCKED_REPLICATION
 
 
 def test_monte_carlo_parallel_parity():
