@@ -1,4 +1,4 @@
-"""Sieve bases (polynomial / B-spline) and logistic series functions.
+"""Polynomial sieve bases and logistic series functions.
 
 Every nuisance function in the package is represented as expit{gamma' phi(x)}
 for a feature vector phi built here.  Polynomial features are monomials kept
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from .errors import FairdesertError
 
 # rows per block of `monomials_matrix`, of `sievemle.predict_tau` and of the
 # Monte Carlo test-draw scoring: a block's powers and columns stay in cache,
@@ -52,24 +54,18 @@ def logit(p):
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Sieve family settings.
+    """Polynomial sieve settings.
 
     ``interaction_order`` of None resolves to pairwise interactions for up to
     four covariates and to no interactions for wider problems, keeping the
-    basis dimension well below n.  The B-spline family is univariate-additive
-    (cubic, uniform knots) and is provided as an alternative; the polynomial
-    family is the default used throughout.  The constant basis function is
-    always included.
+    basis dimension well below n.  The constant basis function is always
+    included.
     """
 
-    family: str = "polynomial"
     degree: int = 3
     interaction_order: int | None = None
-    knots: int = 3
 
     def __post_init__(self):
-        if self.family not in ("polynomial", "bspline"):
-            raise ValueError(f"unknown basis family {self.family!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.interaction_order is not None and self.interaction_order < 0:
@@ -81,21 +77,21 @@ class BasisConfig:
         return min(self.interaction_order, d)
 
     def to_json_dict(self):
-        return {
-            "family": self.family,
-            "degree": self.degree,
-            "interaction_order": self.interaction_order,
-            "knots": self.knots,
-        }
+        return {"degree": self.degree, "interaction_order": self.interaction_order}
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(
-            family=doc.get("family", "polynomial"),
-            degree=int(doc.get("degree", 3)),
-            interaction_order=doc.get("interaction_order"),
-            knots=int(doc.get("knots", 3)),
-        )
+        """Also reads documents that name ``"family": "polynomial"`` (with a
+        ``knots`` entry, which the polynomial family never used); any other
+        family raises FairdesertError."""
+        family = doc.get("family", "polynomial")
+        if family != "polynomial":
+            raise FairdesertError(
+                f"model document: basis family {family!r} is not supported; "
+                "only the polynomial family is"
+            )
+        return cls(degree=int(doc.get("degree", 3)),
+                   interaction_order=doc.get("interaction_order"))
 
 
 def monomial_exponents(d, degree, interaction_order, per_dim_degree=None):
@@ -181,57 +177,16 @@ def orthonormal_design(phi):
     return q * scale, r / scale
 
 
-def _bspline_knots(num_interior, degree=3):
-    interior = np.linspace(0.0, 1.0, num_interior + 2)[1:-1]
-    return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
-
-
-def _bspline_design(u, knots, degree=3):
-    """Cox-de Boor evaluation of all B-splines of the given degree at u."""
-    u = np.asarray(u, dtype=np.float64)
-    nfun = len(knots) - degree - 1
-    b = np.zeros((u.shape[0], len(knots) - 1))
-    # degree-0 indicators; right-closed at the final knot
-    for i in range(len(knots) - 1):
-        b[:, i] = (knots[i] <= u) & (u < knots[i + 1])
-    b[u >= knots[-1] - 1e-15, np.searchsorted(knots, 1.0, side="left") - 1] = 1.0
-    for p in range(1, degree + 1):
-        nb = np.zeros((u.shape[0], len(knots) - p - 1))
-        for i in range(len(knots) - p - 1):
-            left_den = knots[i + p] - knots[i]
-            right_den = knots[i + p + 1] - knots[i + 1]
-            term = 0.0
-            if left_den > 0:
-                term = (u - knots[i]) / left_den * b[:, i]
-            if right_den > 0:
-                term = term + (knots[i + p + 1] - u) / right_den * b[:, i + 1]
-            nb[:, i] = term
-        b = nb
-    return b[:, :nfun]
-
-
 def expand_matrix(x, config: BasisConfig):
     """Feature matrix phi(X) for all rows of x; first column is the constant 1."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d = x.shape[1]
-    if config.family == "polynomial":
-        exps = monomial_exponents(d, config.degree, config.resolved_interaction_order(d))
-        return monomials_matrix(x, exps)
-    knots = _bspline_knots(config.knots, config.degree)
-    blocks = [np.ones((x.shape[0], 1))]
-    for dim in range(d):
-        # drop the first spline per coordinate: the full set sums to one,
-        # which would duplicate the intercept
-        blocks.append(_bspline_design(x[:, dim], knots, config.degree)[:, 1:])
-    return np.hstack(blocks)
+    exps = monomial_exponents(d, config.degree, config.resolved_interaction_order(d))
+    return monomials_matrix(x, exps)
 
 
 def basis_dimension(config: BasisConfig, d):
-    if config.family == "polynomial":
-        return len(monomial_exponents(d, config.degree, config.resolved_interaction_order(d)))
-    knots = _bspline_knots(config.knots, config.degree)
-    per_dim = len(knots) - config.degree - 1 - 1
-    return 1 + d * per_dim
+    return len(monomial_exponents(d, config.degree, config.resolved_interaction_order(d)))
 
 
 @dataclass(frozen=True)

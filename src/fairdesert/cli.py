@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -21,7 +22,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .basis import BasisConfig
@@ -141,6 +141,19 @@ def _out_dir(resolved):
 BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _scipy_version():
+    """The installed scipy's version, from the name of its
+    ``scipy-<version>.dist-info`` folder; None when scipy is not installed
+    (the package runs without it).  Importing scipy, or importlib.metadata,
+    would cost each run over 10 ms and 1 MB; this takes under 1 ms."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    for info in Path(spec.origin).parent.parent.glob("scipy-*.dist-info"):
+        return info.name[len("scipy-"):-len(".dist-info")]
+    return None
+
+
 def _write_meta(out, resolved, command, extra=None):
     meta = {
         "command": command,
@@ -151,7 +164,7 @@ def _write_meta(out, resolved, command, extra=None):
         "seed": resolved.get("seed"),
         "environment": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "nproc": len(os.sched_getaffinity(0)),
             # BLAS reads these once, when it loads; unset means all cores
             "blas_pins": {name: os.environ.get(name) for name in BLAS_PINS},
@@ -186,58 +199,44 @@ def _fit_options(resolved, **fields):
 
 def _rate(resolved):
     """The --rate target, or None when the flag is absent."""
-    rate = resolved.get("rate")
-    if rate is None:
+    if resolved.get("rate") is None:
         return None
-    rate = float(rate)
-    if not 0.0 < rate <= 1.0:
-        raise FairdesertError(f"--rate must lie in (0, 1], got {rate}")
-    return rate
+    return _checked(resolved, "rate", float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 
 
 def _threshold(resolved):
     """The --threshold cut-off, or None when the flag is absent."""
-    threshold = resolved.get("threshold")
-    if threshold is None:
+    if resolved.get("threshold") is None:
         return None
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise FairdesertError(f"--threshold must be a finite number, got {threshold}")
-    return threshold
+    return _checked(resolved, "threshold", float, math.isfinite, "be a finite number")
+
+
+def _checked(resolved, flag, convert, ok, requirement):
+    """The value of --flag, converted; a value that is not ``ok`` fails
+    naming the flag and the ``requirement``."""
+    value = convert(resolved[flag.replace("-", "_")])
+    if not ok(value):
+        raise FairdesertError(f"--{flag} must {requirement}, got {value}")
+    return value
 
 
 def _level(resolved):
     """The --level of a confidence interval."""
-    level = float(resolved["level"])
-    if not 0.0 < level < 1.0:
-        raise FairdesertError(f"--level must lie in (0, 1), got {level}")
-    return level
-
-
-def _crossfit(resolved):
-    """The --crossfit fold count: 0 (off) or at least 2."""
-    folds = int(resolved["crossfit"])
-    if folds < 0 or folds == 1:
-        raise FairdesertError(f"--crossfit must be 0 (off) or at least 2 folds, got {folds}")
-    return folds
+    return _checked(resolved, "level", float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
 
 def _boot(resolved, allow_off):
     """The --boot replicates: at least MIN_REPLICATES, or 0 (no bootstrap)
     where ``allow_off``, as a sweep does."""
-    boot = int(resolved["boot"])
-    if not (boot >= MIN_REPLICATES or (allow_off and boot == 0)):
-        allowed = "0 (no bootstrap) or at least" if allow_off else "at least"
-        raise FairdesertError(f"--boot must be {allowed} {MIN_REPLICATES}, got {boot}")
-    return boot
+    allowed = "0 (no bootstrap) or at least" if allow_off else "at least"
+    return _checked(resolved, "boot", int,
+                    lambda v: v >= MIN_REPLICATES or (allow_off and v == 0),
+                    f"be {allowed} {MIN_REPLICATES}")
 
 
-def _test_size(resolved):
-    """The --test-size rows of each replication's test draw."""
-    size = int(resolved["test_size"])
-    if size < MIN_ROWS:
-        raise FairdesertError(f"--test-size must be at least {MIN_ROWS}, got {size}")
-    return size
+def _rows(resolved, flag):
+    """The --n or --test-size rows of a simulated draw."""
+    return _checked(resolved, flag, int, lambda v: v >= MIN_ROWS, f"be at least {MIN_ROWS}")
 
 
 def _sensitivity_point(flag, variant, text):
@@ -275,6 +274,18 @@ def _histogram(values, bins=20):
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 
 
+def _write_implications(out, data, config, resolved):
+    """Fit the mu models, check the testable implications against --tol and
+    --flag-threshold, and write implications.json and implications.txt."""
+    report = check_testable_implications(
+        fit_mu_models(data, config), data, tol=float(resolved["tol"]),
+        flag_threshold=float(resolved["flag_threshold"]),
+    )
+    (out / "implications.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "implications.txt").write_text(report.to_text() + "\n", encoding="utf-8")
+    return report
+
+
 def cmd_estimate(resolved):
     out = _out_dir(resolved)
     data = _load_dataset(resolved)
@@ -285,14 +296,7 @@ def cmd_estimate(resolved):
               jobs=resolved["jobs"])
     prop = fit_propensity(data, config)
     save_model(ModelArtifact(est, prop, data.covariate_names, data.scaling), out / "model.json")
-
-    mu_model = fit_mu_models(data, config)
-    report = check_testable_implications(
-        mu_model, data, tol=float(resolved["tol"]),
-        flag_threshold=float(resolved["flag_threshold"]),
-    )
-    (out / "implications.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "implications.txt").write_text(report.to_text() + "\n", encoding="utf-8")
+    report = _write_implications(out, data, config, resolved)
 
     t0, t1, a, b = est.values(data.x)
     tau_obs = np.where(data.z == 1, t1, t0)
@@ -371,7 +375,8 @@ def cmd_predict(resolved):
 def cmd_theta(resolved):
     out = _out_dir(resolved)
     level = _level(resolved)
-    folds = _crossfit(resolved)
+    folds = _checked(resolved, "crossfit", int, lambda v: v == 0 or v >= 2,
+                     "be 0 (off) or at least 2 folds")
     method = resolved["method"]
     boot = _boot(resolved, allow_off=False) if method == "bootstrap" else None
     data = _load_dataset(resolved)
@@ -424,13 +429,7 @@ def cmd_theta(resolved):
 def cmd_check(resolved):
     out = _out_dir(resolved)
     data = _load_dataset(resolved)
-    mu_model = fit_mu_models(data, _basis(resolved))
-    report = check_testable_implications(
-        mu_model, data, tol=float(resolved["tol"]),
-        flag_threshold=float(resolved["flag_threshold"]),
-    )
-    (out / "implications.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "implications.txt").write_text(report.to_text() + "\n", encoding="utf-8")
+    report = _write_implications(out, data, _basis(resolved), resolved)
     print(report.to_text())
     _write_meta(out, resolved, "check")
     return 1 if report.flagged else 0
@@ -468,21 +467,23 @@ def cmd_sensitivity(resolved):
 
 
 def cmd_simulate(resolved):
-    out = _out_dir(resolved)
     config = DgpConfig(
-        n=int(resolved["n"]),
-        delta=float(resolved["dgp_delta"]),
+        n=_rows(resolved, "n"),
+        delta=_checked(resolved, "dgp-delta", float, lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
         seed=int(resolved["seed"]),
     )
+    reps = _checked(resolved, "reps", int, lambda v: v >= 1, "be at least 1")
     methods = tuple(m.strip() for m in str(resolved["methods"]).split(",") if m.strip())
-    settings = MonteCarloSettings(
-        methods=methods,
-        test_size=_test_size(resolved),
-        basis=_basis(resolved),
-        fit_options=_fit_options(resolved),
-        level=_level(resolved),
-    )
-    summary = monte_carlo(config, int(resolved["reps"]), settings, jobs=resolved["jobs"])
+    basis, options, level = _basis(resolved), _fit_options(resolved), _level(resolved)
+    test_size = _rows(resolved, "test-size")
+    try:
+        settings = MonteCarloSettings(methods=methods, test_size=test_size, basis=basis,
+                                      fit_options=options, level=level)
+    except ValueError as exc:
+        # the test size is checked above, so this is the method list's message
+        raise FairdesertError(f"--{exc}") from exc
+    out = _out_dir(resolved)
+    summary = monte_carlo(config, reps, settings, jobs=resolved["jobs"])
     write_auc_summary_csv([summary], out / "auc_summary.csv")
     write_coverage_summary_csv([summary], out / "coverage_summary.csv")
     write_replications_csv([summary], out / "replications.csv")

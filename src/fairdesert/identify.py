@@ -328,16 +328,15 @@ class ImplicationReport:
         return "\n".join(lines)
 
 
-def check_testable_implications(mu_hat, data: Dataset, tol=0.005, flag_threshold=0.1,
-                                sign_gate=None):
+def check_testable_implications(mu_hat, data: Dataset, tol=0.005, flag_threshold=0.1):
     """Evaluate the testable implications of the fitted mu_hat on the sample.
 
-    A sign disagreement only counts where both z-spreads clear ``sign_gate``
-    (default 8 * tol): where a spread is within noise of zero its sign carries
-    no evidence, and estimation error would otherwise flood condition (iii)
-    with false violations.
+    A sign disagreement only counts where both z-spreads exceed 8 * tol: where
+    a spread is within noise of zero its sign carries no evidence, and
+    estimation error would otherwise flood condition (iii) with false
+    violations.
     """
-    sign_gate = 8 * tol if sign_gate is None else sign_gate
+    sign_gate = 8 * tol
     mu = mu_hat.predict_all(data.x)
     mu00, mu01, mu10, mu11 = mu[:, 0], mu[:, 1], mu[:, 2], mu[:, 3]
     viol_monotone = (mu10 < mu00 - tol) | (mu11 < mu01 - tol)

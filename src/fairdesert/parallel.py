@@ -32,8 +32,9 @@ def _openblas():
     """{package: (set, get)} for each bundled OpenBLAS this process has loaded.
 
     Opening with ``RTLD_NOLOAD`` finds a library only if it is already
-    loaded, so no second BLAS (and thread pool) starts here; importing the
-    package loads both.  A missing library or symbol leaves its package out.
+    loaded, so no second BLAS (and thread pool) starts here.  Importing the
+    package loads numpy's only; scipy's is found when the caller's own code
+    has loaded it.  A missing library or symbol leaves its package out.
     Cached, so that forked workers inherit the handles: resolving them again
     in each worker touches about 1 MB more of its memory.
     """

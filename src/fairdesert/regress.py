@@ -231,8 +231,7 @@ def fit_multinomial(features, class_labels, ridge=1e-8, config=None, tol=1e-8, m
     return PropensityModel(config or BasisConfig(), coef)
 
 
-def fit_propensity(data: Dataset, config: BasisConfig, ridge=1e-8) -> PropensityModel:
+def fit_propensity(data: Dataset, config: BasisConfig) -> PropensityModel:
     require_positivity(data)
     phi = expand_matrix(data.x, config)
-    model = fit_multinomial(phi, class_index(data.s, data.z), ridge=ridge, config=config)
-    return model
+    return fit_multinomial(phi, class_index(data.s, data.z), config=config)

@@ -66,6 +66,11 @@ BASELINE_METHODS = ("uml", "ftu", "mlc", "ld")
 ALL_METHODS = ("dsd",) + BASELINE_METHODS
 # fewest rows the generator draws, for training and test draws alike
 MIN_ROWS = 100
+# the baselines' logit ridge, MLC's target |average causal effect of S| and
+# LD's target |mean score gap|
+BASELINE_RIDGE = 1e-8
+MLC_CONSTRAINT_TOL = 1e-4
+LD_PARITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -111,16 +116,15 @@ def _p_z1(x):
     return expit(1 - x[:, 0] - np.sin(x[:, 1]))
 
 
-@dataclass(frozen=True)
 class TrueFunctions:
     """Handles to the generative-model truth for evaluation-only use."""
 
-    tau0: object = field(default=_tau0)
-    tau1: object = field(default=_tau1)
-    alpha: object = field(default=_alpha)
-    beta: object = field(default=_beta)
-    p_s1: object = field(default=_p_s1)
-    p_z1: object = field(default=_p_z1)
+    tau0 = staticmethod(_tau0)
+    tau1 = staticmethod(_tau1)
+    alpha = staticmethod(_alpha)
+    beta = staticmethod(_beta)
+    p_s1 = staticmethod(_p_s1)
+    p_z1 = staticmethod(_p_z1)
 
     def tau(self, z, x):
         z = np.asarray(z)
@@ -249,12 +253,11 @@ class FeatureMap:
     exponents: tuple = ()
 
     @classmethod
-    def build(cls, d, use_s, degree=3, interaction_order=None):
+    def build(cls, d, use_s, degree=3):
         n_bin = 2 if use_s else 1
         total = d + n_bin
-        io = interaction_order if interaction_order is not None else (2 if total <= 4 else 1)
         exps = monomial_exponents(
-            total, degree, io, per_dim_degree=[1] * n_bin + [degree] * d
+            total, degree, 2 if total <= 4 else 1, per_dim_degree=[1] * n_bin + [degree] * d
         )
         return cls(use_s=use_s, d=d, degree=degree, exponents=exps)
 
@@ -286,24 +289,26 @@ class ScoreModel:
         return expit(design @ self.gamma)
 
 
-def fit_uml(data: Dataset, degree=3, ridge=1e-8) -> ScoreModel:
+def fit_uml(data: Dataset, degree=3) -> ScoreModel:
     """Unconstrained series logit of Y on (S, Z, X)."""
     fm = FeatureMap.build(data.d, use_s=True, degree=degree)
-    fit_res = fit_series_logit(fm.matrix(data.s, data.z, data.x), data.y, ridge=ridge)
+    fit_res = fit_series_logit(fm.matrix(data.s, data.z, data.x), data.y,
+                               ridge=BASELINE_RIDGE)
     return ScoreModel(fm, fit_res.gamma, "uml")
 
 
-def fit_ftu(data: Dataset, degree=3, ridge=1e-8) -> ScoreModel:
+def fit_ftu(data: Dataset, degree=3) -> ScoreModel:
     """Fairness through unawareness: series logit of Y on (Z, X) only."""
     fm = FeatureMap.build(data.d, use_s=False, degree=degree)
-    fit_res = fit_series_logit(fm.matrix(None, data.z, data.x), data.y, ridge=ridge)
+    fit_res = fit_series_logit(fm.matrix(None, data.z, data.x), data.y,
+                               ridge=BASELINE_RIDGE)
     return ScoreModel(fm, fit_res.gamma, "ftu")
 
 
-def fit_mlc(data: Dataset, degree=3, ridge=1e-8, constraint_tol=1e-4,
-            max_outer=30) -> ScoreModel:
+def fit_mlc(data: Dataset, degree=3) -> ScoreModel:
     """Series logit of Y on (S, Z, X) constrained to a zero average causal
-    effect of S on the score, via an augmented Lagrangian.
+    effect of S on the score, via an augmented Lagrangian: at most 30 rounds,
+    until |constraint| <= MLC_CONSTRAINT_TOL.
 
     BFGS runs in the coordinates u of the QR preconditioner
     `basis.orthonormal_design` of the design, gamma = (R / sqrt(n))^-1 u, as
@@ -337,19 +342,19 @@ def fit_mlc(data: Dataset, degree=3, ridge=1e-8, constraint_tol=1e-4,
     rho = 10.0
     u = np.zeros(psi.shape[1])
     gval = math.inf
-    for _ in range(max_outer):
+    for _ in range(30):
         def objective(v, lam=lam, rho=rho):
             f, grad = bernoulli_value_grad(v, psi, y)
             gamma = to_raw @ v
             g, dg = constraint(v)
-            return (f + 0.5 * ridge * gamma @ gamma + lam * g + 0.5 * rho * g * g,
-                    grad + ridge * (to_raw.T @ gamma) + (lam + rho * g) * dg)
+            return (f + 0.5 * BASELINE_RIDGE * gamma @ gamma + lam * g + 0.5 * rho * g * g,
+                    grad + BASELINE_RIDGE * (to_raw.T @ gamma) + (lam + rho * g) * dg)
 
         res = bfgs_minimize(objective, u, tol=1e-8, max_iter=400)
         u = res.x
         prev = abs(gval)
         gval, _ = constraint(u)
-        if abs(gval) <= constraint_tol:
+        if abs(gval) <= MLC_CONSTRAINT_TOL:
             break
         lam += rho * gval
         if abs(gval) > 0.5 * prev:
@@ -357,36 +362,37 @@ def fit_mlc(data: Dataset, degree=3, ridge=1e-8, constraint_tol=1e-4,
     else:
         warnings.warn(
             f"constrained fit stopped with |constraint| = {abs(gval):.2e} "
-            f"(target {constraint_tol:g})",
+            f"(target {MLC_CONSTRAINT_TOL:g})",
             stacklevel=2,
         )
     return ScoreModel(fm, to_raw @ u, "mlc", note="indicative reconstruction")
 
 
-def fit_ld(data: Dataset, degree=3, ridge=1e-8, parity_tol=1e-3, max_rounds=50,
-           step=2.0) -> ScoreModel:
+def fit_ld(data: Dataset, degree=3) -> ScoreModel:
     """Label-debiasing reweighting: refit Y ~ (Z, X) with multiplicative
-    per-group weights until the mean score gap across S closes."""
+    per-group weights until the mean score gap across S is at most
+    LD_PARITY_TOL, for at most 50 rounds; each round moves the weights'
+    exponent by twice the gap."""
     fm = FeatureMap.build(data.d, use_s=False, degree=degree)
     psi = fm.matrix(None, data.z, data.x)
     y = np.asarray(data.y, dtype=np.float64)
     s1 = data.s == 1
     lam = 0.0
     gamma = None
-    for _ in range(max_rounds):
+    for _ in range(50):
         weights = np.exp(lam * y * (1 - 2 * data.s.astype(np.float64)))
         weights = weights / weights.mean()
         assert (weights > 0).all()
-        gamma = fit_series_logit(psi, y, ridge=ridge, weights=weights).gamma
+        gamma = fit_series_logit(psi, y, ridge=BASELINE_RIDGE, weights=weights).gamma
         scores = expit(psi @ gamma)
         disparity = float(scores[s1].mean() - scores[~s1].mean())
-        if abs(disparity) <= parity_tol:
+        if abs(disparity) <= LD_PARITY_TOL:
             break
-        lam += step * disparity
+        lam += 2.0 * disparity
     else:
         warnings.warn(
             f"reweighting stopped with score disparity {disparity:.2e} "
-            f"(target {parity_tol:g})",
+            f"(target {LD_PARITY_TOL:g})",
             stacklevel=2,
         )
     return ScoreModel(fm, gamma, "ld", note="indicative reconstruction")
@@ -416,9 +422,14 @@ class MonteCarloSettings:
     compute_theta: bool = True
     compute_auc: bool = True
     compute_tau_error: bool = True
-    pi_ridge: float = 1e-8
 
     def __post_init__(self):
+        unknown = [m for m in self.methods if m not in ALL_METHODS]
+        if unknown or not self.methods:
+            raise ValueError(
+                f"methods must name one or more of {', '.join(ALL_METHODS)}, "
+                f"got {', '.join(map(repr, self.methods)) or 'none'}"
+            )
         if self.test_size < MIN_ROWS:
             raise ValueError(f"test_size must be at least {MIN_ROWS}, got {self.test_size}")
 
@@ -480,7 +491,7 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
         models["dsd"] = est
         lap("dsd")
         if settings.compute_theta:
-            prop = fit_propensity(train, settings.basis, ridge=settings.pi_ridge)
+            prop = fit_propensity(train, settings.basis)
             estimate = theta_onestep(est, prop, train, level=settings.level)
             out["theta_hat"] = estimate.point
             out["ci_low"] = estimate.ci_low

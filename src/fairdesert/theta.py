@@ -141,8 +141,7 @@ def influence_coefficients(tau0, tau1, alpha, beta, pi00, pi01, pi10, pi11):
     return C[:, 0], C[:, 1], C[:, 2], C[:, 3]
 
 
-def _phi_values(est: NuisanceEstimates, prop: PropensityModel, data: Dataset,
-                gap_tol=GAP_TOL):
+def _phi_values(est: NuisanceEstimates, prop: PropensityModel, data: Dataset):
     """Per-row influence-function values phi(O; eta_hat) and exclusion mask."""
     values = est.values(data.x)
     t0, t1, a, b = values
@@ -154,14 +153,14 @@ def _phi_values(est: NuisanceEstimates, prop: PropensityModel, data: Dataset,
     mu_own = stratum_probability(t0, t1, a, b, data.s, data.z)
     cls = 2 * data.s.astype(int) + data.z.astype(int)
     c_own = C[np.arange(data.n), cls]
-    excluded = ~np.isfinite(c_own) | (np.abs(t1 - t0) < gap_tol)
+    excluded = ~np.isfinite(c_own) | (np.abs(t1 - t0) < GAP_TOL)
     augmentation = np.where(excluded, 0.0, c_own * (data.y - mu_own))
     plug = _integrand(est, data, values)
     return plug + augmentation, plug, augmentation, excluded
 
 
 def theta_onestep(est: NuisanceEstimates, prop: PropensityModel, data: Dataset,
-                  level=0.95, gap_tol=GAP_TOL) -> ThetaEstimate:
+                  level=0.95) -> ThetaEstimate:
     """One-step estimator theta_hat = mean{phi(O; eta_hat)} with a normal CI.
 
     Point estimates may leave [0, 1] in finite samples; they are reported
@@ -172,7 +171,7 @@ def theta_onestep(est: NuisanceEstimates, prop: PropensityModel, data: Dataset,
             "theta_onestep requires baseline-variant estimates; use theta_bootstrap "
             "for sensitivity variants"
         )
-    phi, _, _, excluded = _phi_values(est, prop, data, gap_tol)
+    phi, _, _, excluded = _phi_values(est, prop, data)
     return _normal_estimate(phi, excluded, level)
 
 
@@ -207,7 +206,7 @@ def _normal_estimate(phi, excluded, level, **flags):
 
 def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
                            options: FitOptions | None = None, folds=5, seed=0,
-                           level=0.95, pi_ridge=1e-8, jobs=1) -> ThetaEstimate:
+                           level=0.95, jobs=1) -> ThetaEstimate:
     """K-fold cross-fitted one-step estimator: nuisances fit on fold complements.
 
     The folds' sieve fits are one `sievemle.fit_many` call, so their restarts
@@ -229,7 +228,7 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
         if isinstance(est_k, FairdesertError):
             raise est_k
         hold = assignments == k
-        prop_k = fit_propensity(train, config, ridge=pi_ridge)
+        prop_k = fit_propensity(train, config)
         fold_data = data.subset(np.flatnonzero(hold))
         phi_k, _, _, excl_k = _phi_values(est_k, prop_k, fold_data)
         phi[hold] = phi_k

@@ -177,26 +177,11 @@ def test_expit_matches_scipy():
     assert np.isnan(expit(np.array([np.nan, 1.0]))[0])
 
 
-def test_bspline_family():
-    cfg = BasisConfig(family="bspline", degree=3, knots=3)
-    x = np.random.default_rng(2).uniform(size=(40, 2))
-    phi = expand_matrix(x, cfg)
-    assert phi.shape == (40, basis_dimension(cfg, 2))
-    assert np.isfinite(phi).all()
-    assert np.allclose(phi[:, 0], 1.0)
-    # partition of unity: dropped spline = 1 - sum of retained ones per coordinate
-    per_dim = (phi.shape[1] - 1) // 2
-    for dim in range(2):
-        block = phi[:, 1 + dim * per_dim: 1 + (dim + 1) * per_dim]
-        dropped = 1.0 - block.sum(axis=1)
-        assert np.all(dropped > -1e-9) and np.all(dropped < 1 + 1e-9)
-
-
 def test_invalid_configs():
     with pytest.raises(ValueError):
         BasisConfig(degree=0)
     with pytest.raises(ValueError):
-        BasisConfig(family="wavelet")
+        BasisConfig(interaction_order=-1)
 
 
 def per_column_monomials(x, exponents):

@@ -393,6 +393,33 @@ def test_bad_level_or_threshold_exits_2_before_any_work(train_csv, fitted_model,
     assert started == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    *(("--n", n, f"error: --n must be at least 100, got {n}") for n in ("50", "99")),
+    *(("--reps", reps, f"error: --reps must be at least 1, got {reps}") for reps in ("0", "-1")),
+    *(("--dgp-delta", delta, f"error: --dgp-delta must lie in [0, 0.5), got {float(delta)}")
+      for delta in ("-0.1", "0.5", "nan")),
+    *(("--methods", methods,
+       f"error: --methods must name one or more of dsd, uml, ftu, mlc, ld, got {got}")
+      for methods, got in (("dsd,foo", "'dsd', 'foo'"), ("DSD", "'DSD'"), ("", "none"),
+                           (" , ", "none"))),
+])
+def test_simulate_bad_flag_exits_2_before_the_output_folder(tmp_path, capsys, monkeypatch,
+                                                            flag, value, message):
+    import fairdesert.cli as cli
+
+    def stub(*args, **kwargs):
+        raise RuntimeError("monte_carlo was reached")
+
+    monkeypatch.setattr(cli, "monte_carlo", stub)
+    out = tmp_path / "out"
+    argv = {"--n": "200", "--reps": "1", "--test-size": "1000", flag: value}
+    rc = main(["simulate", *(a for pair in argv.items() for a in pair), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     rc = main(["theta", "--input", str(train_csv), "--method", "plugin",
                "--out-dir", str(tmp_path / "plugin"), *FAST])
@@ -549,14 +576,28 @@ def _run_fresh(code):
     return proc.stdout
 
 
+def test_run_meta_records_no_scipy_version_without_scipy(train_csv, tmp_path, monkeypatch):
+    import importlib.util
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    assert main(["check", "--input", str(train_csv), "--out-dir", str(tmp_path)]) in (0, 1)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["environment"]["scipy"] is None
+    assert meta["environment"]["numpy"] == np.__version__
+
+
 def test_import_does_not_load_scipy_stats():
     """scipy.special, scipy.stats and scipy.linalg cost most of a second at
-    every process start, and scipy's OpenBLAS starts a second thread pool."""
+    every process start, and scipy's OpenBLAS starts a second thread pool;
+    even a bare ``import scipy`` costs about 10 ms, so no scipy module loads."""
     out = _run_fresh(
         "import json, sys, fairdesert, fairdesert.cli\n"
         "from fairdesert.parallel import blas_threads\n"
-        "print(json.dumps([sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('scipy.special', 'scipy.stats', 'scipy.linalg'))), sorted(blas_threads())]))"
+        "print(json.dumps([sorted(m for m in sys.modules\n"
+        "                         if m == 'scipy' or m.startswith('scipy.')),\n"
+        "                  sorted(blas_threads())]))"
     )
     loaded, blas = json.loads(out)
     assert loaded == []

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,34 @@ from fairdesert.modelio import ModelArtifact, load_model, save_model
 from fairdesert.regress import fit_propensity
 from fairdesert.sievemle import FitOptions, SensitivityParams, fit, predict_tau
 from fairdesert.simulate import DgpConfig, gen_dataset
+
+# A model document as `estimate` wrote it while the basis settings still held
+# "family" and "knots": fit on gen_dataset(DgpConfig(n=400, seed=3)) with
+# BasisConfig(degree=1, interaction_order=1) and FitOptions(restarts=1,
+# floor=0.05, seed=0), with its propensity model
+FAMILY_MODEL = Path(__file__).parent / "data" / "polynomial_family_model.json"
+FAMILY_MODEL_ROWS = """z,x1,x2
+0,0.1,0.2
+1,0.1,0.2
+0,0.5,0.5
+1,0.9,0.3
+0,0.7,0.95
+1,0.25,0.6
+1,1.2,-0.1
+0,0.0,1.0
+"""
+# predictions.csv of `predict --rate 0.5` on FAMILY_MODEL_ROWS, as written
+# when the document was saved
+FAMILY_MODEL_PREDICTIONS = """row,score,decision,covariates_clamped
+1,0.22133304440939477,0,0
+2,0.05593740363557393,0,0
+3,0.5280687532755213,1,0
+4,0.6588318427550712,1,0
+5,0.6965378953039121,1,0
+6,0.9271153745259445,1,0
+7,0.05765709593579776,0,1
+8,0.18131247489812585,0,0
+"""
 
 
 def test_model_document_round_trip(tmp_path):
@@ -118,3 +147,39 @@ def test_cli_rejects_model_with_null_level(per_row_delta_model, tmp_path, capsys
                "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "sensitivity.v0" in capsys.readouterr().err
+
+
+def test_document_naming_the_polynomial_family_predicts_as_before(tmp_path):
+    doc = json.loads(FAMILY_MODEL.read_text())
+    assert doc["basis"] == {"degree": 1, "family": "polynomial", "interaction_order": 1,
+                            "knots": 3}
+    assert load_model(FAMILY_MODEL).estimates.config == BasisConfig(degree=1,
+                                                                    interaction_order=1)
+    rows = tmp_path / "new.csv"
+    rows.write_text(FAMILY_MODEL_ROWS)
+    out = tmp_path / "out"
+    assert main(["predict", "--model", str(FAMILY_MODEL), "--input", str(rows),
+                 "--rate", "0.5", "--out-dir", str(out)]) == 0
+    assert (out / "predictions.csv").read_text() == FAMILY_MODEL_PREDICTIONS
+
+
+def test_saved_basis_holds_degree_and_interaction_order_only():
+    assert BasisConfig(interaction_order=1).to_json_dict() == {"degree": 3,
+                                                               "interaction_order": 1}
+    assert BasisConfig.from_json_dict({"degree": 2}) == BasisConfig(degree=2)
+
+
+def test_document_naming_another_family_is_refused(tmp_path, capsys):
+    doc = json.loads(FAMILY_MODEL.read_text())
+    doc["basis"]["family"] = "bspline"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FairdesertError, match="basis family 'bspline' is not supported"):
+        load_model(path)
+    rows = tmp_path / "new.csv"
+    rows.write_text(FAMILY_MODEL_ROWS)
+    rc = main(["predict", "--model", str(path), "--input", str(rows),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: model document: basis family 'bspline' is not supported")

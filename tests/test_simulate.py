@@ -424,6 +424,14 @@ def test_monte_carlo_settings_reject_a_test_draw_below_the_generator_minimum():
     assert MonteCarloSettings(test_size=100).test_size == 100
 
 
+def test_monte_carlo_settings_reject_an_unknown_or_empty_method_list():
+    for methods in (("dsd", "foo"), ("DSD",), ()):
+        with pytest.raises(ValueError, match="methods must name one or more of "
+                                             "dsd, uml, ftu, mlc, ld, got"):
+            MonteCarloSettings(methods=methods)
+    assert MonteCarloSettings(methods=("ld", "dsd")).methods == ("ld", "dsd")
+
+
 def test_baseline_scores_blocks_match_one_design():
     # OpenBLAS computes the rows past its matrix-vector kernel's unroll on
     # another path, so only blocks whose size is a multiple of 8 give every
