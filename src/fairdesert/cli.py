@@ -40,7 +40,7 @@ from .modelio import ModelArtifact, load_model, save_model
 from .parallel import blas_threads
 from .regress import fit_mu_models, fit_propensity
 from .sensitivity import DEFAULT_GRIDS, SweepSpec, VariantFitter, run_sweep
-from .sievemle import FitOptions, SensitivityParams, fit, predict_tau_sz, rate_threshold
+from .sievemle import VARIANTS, FitOptions, SensitivityParams, fit, predict_tau_sz, rate_threshold
 from .simulate import (
     MIN_ROWS,
     DgpConfig,
@@ -254,11 +254,11 @@ def _sensitivity_point(flag, variant, text):
 def _sensitivity(resolved):
     variant = resolved["variant"]
     if variant == "baseline":
-        return "baseline", SensitivityParams.baseline()
+        return SensitivityParams.baseline()
     raw = resolved.get(variant)
     if raw is None:
         raise FairdesertError(f"--{variant} v0,v1 required for variant {variant!r}")
-    return variant, _sensitivity_point(variant, variant, raw)
+    return _sensitivity_point(variant, variant, raw)
 
 
 def _load_dataset(resolved) -> Dataset:
@@ -287,13 +287,12 @@ def _write_implications(out, data, config, resolved):
 
 
 def cmd_estimate(resolved):
-    out = _out_dir(resolved)
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
-    variant, sensitivity = _sensitivity(resolved)
-    est = fit(data, config, options, variant=variant, sensitivity=sensitivity,
-              jobs=resolved["jobs"])
+    sensitivity = _sensitivity(resolved)
+    out = _out_dir(resolved)
+    est = fit(data, config, options, sensitivity=sensitivity, jobs=resolved["jobs"])
     prop = fit_propensity(data, config)
     save_model(ModelArtifact(est, prop, data.covariate_names, data.scaling), out / "model.json")
     report = _write_implications(out, data, config, resolved)
@@ -305,7 +304,7 @@ def cmd_estimate(resolved):
 
     fit_report = {
         "n": data.n,
-        "variant": variant,
+        "variant": sensitivity.variant,
         "diagnostics": est.diagnostics.to_json_dict(),
         "alpha_histogram": _histogram(a),
         "beta_histogram": _histogram(b),
@@ -316,7 +315,7 @@ def cmd_estimate(resolved):
         json.dumps(fit_report, indent=2, sort_keys=True), encoding="utf-8"
     )
     lines = [
-        f"sieve fit on n={data.n} rows (variant {variant})",
+        f"sieve fit on n={data.n} rows (variant {sensitivity.variant})",
         f"criterion {est.diagnostics.criterion:.6f}, "
         f"gradient norm {est.diagnostics.grad_norm:.2e}, "
         f"restarts {est.diagnostics.restarts_used}",
@@ -328,7 +327,6 @@ def cmd_estimate(resolved):
 
 
 def cmd_predict(resolved):
-    out = _out_dir(resolved)
     if not resolved.get("model") or not resolved.get("input"):
         raise FairdesertError("--model and --input are required")
     rate_target = _rate(resolved)
@@ -356,6 +354,7 @@ def cmd_predict(resolved):
         threshold = rate_threshold(scores, rate_target)
     decisions = scores >= threshold
 
+    out = _out_dir(resolved)
     write_columns(out / "predictions.csv", ["row", "score", "decision", "covariates_clamped"],
                   [np.arange(1, scores.size + 1), scores, decisions.astype(int),
                    clamped.astype(int)])
@@ -373,7 +372,6 @@ def cmd_predict(resolved):
 
 
 def cmd_theta(resolved):
-    out = _out_dir(resolved)
     level = _level(resolved)
     folds = _checked(resolved, "crossfit", int, lambda v: v == 0 or v >= 2,
                      "be 0 (off) or at least 2 folds")
@@ -382,18 +380,17 @@ def cmd_theta(resolved):
     data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
-    variant, sensitivity = _sensitivity(resolved)
+    sensitivity = _sensitivity(resolved)
 
-    if variant != "baseline" and method != "bootstrap":
+    if sensitivity.variant != "baseline" and method != "bootstrap":
         raise FairdesertError(
             "sensitivity variants support inference via --method bootstrap only"
         )
     if method == "bootstrap":
-        fitter = VariantFitter(config, options, variant, sensitivity)
+        fitter = VariantFitter(config, options, sensitivity)
         # the full-data fit runs its restarts on the pool; VariantFitter's
         # replicate fits are already spread over it
-        full_fit = fit(data, config, options, variant=variant, sensitivity=sensitivity,
-                       jobs=resolved["jobs"])
+        full_fit = fit(data, config, options, sensitivity=sensitivity, jobs=resolved["jobs"])
         estimate = theta_bootstrap(
             fitter, data, replicates=boot,
             seed=int(resolved["seed"]), level=level, full_fit=full_fit, jobs=resolved["jobs"],
@@ -415,6 +412,7 @@ def cmd_theta(resolved):
             estimate = theta_plugin(est, data)
         else:
             estimate = theta_onestep(est, prop, data, level=level)
+    out = _out_dir(resolved)
     (out / "theta.json").write_text(
         json.dumps(estimate.to_json_dict(), indent=2, sort_keys=True), encoding="utf-8"
     )
@@ -427,8 +425,8 @@ def cmd_theta(resolved):
 
 
 def cmd_check(resolved):
-    out = _out_dir(resolved)
     data = _load_dataset(resolved)
+    out = _out_dir(resolved)
     report = _write_implications(out, data, _basis(resolved), resolved)
     print(report.to_text())
     _write_meta(out, resolved, "check")
@@ -436,7 +434,6 @@ def cmd_check(resolved):
 
 
 def cmd_sensitivity(resolved):
-    out = _out_dir(resolved)
     target_rate = _rate(resolved)
     level = _level(resolved)
     boot = _boot(resolved, allow_off=True)
@@ -459,6 +456,7 @@ def cmd_sensitivity(resolved):
         level=level,
         target_rate=target_rate,
     )
+    out = _out_dir(resolved)
     table = run_sweep(data, config, options, spec, jobs=resolved["jobs"])
     table.write_csv(out / "sweep.csv")
     table.write_metadata(out / "sweep_meta.json")
@@ -516,7 +514,7 @@ def build_parser():
         p.add_argument("--restarts", type=int, default=None)
 
     def variant_flags(p):
-        p.add_argument("--variant", choices=["baseline", "kappa", "delta", "zeta"], default=None)
+        p.add_argument("--variant", choices=VARIANTS, default=None)
         p.add_argument("--kappa", help="kappa0,kappa1 (or ';'-separated grid for sweeps)")
         p.add_argument("--delta", help="delta0,delta1 (or ';'-separated grid for sweeps)")
         p.add_argument("--zeta", help="zeta0,zeta1 (or ';'-separated grid for sweeps)")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import BasisConfig, SeriesFunction
 from .errors import FairdesertError
-from .regress import PropensityModel
+from .regress import PI_FLOOR, PropensityModel
 from .sievemle import FitDiagnostics, NuisanceEstimates, SensitivityParams
 
 
@@ -67,8 +67,12 @@ def load_model(path) -> ModelArtifact:
     make = lambda key: SeriesFunction(  # noqa: E731
         config, np.asarray(coef[key], dtype=np.float64), lo=floor, hi=1 - floor
     )
-    sens_doc = doc.get("sensitivity") or {"variant": "baseline", "v0": 0.0, "v1": 0.0}
+    sens_doc = doc.get("sensitivity") or {"variant": doc.get("variant", "baseline"),
+                                          "v0": 0.0, "v1": 0.0}
     variant = sens_doc.get("variant", "baseline")
+    if doc.get("variant", variant) != variant:
+        raise FairdesertError(f"model document: variant {doc['variant']!r} disagrees "
+                              f"with sensitivity.variant {variant!r}")
     levels = [sens_doc.get(key) for key in ("v0", "v1")]
     for key, level in zip(("v0", "v1"), levels):
         if level is None and variant != "baseline":
@@ -81,7 +85,6 @@ def load_model(path) -> ModelArtifact:
     diagnostics = FitDiagnostics.from_json_dict(diag_doc) if diag_doc else None
     estimates = NuisanceEstimates(
         tau0=make("tau0"), tau1=make("tau1"), alpha=make("alpha"), beta=make("beta"),
-        variant=doc.get("variant", "baseline"),
         sensitivity=sensitivity,
         diagnostics=diagnostics,
     )
@@ -90,7 +93,7 @@ def load_model(path) -> ModelArtifact:
         propensity = PropensityModel(
             config,
             np.asarray(coef["propensity"], dtype=np.float64),
-            floor=float(doc.get("propensity_floor") or 0.01),
+            floor=float(doc.get("propensity_floor") or PI_FLOOR),
         )
     return ModelArtifact(
         estimates=estimates,

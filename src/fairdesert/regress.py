@@ -15,10 +15,10 @@ import numpy as np
 from .basis import BasisConfig, SeriesFunction, expand_matrix, expit
 from .data import Dataset, require_positivity
 from .errors import PositivityError, SeparationError
+from .identify import STRATA
 from .optimize import newton_minimize
 
 PI_FLOOR = 0.01  # propensity floor keeping 1/pi weights bounded
-STRATA = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _bernoulli_terms(gamma, phi, y, ridge, weights):

@@ -149,7 +149,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
     sieve fits that ran restarts of their own (`fit_many`).
     """
     grid = sorted(spec.params(), key=_sort_key)
-    requests = [(data, config, options, spec.variant, point) for point in grid]
+    requests = [(data, config, options, point) for point in grid]
     if baseline is None:
         requests.insert(0, (data, config, options))
     outcomes, fits = fit_many(requests, jobs)
@@ -176,7 +176,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         row.mean_abs_tau_diff = float(np.mean(np.abs(scores - base_scores)))
         row.flip_rate = flip_rate(scores, base_scores, target)
         if spec.bootstrap_replicates > 0:
-            fitter = VariantFitter(config, options, spec.variant, point)
+            fitter = VariantFitter(config, options, point)
             try:
                 estimate = theta_bootstrap(
                     fitter, data, replicates=spec.bootstrap_replicates,
@@ -203,14 +203,12 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
 
 
 class VariantFitter:
-    """Picklable fitting closure for bootstrap replicates."""
+    """Picklable `fit` closure for bootstrap replicates, under ``sensitivity``."""
 
-    def __init__(self, config, options, variant, sensitivity):
+    def __init__(self, config, options, sensitivity):
         self.config = config
         self.options = options
-        self.variant = variant
         self.sensitivity = sensitivity
 
     def __call__(self, dataset):
-        return fit(dataset, self.config, self.options,
-                   variant=self.variant, sensitivity=self.sensitivity)
+        return fit(dataset, self.config, self.options, sensitivity=self.sensitivity)

@@ -53,7 +53,7 @@ RIDGE_INIT = 1e-8
 
 @dataclass(frozen=True)
 class SensitivityParams:
-    """Misspecification settings selecting a model variant.
+    """Misspecification settings selecting a model variant, the one place it is named.
 
     ``v0``/``v1`` are the two sensitivity levels for the chosen variant -
     (kappa0, kappa1), (delta0, delta1) or (zeta0, zeta1) - each either a
@@ -189,15 +189,18 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class NuisanceEstimates:
-    """Fitted nuisance functions plus the variant they were fit under."""
+    """Fitted nuisance functions plus the sensitivity settings they were fit under."""
 
     tau0: SeriesFunction
     tau1: SeriesFunction
     alpha: SeriesFunction
     beta: SeriesFunction
-    variant: str = "baseline"
     sensitivity: SensitivityParams = field(default_factory=SensitivityParams.baseline)
     diagnostics: FitDiagnostics | None = None
+
+    @property
+    def variant(self):
+        return self.sensitivity.variant
 
     @property
     def config(self):
@@ -268,14 +271,10 @@ class SieveProblem:
     the few rows where |tau1 - tau0| is below the margin, and from the ridge.
     """
 
-    def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions,
-                 variant="baseline", sensitivity=None, precondition=False):
-        sensitivity = sensitivity or SensitivityParams(variant)
-        if sensitivity.variant != variant:
-            raise ValueError("sensitivity variant does not match the requested variant")
+    def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions, *,
+                 sensitivity=SensitivityParams(), precondition=False):
         self.config = config
         self.options = options
-        self.variant = variant
         self.sensitivity = sensitivity
         self.phi = expand_matrix(data.x, config)
         self.n, self.j = self.phi.shape
@@ -290,7 +289,7 @@ class SieveProblem:
         self.s = np.asarray(data.s, dtype=np.float64)
         self.z = np.asarray(data.z, dtype=np.float64)
         self.sv0, self.sv1 = sensitivity.evaluate(data.x)
-        self.table = stratum_table(self.s, self.z, variant, self.sv0, self.sv1)
+        self.table = stratum_table(self.s, self.z, sensitivity.variant, self.sv0, self.sv1)
         rows = 4 * np.arange(self.n)
         self.idx_t = rows + (self.z == 1)
         self.idx_m = rows + 2 + (self.s == 1)
@@ -451,12 +450,11 @@ def _same_objective(a: SieveProblem, b: SieveProblem):
                for name in ("c", "margin", "lam", "ridge", "y", "idx_t", "idx_m", "table", "phi"))
 
 
-def _setup(data, config, options=None, variant="baseline", sensitivity=None):
+def _setup(data, config, options=None, sensitivity=SensitivityParams()):
     """The preconditioned problem of one `fit` call, its packed starts and their kinds."""
     options = options or FitOptions()
-    sensitivity = sensitivity or SensitivityParams(variant)
     require_positivity(data)
-    problem = SieveProblem(data, config, options, variant, sensitivity, precondition=True)
+    problem = SieveProblem(data, config, options, sensitivity=sensitivity, precondition=True)
 
     starts, kinds = [], []
     if options.init_coefficients is not None:
@@ -525,7 +523,7 @@ def _finish(problem, kinds, results):
     make = lambda g: SeriesFunction(problem.config, g, lo=c, hi=1 - c)  # noqa: E731
     return NuisanceEstimates(
         tau0=make(g0), tau1=make(g1), alpha=make(ga), beta=make(gb),
-        variant=problem.variant, sensitivity=problem.sensitivity, diagnostics=diagnostics,
+        sensitivity=problem.sensitivity, diagnostics=diagnostics,
     )
 
 
@@ -536,7 +534,9 @@ def _fit_many(requests, jobs):
     setups = []
     problems, tasks, slot_of = [], [], {}
     fits = 0
-    for request in requests:
+    for i, request in enumerate(requests):
+        if len(request) > 3 and not isinstance(request[3], SensitivityParams):
+            raise TypeError(f"request {i}: {request[3]!r} is not a SensitivityParams")
         try:
             problem, starts, kinds = _setup(*request)
         except FairdesertError as exc:
@@ -575,23 +575,24 @@ def _fit_many(requests, jobs):
 def fit_many(requests, jobs=1):
     """`fit` for each request, with every restart of every request on one pool.
 
-    Each request is a tuple of `fit`'s arguments ``(data, config, options,
-    variant, sensitivity)``; trailing ones may be left out.  All restarts run
-    in one `parallel.map_jobs` call on ``jobs`` processes.  A restart runs once
-    when an earlier request minimizes the same objective - bitwise-equal
-    design, outcomes, stratum table, gather indices and options - from a
+    Each request is a tuple ``(data, config, options, sensitivity)`` of `fit`'s
+    arguments, trailing ones left out as needed; a fourth item that is not a
+    `SensitivityParams` raises TypeError.  All restarts run in one
+    `parallel.map_jobs` call on ``jobs`` processes.  A restart runs once when
+    an earlier request minimizes the same objective - bitwise-equal design,
+    outcomes, stratum table, gather indices and options - from a
     bitwise-equal start with the same ``max_iter``; the later request reuses
     its result, so a zero-level sensitivity point repeats no work of the
     baseline.  Returns ``(outcomes, fits)``: per request, in order, the
-    `NuisanceEstimates` that ``fit(*request)`` returns or the `FairdesertError`
-    it raises; and ``fits``, the number of requests that ran a restart of
-    their own.  Other exceptions propagate.
+    `NuisanceEstimates` that `fit` returns for it or the `FairdesertError` it
+    raises; and ``fits``, the number of requests that ran a restart of their
+    own.  Other exceptions propagate.
     """
     return _fit_many(requests, jobs)
 
 
-def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
-        variant="baseline", sensitivity=None, jobs=1) -> NuisanceEstimates:
+def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None, *,
+        sensitivity=SensitivityParams(), jobs=1) -> NuisanceEstimates:
     """Sieve maximum likelihood fit; best of multi-start quasi-Newton runs.
 
     The restarts run on ``jobs`` processes (`parallel.map_jobs`) and come back
@@ -599,9 +600,10 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None,
     given (data, config, options.seed).  Raises FitError when no restart
     reaches an acceptable gradient norm; attaches a warning when the
     relevance constraint fails on more than 10% of the sample
-    (`RelevanceWarning`).  The one-request case of `fit_many`.
+    (`RelevanceWarning`).  ``sensitivity`` names the variant and its levels.
+    The one-request case of `fit_many`.
     """
-    (outcome,), _ = _fit_many([(data, config, options, variant, sensitivity)], jobs)
+    (outcome,), _ = _fit_many([(data, config, options, sensitivity)], jobs)
     if isinstance(outcome, FairdesertError):
         raise outcome
     return outcome

@@ -29,7 +29,7 @@ from .data import Dataset
 from .errors import BootstrapError, FairdesertError, RelevanceWarning, VariantMismatchError
 from .identify import STRATA, _bilinear, stratum_table, unfairness_rate, unfairness_rate_partials
 from .parallel import map_jobs
-from .regress import PropensityModel, fit_propensity
+from .regress import PropensityModel, class_index, fit_propensity
 from .sievemle import FitOptions, NuisanceEstimates, fit_many, stratum_probability
 
 DEGENERATE_TOL = 1e-12
@@ -151,8 +151,7 @@ def _phi_values(est: NuisanceEstimates, prop: PropensityModel, data: Dataset):
         axis=1,
     )
     mu_own = stratum_probability(t0, t1, a, b, data.s, data.z)
-    cls = 2 * data.s.astype(int) + data.z.astype(int)
-    c_own = C[np.arange(data.n), cls]
+    c_own = C[np.arange(data.n), class_index(data.s, data.z)]
     excluded = ~np.isfinite(c_own) | (np.abs(t1 - t0) < GAP_TOL)
     augmentation = np.where(excluded, 0.0, c_own * (data.y - mu_own))
     plug = _integrand(est, data, values)

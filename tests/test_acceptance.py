@@ -136,7 +136,7 @@ def _smooth_stack(problem, rng, h=1e-5):
         from fairdesert.sievemle import stratum_probability
 
         p = stratum_probability(t0, t1, a, b, problem.s, problem.z,
-                                problem.variant, problem.sv0, problem.sv1)
+                                problem.sensitivity.variant, problem.sv0, problem.sv1)
         if np.min(p) < 1e-6 or np.max(p) > 1 - 1e-6:
             continue
         return stack
@@ -149,13 +149,13 @@ def test_criterion_3_gradient_checks():
     rng = np.random.default_rng(SEED)
     worst = {}
     variants = {
-        "baseline": None,
+        "baseline": SensitivityParams(),
         "kappa": SensitivityParams("kappa", 0.03, -0.02),
         "delta": SensitivityParams("delta", 0.04, 0.06),
         "zeta": SensitivityParams("zeta", 0.1, -0.08),
     }
     for variant, sens in variants.items():
-        problem = SieveProblem(data, config, FitOptions(), variant, sens)
+        problem = SieveProblem(data, config, FitOptions(), sensitivity=sens)
         err = 0.0
         for _ in range(100):
             stack = _smooth_stack(problem, rng)
@@ -413,7 +413,7 @@ def test_criterion_10_application_workflow(tmp_path):
 
     fitter = VariantFitter(config, FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3,
                                               seed=SEED),
-                           "baseline", SensitivityParams.baseline())
+                           SensitivityParams.baseline())
     boot = theta_bootstrap(fitter, scaled, replicates=200, seed=SEED, full_fit=est, jobs=JOBS)
     overlap = max(one.ci_low, boot.ci_low) <= min(one.ci_high, boot.ci_high)
 

@@ -420,6 +420,32 @@ def test_simulate_bad_flag_exits_2_before_the_output_folder(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["theta", "--input", "{train}", "--level", "0"], "error: --level must lie in (0, 1)"),
+    (["theta", "--input", "{train}", "--variant", "delta", "--delta", "0.05,0.05"],
+     "error: sensitivity variants support inference via --method bootstrap only"),
+    (["sensitivity", "--input", "{train}", "--variant", "delta", "--boot", "50"],
+     "error: --boot must be 0 (no bootstrap) or at least 200"),
+    (["predict", "--model", "{model}", "--input", "{train}", "--threshold=nan"],
+     "error: --threshold must be a finite number"),
+    (["estimate", "--input", "{train}", "--restarts", "0"], "error: --restarts must be at least 1"),
+    (["estimate", "--input", "{train}", "--variant", "delta"],
+     "error: --delta v0,v1 required for variant 'delta'"),
+    (["check", "--input", "{missing}"], "error: FileNotFoundError: "),
+], ids=["theta-level-0", "theta-variant-without-bootstrap", "sensitivity-boot-50",
+        "predict-threshold-nan", "estimate-restarts-0", "estimate-delta-without-levels",
+        "check-missing-input"])
+def test_refused_run_leaves_no_output_folder(train_csv, fitted_model, tmp_path, capsys,
+                                             argv, message):
+    argv = [a.replace("{model}", str(fitted_model)).replace("{train}", str(train_csv))
+             .replace("{missing}", str(tmp_path / "missing.csv")) for a in argv]
+    out = tmp_path / "out"
+    rc = main([*argv, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     rc = main(["theta", "--input", str(train_csv), "--method", "plugin",
                "--out-dir", str(tmp_path / "plugin"), *FAST])

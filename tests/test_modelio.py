@@ -40,6 +40,32 @@ FAMILY_MODEL_PREDICTIONS = """row,score,decision,covariates_clamped
 7,0.05765709593579776,0,1
 8,0.18131247489812585,0,0
 """
+# A kappa model document as `estimate` wrote it while `fit` still took the
+# variant twice: fit on the same draw, basis and options as FAMILY_MODEL, under
+# SensitivityParams("kappa", 0.03, -0.02), with its propensity model
+KAPPA_MODEL = Path(__file__).parent / "data" / "kappa_model.json"
+KAPPA_MODEL_ROWS = """s,z,x1,x2
+0,0,0.1,0.2
+1,0,0.1,0.2
+0,1,0.5,0.5
+1,1,0.5,0.5
+1,0,0.9,0.3
+0,1,0.7,0.95
+1,1,1.2,-0.1
+0,0,0.0,1.0
+"""
+# predictions.csv of `predict --rate 0.5` on KAPPA_MODEL_ROWS, as written
+# when the document was saved: an s=1 row scores kappa_z above its s=0 twin
+KAPPA_MODEL_PREDICTIONS = """row,score,decision,covariates_clamped
+1,0.21958321724758978,0,0
+2,0.24958321724758978,0,0
+3,0.8754754345428665,1,0
+4,0.8554754345428665,1,0
+5,0.832334653343729,1,0
+6,0.9499927289866139,1,0
+7,0.03080306218627987,0,1
+8,0.16529542766622352,0,0
+"""
 
 
 def test_model_document_round_trip(tmp_path):
@@ -87,8 +113,7 @@ def test_model_document_variant_round_trip(tmp_path):
     config = BasisConfig(interaction_order=1)
     data, _, _ = gen_dataset(DgpConfig(n=900, seed=31))
     sens = SensitivityParams("delta", 0.03, 0.05)
-    est = fit(data, config, FitOptions(restarts=2, floor=0.05, seed=0),
-              variant="delta", sensitivity=sens)
+    est = fit(data, config, FitOptions(restarts=2, floor=0.05, seed=0), sensitivity=sens)
     path = tmp_path / "model.json"
     save_model(ModelArtifact(est, None, data.covariate_names, data.scaling), path)
     loaded = load_model(path)
@@ -101,7 +126,7 @@ def test_save_rejects_per_row_level(tmp_path):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=32))
     sens = SensitivityParams("delta", lambda x: 0.02 + 0.02 * x[:, 0], 0.05)
     est = fit(data, BasisConfig(degree=1, interaction_order=1),
-              FitOptions(restarts=1, floor=0.05, seed=0), variant="delta", sensitivity=sens)
+              FitOptions(restarts=1, floor=0.05, seed=0), sensitivity=sens)
     path = tmp_path / "model.json"
     with pytest.raises(FairdesertError, match=r"sensitivity\.v0 is a per-row"):
         save_model(ModelArtifact(est, None, data.covariate_names, data.scaling), path)
@@ -114,7 +139,7 @@ def per_row_delta_model(tmp_path_factory):
     level was written before `save_model` refused it."""
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=32))
     est = fit(data, BasisConfig(degree=1, interaction_order=1),
-              FitOptions(restarts=1, floor=0.05, seed=0), variant="delta",
+              FitOptions(restarts=1, floor=0.05, seed=0),
               sensitivity=SensitivityParams("delta", 0.03, 0.05))
     folder = tmp_path_factory.mktemp("model")
     path = folder / "model.json"
@@ -183,3 +208,46 @@ def test_document_naming_another_family_is_refused(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith(
         "error: model document: basis family 'bspline' is not supported")
+
+
+def test_kappa_document_predicts_as_before(tmp_path):
+    assert load_model(KAPPA_MODEL).estimates.sensitivity == SensitivityParams("kappa", 0.03,
+                                                                              -0.02)
+    rows = tmp_path / "new.csv"
+    rows.write_text(KAPPA_MODEL_ROWS)
+    out = tmp_path / "out"
+    assert main(["predict", "--model", str(KAPPA_MODEL), "--input", str(rows),
+                 "--rate", "0.5", "--out-dir", str(out)]) == 0
+    assert (out / "predictions.csv").read_text() == KAPPA_MODEL_PREDICTIONS
+
+
+def test_document_whose_two_variants_disagree_is_refused(tmp_path, capsys):
+    doc = json.loads(KAPPA_MODEL.read_text())
+    assert (doc["variant"], doc["sensitivity"]["variant"]) == ("kappa", "kappa")
+    doc["variant"] = "baseline"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    message = "model document: variant 'baseline' disagrees with sensitivity.variant 'kappa'"
+    with pytest.raises(FairdesertError, match=message):
+        load_model(path)
+    rows = tmp_path / "new.csv"
+    rows.write_text(KAPPA_MODEL_ROWS)
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    write_csv(data, tmp_path / "data.csv")
+    for argv in (["predict", "--input", str(rows)],
+                 ["theta", "--input", str(tmp_path / "data.csv")]):
+        out = tmp_path / f"out-{argv[0]}"
+        rc = main([*argv, "--model", str(path), "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_document_without_a_sensitivity_block_reads_its_variant_at_level_0(tmp_path):
+    doc = json.loads(KAPPA_MODEL.read_text())
+    del doc["sensitivity"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    est = load_model(path).estimates
+    assert est.sensitivity == SensitivityParams("kappa", 0.0, 0.0)
+    assert est.variant == "kappa"

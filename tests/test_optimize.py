@@ -121,9 +121,9 @@ def test_bfgs_reports_nonconvergence():
 
 def sieve_objective(variant, precondition):
     data, _, _ = gen_dataset(DgpConfig(n=500, seed=13))
-    sens = None if variant == "baseline" else SensitivityParams(variant, 0.04, 0.06)
+    sens = SensitivityParams() if variant == "baseline" else SensitivityParams(variant, 0.04, 0.06)
     problem = SieveProblem(data, BasisConfig(interaction_order=1), FitOptions(),
-                           variant, sens, precondition=precondition)
+                           sensitivity=sens, precondition=precondition)
     start = np.zeros(problem.dim)
     start[::problem.j] = (-0.4, 0.5, -1.5, -1.2)
     return problem.value_grad, start

@@ -44,7 +44,7 @@ from fairdesert.simulate import DgpConfig, gen_dataset
 
 VARIANTS = ("baseline", "kappa", "delta", "zeta")
 VARIANT_SENS = {
-    "baseline": None,
+    "baseline": SensitivityParams(),
     "kappa": SensitivityParams("kappa", 0.03, -0.02),
     "delta": SensitivityParams("delta", 0.04, 0.06),
     "zeta": SensitivityParams("zeta", 0.1, -0.08),
@@ -138,7 +138,7 @@ def smooth_random_stack(problem, rng, h=1e-5):
         if np.min(gap) < 5 * h or np.min(np.abs(gap - problem.margin)) < 5 * h:
             continue
         p = stratum_probability(t0, t1, a, b, problem.s, problem.z,
-                                problem.variant, problem.sv0, problem.sv1)
+                                problem.sensitivity.variant, problem.sv0, problem.sv1)
         if np.min(p) < 1e-6 or np.max(p) > 1 - 1e-6:
             continue
         return stack
@@ -149,7 +149,7 @@ def test_gradients_match_finite_differences(variant):
     data, _, _ = gen_dataset(DgpConfig(n=300, seed=5))
     config = BasisConfig(degree=1, interaction_order=1)
     options = FitOptions()
-    problem = SieveProblem(data, config, options, variant, VARIANT_SENS[variant])
+    problem = SieveProblem(data, config, options, sensitivity=VARIANT_SENS[variant])
     rng = np.random.default_rng(11)
     h = 1e-5
     for _ in range(20):
@@ -204,19 +204,19 @@ def reference_value_grad(problem, stack):
     dp_db = np.zeros(problem.n)
     f0 = f1 = np.ones(problem.n)
     kz = np.zeros(problem.n)
-    if problem.variant == "zeta":
+    if problem.sensitivity.variant == "zeta":
         f0 = np.where(z1, 1 + sv0, 1.0)
         f1 = np.where(z1, 1 + sv1, 1.0)
-    if problem.variant == "kappa":
+    if problem.sensitivity.variant == "kappa":
         kz = np.where(z1, sv1, sv0)
-    if problem.variant == "delta":
+    if problem.sensitivity.variant == "delta":
         dp_dt = np.where(s1, 1 - sv1 - b, 1 - sv0 - a)
     else:
         dp_dt = np.where(s1, f1 * (1 - b), f0 * (1 - a))
     dp_da[~s1] = (-f0 * tz)[~s1]
     dp_db[s1] = (f1 * (1 - tz - kz))[s1]
     p = closed_form_stratum_probability(t0, t1, a, b, problem.s, problem.z,
-                                        problem.variant, sv0, sv1)
+                                        problem.sensitivity.variant, sv0, sv1)
     y, n = problem.y, problem.n
     value = -np.mean(y * np.log(p) + (1 - y) * np.log1p(-p))
     dneg_dp = (p - y) / (p * (1 - p)) / n
@@ -237,7 +237,7 @@ def reference_value_grad(problem, stack):
 
 
 X_DEPENDENT_SENS = {
-    "baseline": None,
+    "baseline": SensitivityParams(),
     "kappa": SensitivityParams("kappa", lambda x: 0.05 * x[:, 0] - 0.02,
                                lambda x: -0.03 * x[:, 1]),
     "delta": SensitivityParams("delta", lambda x: 0.02 + 0.05 * x[:, 0],
@@ -256,7 +256,7 @@ def test_stratum_table_reproduces_closed_forms(variant):
     s = rng.integers(0, 2, n).astype(float)
     z = rng.integers(0, 2, n).astype(float)
     for sens in (VARIANT_SENS[variant], X_DEPENDENT_SENS[variant]):
-        sv0, sv1 = (sens or SensitivityParams(variant)).evaluate(x)
+        sv0, sv1 = sens.evaluate(x)
         got = stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1)
         want = closed_form_stratum_probability(t0, t1, a, b, s, z, variant, sv0, sv1)
         assert np.max(np.abs(got - want)) <= 1e-15
@@ -277,8 +277,8 @@ def test_zero_sensitivity_value_grad_bitwise_baseline():
     rng = np.random.default_rng(4)
     stacks = [rng.normal(0, 0.8, base.dim) for _ in range(10)]
     for variant in ("kappa", "delta", "zeta"):
-        zero = SieveProblem(data, config, options, variant,
-                            SensitivityParams(variant, 0.0, 0.0), precondition=True)
+        zero = SieveProblem(data, config, options,
+                            sensitivity=SensitivityParams(variant, 0.0, 0.0), precondition=True)
         assert np.array_equal(zero.table, base.table)
         for stack in stacks:
             value, grad = zero.value_grad(stack)
@@ -296,7 +296,7 @@ def test_fused_value_grad_matches_reference(variant, options):
     data, _, _ = gen_dataset(DgpConfig(n=400, seed=6))
     for sens in (VARIANT_SENS[variant], X_DEPENDENT_SENS[variant]):
         problem = SieveProblem(data, BasisConfig(interaction_order=1), options,
-                               variant, sens, precondition=True)
+                               sensitivity=sens, precondition=True)
         rng = np.random.default_rng(9)
         for _ in range(100):
             stack = rng.normal(0, 0.8, problem.dim)
@@ -382,9 +382,9 @@ def test_value_grad_bitwise_where_stack_objective(variant, options):
     config = BasisConfig(interaction_order=1)
     for sens in (VARIANT_SENS[variant], X_DEPENDENT_SENS[variant]):
         for precondition in (False, True):
-            args = (data, config, options, variant, sens)
-            problem = SieveProblem(*args, precondition=precondition)
-            oracle = WhereStackSieveProblem(*args, precondition=precondition)
+            args = (data, config, options)
+            problem = SieveProblem(*args, sensitivity=sens, precondition=precondition)
+            oracle = WhereStackSieveProblem(*args, sensitivity=sens, precondition=precondition)
             rng = np.random.default_rng(12)
             j = problem.j
             active = []
@@ -521,7 +521,7 @@ SHIPPED_FITS = {
 
 def _pinned_fit(variant, basis_config):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=4))
-    est = fit(data, basis_config, FitOptions(restarts=3), variant, VARIANT_SENS[variant])
+    est = fit(data, basis_config, FitOptions(restarts=3), sensitivity=VARIANT_SENS[variant])
     return est.diagnostics.criterion, est.coefficient_stack().tolist()
 
 
@@ -549,7 +549,7 @@ def test_restart_evaluations_count_value_grad_calls(univariate_basis, monkeypatc
     calls.clear()
     warm = fit(data, univariate_basis,
                FitOptions(restarts=2, seed=2, init_coefficients=cold.coefficient_stack()),
-               variant="delta", sensitivity=SensitivityParams("delta", 0.05, 0.05))
+               sensitivity=SensitivityParams("delta", 0.05, 0.05))
     records = warm.diagnostics.restarts
     assert [r.start for r in records] == ["warm", "plugin"]
     assert sum(r.evaluations for r in records) == len(calls)
@@ -632,8 +632,7 @@ def test_fit_same_for_every_jobs(univariate_basis):
     warm_options = FitOptions(restarts=3, seed=4,
                               init_coefficients=cold[1].coefficient_stack())
     sens = SensitivityParams("delta", 0.05, 0.05)
-    warm = {jobs: fit(data, univariate_basis, warm_options, variant="delta",
-                      sensitivity=sens, jobs=jobs)
+    warm = {jobs: fit(data, univariate_basis, warm_options, sensitivity=sens, jobs=jobs)
             for jobs in (1, 2)}
     for fits in (cold, warm):
         assert np.array_equal(fits[1].coefficient_stack(), fits[2].coefficient_stack())
@@ -669,6 +668,11 @@ def _outcome(call):
     return out, [str(w.message) for w in caught if w.category is RelevanceWarning]
 
 
+def _fit_request(data, config, options, sensitivity=SensitivityParams()):
+    """`fit` on the arguments of one `fit_many` request."""
+    return fit(data, config, options, sensitivity=sensitivity)
+
+
 def _same_fit(a, b):
     if isinstance(a, FitError):
         return type(b) is FitError and str(a) == str(b)
@@ -683,15 +687,15 @@ def test_fit_many_equals_one_fit_per_request(univariate_basis):
     opts = FitOptions(restarts=3, seed=4)
     requests = [
         (data, univariate_basis, opts),
-        (data, univariate_basis, opts, "delta", SensitivityParams("delta", 0.05, 0.05)),
+        (data, univariate_basis, opts, SensitivityParams("delta", 0.05, 0.05)),
         # the baseline's objective and starts, under its own labels
-        (data, univariate_basis, opts, "delta", SensitivityParams("delta", 0.0, 0.0)),
+        (data, univariate_basis, opts, SensitivityParams("delta", 0.0, 0.0)),
         (data, univariate_basis,
          FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)),
         (weak, univariate_basis,
          FitOptions(restarts=1, seed=0, relevance_margin=0.5, relevance_penalty=0.0)),
     ]
-    singles = [_outcome(lambda r=r: fit(*r)) for r in requests]
+    singles = [_outcome(lambda r=r: _fit_request(*r)) for r in requests]
     expected_warnings = [m for _, caught in singles for m in caught]
     assert isinstance(singles[3][0], FitError) and len(expected_warnings) == 1
     for jobs in (1, 2):
@@ -718,7 +722,7 @@ def test_fit_many_runs_each_distinct_restart_once(univariate_basis, monkeypatch)
         (data, univariate_basis, opts),
         # another seed changes the random starts only
         (data, univariate_basis, FitOptions(restarts=3, seed=1)),
-        (data, univariate_basis, opts, "zeta", SensitivityParams("zeta", 0.0, 0.0)),
+        (data, univariate_basis, opts, SensitivityParams("zeta", 0.0, 0.0)),
         # another iteration limit is another minimization
         (data, univariate_basis, FitOptions(restarts=3, seed=0, max_iter=400)),
     ])
@@ -729,11 +733,24 @@ def test_fit_many_runs_each_distinct_restart_once(univariate_basis, monkeypatch)
     assert zero.diagnostics == base.diagnostics
 
 
+def test_variant_name_in_place_of_sensitivity_params_is_a_type_error(univariate_basis):
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=9))
+    sens = SensitivityParams("delta", 0.05, 0.05)
+    with pytest.raises(TypeError, match="positional"):
+        fit(data, univariate_basis, FitOptions(), "delta", sens)
+    with pytest.raises(TypeError, match="positional"):
+        SieveProblem(data, univariate_basis, FitOptions(), sens)
+    for bad in ((data, univariate_basis, FitOptions(), "delta"),
+                (data, univariate_basis, FitOptions(), "delta", sens)):
+        with pytest.raises(TypeError, match="request 1: 'delta' is not a SensitivityParams"):
+            fit_many([(data, univariate_basis, FitOptions()), bad])
+
+
 def test_restart_records_carry_the_stop_message(univariate_basis):
     # the zeta plug-in start is far from feasible and its line search fails
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=4))
-    diag = fit(data, univariate_basis, FitOptions(restarts=3), "zeta",
-               VARIANT_SENS["zeta"]).diagnostics
+    diag = fit(data, univariate_basis, FitOptions(restarts=3),
+               sensitivity=VARIANT_SENS["zeta"]).diagnostics
     assert [r.message for r in diag.restarts] == ["line search failed", "", ""]
     doc = diag.to_json_dict()
     assert [r["message"] for r in doc["restarts"]] == ["line search failed", "", ""]
@@ -758,12 +775,9 @@ def test_variant_reductions_match_baseline(univariate_basis):
     init = base.coefficient_stack()
     opts = FitOptions(restarts=1, seed=4, include_plugin_start=False,
                       init_coefficients=init)
-    for variant, zero in [
-        ("kappa", SensitivityParams("kappa", 0.0, 0.0)),
-        ("delta", SensitivityParams("delta", 0.0, 0.0)),
-        ("zeta", SensitivityParams("zeta", 0.0, 0.0)),
-    ]:
-        est = fit(data, univariate_basis, opts, variant=variant, sensitivity=zero)
+    for variant in ("kappa", "delta", "zeta"):
+        est = fit(data, univariate_basis, opts,
+                  sensitivity=SensitivityParams(variant, 0.0, 0.0))
         assert est.diagnostics.criterion == pytest.approx(
             base.diagnostics.criterion, abs=1e-8
         )
@@ -832,8 +846,7 @@ def test_predict_tau_selector(univariate_basis):
 def test_predict_tau_sz_kappa_shift(univariate_basis):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=20))
     sens = SensitivityParams("kappa", 0.05, 0.05)
-    est = fit(data, univariate_basis, FitOptions(restarts=2, seed=0),
-              variant="kappa", sensitivity=sens)
+    est = fit(data, univariate_basis, FitOptions(restarts=2, seed=0), sensitivity=sens)
     x = data.x[:5]
     z = np.zeros(5, dtype=int)
     base = predict_tau_sz(est, np.zeros(5, dtype=int), z, x)

@@ -33,15 +33,14 @@ CONFIG = BasisConfig(interaction_order=1)
 MC_OPTS = FitOptions(restarts=2, floor=0.05, relevance_margin=1e-3, ridge=3e-3, seed=0)
 
 
-def constant_estimates(tau0, tau1, alpha, beta, variant="baseline", sensitivity=None):
+def constant_estimates(tau0, tau1, alpha, beta, sensitivity=SensitivityParams()):
     cfg = BasisConfig(degree=1, interaction_order=0)
     return NuisanceEstimates(
         tau0=intercept_only(cfg, tau0, d=2),
         tau1=intercept_only(cfg, tau1, d=2),
         alpha=intercept_only(cfg, alpha, d=2),
         beta=intercept_only(cfg, beta, d=2),
-        variant=variant,
-        sensitivity=sensitivity or SensitivityParams.baseline(),
+        sensitivity=sensitivity,
     )
 
 
@@ -72,7 +71,7 @@ def test_plugin_worked_arithmetic():
 
 
 def test_plugin_rejects_variants():
-    est = constant_estimates(0.5, 0.5, 0.2, 0.1, variant="delta",
+    est = constant_estimates(0.5, 0.5, 0.2, 0.1,
                              sensitivity=SensitivityParams("delta", 0.05, 0.05))
     with pytest.raises(VariantMismatchError, match="bootstrap"):
         theta_plugin(est, half_split_dataset())
@@ -168,7 +167,7 @@ def test_onestep_is_plugin_plus_mean_augmentation():
 
 def test_onestep_rejects_variants():
     data, est, prop = fitted_pair()
-    bad = constant_estimates(0.5, 0.6, 0.2, 0.1, variant="zeta",
+    bad = constant_estimates(0.5, 0.6, 0.2, 0.1,
                              sensitivity=SensitivityParams("zeta", 0.1, 0.1))
     with pytest.raises(VariantMismatchError):
         theta_onestep(bad, prop, data)
@@ -273,7 +272,7 @@ def test_bootstrap_same_result_for_every_jobs():
     data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
     fitter = VariantFitter(BasisConfig(degree=1, interaction_order=1),
                            FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3, seed=0),
-                           "delta", SensitivityParams("delta", 0.05, 0.05))
+                           SensitivityParams("delta", 0.05, 0.05))
     emitted = []
     for jobs in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
@@ -307,7 +306,7 @@ def test_bootstrap_propagates_other_errors_from_workers():
 
 def test_bootstrap_variant_integrand():
     sens = SensitivityParams("delta", 0.05, 0.05)
-    est = constant_estimates(0.5, 0.5, 0.2, 0.1, variant="delta", sensitivity=sens)
+    est = constant_estimates(0.5, 0.5, 0.2, 0.1, sensitivity=sens)
     data = half_split_dataset(200)
     vals = unfairness_integrand(est, data)
     # s=0: tau alpha + (1-tau) delta0; s=1: (1-tau) beta + tau delta1
@@ -348,8 +347,7 @@ def test_unfairness_integrand_matches_per_variant_reference(variant, constant, x
     funcs = [SeriesFunction(CONFIG, rng.normal(0, 10, basis_dimension(CONFIG, 2)), 1e-3, 1 - 1e-3)
              for _ in range(4)]
     for v0, v1 in (constant, x_dependent):
-        est = NuisanceEstimates(*funcs, variant=variant,
-                                sensitivity=SensitivityParams(variant, v0, v1))
+        est = NuisanceEstimates(*funcs, sensitivity=SensitivityParams(variant, v0, v1))
         got = unfairness_integrand(est, data)
         want = reference_unfairness_integrand(est, data)
         if variant == "zeta":
