@@ -28,15 +28,16 @@ from .errors import FairdesertError
 MONOMIAL_BLOCK_ROWS = 4096
 
 
-def expit(u):
+def expit(u, out=None):
     """Logistic function 1 / (1 + exp(-u)); a float for scalar input.
 
-    Built in place in one new array.  Below u = -709.78 exp(-u) overflows to
-    inf and the result is 0 (the exact value is below 5.6e-309), so the
-    overflow is not reported.
+    Built in place in one new array, or in ``out`` (a float64 array of u's
+    shape) when it is given.  Below u = -709.78 exp(-u) overflows to inf and
+    the result is 0 (the exact value is below 5.6e-309), so the overflow is
+    not reported.
     """
     u = np.asarray(u, dtype=np.float64)
-    out = np.negative(u, out=np.empty(u.shape))
+    out = np.negative(u, out=np.empty(u.shape) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0

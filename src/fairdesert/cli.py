@@ -92,11 +92,38 @@ def _sniff_covariates(path, schema_doc):
     return doc
 
 
+def _config_value(command, flags, key, value):
+    """A config file's ``value`` for ``key``, checked as its flag's value is:
+    through the flag's ``type`` (given the value's text, as argparse is)
+    and ``choices``.  A key that names no flag of ``command`` fails."""
+    action = flags.get(key.replace("-", "_"))
+    if action is None:
+        raise FairdesertError(f"--config: {key!r} is not a setting of {command}")
+    if value is None:
+        return None
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise FairdesertError(
+                f"--config: {key!r}: invalid {action.type.__name__} value {value!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        raise FairdesertError(
+            f"--config: {key!r} must be one of {', '.join(map(str, action.choices))}, "
+            f"got {value!r}"
+        )
+    return value
+
+
 def _resolve(args):
     """Merge the optional config file under explicit flags."""
     resolved = vars(args).copy()
+    flags = {action.dest: action for action in resolved.pop("parser")._actions
+             if action.option_strings and action.dest not in ("help", "config")}
     config_doc = _load_json_arg(resolved.pop("config", None)) or {}
     for key, value in config_doc.items():
+        value = _config_value(args.command, flags, key, value)
         key = key.replace("-", "_")
         if resolved.get(key) is None:
             resolved[key] = value
@@ -376,6 +403,11 @@ def cmd_theta(resolved):
     folds = _checked(resolved, "crossfit", int, lambda v: v == 0 or v >= 2,
                      "be 0 (off) or at least 2 folds")
     method = resolved["method"]
+    refitting = "--crossfit" if folds else "--method bootstrap" if method == "bootstrap" else None
+    if resolved.get("model") and refitting:
+        raise FairdesertError(
+            f"--model cannot be combined with {refitting}, which fits its own nuisances"
+        )
     boot = _boot(resolved, allow_off=False) if method == "bootstrap" else None
     data = _load_dataset(resolved)
     config = _basis(resolved)
@@ -499,6 +531,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # `_resolve` checks a config file's entries against p's flags
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)

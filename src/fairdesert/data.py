@@ -194,8 +194,7 @@ def read_csv(path, schema: CsvSchema, binary_columns):
 def _read_columns(path, binary_at, covariates_at, binmap):
     """The body of ``path`` parsed by ``np.loadtxt``: the same result as
     `read_csv`'s row-wise loop, or None when that cannot be shown."""
-    raw = path.read_bytes()
-    if b'"' in raw or b"\0" in raw or _longest_line(raw) > csv.field_size_limit():
+    if not _plain_text(path):
         return None
     # one character wider than any key, so a cut-off cell never equals a key
     key_width = max(map(len, binmap)) + 1
@@ -228,12 +227,31 @@ def _read_columns(path, binary_at, covariates_at, binmap):
     return binary, x
 
 
-def _longest_line(raw):
-    """The length in bytes of the longest line of ``raw``; ``\\r`` and ``\\n``
-    each end a line."""
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
-    return int(np.diff(ends, prepend=-1, append=codes.size).max()) - 1
+# bytes `_plain_text` reads at a time
+_SCAN_CHUNK_BYTES = 1 << 20
+
+
+def _plain_text(path):
+    """Whether ``path`` holds no ``"`` or NUL byte and no line longer than
+    ``csv.field_size_limit()`` bytes; ``\\r`` and ``\\n`` each end a line.
+
+    The file is read in chunks of ``_SCAN_CHUNK_BYTES``, so memory does not
+    grow with its size.
+    """
+    limit = csv.field_size_limit()
+    run = 0  # the length of the line that the chunks so far leave open
+    with path.open("rb") as fh:
+        while chunk := fh.read(_SCAN_CHUNK_BYTES):
+            if b'"' in chunk or b"\0" in chunk:
+                return False
+            codes = np.frombuffer(chunk, dtype=np.uint8)
+            ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+            # the lengths of the lines that end in this chunk, then of the open one
+            lengths = np.diff(ends, prepend=-1 - run, append=codes.size) - 1
+            if lengths.max() > limit:
+                return False
+            run = int(lengths[-1])
+    return True
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:

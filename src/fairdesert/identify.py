@@ -102,12 +102,18 @@ def stratum_table(s, z, variant="baseline", v0=0.0, v1=0.0):
     return np.stack(np.broadcast_arrays(e, -f, s - shift, 1 - c / f))
 
 
-def _bilinear(table, tz, m):
-    """Stratum probability and its partial derivatives in tz and m."""
+def _bilinear(table, tz, m, out=None):
+    """Stratum probability and its partial derivatives in tz and m.
+
+    With ``out``, three arrays of the result shape, (p, dp_dt, dp_dm) are
+    written into them; the first may be ``m`` and the last ``tz``.
+    """
     e, g, u, w = table
-    dtz = tz - u
-    dp_dt = g * (m - w)
-    return e + dtz * dp_dt, dp_dt, g * dtz
+    p, dp_dt, dp_dm = out or (None, None, None)
+    dtz = np.subtract(tz, u, out=dp_dm)
+    dp_dt = np.multiply(g, np.subtract(m, w, out=p), out=dp_dt)
+    p = np.add(e, np.multiply(dtz, dp_dt, out=p), out=p)
+    return p, dp_dt, np.multiply(g, dtz, out=dp_dm)
 
 
 def forward_mu(p: PointwiseParams, variant="baseline", v0=0.0, v1=0.0) -> PointwiseMu:

@@ -269,6 +269,12 @@ class SieveProblem:
     back into a zero block the same way.  The other two entries of a row get
     weight only from the relevance hinge (tau0, tau1), which is worked out on
     the few rows where |tau1 - tau0| is below the margin, and from the ridge.
+
+    `value_grad` writes every (n, 4) and length-n intermediate into one
+    buffer set per process, reallocated when n changes, so problems of one
+    size share it and a sweep's K problems do not hold K sets; it returns a
+    fresh value and gradient.  Two threads must not evaluate at once.
+    `functions` and `criterion` run the same code into new arrays.
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions, *,
@@ -284,6 +290,7 @@ class SieveProblem:
             self.phi, self.r_block = pre
         self.y = np.asarray(data.y, dtype=np.float64)
         self.y1 = self.y == 1
+        self.not_y = 1 - self.y
         # d(-mean log-likelihood)/dp = (p - y) / {p (1 - p) n} = dneg_sign / lik
         self.dneg_sign = (1 - 2 * self.y) / self.n
         self.s = np.asarray(data.s, dtype=np.float64)
@@ -317,63 +324,103 @@ class SieveProblem:
             return np.asarray(stack, dtype=np.float64)
         return np.concatenate([self.r_block @ g for g in self.unpack(stack)])
 
-    def _blocks(self, stack):
-        """(n, 4) logits, function values and expit derivative factors."""
-        logits = self.phi @ np.reshape(stack, (4, self.j)).T
-        sig = expit(logits)
-        scaled = (1 - 2 * self.c) * sig
-        return logits, self.c + scaled, scaled * (1 - sig)
+    def _blocks(self, stack, out=None):
+        """(n, 4) logits, function values and expit derivative factors,
+        written into the three (n, 4) arrays of ``out`` when it is given."""
+        logits, vals, slopes = out or (np.empty((self.n, 4)) for _ in range(3))
+        # a C-ordered (J, 4) right factor makes the product much faster
+        np.matmul(self.phi, np.ascontiguousarray(np.reshape(stack, (4, self.j)).T), out=logits)
+        sig = expit(logits, out=slopes)
+        scaled = np.multiply(1 - 2 * self.c, sig, out=vals)
+        np.multiply(scaled, np.subtract(1, sig, out=sig), out=slopes)
+        return logits, np.add(self.c, scaled, out=vals), slopes
 
     def functions(self, stack):
         """Function values, expit derivative factors, and logits per point."""
         logits, vals, slopes = self._blocks(stack)
         return list(vals.T), list(slopes.T), list(logits.T)
 
-    def _likelihood(self, vals):
+    def _likelihood(self, vals, out=None):
         """Per-row probability of the observed outcome, and the partials of
-        f(Y=1 | s, z, x) in tz and m."""
+        f(Y=1 | s, z, x) in tz and m, written into the three length-n arrays
+        of ``out`` when it is given."""
+        tz, m, dp_dt = out or np.empty((3, self.n))
         flat = vals.ravel()
-        p, dp_dt, dp_dm = _bilinear(self.table, flat.take(self.idx_t), flat.take(self.idx_m))
+        # mode="clip" lets take write straight into its out; the indices are in range
+        flat.take(self.idx_t, out=tz, mode="clip")
+        flat.take(self.idx_m, out=m, mode="clip")
+        p, dp_dt, dp_dm = _bilinear(self.table, tz, m, out=(m, dp_dt, tz))
         # np.clip's values, without its wrapper's overhead
         p = np.minimum(np.maximum(p, 1e-12, out=p), 1 - 1e-12, out=p)
-        return np.where(self.y1, p, 1 - p), dp_dt, dp_dm
+        # |(1 - y) - p| is p where y = 1 and 1 - p where y = 0, exactly
+        return np.abs(np.subtract(self.not_y, p, out=p), out=p), dp_dt, dp_dm
 
     def value_grad(self, stack):
-        logits, vals, slopes = self._blocks(stack)
-        lik, dp_dt, dp_dm = self._likelihood(vals)
         n = self.n
-        value = -(np.log(lik).sum() / n)
-        dneg_dp = self.dneg_sign / lik
+        buffers = _buffers(n)
+        logits, vals, slopes = self._blocks(stack, buffers.blocks)
+        lik, dp_dt, dp_dm = self._likelihood(vals, buffers.rows[:3])
+        scratch, diff = buffers.rows[3:]
+        value = -(np.log(lik, out=scratch).sum() / n)
+        dneg_dp = np.divide(self.dneg_sign, lik, out=lik)
 
-        weights = np.zeros((n, 4))
+        weights = buffers.weights
+        weights.fill(0.0)
         flat = weights.ravel()
-        flat[self.idx_t] = dneg_dp * dp_dt
-        flat[self.idx_m] = dneg_dp * dp_dm
-        diff = vals[:, 1] - vals[:, 0]
-        gap = np.abs(diff)
+        flat[self.idx_t] = np.multiply(dneg_dp, dp_dt, out=dp_dt)
+        flat[self.idx_m] = np.multiply(dneg_dp, dp_dm, out=dp_dm)
+        np.subtract(vals[:, 1], vals[:, 0], out=diff)
+        gap = np.abs(diff, out=scratch)
         # the relevance hinge is zero where the gap meets the margin, which is
         # on all but a few rows (a NaN gap counts as active)
-        active = np.nonzero(~(gap >= self.margin))[0]
+        met = np.greater_equal(gap, self.margin, out=buffers.met)
+        active = np.nonzero(np.logical_not(met, out=met))[0]
         if active.size:
             hinge = self.margin - gap[active]
-            squares = np.zeros(n)
+            dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff[active])) / n
+            squares = scratch
+            squares.fill(0.0)
             squares[active] = hinge ** 2
             value += self.lam * (squares.sum() / n)
-            dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff[active])) / n
             weights[active, 0] -= dpen_ddiff
             weights[active, 1] += dpen_ddiff
         weights *= slopes
         if self.ridge > 0:
             # coordinate-free shrinkage of the demeaned logit functions;
             # stabilizes the decomposition into (tau, alpha, beta) at small n
-            centered = logits - logits.mean(axis=0)
-            value += 0.5 * self.ridge * float(np.sum(centered * centered)) / n
-            weights += (self.ridge / n) * centered
+            centered = np.subtract(logits, logits.sum(axis=0) / n, out=logits)
+            work = vals  # read for the last time above
+            squares = np.multiply(centered, centered, out=work)
+            value += 0.5 * self.ridge * float(np.sum(squares)) / n
+            weights += np.multiply(self.ridge / n, centered, out=work)
         return float(value), (self.phi.T @ weights).T.ravel()
 
     def criterion(self, stack):
         """Mean conditional log-likelihood (no penalty) at the packed point."""
         return float(np.mean(np.log(self._likelihood(self._blocks(stack)[1])[0])))
+
+
+class _Buffers:
+    """The scratch arrays of one `SieveProblem.value_grad` evaluation on n rows:
+    three (n, 4) blocks for `SieveProblem._blocks`, the weight block, five
+    length-n rows and a length-n mask."""
+
+    def __init__(self, n):
+        self.n = n
+        *self.blocks, self.weights = np.empty((4, n, 4))
+        self.rows = tuple(np.empty((5, n)))
+        self.met = np.empty(n, dtype=bool)
+
+
+_BUFFERS = None
+
+
+def _buffers(n):
+    """This process's one buffer set, reallocated when n changes."""
+    global _BUFFERS
+    if _BUFFERS is None or _BUFFERS.n != n:
+        _BUFFERS = _Buffers(n)
+    return _BUFFERS
 
 
 def _target_to_gamma(problem, values, valid):
@@ -411,6 +458,8 @@ def _plugin_start(problem, data):
 
 def _random_starts(problem, data, count, seed):
     """Zero-slope starts with randomized intercepts around stratum means."""
+    if count == 0:
+        return []
     rng = default_rng(SeedSequence(entropy=seed, spawn_key=(17,)))
     means = {}
     for s in (0, 1):

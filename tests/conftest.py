@@ -40,11 +40,12 @@ def tiny_dataset():
     )
 
 
-def _scipy_expit(u):
-    """`basis.expit` as it was when it called scipy.special.expit."""
+def _scipy_expit(u, out=None):
+    """`basis.expit` as it was when it called scipy.special.expit, taking
+    `basis.expit`'s ``out``."""
     from scipy import special
 
-    out = special.expit(np.asarray(u, dtype=np.float64))
+    out = special.expit(np.asarray(u, dtype=np.float64), out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -446,6 +446,53 @@ def test_refused_run_leaves_no_output_folder(train_csv, fitted_model, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["theta"], {"method": "bogus"},
+     "error: --config: 'method' must be one of plugin, onestep, bootstrap, got 'bogus'"),
+    (["estimate"], {"variant": "foo"},
+     "error: --config: 'variant' must be one of baseline, kappa, delta, zeta, got 'foo'"),
+    (["estimate"], {"restarts": "abc"}, "error: --config: 'restarts': invalid int value 'abc'"),
+    (["estimate"], {"restarts": 2.5}, "error: --config: 'restarts': invalid int value 2.5"),
+    (["estimate"], {"basis-degree": True},
+     "error: --config: 'basis-degree': invalid int value True"),
+    (["estimate"], {"floor": "low"}, "error: --config: 'floor': invalid float value 'low'"),
+    (["estimate"], {"reps": 3}, "error: --config: 'reps' is not a setting of estimate"),
+    (["check"], {"variant": "delta"}, "error: --config: 'variant' is not a setting of check"),
+], ids=["theta-method-bogus", "estimate-variant-foo", "restarts-text", "restarts-fraction",
+        "basis-degree-bool", "floor-text", "estimate-unknown-key", "check-foreign-key"])
+def test_config_entries_are_checked_like_flags(train_csv, tmp_path, capsys, monkeypatch,
+                                               argv, config, message):
+    import fairdesert.cli as cli
+
+    def stub(*args, **kwargs):
+        raise RuntimeError("a fit was reached")
+
+    for name in ("fit", "load_csv"):
+        monkeypatch.setattr(cli, name, stub)
+    out = tmp_path / "out"
+    rc = main([*argv, "--input", str(train_csv), "--config", json.dumps(config),
+               "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--crossfit", "2"], "--crossfit"),
+    (["--method", "bootstrap", "--variant", "delta", "--delta", "0.05,0.05"],
+     "--method bootstrap"),
+], ids=["crossfit", "bootstrap"])
+def test_theta_refuses_a_model_it_would_not_use(train_csv, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    rc = main(["theta", "--input", str(train_csv), "--model", str(tmp_path / "no_such.json"),
+               *argv, "--out-dir", str(out), *FAST])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: --model cannot be combined with {flag}")
+    assert not out.exists()
+
+
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     rc = main(["theta", "--input", str(train_csv), "--method", "plugin",
                "--out-dir", str(tmp_path / "plugin"), *FAST])

@@ -259,6 +259,33 @@ def test_field_size_limit_still_applies(tmp_path):
         csv.field_size_limit(limit)
     assert outcome[0] is csv.Error
 
+@pytest.mark.parametrize("chunk", [3, 8, 13, 1 << 20])
+def test_plain_text_scan_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data_module, "_SCAN_CHUNK_BYTES", chunk)
+    # 27 bytes, with "\r" and "\n" at 11 and 12: a chunk boundary of 3 falls between them
+    head = b"s,z,y,x0,x1\r\n1,0,1,0.5,2\r\n"
+    long_row = b"1,0,1,0.25000000000000001,2"
+    path = tmp_path / "case.csv"
+    limit = csv.field_size_limit(len(long_row) - 1)
+    try:
+        for text, plain in [
+            # the long line spans bytes 27-53, across a boundary of every small chunk size
+            (head + long_row + b"\r\n", False),
+            (head + long_row[:-1] + b"\r\n", True),
+            (head + long_row, False),
+            # at byte 87: past the first chunk of every small chunk size
+            (head * 3 + b'1,0,1,"0.5",2\n', False),
+            (head * 3 + b"1,0,1,0.5\x00,2\n", False),
+        ]:
+            path.write_bytes(text)
+            assert data_module._plain_text(path) is plain
+            columns = ("s", "z", "y")
+            assert _read_outcome(path, columns, row_wise=False) == _read_outcome(
+                path, columns, row_wise=True)
+    finally:
+        csv.field_size_limit(limit)
+
+
 def test_plain_csv_is_read_column_wise(tmp_path):
     ds = make_dataset(n=50, d=3)
     write_csv(ds, tmp_path / "plain.csv")

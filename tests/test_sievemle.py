@@ -408,6 +408,55 @@ def test_value_grad_bitwise_where_stack_objective(variant, options):
             assert all(a == 0 for a in active[2::3])
 
 
+MC_OPTIONS = FitOptions(floor=0.05, relevance_margin=1e-3, ridge=3e-3)
+
+
+def test_value_grad_returns_fresh_gradients():
+    data, _, _ = gen_dataset(DgpConfig(n=300, seed=2))
+    problem = SieveProblem(data, BasisConfig(interaction_order=1), MC_OPTIONS)
+    rng = np.random.default_rng(3)
+    first_stack, second_stack = rng.normal(0, 0.8, (2, problem.dim))
+    _, first = problem.value_grad(first_stack)
+    kept = first.copy()
+    _, second = problem.value_grad(second_stack)
+    assert second is not first and not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
+def test_functions_and_criterion_between_evaluations_match_a_fresh_problem():
+    data, _, _ = gen_dataset(DgpConfig(n=300, seed=2))
+    args = (data, BasisConfig(interaction_order=1), MC_OPTIONS)
+    problem = SieveProblem(*args)
+    rng = np.random.default_rng(4)
+    for stack in rng.normal(0, 0.8, (5, problem.dim)):
+        fresh = SieveProblem(*args)
+        want = [[column.copy() for column in block] for block in fresh.functions(stack)]
+        want_criterion = fresh.criterion(stack)
+        problem.value_grad(stack)
+        got = problem.functions(stack)
+        criterion = problem.criterion(stack)
+        problem.value_grad(-stack)
+        for got_block, want_block in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(got_block, want_block))
+        assert criterion == want_criterion
+
+
+def test_problems_of_two_sizes_alternating_match_the_oracle():
+    config = BasisConfig(interaction_order=1)
+    pairs = []
+    for n, sens in ((300, VARIANT_SENS["delta"]), (500, VARIANT_SENS["zeta"])):
+        data, _, _ = gen_dataset(DgpConfig(n=n, seed=5))
+        pairs.append((SieveProblem(data, config, MC_OPTIONS, sensitivity=sens),
+                      WhereStackSieveProblem(data, config, MC_OPTIONS, sensitivity=sens)))
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        for problem, oracle in pairs:
+            stack = rng.normal(0, 0.8, problem.dim)
+            value, grad = problem.value_grad(stack)
+            want_value, want_grad = oracle.value_grad(stack)
+            assert value == want_value and np.array_equal(grad, want_grad)
+
+
 # fit(DgpConfig(n=600, seed=4) draw, BasisConfig(interaction_order=1),
 # FitOptions(restarts=3)) per variant at the VARIANT_SENS levels, as the
 # objective and BFGS computed them before the gather/scatter rewrite, with
