@@ -12,6 +12,7 @@ violations), 2 errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib.util
 import json
@@ -60,9 +61,14 @@ from .theta import (
 
 
 def _load_json_arg(value):
-    """Accept an inline JSON string or a path to a JSON file."""
-    if value is None:
-        return None
+    """Accept an inline JSON string or a path to a JSON file; a JSON object
+    from a config file as it is."""
+    if value is None or isinstance(value, dict):
+        return value
+    if not isinstance(value, str):
+        raise FairdesertError(
+            f"--config: expected a JSON object, inline JSON text or a file path, got {value!r}"
+        )
     text = value.strip()
     if text.startswith("{"):
         return json.loads(text)
@@ -127,6 +133,9 @@ def _resolve(args):
         key = key.replace("-", "_")
         if resolved.get(key) is None:
             resolved[key] = value
+    if args.command == "theta":
+        # before the defaults, so that only a given value counts
+        _check_method_flags(resolved)
     for key, value in _DEFAULTS.items():
         if resolved.get(key) is None and key in resolved:
             resolved[key] = value
@@ -134,6 +143,22 @@ def _resolve(args):
     if resolved["jobs"] < 1:
         raise FairdesertError(f"--jobs expects at least 1 process, got {resolved['jobs']}")
     return resolved
+
+
+# theta flags that one --method alone reads
+_METHOD_FLAGS = {"crossfit": "onestep", "boot": "bootstrap"}
+
+
+def _check_method_flags(resolved):
+    """Refuse a theta flag, given directly or in the config file, that the
+    method does not read."""
+    method = resolved.get("method") or _DEFAULTS["method"]
+    for key, reader in _METHOD_FLAGS.items():
+        if resolved.get(key) is not None and method != reader:
+            raise FairdesertError(
+                f"--{key} cannot be combined with --method {method}; "
+                f"only --method {reader} reads it"
+            )
 
 
 _DEFAULTS = {
@@ -204,6 +229,16 @@ def _write_meta(out, resolved, command, extra=None):
     (out / "run_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True, default=str), encoding="utf-8"
     )
+
+
+@contextlib.contextmanager
+def _timed(stages, name):
+    """Add the seconds the block takes to ``stages[name]``."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] += time.perf_counter() - started
 
 
 def _basis(resolved):
@@ -418,32 +453,40 @@ def cmd_theta(resolved):
         raise FairdesertError(
             "sensitivity variants support inference via --method bootstrap only"
         )
+    # the full-data fit, and the bootstrap, the folds or the evaluation
+    stages = {"fit": 0.0, "inference": 0.0}
     if method == "bootstrap":
         fitter = VariantFitter(config, options, sensitivity)
         # the full-data fit runs its restarts on the pool; VariantFitter's
         # replicate fits are already spread over it
-        full_fit = fit(data, config, options, sensitivity=sensitivity, jobs=resolved["jobs"])
-        estimate = theta_bootstrap(
-            fitter, data, replicates=boot,
-            seed=int(resolved["seed"]), level=level, full_fit=full_fit, jobs=resolved["jobs"],
-        )
+        with _timed(stages, "fit"):
+            full_fit = fit(data, config, options, sensitivity=sensitivity,
+                           jobs=resolved["jobs"])
+        with _timed(stages, "inference"):
+            estimate = theta_bootstrap(
+                fitter, data, replicates=boot, seed=int(resolved["seed"]), level=level,
+                full_fit=full_fit, jobs=resolved["jobs"],
+            )
     elif method == "onestep" and folds:
         # each fold fits its own nuisances; a full-data fit would go unused
-        estimate = theta_onestep_crossfit(
-            data, config, options, folds=folds,
-            seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
-        )
+        with _timed(stages, "inference"):
+            estimate = theta_onestep_crossfit(
+                data, config, options, folds=folds,
+                seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
+            )
     else:
         if resolved.get("model"):
             artifact = load_model(resolved["model"])
             est, prop = artifact.estimates, artifact.propensity
         else:
-            est = fit(data, config, options, jobs=resolved["jobs"])
-            prop = fit_propensity(data, config)
-        if method == "plugin":
-            estimate = theta_plugin(est, data)
-        else:
-            estimate = theta_onestep(est, prop, data, level=level)
+            with _timed(stages, "fit"):
+                est = fit(data, config, options, jobs=resolved["jobs"])
+                prop = fit_propensity(data, config)
+        with _timed(stages, "inference"):
+            if method == "plugin":
+                estimate = theta_plugin(est, data)
+            else:
+                estimate = theta_onestep(est, prop, data, level=level)
     out = _out_dir(resolved)
     (out / "theta.json").write_text(
         json.dumps(estimate.to_json_dict(), indent=2, sort_keys=True), encoding="utf-8"
@@ -452,7 +495,7 @@ def cmd_theta(resolved):
     if estimate.ci_low is not None:
         text += f", {int(level * 100)}% CI ({estimate.ci_low:.6f}, {estimate.ci_high:.6f})"
     (out / "theta.txt").write_text(text + "\n", encoding="utf-8")
-    _write_meta(out, resolved, "theta")
+    _write_meta(out, resolved, "theta", extra={"stage_seconds": stages})
     return 0
 
 

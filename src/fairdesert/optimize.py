@@ -2,8 +2,9 @@
 
 Two workhorses: a damped Newton method for the concave logit likelihoods
 (fast, no tuning) and a BFGS quasi-Newton with backtracking line search for
-the non-concave sieve criterion.  Both are dependency-free and bitwise
-reproducible for identical inputs.
+the non-concave sieve criterion, which also advances many starts in
+lock-step, one objective call per round for all of them.  Both are
+dependency-free and bitwise reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -68,50 +69,176 @@ def newton_minimize(fgh, x0, tol=1e-8, max_iter=200):
 
 
 def bfgs_minimize(fg, x0, tol=1e-8, max_iter=500):
-    """BFGS with Armijo backtracking; convergence on gradient sup-norm."""
-    x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fg(x)
-    evals = 1
-    if not math.isfinite(f):
-        return OptResult(x, f, _sup(g), 0, False, "non-finite start", evals)
-    n = x.size
-    eye = np.eye(n)
-    hinv = eye.copy()
-    first_update = True
-    for it in range(1, max_iter + 1):
-        gnorm = _sup(g)
-        if gnorm <= tol:
-            return OptResult(x, f, gnorm, it - 1, True, evaluations=evals)
-        step = -(hinv @ g)
-        gdots = g @ step
-        if gdots >= 0:  # stale curvature; restart from steepest descent
-            hinv = eye.copy()
-            first_update = True
-            step = -g
-            gdots = g @ step
-        t = 1.0
-        for _ in range(60):
-            xn = x + t * step
-            fn, gn = fg(xn)
-            evals += 1
-            if math.isfinite(fn) and fn <= f + 1e-4 * t * gdots:
-                break
-            t *= 0.5
-        else:
-            return OptResult(x, f, gnorm, it, gnorm <= 100 * tol, "line search failed", evals)
-        s = xn - x
-        yv = gn - g
-        sy = s @ yv
+    """BFGS with Armijo backtracking; convergence on gradient sup-norm.
+
+    ``fg(x)`` returns (value, gradient).  The one-start case of
+    `_bfgs_lockstep`.
+    """
+    def stacked(ids, x):
+        f, g = fg(x[0])
+        return [f], np.asarray(g, dtype=np.float64)[None]
+
+    (result,) = _bfgs_lockstep(stacked, np.asarray(x0, dtype=np.float64)[None], tol, max_iter)
+    return result
+
+
+def _dots(a, b):
+    """Row-wise dot products of two (k, d) arrays, each with the bits of the
+    1-d ``a[i] @ b[i]`` (a stacked matmul; einsum sums in another order)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _index(rows, count):
+    """An index for the listed ``rows`` of ``count``: a slice, which gives
+    views, when it lists every row."""
+    return slice(None) if len(rows) == count else np.array(rows)
+
+
+class _Starts:
+    """The unfinished starts of `_bfgs_lockstep`, one row each: stacked arrays
+    for the vectors and matrices, lists for the scalars."""
+
+    ARRAYS = ("ids", "x", "g", "hinv", "step")
+    LISTS = ("f", "gnorm", "gdots", "t", "it", "evals", "tries", "first_update", "head")
+
+    def __init__(self, x, f, g):
+        k, d = x.shape
+        self.ids = np.arange(k)
+        self.x, self.g = x, g
+        self.hinv = np.tile(np.eye(d), (k, 1, 1))
+        self.step = np.empty((k, d))
+        self.f = f
+        self.gnorm = np.abs(g).max(axis=1, initial=0.0).tolist()
+        self.gdots = [0.0] * k
+        self.t = [1.0] * k
+        self.it = [1] * k
+        self.evals = [1] * k
+        self.tries = [0] * k
+        self.first_update = [True] * k
+        # at the head of an iteration, rather than part-way through a line search
+        self.head = [True] * k
+        self.results = [None] * k
+        self.stopped = []
+
+    def stop(self, r, iterations, converged, message):
+        """Record the result of row ``r``; `drop_stopped` removes the row."""
+        self.results[self.ids[r]] = OptResult(
+            self.x[r].copy(), self.f[r], self.gnorm[r], iterations, converged, message,
+            self.evals[r])
+        self.stopped.append(r)
+
+    def drop_stopped(self):
+        keep = [r for r in range(len(self.ids)) if r not in self.stopped]
+        rows = np.array(keep, dtype=np.intp)
+        for name in self.ARRAYS:
+            setattr(self, name, getattr(self, name)[rows])
+        for name in self.LISTS:
+            values = getattr(self, name)
+            setattr(self, name, [values[r] for r in keep])
+        self.stopped = []
+
+
+def _bfgs_lockstep(fg, x0, tol=1e-8, max_iter=500):
+    """`bfgs_minimize` from each row of the (k, d) ``x0``, the starts advanced
+    in lock-step: one OptResult per start, each bitwise the one that start
+    gets alone.
+
+    ``fg(ids, x)`` evaluates the starts ``ids`` (an increasing array of
+    indices into ``x0``) at the (len(ids), d) points ``x`` and returns their
+    values, a sequence of len(ids) floats, and their (len(ids), d) gradients.
+    Neither the points nor the gradients are written to afterwards, so ``fg``
+    may keep them and return views.  Each round evaluates every unfinished start
+    once, whether at a new iterate or at a trial step of its line search,
+    and ``fg`` sees only those starts.  Each start does the arithmetic of the
+    one-start loop: scalars as Python floats, vectors and matrices in stacked
+    matmuls and elementwise ufuncs, which give every row the bits of the 1-d
+    operations.
+    """
+    x = np.array(x0, dtype=np.float64)
+    k, d = x.shape
+    eye = np.eye(d)
+    f, g = fg(np.arange(k), x.copy())
+    st = _Starts(x, [float(v) for v in f], np.array(g, dtype=np.float64))
+    for r in range(k):
+        if not math.isfinite(st.f[r]):
+            st.stop(r, 0, False, "non-finite start")
+    while True:
+        if st.stopped:
+            st.drop_stopped()
+        count = st.ids.size
+        if not count:
+            return st.results
+        heads = [r for r in range(count) if st.head[r]]
+        if heads:
+            rows = _index(heads, count)
+            for r, gnorm in zip(heads, np.abs(st.g[rows]).max(axis=1, initial=0.0).tolist()):
+                st.gnorm[r] = gnorm
+                if st.it[r] > max_iter:
+                    st.stop(r, max_iter, gnorm <= tol, "iteration limit")
+                elif gnorm <= tol:
+                    st.stop(r, st.it[r] - 1, True, "")
+            if st.stopped:
+                continue
+            g = st.g[rows]
+            step = -(st.hinv[rows] @ g[:, :, None])[:, :, 0]
+            for i, (r, gdots) in enumerate(zip(heads, _dots(g, step).tolist())):
+                if gdots >= 0:  # stale curvature; restart from steepest descent
+                    st.hinv[r] = eye
+                    st.first_update[r] = True
+                    step[i] = -g[i]
+                    gdots = float(g[i] @ step[i])
+                st.gdots[r] = gdots
+                st.t[r] = 1.0
+                st.tries[r] = 0
+            if len(heads) == count:
+                st.step = step
+            else:
+                st.step[rows] = step
+
+        xn = st.x + np.array(st.t)[:, None] * st.step
+        fn, gn = fg(st.ids, xn)
+        accepted = []
+        for r, fr in enumerate(map(float, fn)):
+            st.evals[r] += 1
+            st.head[r] = math.isfinite(fr) and fr <= st.f[r] + 1e-4 * st.t[r] * st.gdots[r]
+            if st.head[r]:
+                accepted.append(r)
+                st.f[r] = fr
+                st.it[r] += 1
+            else:
+                st.t[r] *= 0.5
+                st.tries[r] += 1
+                if st.tries[r] == 60:
+                    st.stop(r, st.it[r], st.gnorm[r] <= 100 * tol, "line search failed")
+        if not accepted:
+            continue
+        rows = _index(accepted, count)
+        s = xn[rows] - st.x[rows]
+        yv = gn[rows] - st.g[rows]
+        sy, ss, yy = _dots(s, yv), _dots(s, s), _dots(yv, yv)
         # the norms as np.linalg.norm computes them, without its overhead
-        if sy > 1e-12 * math.sqrt(s @ s) * math.sqrt(yv @ yv):
-            if first_update:
-                # scale the seed matrix to the problem's curvature before the
-                # first update; standard and cuts iteration counts sharply
-                hinv = (sy / (yv @ yv)) * eye
-                first_update = False
-            rho = 1.0 / sy
-            v = eye - rho * (s[:, None] * yv)
-            hinv = v @ hinv @ v.T + rho * (s[:, None] * s)
-        x, f, g = xn, fn, gn
-    gnorm = _sup(g)
-    return OptResult(x, f, gnorm, max_iter, gnorm <= tol, "iteration limit", evals)
+        curved = [i for i, (a, b, c) in enumerate(zip(sy.tolist(), ss.tolist(), yy.tolist()))
+                  if a > 1e-12 * math.sqrt(b) * math.sqrt(c)]
+        if curved:
+            for i in curved:
+                r = accepted[i]
+                if st.first_update[r]:
+                    # scale the seed matrix to the problem's curvature before
+                    # the first update; standard and cuts iteration counts sharply
+                    st.hinv[r] = (sy[i] / yy[i]) * eye
+                    st.first_update[r] = False
+            pick = _index(curved, len(accepted))
+            s, yv, rho = s[pick], yv[pick], (1.0 / sy[pick])[:, None, None]
+            update = _index([accepted[i] for i in curved], count)
+            v = eye - rho * (s[:, :, None] * yv[:, None, :])
+            hinv = (v @ st.hinv[update] @ v.transpose(0, 2, 1)
+                    + rho * (s[:, :, None] * s[:, None, :]))
+            if len(curved) == count:
+                st.hinv = hinv
+            else:
+                st.hinv[update] = hinv
+        if len(accepted) == count:
+            st.x, st.g = xn, gn
+        else:
+            moved = np.array(st.head)[:, None]
+            st.x, st.g = np.where(moved, xn, st.x), np.where(moved, gn, st.g)

@@ -110,13 +110,25 @@ def map_jobs(func, tasks, jobs, shared=()):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = list(tasks)
-    workers = min(jobs, len(tasks))
-    if workers <= 1 or _WORKER_CALL is not None:
+    if _in_process(len(tasks), jobs):
         return [func(*shared, task) for task in tasks]
     with _blas_pinned():
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_install,
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_install,
                                    initargs=(func, shared))
         try:
-            return list(pool.map(_run, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            return list(pool.map(_run, tasks, chunksize=chunk_size(len(tasks), jobs)))
         finally:
             pool.shutdown(cancel_futures=True)
+
+
+def _in_process(count, jobs):
+    """Whether `map_jobs` runs ``count`` tasks in this process."""
+    return min(jobs, count) <= 1 or _WORKER_CALL is not None
+
+
+def chunk_size(count, jobs):
+    """How many of ``count`` tasks `map_jobs` hands a worker at once: all of
+    them when they run in this process."""
+    if _in_process(count, jobs):
+        return count
+    return max(1, count // (4 * min(jobs, count)))

@@ -28,7 +28,6 @@ from .sievemle import (
     NuisanceEstimates,
     SensitivityParams,
     decision_scores,
-    fit,
     fit_many,
     rate_threshold,
 )
@@ -203,12 +202,17 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
 
 
 class VariantFitter:
-    """Picklable `fit` closure for bootstrap replicates, under ``sensitivity``."""
+    """Picklable fitter of bootstrap replicates under ``sensitivity``, for
+    `theta.theta_bootstrap`: a list of Datasets in, and per dataset the
+    `NuisanceEstimates` that `fit` returns for it or the `FairdesertError` it
+    raises out.  The fits are one `fit_many` call in this process, so their
+    restarts run in lock-step groups."""
 
     def __init__(self, config, options, sensitivity):
         self.config = config
         self.options = options
         self.sensitivity = sensitivity
 
-    def __call__(self, dataset):
-        return fit(dataset, self.config, self.options, sensitivity=self.sensitivity)
+    def __call__(self, datasets):
+        requests = [(ds, self.config, self.options, self.sensitivity) for ds in datasets]
+        return fit_many(requests, jobs=1)[0]

@@ -40,13 +40,16 @@ from .identify import (
     recover_mechanism,
     stratum_table,
 )
-from .optimize import bfgs_minimize
-from .parallel import map_jobs
+from .optimize import _bfgs_lockstep, bfgs_minimize
+from .parallel import chunk_size, map_jobs
 from .regress import fit_mu_models
 
 VARIANTS = ("baseline", "kappa", "delta", "zeta")
 # BFGS stops once the gradient sup-norm falls below this
 GRAD_TOL = 1e-8
+# most rows that one lock-step group of restarts stacks (`_groups`): past
+# about 32 768 the stacked blocks no longer stay in cache
+GROUP_ROWS = 16_384
 # ridge of the per-stratum mu fits behind the plug-in start
 RIDGE_INIT = 1e-8
 
@@ -270,11 +273,13 @@ class SieveProblem:
     weight only from the relevance hinge (tau0, tau1), which is worked out on
     the few rows where |tau1 - tau0| is below the margin, and from the ridge.
 
-    `value_grad` writes every (n, 4) and length-n intermediate into one
-    buffer set per process, reallocated when n changes, so problems of one
-    size share it and a sweep's K problems do not hold K sets; it returns a
-    fresh value and gradient.  Two threads must not evaluate at once.
-    `functions` and `criterion` run the same code into new arrays.
+    `value_grad` is the one-problem case of `_Stack.value_grad`, which
+    evaluates k problems of one shape at once for the lock-step restarts of
+    `fit_many`.  It writes every (k, n, 4) and length-k n intermediate into
+    one buffer set per process, reallocated when k or n changes, so problems
+    of one size share it and a sweep's K problems do not hold K sets; it
+    returns a fresh value and gradient.  Two threads must not evaluate at
+    once.  `functions` and `criterion` run the same code into new arrays.
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions, *,
@@ -324,27 +329,80 @@ class SieveProblem:
             return np.asarray(stack, dtype=np.float64)
         return np.concatenate([self.r_block @ g for g in self.unpack(stack)])
 
-    def _blocks(self, stack, out=None):
-        """(n, 4) logits, function values and expit derivative factors,
-        written into the three (n, 4) arrays of ``out`` when it is given."""
-        logits, vals, slopes = out or (np.empty((self.n, 4)) for _ in range(3))
-        # a C-ordered (J, 4) right factor makes the product much faster
-        np.matmul(self.phi, np.ascontiguousarray(np.reshape(stack, (4, self.j)).T), out=logits)
-        sig = expit(logits, out=slopes)
-        scaled = np.multiply(1 - 2 * self.c, sig, out=vals)
-        np.multiply(scaled, np.subtract(1, sig, out=sig), out=slopes)
-        return logits, np.add(self.c, scaled, out=vals), slopes
+    def _blocks(self, stack):
+        """(n, 4) logits, function values and expit derivative factors."""
+        return [block[0] for block in _Stack((self,))._blocks(np.reshape(stack, (1, -1)))]
 
     def functions(self, stack):
         """Function values, expit derivative factors, and logits per point."""
         logits, vals, slopes = self._blocks(stack)
         return list(vals.T), list(slopes.T), list(logits.T)
 
+    def _likelihood(self, vals):
+        """Per-row probability of the observed outcome, and the partials of
+        f(Y=1 | s, z, x) in tz and m."""
+        return _Stack((self,))._likelihood(vals[None])
+
+    def value_grad(self, stack):
+        values, grads = _Stack((self,)).value_grad(np.reshape(stack, (1, -1)))
+        return float(values[0]), grads[0]
+
+    def criterion(self, stack):
+        """Mean conditional log-likelihood (no penalty) at the packed point."""
+        return float(np.mean(np.log(self._likelihood(self._blocks(stack)[1])[0])))
+
+
+def _joined(arrays, axis):
+    """``np.concatenate(arrays, axis)``, without a copy for one array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
+
+
+class _Stack:
+    """`SieveProblem.value_grad` of k problems of equal (n, J), floor, margin,
+    relevance penalty and ridge, in one evaluation.
+
+    Problem b's rows are rows b n .. b n + n - 1 of the (k n, 4) blocks, so
+    its flat gather and scatter positions are its own plus 4 n b; its (n, J)
+    design is slice b of a (k, n, J) stack.  Every operation is the one-problem
+    operation on each slice: stacked matmuls and sums along the last axis of
+    C-contiguous arrays give each problem the bits it gets alone, so the
+    values and gradients are bitwise those of each problem's `value_grad`,
+    which is the k = 1 case.  One problem's stack shares its arrays.
+    """
+
+    def __init__(self, problems):
+        first = problems[0]
+        self.k = len(problems)
+        self.n, self.j = first.n, first.j
+        self.c, self.margin, self.lam, self.ridge = first.c, first.margin, first.lam, first.ridge
+        self.phi = _joined([p.phi[None] for p in problems], 0)
+        offsets = range(0, 4 * self.n * self.k, 4 * self.n)
+        self.idx_t = _joined([p.idx_t + o if o else p.idx_t
+                              for p, o in zip(problems, offsets)], 0)
+        self.idx_m = _joined([p.idx_m + o if o else p.idx_m
+                              for p, o in zip(problems, offsets)], 0)
+        self.table = _joined([p.table for p in problems], 1)
+        self.not_y = _joined([p.not_y for p in problems], 0)
+        self.dneg_sign = _joined([p.dneg_sign for p in problems], 0)
+
+    def _blocks(self, stacks, out=None):
+        """(k, n, 4) logits, function values and expit derivative factors at
+        the (k, 4 J) packed points, written into the three arrays of ``out``
+        when it is given."""
+        logits, vals, slopes = out or (np.empty((self.k, self.n, 4)) for _ in range(3))
+        # a C-ordered (J, 4) right factor makes the product much faster
+        right = np.ascontiguousarray(np.reshape(stacks, (self.k, 4, self.j)).transpose(0, 2, 1))
+        np.matmul(self.phi, right, out=logits)
+        sig = expit(logits, out=slopes)
+        scaled = np.multiply(1 - 2 * self.c, sig, out=vals)
+        np.multiply(scaled, np.subtract(1, sig, out=sig), out=slopes)
+        return logits, np.add(self.c, scaled, out=vals), slopes
+
     def _likelihood(self, vals, out=None):
         """Per-row probability of the observed outcome, and the partials of
-        f(Y=1 | s, z, x) in tz and m, written into the three length-n arrays
-        of ``out`` when it is given."""
-        tz, m, dp_dt = out or np.empty((3, self.n))
+        f(Y=1 | s, z, x) in tz and m, all k n rows in one array each, written
+        into the three arrays of ``out`` when it is given."""
+        tz, m, dp_dt = out or np.empty((3, self.k * self.n))
         flat = vals.ravel()
         # mode="clip" lets take write straight into its out; the indices are in range
         flat.take(self.idx_t, out=tz, mode="clip")
@@ -355,13 +413,14 @@ class SieveProblem:
         # |(1 - y) - p| is p where y = 1 and 1 - p where y = 0, exactly
         return np.abs(np.subtract(self.not_y, p, out=p), out=p), dp_dt, dp_dm
 
-    def value_grad(self, stack):
-        n = self.n
-        buffers = _buffers(n)
-        logits, vals, slopes = self._blocks(stack, buffers.blocks)
+    def value_grad(self, stacks):
+        """Values (k,) and gradients (k, 4 J) at the (k, 4 J) packed points."""
+        k, n = self.k, self.n
+        buffers = _buffers(k, n)
+        logits, vals, slopes = self._blocks(stacks, buffers.blocks)
         lik, dp_dt, dp_dm = self._likelihood(vals, buffers.rows[:3])
         scratch, diff = buffers.rows[3:]
-        value = -(np.log(lik, out=scratch).sum() / n)
+        values = -(np.log(lik, out=scratch).reshape(k, n).sum(axis=1) / n)
         dneg_dp = np.divide(self.dneg_sign, lik, out=lik)
 
         weights = buffers.weights
@@ -369,7 +428,8 @@ class SieveProblem:
         flat = weights.ravel()
         flat[self.idx_t] = np.multiply(dneg_dp, dp_dt, out=dp_dt)
         flat[self.idx_m] = np.multiply(dneg_dp, dp_dm, out=dp_dm)
-        np.subtract(vals[:, 1], vals[:, 0], out=diff)
+        rows = vals.reshape(k * n, 4)
+        np.subtract(rows[:, 1], rows[:, 0], out=diff)
         gap = np.abs(diff, out=scratch)
         # the relevance hinge is zero where the gap meets the margin, which is
         # on all but a few rows (a NaN gap counts as active)
@@ -381,45 +441,46 @@ class SieveProblem:
             squares = scratch
             squares.fill(0.0)
             squares[active] = hinge ** 2
-            value += self.lam * (squares.sum() / n)
-            weights[active, 0] -= dpen_ddiff
-            weights[active, 1] += dpen_ddiff
+            # only the problems with an active row take the penalty
+            hit = np.zeros(k, dtype=bool)
+            hit[active // n] = True
+            values[hit] += self.lam * (squares.reshape(k, n).sum(axis=1)[hit] / n)
+            rows = weights.reshape(k * n, 4)
+            rows[active, 0] -= dpen_ddiff
+            rows[active, 1] += dpen_ddiff
         weights *= slopes
         if self.ridge > 0:
             # coordinate-free shrinkage of the demeaned logit functions;
             # stabilizes the decomposition into (tau, alpha, beta) at small n
-            centered = np.subtract(logits, logits.sum(axis=0) / n, out=logits)
+            centered = np.subtract(logits, logits.sum(axis=1, keepdims=True) / n, out=logits)
             work = vals  # read for the last time above
             squares = np.multiply(centered, centered, out=work)
-            value += 0.5 * self.ridge * float(np.sum(squares)) / n
+            values += 0.5 * self.ridge * squares.reshape(k, 4 * n).sum(axis=1) / n
             weights += np.multiply(self.ridge / n, centered, out=work)
-        return float(value), (self.phi.T @ weights).T.ravel()
-
-    def criterion(self, stack):
-        """Mean conditional log-likelihood (no penalty) at the packed point."""
-        return float(np.mean(np.log(self._likelihood(self._blocks(stack)[1])[0])))
+        grads = np.matmul(np.swapaxes(self.phi, 1, 2), weights)
+        return values, grads.transpose(0, 2, 1).reshape(k, 4 * self.j)
 
 
 class _Buffers:
-    """The scratch arrays of one `SieveProblem.value_grad` evaluation on n rows:
-    three (n, 4) blocks for `SieveProblem._blocks`, the weight block, five
-    length-n rows and a length-n mask."""
+    """The scratch arrays of one `_Stack.value_grad` evaluation of k problems
+    on n rows each: three (k, n, 4) blocks for `_Stack._blocks`, the weight
+    block, five length-k n rows and a length-k n mask."""
 
-    def __init__(self, n):
-        self.n = n
-        *self.blocks, self.weights = np.empty((4, n, 4))
-        self.rows = tuple(np.empty((5, n)))
-        self.met = np.empty(n, dtype=bool)
+    def __init__(self, k, n):
+        self.shape = (k, n)
+        *self.blocks, self.weights = np.empty((4, k, n, 4))
+        self.rows = tuple(np.empty((5, k * n)))
+        self.met = np.empty(k * n, dtype=bool)
 
 
 _BUFFERS = None
 
 
-def _buffers(n):
-    """This process's one buffer set, reallocated when n changes."""
+def _buffers(k, n):
+    """This process's one buffer set, reallocated when k or n changes."""
     global _BUFFERS
-    if _BUFFERS is None or _BUFFERS.n != n:
-        _BUFFERS = _Buffers(n)
+    if _BUFFERS is None or _BUFFERS.shape != (k, n):
+        _BUFFERS = _Buffers(k, n)
     return _BUFFERS
 
 
@@ -480,10 +541,63 @@ def _random_starts(problem, data, count, seed):
     return starts
 
 
-def _minimize_task(problems, task):
-    """One BFGS restart: problem ``k`` of ``problems`` from the packed start ``s0``."""
-    k, max_iter, s0 = task
-    return bfgs_minimize(problems[k].value_grad, s0, tol=GRAD_TOL, max_iter=max_iter)
+def _minimize_group(problems, group):
+    """BFGS restarts in lock-step, one per task ``(k, max_iter, s0)`` of
+    ``group``: problem ``k`` of ``problems`` from the packed start ``s0``.
+    The tasks share ``max_iter`` and their problems stack (`_groups`); one
+    task runs alone, on its problem's `SieveProblem.value_grad`."""
+    if len(group) == 1:
+        ((k, max_iter, s0),) = group
+        return [bfgs_minimize(problems[k].value_grad, s0, tol=GRAD_TOL, max_iter=max_iter)]
+    objective = _GroupObjective([problems[k] for k, _, _ in group])
+    return _bfgs_lockstep(objective, np.stack([s0 for _, _, s0 in group]), tol=GRAD_TOL,
+                          max_iter=group[0][1])
+
+
+class _GroupObjective:
+    """The objective of a lock-step group for `optimize._bfgs_lockstep`: its
+    live starts on one `_Stack` of their problems.  Finished starts stay in
+    the stack, evaluated at their last point, until the live ones fall to
+    3/4 of it; restacking every time a start finishes would cost O(k^2)."""
+
+    def __init__(self, problems):
+        self.problems = problems
+        self._restack(np.arange(len(problems)))
+
+    def _restack(self, ids):
+        self.ids = ids
+        self.stack = _Stack([self.problems[i] for i in ids])
+        self.points = None
+
+    def __call__(self, ids, x):
+        if 4 * len(ids) <= 3 * len(self.ids):
+            self._restack(ids)
+        if len(ids) == len(self.ids):
+            self.points = x
+            return self.stack.value_grad(x)
+        rows = np.searchsorted(self.ids, ids)
+        self.points = self.points.copy()
+        self.points[rows] = x
+        values, grads = self.stack.value_grad(self.points)
+        return values[rows], grads[rows]
+
+
+def _groups(problems, tasks, chunk):
+    """The indices of ``tasks`` in lock-step groups, in task order.  A group's
+    tasks share ``max_iter`` and their problems stack: equal (n, J), floor,
+    margin, relevance penalty and ridge.  A group holds at most
+    `GROUP_ROWS` stacked rows (at least one task) and at most ``chunk``
+    tasks."""
+    groups, filling = [], {}
+    for i, (k, max_iter, _) in enumerate(tasks):
+        p = problems[k]
+        key = (p.n, p.j, p.c, p.margin, p.lam, p.ridge, max_iter)
+        group = filling.get(key)
+        if group is None or len(group) >= min(chunk, max(1, GROUP_ROWS // p.n)):
+            group = filling[key] = []
+            groups.append(group)
+        group.append(i)
+    return groups
 
 
 def _same_bits(a, b):
@@ -607,7 +721,13 @@ def _fit_many(requests, jobs):
         fits += len(tasks) > fresh
         setups.append((problem, kinds, slots))
 
-    results = map_jobs(_minimize_task, tasks, jobs, shared=(tuple(problems),))
+    groups = _groups(problems, tasks, chunk_size(len(tasks), jobs))
+    results = [None] * len(tasks)
+    done = map_jobs(_minimize_group, [[tasks[i] for i in group] for group in groups], jobs,
+                    shared=(tuple(problems),))
+    for group, group_results in zip(groups, done):
+        for i, result in zip(group, group_results, strict=True):
+            results[i] = result
     outcomes = []
     for setup in setups:
         if isinstance(setup, FairdesertError):
@@ -627,7 +747,14 @@ def fit_many(requests, jobs=1):
     Each request is a tuple ``(data, config, options, sensitivity)`` of `fit`'s
     arguments, trailing ones left out as needed; a fourth item that is not a
     `SensitivityParams` raises TypeError.  All restarts run in one
-    `parallel.map_jobs` call on ``jobs`` processes.  A restart runs once when
+    `parallel.map_jobs` call on ``jobs`` processes, in lock-step groups
+    (`optimize._bfgs_lockstep` on a `_Stack` of their problems): the
+    restarts whose problems share (n, J), floor, margin, relevance penalty,
+    ridge and ``max_iter`` form groups in request order of at most
+    `GROUP_ROWS` stacked rows, and of no more than `parallel.chunk_size`
+    hands a worker at once.  A group of one restart runs on
+    `SieveProblem.value_grad`.  Every restart ends bitwise as it does alone,
+    so the outcomes do not depend on the grouping.  A restart runs once when
     an earlier request minimizes the same objective - bitwise-equal design,
     outcomes, stratum table, gather indices and options - from a
     bitwise-equal start with the same ``max_iter``; the later request reuses

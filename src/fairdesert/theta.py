@@ -28,9 +28,9 @@ from .basis import BasisConfig
 from .data import Dataset
 from .errors import BootstrapError, FairdesertError, RelevanceWarning, VariantMismatchError
 from .identify import STRATA, _bilinear, stratum_table, unfairness_rate, unfairness_rate_partials
-from .parallel import map_jobs
+from .parallel import chunk_size, map_jobs
 from .regress import PropensityModel, class_index, fit_propensity
-from .sievemle import FitOptions, NuisanceEstimates, fit_many, stratum_probability
+from .sievemle import GROUP_ROWS, FitOptions, NuisanceEstimates, fit_many, stratum_probability
 
 DEGENERATE_TOL = 1e-12
 # Observations where the fitted decision rules nearly coincide carry
@@ -235,37 +235,47 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
     return _normal_estimate(phi, excluded, level, crossfit_folds=folds)
 
 
-def _bootstrap_replicate(est_fitter, data: Dataset, child):
-    """Integrand mean of the replicate drawn with seed ``child``, or the type
-    name of the `FairdesertError` its fit raised; and the number of
-    `RelevanceWarning`s the fit emitted, which are counted instead of shown."""
-    rng = default_rng(child)
-    resampled = data.subset(rng.integers(0, data.n, size=data.n))
+def _bootstrap_chunk(est_fitter, data: Dataset, children):
+    """Per seed of ``children``, the integrand mean of the replicate drawn with
+    it, or the type name of the `FairdesertError` its fit gave; and the number
+    of `RelevanceWarning`s the fits emitted, which are counted instead of
+    shown.  ``est_fitter`` fits the whole chunk in one call."""
+    resamples = [data.subset(default_rng(child).integers(0, data.n, size=data.n))
+                 for child in children]
+    results = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RelevanceWarning)
-        try:
-            est_b = est_fitter(resampled)
-            result = float(np.mean(unfairness_integrand(est_b, resampled)))
-        except FairdesertError as exc:
-            result = type(exc).__name__
+        for est_b, resampled in zip(est_fitter(resamples), resamples, strict=True):
+            try:
+                if isinstance(est_b, FairdesertError):
+                    raise est_b
+                results.append(float(np.mean(unfairness_integrand(est_b, resampled))))
+            except FairdesertError as exc:
+                results.append(type(exc).__name__)
     relevance = 0
     for w in caught:
         if issubclass(w.category, RelevanceWarning):
             relevance += 1
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result, relevance
+    return results, relevance
 
 
 def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.95,
                     full_fit: NuisanceEstimates | None = None, jobs=1) -> ThetaEstimate:
     """Nonparametric bootstrap over records with a percentile CI.
 
-    ``est_fitter`` maps a Dataset to NuisanceEstimates (any variant); the point
+    ``est_fitter`` maps a list of Datasets to one outcome per dataset, in
+    order: its NuisanceEstimates (any variant) or the `FairdesertError` its
+    fit gave (`sensitivity.VariantFitter` fits them in lock-step).  The point
     estimate is the plug-in integrand mean on the full data.  The replicates
-    run on ``jobs`` processes (`parallel.map_jobs`), each from its own seed, so
-    the result does not depend on ``jobs``; with ``jobs > 1`` ``est_fitter``
-    must be picklable.  A replicate fails when its fit raises a
+    go to ``jobs`` processes (`parallel.map_jobs`) in chunks of seeds, each
+    chunk holding at most `sievemle.GROUP_ROWS` resampled rows (at least one
+    replicate) and no more than `parallel.chunk_size` hands a worker at once;
+    a worker draws its chunk's resamples and fits them with one
+    ``est_fitter`` call.  Each replicate draws from its own seed, so the
+    result does not depend on ``jobs``; with ``jobs > 1`` ``est_fitter``
+    must be picklable.  A replicate fails when its fit gives a
     `FairdesertError`; ``flags["failure_types"]`` counts the failures by
     exception type.  ``flags["relevance_warnings"]`` counts the replicate fits
     that emitted a `RelevanceWarning`; one summary warning replaces theirs.
@@ -273,12 +283,17 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"bootstrap requires at least {MIN_REPLICATES} replicates")
-    est = full_fit if full_fit is not None else est_fitter(data)
-    point = float(np.mean(unfairness_integrand(est, data)))
-    seq = SeedSequence(entropy=seed, spawn_key=(31,))
-    results, relevance = zip(*map_jobs(_bootstrap_replicate, seq.spawn(replicates), jobs,
-                                       shared=(est_fitter, data)))
-    relevance_warnings = sum(relevance)
+    if full_fit is None:
+        (full_fit,) = est_fitter([data])
+        if isinstance(full_fit, FairdesertError):
+            raise full_fit
+    point = float(np.mean(unfairness_integrand(full_fit, data)))
+    children = SeedSequence(entropy=seed, spawn_key=(31,)).spawn(replicates)
+    size = min(chunk_size(replicates, jobs), max(1, GROUP_ROWS // data.n))
+    chunks = map_jobs(_bootstrap_chunk, [children[i:i + size] for i in range(0, replicates, size)],
+                      jobs, shared=(est_fitter, data))
+    results = [r for chunk_results, _ in chunks for r in chunk_results]
+    relevance_warnings = sum(relevance for _, relevance in chunks)
     if relevance_warnings:
         warnings.warn(
             f"relevance constraint failed in {relevance_warnings}/{replicates} bootstrap "

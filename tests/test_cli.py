@@ -330,8 +330,8 @@ def test_bad_values_exit_2_before_any_fit(train_csv, fitted_model, tmp_path, cap
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in ((cli, "fit"), (sensitivity, "fit"), (sensitivity, "fit_many"),
-                         (theta, "fit_many"), (cli, "load_model")):
+    for module, name in ((cli, "fit"), (sensitivity, "fit_many"), (theta, "fit_many"),
+                         (cli, "load_model")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     argv = [a.replace("{model}", str(fitted_model)) for a in argv]
     rc = main([*argv, "--input", str(train_csv), "--out-dir", str(tmp_path / "out")])
@@ -381,7 +381,7 @@ def test_bad_level_or_threshold_exits_2_before_any_work(train_csv, fitted_model,
             raise RuntimeError(f"{name} was reached")
         return stub
 
-    for module, name in ((cli, "fit"), (sensitivity, "fit"), (cli, "load_model"),
+    for module, name in ((cli, "fit"), (sensitivity, "fit_many"), (cli, "load_model"),
                          (cli, "load_csv"), (cli, "monte_carlo")):
         monkeypatch.setattr(module, name, stopping(name))
     argv = [a.replace("{model}", str(fitted_model)).replace("{train}", str(train_csv))
@@ -491,6 +491,75 @@ def test_theta_refuses_a_model_it_would_not_use(train_csv, tmp_path, capsys, arg
     assert rc == 2
     assert err.startswith(f"error: --model cannot be combined with {flag}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, flag, method", [
+    (["--method", "plugin", "--crossfit", "2"], {}, "--crossfit", "plugin"),
+    (["--method", "plugin", "--boot", "7"], {}, "--boot", "plugin"),
+    (["--method", "bootstrap", "--crossfit", "2"], {}, "--crossfit", "bootstrap"),
+    (["--boot", "200"], {}, "--boot", "onestep"),
+    (["--method", "plugin"], {"boot": 250}, "--boot", "plugin"),
+    ([], {"method": "bootstrap", "crossfit": 0}, "--crossfit", "bootstrap"),
+], ids=["plugin-crossfit", "plugin-boot", "bootstrap-crossfit", "onestep-boot",
+        "plugin-config-boot", "config-bootstrap-crossfit"])
+def test_theta_refuses_a_flag_its_method_does_not_read(train_csv, tmp_path, capsys,
+                                                       monkeypatch, argv, config, flag, method):
+    import fairdesert.cli as cli
+
+    def stub(*args, **kwargs):
+        raise RuntimeError("a fit was reached")
+
+    for name in ("fit", "load_csv"):
+        monkeypatch.setattr(cli, name, stub)
+    out = tmp_path / "out"
+    rc = main(["theta", "--input", str(train_csv), *argv, "--config", json.dumps(config),
+               "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {flag} cannot be combined with --method {method}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_config_schema_may_be_a_json_object(train_csv, tmp_path, capsys):
+    schema = {"s": "s", "z": "z", "y": "y"}
+    rc = main(["check", "--input", str(train_csv), "--config", json.dumps({"schema": schema}),
+               "--out-dir", str(tmp_path / "object")])
+    assert rc in (0, 1)
+    rc = main(["check", "--input", str(train_csv), "--schema", json.dumps(schema),
+               "--out-dir", str(tmp_path / "text")])
+    assert rc in (0, 1)
+    assert tree_digest(tmp_path / "object") == tree_digest(tmp_path / "text")
+    capsys.readouterr()
+    for bad in (5, ["s"]):
+        out = tmp_path / "refused"
+        rc = main(["estimate", "--input", str(train_csv), "--config",
+                   json.dumps({"schema": bad}), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --config: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "plugin"], ["--method", "onestep"], ["--model", "{model}"],
+    ["--crossfit", "2"],
+], ids=["plugin", "onestep", "model", "crossfit"])
+def test_theta_records_stage_seconds(train_csv, fitted_model, tmp_path, argv):
+    import time
+
+    argv = [a.replace("{model}", str(fitted_model)) for a in argv]
+    started = time.perf_counter()
+    rc = main(["theta", "--input", str(train_csv), *argv, "--out-dir", str(tmp_path), *FAST])
+    wall = time.perf_counter() - started
+    assert rc == 0
+    stages = json.loads((tmp_path / "run_meta.json").read_text())["stage_seconds"]
+    assert set(stages) == {"fit", "inference"}
+    assert all(v >= 0 for v in stages.values()) and sum(stages.values()) <= wall
+    # the fit is the full-data fit: none when --model supplies it or the
+    # folds fit their own
+    assert (stages["fit"] > 0) == ("--model" not in argv and "--crossfit" not in argv)
+    assert stages["inference"] > 0
 
 
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):

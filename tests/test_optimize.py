@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fairdesert.basis import BasisConfig
-from fairdesert.optimize import OptResult, bfgs_minimize, newton_minimize
+from fairdesert.optimize import OptResult, _bfgs_lockstep, bfgs_minimize, newton_minimize
 from fairdesert.sievemle import FitOptions, SensitivityParams, SieveProblem
 from fairdesert.simulate import DgpConfig, gen_dataset
 
@@ -160,3 +162,80 @@ def test_newton_counts_evaluations():
     counting, calls = counted(fgh)
     res = newton_minimize(counting, np.zeros(3))
     assert res.evaluations == len(calls) == res.iterations + 1
+
+
+def tiny_quadratic(x):
+    # g @ -g underflows to -0.0, so every iteration takes the steepest-descent
+    # reset of `gdots >= 0`
+    return 0.5e-300 * float(x @ x), 1e-300 * x
+
+
+def wrong_gradient(x):
+    # the gradient points uphill: no step passes the Armijo test
+    return float(x.sum()), -np.ones_like(x)
+
+
+def finite_left_of_five(x):
+    return (0.5 * float(x @ x) if x[0] < 5 else math.inf), x.copy()
+
+
+ROTATION = np.array([[-0.590824915541825, 0.8067998011743653],
+                     [0.8067998011743653, 0.5908249155418249]])
+SKEWED = ROTATION @ np.diag([2.0176316308720963e-07, 482649.19768569805]) @ ROTATION.T
+
+
+def skewed_quadratic(x):
+    # with tol=0 BFGS runs into rounding: it takes the steepest-descent reset
+    # at iterations 7 and 17, after curvature updates and before more, and
+    # backtracks 95 times in 20 iterations, at most 18 times in one
+    g = SKEWED @ x
+    return 0.5 * float(x @ g), g
+
+
+# (objective, start), run with tol=0 and max_iter=20: converges (its first
+# step lands on the minimum), hits the iteration limit, fails its line search,
+# starts where the value is not finite, takes the steepest-descent reset
+MIXED_STARTS = [
+    (quadratic(np.zeros(2), np.ones(2))[1], np.array([1.0, 2.0])),
+    (rosenbrock, np.array([-1.2, 1.0])),
+    (wrong_gradient, np.zeros(2)),
+    (finite_left_of_five, np.array([10.0, 0.0])),
+    (tiny_quadratic, np.array([1.0, -1.0])),
+    (rosenbrock, np.array([0.5, 0.5])),
+    (skewed_quadratic, np.array([1.128942594006272, 5.692288181782531])),
+    (quadratic(np.array([0.3, 0.7]), np.array([2.0, 5.0]))[1], np.array([5.0, -5.0])),
+]
+
+
+def stacked(objectives):
+    """The lock-step objective of one 1-d objective per start."""
+    def fg(ids, x):
+        values, grads = zip(*(objectives[i](row) for i, row in zip(ids, x)))
+        return np.array(values), np.array(grads)
+    return fg
+
+
+@pytest.mark.parametrize("size", [1, 3, len(MIXED_STARTS)])
+def test_lockstep_groups_match_one_start_at_a_time(size):
+    g0 = tiny_quadratic(MIXED_STARTS[4][1])[1]
+    assert g0 @ -g0 >= 0
+    kwargs = dict(tol=0.0, max_iter=20)
+    got = []
+    for first in range(0, len(MIXED_STARTS), size):
+        group = MIXED_STARTS[first:first + size]
+        objectives = [fg for fg, _ in group]
+        got += _bfgs_lockstep(stacked(objectives), np.stack([x0 for _, x0 in group]), **kwargs)
+    assert {r.message for r in got} == {"", "iteration limit", "line search failed",
+                                        "non-finite start"}
+    # the starts end in different rounds
+    assert len({r.evaluations for r in got}) > 3
+    for (fg, x0), result in zip(MIXED_STARTS, got, strict=True):
+        counting, calls = counted(fg)
+        alone = bfgs_minimize(counting, x0, **kwargs)
+        old_counting, old_calls = counted(fg)
+        old = old_bfgs_minimize(old_counting, x0, **kwargs)
+        assert result.x.tobytes() == alone.x.tobytes() == old.x.tobytes()
+        fields = ("fun", "grad_norm", "iterations", "converged", "message")
+        assert [getattr(result, f) for f in fields] == [getattr(alone, f) for f in fields] == [
+            getattr(old, f) for f in fields]
+        assert result.evaluations == alone.evaluations == len(calls) == len(old_calls)

@@ -120,13 +120,13 @@ def _quick_baseline(data):
 def test_sweep_fits_each_grid_point_once(monkeypatch):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=56))
     runs = []
-    bfgs = sievemle.bfgs_minimize
+    minimize_group = sievemle._minimize_group
 
-    def counting(fg, x0, **kwargs):
-        runs.append(1)
-        return bfgs(fg, x0, **kwargs)
+    def counting(problems, group):
+        runs.extend([1] * len(group))
+        return minimize_group(problems, group)
 
-    monkeypatch.setattr(sievemle, "bfgs_minimize", counting)
+    monkeypatch.setattr(sievemle, "_minimize_group", counting)
     spec = SweepSpec(variant="delta", grid=((0.05, 0.05), (0.0, 0.0), (0.1, 0.1)),
                      bootstrap_replicates=0)
     table = run_sweep(data, CONFIG, OPTS, spec)

@@ -586,13 +586,21 @@ def test_fit_bitwise_pinned_shipped_primitives(variant, univariate_basis):
 
 def test_restart_evaluations_count_value_grad_calls(univariate_basis, monkeypatch):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
+    # restarts run alone call value_grad; lock-step groups evaluate their
+    # live starts together
     calls = []
     value_grad = SieveProblem.value_grad
+    group_call = sievemle._GroupObjective.__call__
 
     def counting(self, stack):
         calls.append(1)
         return value_grad(self, stack)
+
+    def group_counting(self, ids, x):
+        calls.extend([1] * len(ids))
+        return group_call(self, ids, x)
     monkeypatch.setattr(SieveProblem, "value_grad", counting)
+    monkeypatch.setattr(sievemle._GroupObjective, "__call__", group_counting)
     cold = fit(data, univariate_basis, FitOptions(restarts=3, seed=2))
     assert sum(r.evaluations for r in cold.diagnostics.restarts) == len(calls)
     calls.clear()
@@ -757,15 +765,44 @@ def test_fit_many_equals_one_fit_per_request(univariate_basis):
     assert outcomes[2].variant == "delta"
 
 
+def test_fit_many_lockstep_groups_equal_fits_alone(monkeypatch):
+    # two delta levels plus resamples: problems of one shape, in one group
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    basis = BasisConfig(degree=1, interaction_order=1)
+    opts = FitOptions(restarts=3, floor=0.05, relevance_margin=1e-3, seed=0)
+    rng = np.random.default_rng(8)
+    requests = [(data, basis, opts, SensitivityParams("delta", v, v)) for v in (0.05, 0.1)]
+    requests += [(data.subset(rng.integers(0, data.n, data.n)), basis, opts,
+                  SensitivityParams("delta", 0.05, 0.05)) for _ in range(4)]
+    sizes = []
+    minimize_group = sievemle._minimize_group
+
+    def recording(problems, group):
+        sizes.append(len(group))
+        return minimize_group(problems, group)
+    monkeypatch.setattr(sievemle, "_minimize_group", recording)
+    singles = [_outcome(lambda r=r: _fit_request(*r)) for r in requests]
+    assert sizes == [3] * len(requests)
+    for jobs in (1, 2):
+        sizes.clear()
+        (outcomes, fits), caught = _outcome(lambda: fit_many(requests, jobs=jobs))
+        assert all(_same_fit(o, f) for o, (f, _) in zip(outcomes, singles, strict=True))
+        assert caught == [m for _, warned in singles for m in warned]
+        assert fits == len(requests)
+        if jobs == 1:
+            # one group of every restart (the pool's workers record elsewhere)
+            assert sizes == [3 * len(requests)]
+
+
 def test_fit_many_runs_each_distinct_restart_once(univariate_basis, monkeypatch):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
     runs = []
-    bfgs = sievemle.bfgs_minimize
+    minimize_group = sievemle._minimize_group
 
-    def counting(fg, x0, **kwargs):
-        runs.append(1)
-        return bfgs(fg, x0, **kwargs)
-    monkeypatch.setattr(sievemle, "bfgs_minimize", counting)
+    def counting(problems, group):
+        runs.extend([1] * len(group))
+        return minimize_group(problems, group)
+    monkeypatch.setattr(sievemle, "_minimize_group", counting)
     opts = FitOptions(restarts=3, seed=0)
     (base, reseeded, zero, _), fits = fit_many([
         (data, univariate_basis, opts),

@@ -1,8 +1,10 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
+from fairdesert import theta as theta_module
 from fairdesert.basis import BasisConfig, SeriesFunction, basis_dimension, intercept_only
 from fairdesert.data import Dataset
 from fairdesert.errors import BootstrapError, RelevanceWarning, VariantMismatchError
@@ -222,7 +224,8 @@ def test_bootstrap_zero_width_when_integrand_constant():
     # tau * alpha == (1 - tau) * beta, so the integrand is 0.1 for every unit
     est = constant_estimates(0.5, 0.5, 0.2, 0.2)
     data = half_split_dataset(300)
-    result = theta_bootstrap(lambda ds: est, data, replicates=200, seed=1)
+    result = theta_bootstrap(lambda datasets: [est] * len(datasets), data, replicates=200,
+                             seed=1)
     assert result.point == pytest.approx(0.1, abs=1e-12)
     assert result.ci_low == pytest.approx(0.1, abs=1e-12)
     assert result.ci_high == pytest.approx(0.1, abs=1e-12)
@@ -232,14 +235,15 @@ def test_bootstrap_zero_width_when_integrand_constant():
 def test_bootstrap_requires_200_replicates():
     est = constant_estimates(0.5, 0.5, 0.2, 0.2)
     with pytest.raises(ValueError):
-        theta_bootstrap(lambda ds: est, half_split_dataset(100), replicates=50)
+        theta_bootstrap(lambda datasets: [est] * len(datasets), half_split_dataset(100),
+                        replicates=50)
 
 
 def test_bootstrap_error_on_failures():
     from fairdesert.errors import FitError
 
-    def failing_fitter(ds):
-        raise FitError("nope")
+    def failing_fitter(datasets):
+        return [FitError("nope") for _ in datasets]
 
     with pytest.raises(BootstrapError, match=r"200/200 .* \(FitError x200\)"):
         theta_bootstrap(failing_fitter, half_split_dataset(100), replicates=200,
@@ -255,16 +259,19 @@ class FlakyFitter:
         self.est = constant_estimates(0.5, 0.6, 0.2, 0.1)
         self.crash = crash
 
-    def __call__(self, ds):
+    def __call__(self, datasets):
+        return [self.outcome(ds) for ds in datasets]
+
+    def outcome(self, ds):
         from fairdesert.errors import FitError, PositivityError
 
         residue = int(ds.y.sum()) % 37
         if residue < 2 and self.crash:
             raise RuntimeError("not a fitting failure")
         if residue == 0:
-            raise FitError("replicate did not converge")
+            return FitError("replicate did not converge")
         if residue == 1:
-            raise PositivityError("replicate lost a stratum")
+            return PositivityError("replicate lost a stratum")
         return self.est
 
 
@@ -284,6 +291,42 @@ def test_bootstrap_same_result_for_every_jobs():
     assert serial.to_json_dict() == parallel.to_json_dict()
     assert serial.flags["failures"] == 0 and serial.flags["failure_types"] == {}
     assert serial.flags["relevance_warnings"] == parallel.flags["relevance_warnings"] > 0
+
+
+BOOTSTRAP_PINS = {
+    # restarts: (point, ci_low, ci_high, stderr, sha256 of the 200 draws)
+    1: (0.30964587560901224, 0.2034005215538343, 0.3738699633454186, 0.04443012873152361,
+        "d0461721e4300c9db7c2b0a4e2af305b365b0e7829da99119e62b4784487781a"),
+    3: (0.2672344054977271, 0.20100634936752548, 0.3738699633454186, 0.04526188978886045,
+        "433a487ecf192a9e978e2d960386603de4c867568d85e30eb733e42813d85342"),
+}
+
+
+@pytest.mark.parametrize("restarts", sorted(BOOTSTRAP_PINS))
+def test_bootstrap_bitwise_pinned(restarts, monkeypatch):
+    # the replicate draws are the integrand means after the full-data point,
+    # recorded as the bootstrap computes them
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    basis = BasisConfig(degree=1, interaction_order=1)
+    sens = SensitivityParams("delta", 0.05, 0.05)
+    options = FitOptions(restarts=restarts, floor=0.05, relevance_margin=1e-3, seed=0)
+    full = fit(data, basis, options, sensitivity=sens)
+    means = []
+
+    def recording(est, ds):
+        values = unfairness_integrand(est, ds)
+        means.append(float(np.mean(values)))
+        return values
+    monkeypatch.setattr(theta_module, "unfairness_integrand", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelevanceWarning)
+        result = theta_bootstrap(VariantFitter(basis, options, sens), data, replicates=200,
+                                 seed=1, full_fit=full)
+    assert len(means) == 201 and means[0] == result.point
+    digest = hashlib.sha256(np.array(means[1:]).tobytes()).hexdigest()
+    assert (result.point, result.ci_low, result.ci_high, result.stderr, digest) == (
+        BOOTSTRAP_PINS[restarts])
+    assert result.flags["failures"] == 0
 
 
 def test_bootstrap_failure_counts_same_for_every_jobs():
