@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import importlib.util
 import json
 import math
@@ -354,11 +355,24 @@ def cmd_estimate(resolved):
     options = _fit_options(resolved, floor=float(resolved["floor"]))
     sensitivity = _sensitivity(resolved)
     out = _out_dir(resolved)
-    est = fit(data, config, options, sensitivity=sensitivity, jobs=resolved["jobs"])
-    prop = fit_propensity(data, config)
-    save_model(ModelArtifact(est, prop, data.covariate_names, data.scaling), out / "model.json")
-    report = _write_implications(out, data, config, resolved)
+    stages = {"fit": 0.0, "propensity": 0.0, "implications": 0.0, "write": 0.0}
+    with _timed(stages, "fit"):
+        est = fit(data, config, options, sensitivity=sensitivity, jobs=resolved["jobs"])
+    with _timed(stages, "propensity"):
+        prop = fit_propensity(data, config)
+    with _timed(stages, "write"):
+        save_model(ModelArtifact(est, prop, data.covariate_names, data.scaling),
+                   out / "model.json")
+    with _timed(stages, "implications"):
+        report = _write_implications(out, data, config, resolved)
+    with _timed(stages, "write"):
+        _write_estimate_reports(out, data, est, sensitivity, report)
+    _write_meta(out, resolved, "estimate", extra={"stage_seconds": stages})
+    return 1 if report.flagged else 0
 
+
+def _write_estimate_reports(out, data, est, sensitivity, report):
+    """per_unit.csv, fit_report.json and fit_report.txt of `cmd_estimate`."""
     t0, t1, a, b = est.values(data.x)
     tau_obs = np.where(data.z == 1, t1, t0)
     write_columns(out / "per_unit.csv", ["row", "tau0", "tau1", "tau_zx", "alpha", "beta"],
@@ -384,8 +398,6 @@ def cmd_estimate(resolved):
         report.to_text(),
     ]
     (out / "fit_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_meta(out, resolved, "estimate")
-    return 1 if report.flagged else 0
 
 
 def cmd_predict(resolved):
@@ -532,10 +544,13 @@ def cmd_sensitivity(resolved):
         target_rate=target_rate,
     )
     out = _out_dir(resolved)
-    table = run_sweep(data, config, options, spec, jobs=resolved["jobs"])
+    # the sweep's fits, and the bootstrap replicates of its grid points
+    stages = {"fit": 0.0, "bootstrap": 0.0}
+    table = run_sweep(data, config, options, spec, jobs=resolved["jobs"],
+                      timed=functools.partial(_timed, stages))
     table.write_csv(out / "sweep.csv")
     table.write_metadata(out / "sweep_meta.json")
-    _write_meta(out, resolved, "sensitivity")
+    _write_meta(out, resolved, "sensitivity", extra={"stage_seconds": stages})
     return 0
 
 

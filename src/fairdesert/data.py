@@ -329,19 +329,23 @@ def scale_covariates(raw: Dataset) -> Dataset:
     return replace(raw, x=x_scaled, scaled=True)
 
 
-def stratum_counts(data: Dataset):
-    """2x2 table of counts n_sz indexed [s][z]."""
-    counts = np.zeros((2, 2), dtype=np.int64)
+def stratum_counts(data: Dataset, counts=None):
+    """2x2 table of counts n_sz indexed [s][z]; with ``counts``, a count per
+    row of ``data`` (``np.bincount(rows, minlength=data.n)``), those of the
+    resample that repeats each row that often."""
+    table = np.zeros((2, 2), dtype=np.int64)
     for s in (0, 1):
         for z in (0, 1):
-            counts[s, z] = int(np.sum((data.s == s) & (data.z == z)))
-    return counts
+            mask = (data.s == s) & (data.z == z)
+            table[s, z] = int(np.sum(mask) if counts is None else np.sum(counts[mask]))
+    return table
 
 
-def require_positivity(data: Dataset):
-    """Positivity precheck: every (s, z) stratum must be non-empty."""
-    counts = stratum_counts(data)
-    if (counts == 0).any():
-        empty = [f"(s={s}, z={z})" for s in (0, 1) for z in (0, 1) if counts[s, z] == 0]
+def require_positivity(data: Dataset, counts=None):
+    """Positivity precheck: every (s, z) stratum must be non-empty (in the
+    resample that ``counts`` names; see `stratum_counts`)."""
+    table = stratum_counts(data, counts)
+    if (table == 0).any():
+        empty = [f"(s={s}, z={z})" for s in (0, 1) for z in (0, 1) if table[s, z] == 0]
         raise PositivityError(f"empty stratum {', '.join(empty)}: cannot fit")
-    return counts
+    return table

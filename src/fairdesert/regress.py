@@ -14,33 +14,49 @@ import numpy as np
 
 from .basis import BasisConfig, SeriesFunction, expand_matrix, expit
 from .data import Dataset, require_positivity
-from .errors import PositivityError, SeparationError
+from .errors import FairdesertError, PositivityError, SeparationError
 from .identify import STRATA
-from .optimize import newton_minimize
+from .optimize import _dots, _newton_lockstep, newton_minimize
 
 PI_FLOOR = 0.01  # propensity floor keeping 1/pi weights bounded
 
 
-def _bernoulli_terms(gamma, phi, y, ridge, weights):
-    """Value and gradient of `bernoulli_negloglik`, plus the fitted
-    probabilities and weights its Hessian is built from."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    p = expit(phi @ gamma)
+def _bernoulli_terms(gamma, phi, y, ridge, weights, hessian=False):
+    """Value and gradient of `bernoulli_negloglik` and, with ``hessian``, its
+    Hessian.  ``gamma`` may also be a (k, J) stack, with ``weights`` then
+    None or (k, m): the terms come back stacked, row b with the bits of the
+    1-d call on row b (`_stacked_dot`, `_stacked_matvec`)."""
+    p = expit(_stacked_matvec(phi, gamma))
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=np.float64)
-    wsum = w.sum()
-    ll = w @ (y * np.log(p) + (1 - y) * np.log1p(-p))
-    value = -ll / wsum + 0.5 * ridge * gamma @ gamma
+    w = np.ones(p.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    wsum = w.sum(axis=-1)
+    ll = _stacked_dot(w, y * np.log(p) + (1 - y) * np.log1p(-p))
+    value = -ll / wsum + _stacked_dot(0.5 * ridge * gamma, gamma)
     resid = w * (p - y)
-    grad = phi.T @ resid / wsum + ridge * gamma
-    return value, grad, p, w, wsum
+    grad = _stacked_matvec(phi.T, resid) / wsum[..., None] + ridge * gamma
+    if not hessian:
+        return value, grad
+    curv = w * p * (1 - p)
+    hess = (np.swapaxes(phi * curv[..., None], -1, -2) @ phi / wsum[..., None, None]
+            + ridge * np.eye(phi.shape[1]))
+    return value, grad, hess
+
+
+def _stacked_dot(a, b):
+    """``a @ b`` of two vectors, or of each pair of rows of two (k, m) stacks."""
+    return a @ b if a.ndim == 1 else _dots(a, b)
+
+
+def _stacked_matvec(a, v):
+    """``a @ v`` for a vector ``v``, or for each row of a (k, J) stack: a
+    stacked matmul, which gives each row the bits of the 1-d product."""
+    return a @ v if v.ndim == 1 else np.matmul(a, v[:, :, None])[:, :, 0]
 
 
 def bernoulli_value_grad(gamma, phi, y, ridge=0.0, weights=None):
     """(value, gradient) of `bernoulli_negloglik`, without building the
     Hessian: for first-order optimizers."""
-    value, grad, _, _, _ = _bernoulli_terms(gamma, phi, y, ridge, weights)
-    return value, grad
+    return _bernoulli_terms(np.asarray(gamma, dtype=np.float64), phi, y, ridge, weights)
 
 
 def bernoulli_negloglik(gamma, phi, y, ridge=0.0, weights=None):
@@ -49,10 +65,8 @@ def bernoulli_negloglik(gamma, phi, y, ridge=0.0, weights=None):
     Returns (value, gradient, hessian); the analytic derivatives are exercised
     against finite differences in the test suite.
     """
-    value, grad, p, w, wsum = _bernoulli_terms(gamma, phi, y, ridge, weights)
-    curv = w * p * (1 - p)
-    hess = (phi * curv[:, None]).T @ phi / wsum + ridge * np.eye(len(gamma))
-    return value, grad, hess
+    return _bernoulli_terms(np.asarray(gamma, dtype=np.float64), phi, y, ridge, weights,
+                            hessian=True)
 
 
 @dataclass(frozen=True)
@@ -74,17 +88,26 @@ def fit_series_logit(features, labels, ridge=1e-8, weights=None, tol=1e-8, max_i
     y = np.asarray(labels, dtype=np.float64)
     if phi.ndim != 2 or phi.shape[0] != y.shape[0]:
         raise ValueError("features must be (n, J) matching labels")
-    if ridge <= 0 and (y.min() == y.max()):
-        raise SeparationError(
-            "labels are all equal and ridge is zero: the likelihood has no "
-            "maximizer; set ridge > 0"
-        )
+    _require_both_labels(y, ridge)
     res = newton_minimize(
         lambda g: bernoulli_negloglik(g, phi, y, ridge, weights),
         np.zeros(phi.shape[1]),
         tol=tol,
         max_iter=max_iter,
     )
+    return _logit_fit(res)
+
+
+def _require_both_labels(y, ridge):
+    if ridge <= 0 and (y.min() == y.max()):
+        raise SeparationError(
+            "labels are all equal and ridge is zero: the likelihood has no "
+            "maximizer; set ridge > 0"
+        )
+
+
+def _logit_fit(res):
+    """The `LogitFit` of a Newton result, or SeparationError when it did not converge."""
     if not res.converged and res.grad_norm > 1e-5:
         raise SeparationError(
             "series logit did not converge (gradient norm "
@@ -109,20 +132,74 @@ class MuModel:
     def predict_all(self, x):
         """(n, 4) matrix of mu_hat in stratum order (0,0), (0,1), (1,0), (1,1)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        phi = expand_matrix(x, self.config)
+        return self.predict_features(expand_matrix(x, self.config))
+
+    def predict_features(self, phi):
+        """`predict_all` at the rows of the design ``phi`` (`basis.expand_matrix`)."""
         return np.column_stack([self.functions[sz].eval_features(phi) for sz in STRATA])
 
 
 def fit_mu_models(data: Dataset, config: BasisConfig, ridge=1e-8) -> MuModel:
-    require_positivity(data)
-    phi = expand_matrix(data.x, config)
+    """Per-stratum series logits of Y on the basis; the one-resample case of
+    `fit_mu_counts`."""
+    (model,) = fit_mu_counts(data, config, [None], ridge)
+    if isinstance(model, FairdesertError):
+        raise model
+    return model
+
+
+def fit_mu_counts(data: Dataset, config: BasisConfig, counts, ridge=1e-8, phi=None):
+    """`fit_mu_models` on resamples of ``data``: per entry of ``counts``, in
+    order, the `MuModel` it fits or the `FairdesertError` it raises.
+
+    An entry is a resample's count of each row of ``data``
+    (``np.bincount(rows, minlength=data.n)``), or None for ``data`` itself;
+    ``phi`` is ``expand_matrix(data.x, config)`` when the caller has it.  A
+    resample with an empty stratum fails with PositivityError before any fit.
+    The logits of each stratum are fitted on its rows of ``data``, each
+    resample's weighted by its counts, all resamples at once in one lock-step
+    damped Newton (`optimize._newton_lockstep`); a resample whose fit does
+    not converge fails with SeparationError, alone.  The sums run over
+    weighted rows rather than repeated ones, so a resample's coefficients
+    match `fit_mu_models` on the materialised resample to rounding, not to
+    the bit; they do not depend on which other resamples share the call.
+    None runs `fit_mu_models`' own operations.
+    """
+    phi = expand_matrix(data.x, config) if phi is None else phi
     y = np.asarray(data.y, dtype=np.float64)
-    functions = {}
+    outcomes = []
+    for c in counts:
+        try:
+            require_positivity(data, c)
+            outcomes.append({})
+        except PositivityError as exc:
+            outcomes.append(exc)
     for s, z in STRATA:
         mask = (data.s == s) & (data.z == z)
-        fit = fit_series_logit(phi[mask], y[mask], ridge=ridge)
-        functions[(s, z)] = SeriesFunction(config, fit.gamma)
-    return MuModel(functions)
+        phi_s, y_s = phi[mask], y[mask]
+        live = []
+        for b, functions in enumerate(outcomes):
+            if isinstance(functions, FairdesertError):
+                continue
+            try:
+                _require_both_labels(y_s if counts[b] is None else y_s[counts[b][mask] > 0], ridge)
+                live.append(b)
+            except SeparationError as exc:
+                outcomes[b] = exc
+        if not live:
+            continue
+        weights = np.array([np.ones(len(y_s)) if counts[b] is None else counts[b][mask]
+                            for b in live], dtype=np.float64)
+        results = _newton_lockstep(
+            lambda ids, g: _bernoulli_terms(g, phi_s, y_s, ridge, weights[ids], hessian=True),
+            np.zeros((len(live), phi.shape[1])),
+        )
+        for b, res in zip(live, results):
+            try:
+                outcomes[b][(s, z)] = SeriesFunction(config, _logit_fit(res).gamma)
+            except SeparationError as exc:
+                outcomes[b] = exc
+    return [out if isinstance(out, FairdesertError) else MuModel(out) for out in outcomes]
 
 
 def multinomial_negloglik(coef_flat, phi, classes, ridge=0.0):

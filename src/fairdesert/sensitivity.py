@@ -12,6 +12,7 @@ repeating them.  Inference per grid point uses the bootstrap.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -134,7 +135,7 @@ def _sort_key(p: SensitivityParams):
 
 def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
               spec: SweepSpec, baseline: NuisanceEstimates | None = None,
-              jobs=1) -> SweepTable:
+              jobs=1, timed=lambda stage: contextlib.nullcontext()) -> SweepTable:
     """One fitted row per grid point; per-point failures recorded in-row.
 
     Rows come in sorted (v0, v1) order, and each grid point is fitted on its
@@ -145,13 +146,16 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
     replicates run on their own pool of ``jobs`` processes.  The table does
     not depend on ``jobs``.  A failing grid point keeps its row, with the
     error; a failing baseline fit raises.  ``metadata["fits"]`` counts the
-    sieve fits that ran restarts of their own (`fit_many`).
+    sieve fits that ran restarts of their own (`fit_many`).  ``timed(stage)``
+    gives a context manager that the fits run in with stage ``"fit"``, and
+    each point's bootstrap with ``"bootstrap"``; by default it does nothing.
     """
     grid = sorted(spec.params(), key=_sort_key)
     requests = [(data, config, options, point) for point in grid]
     if baseline is None:
         requests.insert(0, (data, config, options))
-    outcomes, fits = fit_many(requests, jobs)
+    with timed("fit"):
+        outcomes, fits = fit_many(requests, jobs)
     if baseline is None:
         baseline, *outcomes = outcomes
         if isinstance(baseline, FairdesertError):
@@ -177,10 +181,11 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         if spec.bootstrap_replicates > 0:
             fitter = VariantFitter(config, options, point)
             try:
-                estimate = theta_bootstrap(
-                    fitter, data, replicates=spec.bootstrap_replicates,
-                    seed=options.seed, level=spec.level, full_fit=est, jobs=jobs,
-                )
+                with timed("bootstrap"):
+                    estimate = theta_bootstrap(
+                        fitter, data, replicates=spec.bootstrap_replicates,
+                        seed=options.seed, level=spec.level, full_fit=est, jobs=jobs,
+                    )
                 row.theta = estimate.point
                 row.ci_low = estimate.ci_low
                 row.ci_high = estimate.ci_high
@@ -203,16 +208,20 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
 
 class VariantFitter:
     """Picklable fitter of bootstrap replicates under ``sensitivity``, for
-    `theta.theta_bootstrap`: a list of Datasets in, and per dataset the
-    `NuisanceEstimates` that `fit` returns for it or the `FairdesertError` it
-    raises out.  The fits are one `fit_many` call in this process, so their
-    restarts run in lock-step groups."""
+    `theta.theta_bootstrap`: a dataset and a list of draws in - each an
+    array of its row indices, a resample, or None for the dataset itself -
+    and per draw the `NuisanceEstimates` that `fit` returns on that resample
+    or the `FairdesertError` it raises out.  The fits are one `fit_many`
+    call in this process, so their plug-in starts come from one lock-step
+    count-weighted fit of the mu models on the dataset's rows
+    (`regress.fit_mu_counts`), and their restarts run in lock-step groups.
+    A draw's outcome does not depend on the other draws of the call."""
 
     def __init__(self, config, options, sensitivity):
         self.config = config
         self.options = options
         self.sensitivity = sensitivity
 
-    def __call__(self, datasets):
-        requests = [(ds, self.config, self.options, self.sensitivity) for ds in datasets]
+    def __call__(self, data, draws):
+        requests = [(data, self.config, self.options, self.sensitivity, rows) for rows in draws]
         return fit_many(requests, jobs=1)[0]

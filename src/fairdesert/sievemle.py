@@ -42,7 +42,7 @@ from .identify import (
 )
 from .optimize import _bfgs_lockstep, bfgs_minimize
 from .parallel import chunk_size, map_jobs
-from .regress import fit_mu_models
+from .regress import fit_mu_counts
 
 VARIANTS = ("baseline", "kappa", "delta", "zeta")
 # BFGS stops once the gradient sup-norm falls below this
@@ -283,11 +283,12 @@ class SieveProblem:
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions, *,
-                 sensitivity=SensitivityParams(), precondition=False):
+                 sensitivity=SensitivityParams(), precondition=False, phi=None):
         self.config = config
         self.options = options
         self.sensitivity = sensitivity
-        self.phi = expand_matrix(data.x, config)
+        # ``phi``: expand_matrix(data.x, config), when the caller has it
+        self.phi = expand_matrix(data.x, config) if phi is None else phi
         self.n, self.j = self.phi.shape
         self.r_block = None
         pre = orthonormal_design(self.phi) if precondition else None
@@ -494,27 +495,68 @@ def _target_to_gamma(problem, values, valid):
 
 
 def _plugin_start(problem, data):
-    """Initialization from the closed-form inversion of direct mu_sz fits."""
-    mu_model = fit_mu_models(data, problem.config, ridge=RIDGE_INIT)
-    mu = mu_model.predict_all(data.x)
-    m = PointwiseMu(*mu.T)
-    valid = np.abs(identification_denominator(m)) > 1e-8
-    if valid.sum() < problem.j:
-        raise FitError("too few identifiable points for a plug-in start")
-    t0 = np.full(data.n, 0.5)
-    t1 = np.full(data.n, 0.5)
-    t0[valid], t1[valid] = invert_tau(PointwiseMu(*mu[valid].T), tol=1e-8)
-    t0c = np.clip(t0, 0.02, 0.98)
-    t1c = np.clip(t1, 0.02, 0.98)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rec = recover_mechanism(m, t0c, t1c)
-    return np.concatenate([
-        _target_to_gamma(problem, t0, valid),
-        _target_to_gamma(problem, t1, valid),
-        _target_to_gamma(problem, np.asarray(rec.alpha), valid),
-        _target_to_gamma(problem, np.asarray(rec.beta), valid),
-    ])
+    """Initialization from the closed-form inversion of direct mu_sz fits:
+    the one-draw case of `_plugin_starts`."""
+    (start,) = _plugin_starts(data, expand_matrix(data.x, problem.config), [None], [problem])
+    if isinstance(start, Exception):
+        raise start
+    return start
+
+
+def _plugin_starts(data, phi, draws, problems):
+    """`_plugin_start` of each of ``problems`` on its resample of ``data``,
+    the rows ``draws[i]`` (None: ``data`` itself), or the FairdesertError or
+    LinAlgError that it gives.
+
+    ``phi`` is ``expand_matrix(data.x, config)``.  The draws' mu fits are one
+    `regress.fit_mu_counts` call, weighted by their row counts, so they run
+    in lock-step; draws of None share one fit.  The inversion from mu to the
+    targets works row by row, so it runs once on the (k, n) stack of the
+    fits' mu at the rows of ``data``, and each draw gathers its own rows;
+    then one least-squares pull-back per problem.  A draw's start does not
+    depend on the other draws; one of None is bitwise `_plugin_start` on
+    ``data``.
+    """
+    counts, fit_of, whole = [], [], None
+    for rows in draws:
+        if rows is None and whole is not None:
+            fit_of.append(whole)
+            continue
+        fit_of.append(len(counts))
+        if rows is None:
+            whole = len(counts)
+        counts.append(None if rows is None else np.bincount(rows, minlength=data.n))
+    models = fit_mu_counts(data, problems[0].config, counts, RIDGE_INIT, phi=phi)
+    # the fitted draws' places in the stack
+    fitted = {b: i for i, b in enumerate(
+        b for b, model in enumerate(models) if not isinstance(model, FairdesertError))}
+    if fitted:
+        mu = np.stack([models[b].predict_features(phi) for b in fitted])
+        m = PointwiseMu(*np.moveaxis(mu, 2, 0))
+        valid = np.abs(identification_denominator(m)) > 1e-8
+        t0 = np.full(valid.shape, 0.5)
+        t1 = np.full(valid.shape, 0.5)
+        t0[valid], t1[valid] = invert_tau(PointwiseMu(*mu[valid].T), tol=1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rec = recover_mechanism(m, np.clip(t0, 0.02, 0.98), np.clip(t1, 0.02, 0.98))
+        targets = (t0, t1, np.asarray(rec.alpha), np.asarray(rec.beta))
+    starts = []
+    for problem, rows, b in zip(problems, draws, fit_of):
+        if isinstance(models[b], FairdesertError):
+            starts.append(models[b])
+            continue
+        i, take = fitted[b], slice(None) if rows is None else rows
+        valid_b = valid[i][take]
+        if valid_b.sum() < problem.j:
+            starts.append(FitError("too few identifiable points for a plug-in start"))
+            continue
+        try:
+            starts.append(np.concatenate([_target_to_gamma(problem, v[i][take], valid_b)
+                                          for v in targets]))
+        except np.linalg.LinAlgError as exc:
+            starts.append(exc)
+    return starts
 
 
 def _random_starts(problem, data, count, seed):
@@ -613,32 +655,72 @@ def _same_objective(a: SieveProblem, b: SieveProblem):
                for name in ("c", "margin", "lam", "ridge", "y", "idx_t", "idx_m", "table", "phi"))
 
 
-def _setup(data, config, options=None, sensitivity=SensitivityParams()):
-    """The preconditioned problem of one `fit` call, its packed starts and their kinds."""
-    options = options or FitOptions()
-    require_positivity(data)
-    problem = SieveProblem(data, config, options, sensitivity=sensitivity, precondition=True)
+# the defaults of a `fit_many` request's optional options, sensitivity and rows
+_DEFAULTS = (None, SensitivityParams(), None)
 
-    starts, kinds = [], []
-    if options.init_coefficients is not None:
-        init = np.asarray(options.init_coefficients, dtype=np.float64)
-        if init.size != problem.dim:
-            raise ValueError("init_coefficients length mismatch")
-        starts.append(problem.from_original(init))
-        kinds.append("warm")
-    if options.include_plugin_start:
+
+def _setups(requests):
+    """Per `fit_many` request, in order, the preconditioned problem of its
+    fit, its packed starts and their kinds, or the FairdesertError that
+    setting them up raises.
+
+    Requests on one dataset and basis share its design: `basis.expand_matrix`
+    works row by row, so a resample gathers its rows of the design.  Those
+    that take the plug-in start share one `_plugin_starts` call.
+    """
+    parents, entries = {}, []
+    for i, request in enumerate(requests):
+        if len(request) > 3 and not isinstance(request[3], SensitivityParams):
+            raise TypeError(f"request {i}: {request[3]!r} is not a SensitivityParams")
+        data, config, options, sensitivity, rows = (*request, *_DEFAULTS[len(request) - 2:])
+        options = options or FitOptions()
+        key = (id(data), config)
+        if key not in parents:
+            parents[key] = data, expand_matrix(data.x, config)
+        phi = parents[key][1]
         try:
-            starts.append(_plugin_start(problem, data))
+            resample = data if rows is None else data.subset(rows)
+            require_positivity(resample)
+            problem = SieveProblem(resample, config, options, sensitivity=sensitivity,
+                                   precondition=True, phi=phi if rows is None else phi[rows])
+        except FairdesertError as exc:
+            entries.append(exc)
+            continue
+        warm = []
+        if options.init_coefficients is not None:
+            init = np.asarray(options.init_coefficients, dtype=np.float64)
+            if init.size != problem.dim:
+                raise ValueError("init_coefficients length mismatch")
+            warm.append(problem.from_original(init))
+        entries.append((key, rows, resample, problem, warm))
+
+    takers, plugin = {}, {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, FairdesertError) and entry[3].options.include_plugin_start:
+            takers.setdefault(entry[0], []).append(i)
+    for key, members in takers.items():
+        data, phi = parents[key]
+        plugin.update(zip(members, _plugin_starts(data, phi, [entries[i][1] for i in members],
+                                                  [entries[i][3] for i in members])))
+
+    setups = []
+    for i, entry in enumerate(entries):
+        if isinstance(entry, FairdesertError):
+            setups.append(entry)
+            continue
+        _, _, resample, problem, starts = entry
+        kinds = ["warm"] * len(starts)
+        # a plug-in start that fails (FairdesertError, LinAlgError) is left out
+        if isinstance(plugin.get(i), np.ndarray):
+            starts.append(plugin[i])
             kinds.append("plugin")
-        except (FairdesertError, np.linalg.LinAlgError):
-            pass
-    n_random = max(options.restarts - len(starts), 0)
-    starts.extend(
-        problem.from_original(s0)
-        for s0 in _random_starts(problem, data, n_random, options.seed)
-    )
-    kinds.extend(["random"] * n_random)
-    return problem, starts, kinds
+        options = problem.options
+        n_random = max(options.restarts - len(starts), 0)
+        starts.extend(problem.from_original(s0)
+                      for s0 in _random_starts(problem, resample, n_random, options.seed))
+        kinds.extend(["random"] * n_random)
+        setups.append((problem, starts, kinds))
+    return setups
 
 
 def _finish(problem, kinds, results):
@@ -697,14 +779,11 @@ def _fit_many(requests, jobs):
     setups = []
     problems, tasks, slot_of = [], [], {}
     fits = 0
-    for i, request in enumerate(requests):
-        if len(request) > 3 and not isinstance(request[3], SensitivityParams):
-            raise TypeError(f"request {i}: {request[3]!r} is not a SensitivityParams")
-        try:
-            problem, starts, kinds = _setup(*request)
-        except FairdesertError as exc:
-            setups.append(exc)
+    for setup in _setups(requests):
+        if isinstance(setup, FairdesertError):
+            setups.append(setup)
             continue
+        problem, starts, kinds = setup
         k = next((i for i, p in enumerate(problems) if _same_objective(p, problem)), None)
         if k is None:
             k = len(problems)
@@ -744,9 +823,18 @@ def _fit_many(requests, jobs):
 def fit_many(requests, jobs=1):
     """`fit` for each request, with every restart of every request on one pool.
 
-    Each request is a tuple ``(data, config, options, sensitivity)`` of `fit`'s
-    arguments, trailing ones left out as needed; a fourth item that is not a
-    `SensitivityParams` raises TypeError.  All restarts run in one
+    Each request is a tuple ``(data, config, options, sensitivity, rows)``:
+    `fit`'s arguments, and the rows of ``data`` to fit on - an index array,
+    a resample when rows repeat - or None for all of ``data``.  Trailing
+    items may be left out; a fourth item that is not a `SensitivityParams`
+    raises TypeError.  Requests on one ``data`` (the same object) and
+    ``config`` share its `basis.expand_matrix` design, which a resample
+    gathers its rows from, and those that take the plug-in start share one
+    `_plugin_starts` call: their mu fits run as one lock-step, count-weighted
+    Newton on the rows of ``data`` (`regress.fit_mu_counts`).  A resample's
+    start therefore matches its fit on the materialised resample to rounding,
+    not to the bit; it does not depend on the other requests, and a request
+    without rows gets the start `fit` gives it.  All restarts run in one
     `parallel.map_jobs` call on ``jobs`` processes, in lock-step groups
     (`optimize._bfgs_lockstep` on a `_Stack` of their problems): the
     restarts whose problems share (n, J), floor, margin, relevance penalty,

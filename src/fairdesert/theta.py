@@ -240,15 +240,15 @@ def _bootstrap_chunk(est_fitter, data: Dataset, children):
     it, or the type name of the `FairdesertError` its fit gave; and the number
     of `RelevanceWarning`s the fits emitted, which are counted instead of
     shown.  ``est_fitter`` fits the whole chunk in one call."""
-    resamples = [data.subset(default_rng(child).integers(0, data.n, size=data.n))
-                 for child in children]
+    draws = [default_rng(child).integers(0, data.n, size=data.n) for child in children]
     results = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RelevanceWarning)
-        for est_b, resampled in zip(est_fitter(resamples), resamples, strict=True):
+        for est_b, rows in zip(est_fitter(data, draws), draws, strict=True):
             try:
                 if isinstance(est_b, FairdesertError):
                     raise est_b
+                resampled = data.subset(rows)
                 results.append(float(np.mean(unfairness_integrand(est_b, resampled))))
             except FairdesertError as exc:
                 results.append(type(exc).__name__)
@@ -265,26 +265,32 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
                     full_fit: NuisanceEstimates | None = None, jobs=1) -> ThetaEstimate:
     """Nonparametric bootstrap over records with a percentile CI.
 
-    ``est_fitter`` maps a list of Datasets to one outcome per dataset, in
-    order: its NuisanceEstimates (any variant) or the `FairdesertError` its
-    fit gave (`sensitivity.VariantFitter` fits them in lock-step).  The point
-    estimate is the plug-in integrand mean on the full data.  The replicates
-    go to ``jobs`` processes (`parallel.map_jobs`) in chunks of seeds, each
-    chunk holding at most `sievemle.GROUP_ROWS` resampled rows (at least one
-    replicate) and no more than `parallel.chunk_size` hands a worker at once;
-    a worker draws its chunk's resamples and fits them with one
-    ``est_fitter`` call.  Each replicate draws from its own seed, so the
-    result does not depend on ``jobs``; with ``jobs > 1`` ``est_fitter``
-    must be picklable.  A replicate fails when its fit gives a
-    `FairdesertError`; ``flags["failure_types"]`` counts the failures by
-    exception type.  ``flags["relevance_warnings"]`` counts the replicate fits
-    that emitted a `RelevanceWarning`; one summary warning replaces theirs.
-    Errors out when more than 10% of replicate fits fail.
+    ``est_fitter(data, draws)`` fits resamples of ``data``: ``draws`` lists
+    each resample's rows of ``data`` (an index array of length n, drawn with
+    replacement) or None for ``data`` itself, and it returns one outcome per
+    draw, in order: its NuisanceEstimates (any variant) or the
+    `FairdesertError` its fit gave.  `sensitivity.VariantFitter` fits a
+    call's draws together, their plug-in starts from count-weighted fits on
+    the rows of ``data``.  The point estimate is the plug-in integrand mean
+    on the full data.  The replicates go to ``jobs`` processes
+    (`parallel.map_jobs`) in chunks of seeds, each chunk holding at most
+    `sievemle.GROUP_ROWS` resampled rows (at least one replicate) and no more
+    than `parallel.chunk_size` hands a worker at once; a worker draws its
+    chunk's rows, fits them with one ``est_fitter`` call and takes each
+    replicate's integrand mean over its resample.  Each replicate draws from
+    its own seed, so the result does not depend on ``jobs`` as long as a
+    draw's fit does not depend on the other draws of its call (true of
+    `VariantFitter`); with ``jobs > 1`` ``est_fitter`` must be picklable.  A
+    replicate fails when its fit gives a `FairdesertError`;
+    ``flags["failure_types"]`` counts the failures by exception type.
+    ``flags["relevance_warnings"]`` counts the replicate fits that emitted a
+    `RelevanceWarning`; one summary warning replaces theirs.  Errors out when
+    more than 10% of replicate fits fail.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"bootstrap requires at least {MIN_REPLICATES} replicates")
     if full_fit is None:
-        (full_fit,) = est_fitter([data])
+        (full_fit,) = est_fitter(data, [None])
         if isinstance(full_fit, FairdesertError):
             raise full_fit
     point = float(np.mean(unfairness_integrand(full_fit, data)))

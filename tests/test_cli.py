@@ -562,6 +562,29 @@ def test_theta_records_stage_seconds(train_csv, fitted_model, tmp_path, argv):
     assert stages["inference"] > 0
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["estimate"], {"fit", "propensity", "implications", "write"}),
+    (["sensitivity", "--variant", "delta", "--grid", "0.05,0.05", "--boot", "0"],
+     {"fit", "bootstrap"}),
+    (["sensitivity", "--variant", "delta", "--grid", "0.05,0.05", "--boot", "200",
+      "--restarts", "1", "--basis-degree", "1"], {"fit", "bootstrap"}),
+], ids=["estimate", "sensitivity-boot-0", "sensitivity-bootstrap"])
+def test_estimate_and_sensitivity_record_stage_seconds(train_csv, tmp_path, argv, keys):
+    import time
+
+    started = time.perf_counter()
+    rc = main([argv[0], "--input", str(train_csv), *FAST, *argv[1:],
+               "--out-dir", str(tmp_path)])
+    wall = time.perf_counter() - started
+    assert rc in (0, 1)
+    stages = json.loads((tmp_path / "run_meta.json").read_text())["stage_seconds"]
+    assert set(stages) == keys
+    assert all(v >= 0 for v in stages.values()) and sum(stages.values()) <= wall
+    assert stages["fit"] > 0
+    if "bootstrap" in stages:
+        assert (stages["bootstrap"] > 0) == ("200" in argv)
+
+
 def test_theta_methods_agree_on_identity(train_csv, tmp_path):
     rc = main(["theta", "--input", str(train_csv), "--method", "plugin",
                "--out-dir", str(tmp_path / "plugin"), *FAST])

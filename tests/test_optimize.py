@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from fairdesert.basis import BasisConfig
-from fairdesert.optimize import OptResult, _bfgs_lockstep, bfgs_minimize, newton_minimize
+from fairdesert.optimize import (
+    OptResult,
+    _bfgs_lockstep,
+    _newton_lockstep,
+    bfgs_minimize,
+    newton_minimize,
+)
+from fairdesert.regress import bernoulli_negloglik, multinomial_negloglik
 from fairdesert.sievemle import FitOptions, SensitivityParams, SieveProblem
 from fairdesert.simulate import DgpConfig, gen_dataset
 
@@ -239,3 +246,171 @@ def test_lockstep_groups_match_one_start_at_a_time(size):
         assert [getattr(result, f) for f in fields] == [getattr(alone, f) for f in fields] == [
             getattr(old, f) for f in fields]
         assert result.evaluations == alone.evaluations == len(calls) == len(old_calls)
+
+
+def old_newton_minimize(fgh, x0, tol=1e-8, max_iter=200):
+    """Oracle: damped Newton as written before it became the one-start case
+    of the lock-step loop, verbatim but for the gradient sup-norm, which
+    `_old_sup` computes the same way."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    f, g, h = fgh(x)
+    evals = 1
+    for it in range(1, max_iter + 1):
+        gnorm = _old_sup(g)
+        if gnorm <= tol:
+            return OptResult(x, f, gnorm, it - 1, True, evaluations=evals)
+        try:
+            step = np.linalg.solve(h, -g)
+            if not np.isfinite(step).all() or g @ step >= 0:
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            step = -g
+        t = 1.0
+        gdots = g @ step
+        for _ in range(60):
+            xn = x + t * step
+            fn, gn, hn = fgh(xn)
+            evals += 1
+            if math.isfinite(fn) and fn <= f + 1e-4 * t * gdots:
+                break
+            t *= 0.5
+        else:
+            return OptResult(x, f, gnorm, it, False, "line search failed", evals)
+        x, f, g, h = xn, fn, gn, hn
+    gnorm = _old_sup(g)
+    return OptResult(x, f, gnorm, max_iter, gnorm <= tol, "iteration limit", evals)
+
+
+def logit_draw(n, j, seed):
+    rng = np.random.default_rng(seed)
+    phi = np.column_stack([np.ones(n), rng.uniform(size=(n, j - 1))])
+    y = (rng.uniform(size=n) < 1 / (1 + np.exp(-(phi @ rng.normal(0, 1.5, j))))).astype(float)
+    return rng, phi, y
+
+
+def logistic_case(weighted):
+    rng, phi, y = logit_draw(600, 4, 3)
+    weights = rng.integers(0, 4, 600).astype(float) if weighted else None
+    return (lambda g: bernoulli_negloglik(g, phi, y, 1e-8, weights)), np.zeros(4), {}
+
+
+def multinomial_case():
+    rng, phi, _ = logit_draw(800, 3, 4)
+    classes = rng.integers(0, 4, 800)
+    return (lambda c: multinomial_negloglik(c, phi, classes, 1e-8)), np.zeros(9), {}
+
+
+NEWTON_CASES = {
+    "quadratic": lambda: (
+        quadratic(np.array([1.0, -2.0, 3.0]), np.array([4.0, 1.0, 0.25]))[0], np.zeros(3), {}),
+    "logistic": lambda: logistic_case(False),
+    "weighted-logistic": lambda: logistic_case(True),
+    "multinomial": multinomial_case,
+    "logistic-iteration-limit": lambda: (*logistic_case(False)[:2], dict(tol=0.0, max_iter=3)),
+    # the line search fails with the gradient within 100 tol: not converged
+    "line-search-fails-near-tol": lambda: (
+        lambda x: (float(x.sum()), np.full_like(x, -1e-9), np.eye(x.size)), np.zeros(2),
+        dict(tol=1e-10)),
+}
+
+
+@pytest.mark.parametrize("case", list(NEWTON_CASES))
+def test_newton_bitwise_old_body(case):
+    fgh, x0, kwargs = NEWTON_CASES[case]()
+    counting, calls = counted(fgh)
+    got = newton_minimize(counting, x0, **kwargs)
+    want = old_newton_minimize(fgh, x0, **kwargs)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.fun, got.grad_norm, got.iterations, got.converged, got.message) == (
+        want.fun, want.grad_norm, want.iterations, want.converged, want.message)
+    assert got.evaluations == want.evaluations == len(calls)
+
+
+def with_hessian(fg, hessian):
+    def fgh(x):
+        f, g = fg(x)
+        return f, g, hessian(x)
+    return fgh
+
+
+def quartic(x):
+    # Newton shrinks x by a third per step: it never meets tol=0
+    return float((x ** 4).sum()), 4 * x ** 3, np.diag(12 * x ** 2)
+
+
+def flat_direction(x):
+    # a singular Hessian: the solve raises LinAlgError and the start steps along -g
+    u = x[0] + x[1]
+    return 0.5 * u * u, np.array([u, u]), np.ones((2, 2))
+
+
+def concave_model(x):
+    # the Hessian points uphill, g @ step > 0: steepest descent instead
+    return 0.5 * float(x @ x), x.copy(), -np.eye(2)
+
+
+def huge_step(x):
+    # the solve overflows to inf: steepest descent instead
+    return 0.5 * float(x @ x), x.copy(), np.diag([1e-320, 1.0])
+
+
+def nan_start(x):
+    return math.nan, x.copy(), np.eye(2)
+
+
+def tiny_hessian(x):
+    # each Newton step overshoots by 1e12: 39 halvings in every iteration
+    return 0.5 * float(x @ x), x.copy(), 1e-12 * np.eye(2)
+
+
+# (objective, start), run with tol=0 and max_iter=20: converges (its first
+# step lands on the minimum), hits the iteration limit, fails its line
+# search, takes the gradient fallback on a singular Hessian, on an uphill and
+# on a non-finite Newton step, starts where the value is infinite (and
+# recovers) or NaN (and fails its line search), backtracks in every
+# iteration, converges in many steps
+MIXED_NEWTON_STARTS = [
+    (quadratic(np.zeros(2), np.ones(2))[0], np.array([1.0, 2.0])),
+    (quartic, np.array([1.0, -0.5])),
+    (with_hessian(wrong_gradient, lambda x: np.eye(2)), np.zeros(2)),
+    (flat_direction, np.array([1.0, 2.0])),
+    (concave_model, np.array([0.5, -1.5])),
+    (huge_step, np.array([2.0, 1.0])),
+    (with_hessian(finite_left_of_five, lambda x: np.eye(2)), np.array([10.0, 0.0])),
+    (nan_start, np.array([1.0, 1.0])),
+    (tiny_hessian, np.array([1.0, -2.0])),
+    (with_hessian(rosenbrock, lambda x: np.array([
+        [2 - 20 * (x[1] - 3 * x[0] ** 2), -20 * x[0]], [-20 * x[0], 10.0]])),
+     np.array([-1.2, 1.0])),
+]
+
+
+@pytest.mark.parametrize("size", [1, 4, len(MIXED_NEWTON_STARTS)])
+def test_newton_lockstep_matches_one_start_at_a_time(size):
+    kwargs = dict(tol=0.0, max_iter=20)
+    got = []
+    for first in range(0, len(MIXED_NEWTON_STARTS), size):
+        group = MIXED_NEWTON_STARTS[first:first + size]
+        objectives = [fgh for fgh, _ in group]
+
+        def fgh(ids, x):
+            values, grads, hessians = zip(*(objectives[i](row) for i, row in zip(ids, x)))
+            return np.array(values), np.array(grads), np.array(hessians)
+        got += _newton_lockstep(fgh, np.stack([x0 for _, x0 in group]), **kwargs)
+    assert {r.message for r in got} == {"", "iteration limit", "line search failed"}
+    # the starts end in different rounds
+    assert len({r.evaluations for r in got}) > 4
+    for (fgh, x0), result in zip(MIXED_NEWTON_STARTS, got, strict=True):
+        counting, calls = counted(fgh)
+        alone = newton_minimize(counting, x0, **kwargs)
+        old = old_newton_minimize(fgh, x0, **kwargs)
+        assert result.x.tobytes() == alone.x.tobytes() == old.x.tobytes()
+        assert stop_fields(result) == stop_fields(alone) == stop_fields(old)
+        assert result.evaluations == alone.evaluations == len(calls) == old.evaluations
+
+
+def stop_fields(result):
+    """How a start stopped, with its value and gradient norm as bits (a NaN
+    start keeps a NaN value)."""
+    return (np.float64(result.fun).tobytes(), np.float64(result.grad_norm).tobytes(),
+            result.iterations, result.converged, result.message)

@@ -17,7 +17,7 @@ from fairdesert.basis import (
     logit,
 )
 from fairdesert.data import Dataset
-from fairdesert.errors import FitError, RelevanceWarning
+from fairdesert.errors import FitError, PositivityError, RelevanceWarning
 from fairdesert.identify import (
     PointwiseMu,
     PointwiseParams,
@@ -32,6 +32,7 @@ from fairdesert.sievemle import (
     SensitivityParams,
     SieveProblem,
     _plugin_start,
+    _plugin_starts,
     decision_scores,
     fit,
     fit_many,
@@ -648,6 +649,81 @@ def test_plugin_start_matches_inline_inversion(seed):
     problem = SieveProblem(data, BasisConfig(interaction_order=1), FitOptions(),
                            precondition=True)
     assert np.array_equal(_plugin_start(problem, data), reference_plugin_start(problem, data))
+
+
+def resample_outcome(call):
+    """What ``call()`` returns, or the type of the FairdesertError it raises."""
+    try:
+        return call()
+    except (FitError, PositivityError) as exc:
+        return type(exc)
+
+
+def test_count_weighted_starts_match_materialised_resamples():
+    # the batched mu fits and plug-in starts of 24 resamples, against
+    # fit_mu_models and _plugin_start on each materialised resample
+    from fairdesert.regress import fit_mu_counts, fit_mu_models
+
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=5))
+    config = BasisConfig(degree=2, interaction_order=1)
+    rng = np.random.default_rng(8)
+    draws = [rng.integers(0, data.n, size=data.n) for _ in range(24)]
+    # a resample without the (s=0, z=0) stratum
+    draws.append(rng.choice(np.flatnonzero((data.s == 1) | (data.z == 1)), size=data.n))
+    phi = expand_matrix(data.x, config)
+    counts = [np.bincount(rows, minlength=data.n) for rows in draws]
+    models = fit_mu_counts(data, config, counts, RIDGE_INIT, phi=phi)
+    resamples = [data.subset(rows) for rows in draws]
+    problems = [SieveProblem(r, config, FitOptions(), precondition=True) for r in resamples]
+    starts = _plugin_starts(data, phi, draws, problems)
+    for model, start, resample, problem in zip(models, starts, resamples, problems, strict=True):
+        alone = resample_outcome(lambda: fit_mu_models(resample, config, ridge=RIDGE_INIT))
+        if isinstance(alone, type):
+            assert alone is PositivityError
+            assert isinstance(model, PositivityError) and isinstance(start, PositivityError)
+            continue
+        for sz, f in alone.functions.items():
+            assert np.max(np.abs(model.functions[sz].gamma - f.gamma)) <= 1e-10
+        assert np.max(np.abs(start - _plugin_start(problem, resample))) <= 1e-10
+    assert isinstance(models[-1], PositivityError)
+    # one fit per draw, whichever draws share the call: the last ten alone
+    for b in range(len(draws) - 10, len(draws)):
+        (single,) = _plugin_starts(data, phi, [draws[b]], [problems[b]])
+        if isinstance(single, Exception):
+            assert type(single) is type(starts[b])
+        else:
+            assert single.tobytes() == starts[b].tobytes()
+    # the whole dataset (rows None) next to a resample: the start fit gives it
+    whole = SieveProblem(data, config, FitOptions(), precondition=True)
+    first, drawn, second = _plugin_starts(data, phi, [None, draws[0], None],
+                                          [whole, problems[0], whole])
+    assert first.tobytes() == second.tobytes() == _plugin_start(whole, data).tobytes()
+    assert drawn.tobytes() == starts[0].tobytes()
+
+
+def test_count_weighted_start_refused_like_materialised_resample():
+    # each row has a twin with the other z, so a resample that takes both
+    # twins equally often fits the same mu for z = 0 and z = 1: the
+    # identification denominator is zero on every row
+    rng = np.random.default_rng(3)
+    half = 200
+    s = rng.integers(0, 2, half)
+    x = rng.uniform(size=(half, 2))
+    y = rng.integers(0, 2, half)
+    data = Dataset(np.tile(s, 2), np.repeat([0, 1], half), np.tile(y, 2), np.vstack([x, x]),
+                   ("x1", "x2"), ((0.0, 1.0), (0.0, 1.0)), scaled=True)
+    config = BasisConfig(degree=1, interaction_order=1)
+    picked = rng.integers(0, half, size=half)
+    twins = np.concatenate([picked, picked + half])
+    drawn = rng.integers(0, data.n, size=data.n)
+    phi = expand_matrix(data.x, config)
+    problems = [SieveProblem(data.subset(rows), config, FitOptions(), precondition=True)
+                for rows in (twins, drawn)]
+    refused, accepted = _plugin_starts(data, phi, [twins, drawn], problems)
+    assert isinstance(refused, FitError) and "too few identifiable points" in str(refused)
+    with pytest.raises(FitError, match="too few identifiable points"):
+        _plugin_start(problems[0], data.subset(twins))
+    assert np.max(np.abs(accepted - _plugin_start(problems[1], data.subset(drawn)))) <= 1e-10
 
 
 def test_truth_beats_perturbations_in_population_criterion():

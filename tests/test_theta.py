@@ -224,7 +224,7 @@ def test_bootstrap_zero_width_when_integrand_constant():
     # tau * alpha == (1 - tau) * beta, so the integrand is 0.1 for every unit
     est = constant_estimates(0.5, 0.5, 0.2, 0.2)
     data = half_split_dataset(300)
-    result = theta_bootstrap(lambda datasets: [est] * len(datasets), data, replicates=200,
+    result = theta_bootstrap(lambda data, draws: [est] * len(draws), data, replicates=200,
                              seed=1)
     assert result.point == pytest.approx(0.1, abs=1e-12)
     assert result.ci_low == pytest.approx(0.1, abs=1e-12)
@@ -235,15 +235,15 @@ def test_bootstrap_zero_width_when_integrand_constant():
 def test_bootstrap_requires_200_replicates():
     est = constant_estimates(0.5, 0.5, 0.2, 0.2)
     with pytest.raises(ValueError):
-        theta_bootstrap(lambda datasets: [est] * len(datasets), half_split_dataset(100),
+        theta_bootstrap(lambda data, draws: [est] * len(draws), half_split_dataset(100),
                         replicates=50)
 
 
 def test_bootstrap_error_on_failures():
     from fairdesert.errors import FitError
 
-    def failing_fitter(datasets):
-        return [FitError("nope") for _ in datasets]
+    def failing_fitter(data, draws):
+        return [FitError("nope") for _ in draws]
 
     with pytest.raises(BootstrapError, match=r"200/200 .* \(FitError x200\)"):
         theta_bootstrap(failing_fitter, half_split_dataset(100), replicates=200,
@@ -259,13 +259,13 @@ class FlakyFitter:
         self.est = constant_estimates(0.5, 0.6, 0.2, 0.1)
         self.crash = crash
 
-    def __call__(self, datasets):
-        return [self.outcome(ds) for ds in datasets]
+    def __call__(self, data, draws):
+        return [self.outcome(data.y if rows is None else data.y[rows]) for rows in draws]
 
-    def outcome(self, ds):
+    def outcome(self, y):
         from fairdesert.errors import FitError, PositivityError
 
-        residue = int(ds.y.sum()) % 37
+        residue = int(y.sum()) % 37
         if residue < 2 and self.crash:
             raise RuntimeError("not a fitting failure")
         if residue == 0:
@@ -293,12 +293,43 @@ def test_bootstrap_same_result_for_every_jobs():
     assert serial.flags["relevance_warnings"] == parallel.flags["relevance_warnings"] > 0
 
 
+def test_bootstrap_draws_same_for_every_chunk_size(monkeypatch):
+    # chunks of 1, 5 and 16 replicates, each fitted in one VariantFitter
+    # call, serial and on two processes: the 200 draws agree to the bit
+    from fairdesert import parallel, sievemle
+
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    fitter = VariantFitter(BasisConfig(degree=1, interaction_order=1),
+                           FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3, seed=0),
+                           SensitivityParams("delta", 0.05, 0.05))
+    full = fitter(data, [None])[0]
+    recorded = []
+
+    def recording(func, tasks, jobs, shared=()):
+        chunks = parallel.map_jobs(func, tasks, jobs, shared)
+        draws = [r for results, _ in chunks for r in results]
+        recorded.append((max(len(t) for t in tasks), hashlib.sha256(np.array(draws)).hexdigest()))
+        return chunks
+    monkeypatch.setattr(theta_module, "map_jobs", recording)
+    for replicates_per_chunk in (1, 5, 16):
+        rows = replicates_per_chunk * data.n
+        monkeypatch.setattr(theta_module, "GROUP_ROWS", rows)
+        monkeypatch.setattr(sievemle, "GROUP_ROWS", rows)
+        for jobs in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RelevanceWarning)
+                theta_bootstrap(fitter, data, replicates=200, seed=1, full_fit=full, jobs=jobs)
+    assert [size for size, _ in recorded] == [1, 1, 5, 5, 16, 16]
+    assert {digest for _, digest in recorded} == {BOOTSTRAP_PINS[1][4]}
+
+
 BOOTSTRAP_PINS = {
-    # restarts: (point, ci_low, ci_high, stderr, sha256 of the 200 draws)
-    1: (0.30964587560901224, 0.2034005215538343, 0.3738699633454186, 0.04443012873152361,
-        "d0461721e4300c9db7c2b0a4e2af305b365b0e7829da99119e62b4784487781a"),
-    3: (0.2672344054977271, 0.20100634936752548, 0.3738699633454186, 0.04526188978886045,
-        "433a487ecf192a9e978e2d960386603de4c867568d85e30eb733e42813d85342"),
+    # restarts: (point, ci_low, ci_high, stderr, sha256 of the 200 draws);
+    # the replicates' plug-in starts come from count-weighted mu fits
+    1: (0.30964587560901224, 0.20340052523417132, 0.3682751525123827, 0.04434514193040232,
+        "b94c4d27b952cf7db7c748d3bf97295ac6a22afa130d1e5bf6b7bc5a97e7016b"),
+    3: (0.2672344054977271, 0.20100635797624902, 0.3682751525123827, 0.04514908906097613,
+        "23ab1e6ee21af86e6b0f58488e82956206b769b94c8e0b3d109584ea225e0e85"),
 }
 
 
