@@ -178,16 +178,19 @@ def orthonormal_design(phi):
     return q * scale, r / scale
 
 
+def basis_exponents(config: BasisConfig, d):
+    """Exponent vectors of the basis functions of ``config`` on d covariates."""
+    return monomial_exponents(d, config.degree, config.resolved_interaction_order(d))
+
+
 def expand_matrix(x, config: BasisConfig):
     """Feature matrix phi(X) for all rows of x; first column is the constant 1."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = x.shape[1]
-    exps = monomial_exponents(d, config.degree, config.resolved_interaction_order(d))
-    return monomials_matrix(x, exps)
+    return monomials_matrix(x, basis_exponents(config, x.shape[1]))
 
 
 def basis_dimension(config: BasisConfig, d):
-    return len(monomial_exponents(d, config.degree, config.resolved_interaction_order(d)))
+    return len(basis_exponents(config, d))
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,11 @@ class SeriesFunction:
             raise ValueError("range must satisfy 0 <= lo < hi <= 1")
 
     def eval_features(self, phi):
-        sig = expit(phi @ self.gamma)
+        return self.from_unit(expit(phi @ self.gamma))
+
+    def from_unit(self, sig):
+        """The function's values where expit of its logit is ``sig``: ``sig``
+        kept off 0 and 1, then mapped onto (lo, hi)."""
         sig = np.clip(sig, 1e-15, 1.0 - 1e-15)
         return self.lo + (self.hi - self.lo) * sig
 

@@ -143,6 +143,9 @@ def _resolve(args):
     resolved["jobs"] = int(resolved["jobs"])
     if resolved["jobs"] < 1:
         raise FairdesertError(f"--jobs expects at least 1 process, got {resolved['jobs']}")
+    # every random draw of every command is seeded from it
+    resolved["seed"] = _checked(resolved, "seed", int, lambda v: v >= 0,
+                                "be a non-negative integer")
     return resolved
 
 
@@ -244,7 +247,7 @@ def _timed(stages, name):
 
 def _basis(resolved):
     return BasisConfig(
-        degree=int(resolved["basis_degree"]),
+        degree=_checked(resolved, "basis-degree", int, lambda v: v >= 1, "be at least 1"),
         interaction_order=resolved["interaction_order"],
     )
 
@@ -253,7 +256,7 @@ def _fit_options(resolved, **fields):
     """FitOptions from --restarts, --seed and ``fields``; a bad value fails
     naming its flag, before any fit."""
     try:
-        return FitOptions(restarts=int(resolved["restarts"]), seed=int(resolved["seed"]),
+        return FitOptions(restarts=int(resolved["restarts"]), seed=resolved["seed"],
                           **fields)
     except ValueError as exc:
         # FitOptions starts each message with the field, named like its flag
@@ -337,12 +340,22 @@ def _histogram(values, bins=20):
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 
 
-def _write_implications(out, data, config, resolved):
-    """Fit the mu models, check the testable implications against --tol and
-    --flag-threshold, and write implications.json and implications.txt."""
+def _implication_limits(resolved):
+    """The --tol and --flag-threshold of the testable-implication checks."""
+    tol = _checked(resolved, "tol", float, lambda v: 0.0 <= v < math.inf,
+                   "be a finite number at least 0")
+    flag_threshold = _checked(resolved, "flag-threshold", float, lambda v: 0.0 <= v <= 1.0,
+                              "lie in [0, 1]")
+    return tol, flag_threshold
+
+
+def _write_implications(out, data, config, limits):
+    """Fit the mu models, check the testable implications against the
+    (--tol, --flag-threshold) ``limits``, and write implications.json and
+    implications.txt."""
+    tol, flag_threshold = limits
     report = check_testable_implications(
-        fit_mu_models(data, config), data, tol=float(resolved["tol"]),
-        flag_threshold=float(resolved["flag_threshold"]),
+        fit_mu_models(data, config), data, tol=tol, flag_threshold=flag_threshold,
     )
     (out / "implications.json").write_text(report.to_json(), encoding="utf-8")
     (out / "implications.txt").write_text(report.to_text() + "\n", encoding="utf-8")
@@ -350,10 +363,11 @@ def _write_implications(out, data, config, resolved):
 
 
 def cmd_estimate(resolved):
-    data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
     sensitivity = _sensitivity(resolved)
+    limits = _implication_limits(resolved)
+    data = _load_dataset(resolved)
     out = _out_dir(resolved)
     stages = {"fit": 0.0, "propensity": 0.0, "implications": 0.0, "write": 0.0}
     with _timed(stages, "fit"):
@@ -364,7 +378,7 @@ def cmd_estimate(resolved):
         save_model(ModelArtifact(est, prop, data.covariate_names, data.scaling),
                    out / "model.json")
     with _timed(stages, "implications"):
-        report = _write_implications(out, data, config, resolved)
+        report = _write_implications(out, data, config, limits)
     with _timed(stages, "write"):
         _write_estimate_reports(out, data, est, sensitivity, report)
     _write_meta(out, resolved, "estimate", extra={"stage_seconds": stages})
@@ -456,10 +470,10 @@ def cmd_theta(resolved):
             f"--model cannot be combined with {refitting}, which fits its own nuisances"
         )
     boot = _boot(resolved, allow_off=False) if method == "bootstrap" else None
-    data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
     sensitivity = _sensitivity(resolved)
+    data = _load_dataset(resolved)
 
     if sensitivity.variant != "baseline" and method != "bootstrap":
         raise FairdesertError(
@@ -476,7 +490,7 @@ def cmd_theta(resolved):
                            jobs=resolved["jobs"])
         with _timed(stages, "inference"):
             estimate = theta_bootstrap(
-                fitter, data, replicates=boot, seed=int(resolved["seed"]), level=level,
+                fitter, data, replicates=boot, seed=resolved["seed"], level=level,
                 full_fit=full_fit, jobs=resolved["jobs"],
             )
     elif method == "onestep" and folds:
@@ -484,7 +498,7 @@ def cmd_theta(resolved):
         with _timed(stages, "inference"):
             estimate = theta_onestep_crossfit(
                 data, config, options, folds=folds,
-                seed=int(resolved["seed"]), level=level, jobs=resolved["jobs"],
+                seed=resolved["seed"], level=level, jobs=resolved["jobs"],
             )
     else:
         if resolved.get("model"):
@@ -512,9 +526,10 @@ def cmd_theta(resolved):
 
 
 def cmd_check(resolved):
+    config, limits = _basis(resolved), _implication_limits(resolved)
     data = _load_dataset(resolved)
     out = _out_dir(resolved)
-    report = _write_implications(out, data, _basis(resolved), resolved)
+    report = _write_implications(out, data, config, limits)
     print(report.to_text())
     _write_meta(out, resolved, "check")
     return 1 if report.flagged else 0
@@ -524,9 +539,9 @@ def cmd_sensitivity(resolved):
     target_rate = _rate(resolved)
     level = _level(resolved)
     boot = _boot(resolved, allow_off=True)
-    data = _load_dataset(resolved)
     config = _basis(resolved)
     options = _fit_options(resolved, floor=float(resolved["floor"]))
+    data = _load_dataset(resolved)
     variant = resolved["variant"]
     if variant == "baseline":
         raise FairdesertError("--variant kappa|delta|zeta is required for sweeps")
@@ -558,7 +573,7 @@ def cmd_simulate(resolved):
     config = DgpConfig(
         n=_rows(resolved, "n"),
         delta=_checked(resolved, "dgp-delta", float, lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
-        seed=int(resolved["seed"]),
+        seed=resolved["seed"],
     )
     reps = _checked(resolved, "reps", int, lambda v: v >= 1, "be at least 1")
     methods = tuple(m.strip() for m in str(resolved["methods"]).split(",") if m.strip())

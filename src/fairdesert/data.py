@@ -77,18 +77,18 @@ class Dataset:
     scaled: bool = False
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.int8)
-        z = np.asarray(self.z, dtype=np.int8)
-        y = np.asarray(self.y, dtype=np.int8)
+        s, z, y = (np.asarray(col) for col in (self.s, self.z, self.y))
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("x must be a 2-d array (n rows, d covariates)")
         n, d = x.shape
         if not (s.shape == z.shape == y.shape == (n,)):
             raise ValueError("s, z, y must be length-n vectors matching x")
+        # the values as given: the cast to int8 would take 0.5 to 0 and 256 to 0
         for name, col in (("s", s), ("z", z), ("y", y)):
-            if not np.isin(col, (0, 1)).all():
+            if not ((col == 0) | (col == 1)).all():
                 raise ValueError(f"{name} must contain only 0/1 values")
+        s, z, y = (col.astype(np.int8, copy=False) for col in (s, z, y))
         if len(self.covariate_names) != d:
             raise ValueError("covariate_names length must equal covariate dimension")
         if len(self.scaling) != d:

@@ -78,11 +78,13 @@ class LogitFit:
     loglik: float
 
 
-def fit_series_logit(features, labels, ridge=1e-8, weights=None, tol=1e-8, max_iter=200):
+def fit_series_logit(features, labels, ridge=1e-8, weights=None, tol=1e-8, max_iter=200,
+                     start=None):
     """Fit a logistic regression on an explicit feature matrix.
 
     Requires at least one positive and one negative label unless ridge > 0;
     perfect separation surfaces as a non-convergence error advising ridge.
+    Newton starts from ``start`` when it is given, else from zero.
     """
     phi = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -91,7 +93,7 @@ def fit_series_logit(features, labels, ridge=1e-8, weights=None, tol=1e-8, max_i
     _require_both_labels(y, ridge)
     res = newton_minimize(
         lambda g: bernoulli_negloglik(g, phi, y, ridge, weights),
-        np.zeros(phi.shape[1]),
+        np.zeros(phi.shape[1]) if start is None else start,
         tol=tol,
         max_iter=max_iter,
     )

@@ -452,8 +452,14 @@ class _Stack:
         weights *= slopes
         if self.ridge > 0:
             # coordinate-free shrinkage of the demeaned logit functions;
-            # stabilizes the decomposition into (tau, alpha, beta) at small n
-            centered = np.subtract(logits, logits.sum(axis=1, keepdims=True) / n, out=logits)
+            # stabilizes the decomposition into (tau, alpha, beta) at small n.
+            # Each column mean sums its rows in order, as logits.sum(axis=1)
+            # does, but over one (n, 4 k) copy, whose reduction runs an inner
+            # loop 4 k long rather than 4: the same bits, in less time
+            across = buffers.across()
+            np.copyto(across, logits.transpose(1, 0, 2))
+            means = across.reshape(n, 4 * k).sum(axis=0).reshape(k, 1, 4) / n
+            centered = np.subtract(logits, np.repeat(means, n, axis=1), out=logits)
             work = vals  # read for the last time above
             squares = np.multiply(centered, centered, out=work)
             values += 0.5 * self.ridge * squares.reshape(k, 4 * n).sum(axis=1) / n
@@ -465,13 +471,23 @@ class _Stack:
 class _Buffers:
     """The scratch arrays of one `_Stack.value_grad` evaluation of k problems
     on n rows each: three (k, n, 4) blocks for `_Stack._blocks`, the weight
-    block, five length-k n rows and a length-k n mask."""
+    block, five length-k n rows, a length-k n mask and, under a ridge, an
+    (n, k, 4) block."""
 
     def __init__(self, k, n):
         self.shape = (k, n)
         *self.blocks, self.weights = np.empty((4, k, n, 4))
         self.rows = tuple(np.empty((5, k * n)))
         self.met = np.empty(k * n, dtype=bool)
+        self._across = None
+
+    def across(self):
+        """The (n, k, 4) block, made at its first use: a fit without a ridge
+        holds none."""
+        if self._across is None:
+            k, n = self.shape
+            self._across = np.empty((n, k, 4))
+        return self._across
 
 
 _BUFFERS = None

@@ -21,15 +21,17 @@ flagged as indicative in all outputs.
 
 Each replication scores every method on one large independent test draw, in
 row blocks of `basis.MONOMIAL_BLOCK_ROWS`, so no design matrix of the whole
-draw is built.  The work is shared across methods: within a block, one design
-per distinct feature map (UML and MLC share one, FTU and LD the other); one
-`predict_tau` of the desert-decision fit serving both its AUCs and its tau
-error; and one sort per score vector, against which both label vectors (Y*
-and Y) are scored.  The AUC is the Mann-Whitney statistic from exact integer
-rank sums: the sorted positions of the positives, plus a correction at tied
-positions only.  The sort is numpy's default, which is not stable: tied
-scores all get their tie's average rank, so the order within a tie cannot
-change an AUC, and the stable sort would only cost more.
+draw is built.  The work is shared across methods: every method's logit is a
+linear predictor per (S, Z) stratum over monomials of X alone, so within a
+block one design of the union of those monomials and one matrix product give
+all five methods' logits (`_test_scores`); the desert-decision scores serve
+both its AUCs and its tau error; and one sort per score vector, against which
+both label vectors (Y* and Y) are scored.  The AUC is the Mann-Whitney
+statistic from exact integer rank sums: the sorted positions of the
+positives, plus a correction at tied positions only.  The sort is numpy's
+default, which is not stable: tied scores all get their tie's average rank,
+so the order within a tie cannot change an AUC, and the stable sort would
+only cost more.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from numpy.random import SeedSequence, default_rng
 from .basis import (
     MONOMIAL_BLOCK_ROWS,
     BasisConfig,
+    basis_exponents,
     expit,
     monomial_exponents,
     monomials_matrix,
@@ -59,7 +62,7 @@ from .identify import flip_rates, unfairness_rate
 from .optimize import bfgs_minimize
 from .parallel import map_jobs
 from .regress import bernoulli_value_grad, fit_propensity, fit_series_logit
-from .sievemle import FitOptions, fit, predict_tau
+from .sievemle import FitOptions, NuisanceEstimates, fit
 from .theta import theta_onestep
 
 BASELINE_METHODS = ("uml", "ftu", "mlc", "ld")
@@ -280,13 +283,9 @@ class ScoreModel:
     label: str
     note: str = ""
 
-    def scores(self, data: Dataset | None, design=None):
-        """Scores on ``data``, or on the rows of ``design`` when the caller has
-        already built ``feature_map.matrix`` for them (``data`` is then not
-        read)."""
-        if design is None:
-            design = self.feature_map.matrix(data.s, data.z, data.x)
-        return expit(design @ self.gamma)
+    def scores(self, data: Dataset):
+        """Scores on the rows of ``data``."""
+        return expit(self.feature_map.matrix(data.s, data.z, data.x) @ self.gamma)
 
 
 def fit_uml(data: Dataset, degree=3) -> ScoreModel:
@@ -372,7 +371,9 @@ def fit_ld(data: Dataset, degree=3) -> ScoreModel:
     """Label-debiasing reweighting: refit Y ~ (Z, X) with multiplicative
     per-group weights until the mean score gap across S is at most
     LD_PARITY_TOL, for at most 50 rounds; each round moves the weights'
-    exponent by twice the gap."""
+    exponent by twice the gap.  Each round's Newton fit starts from the
+    previous round's gamma: the logit is convex, so its optimum stays where it
+    is to within the Newton tolerance, and the fit takes fewer iterations."""
     fm = FeatureMap.build(data.d, use_s=False, degree=degree)
     psi = fm.matrix(None, data.z, data.x)
     y = np.asarray(data.y, dtype=np.float64)
@@ -383,7 +384,8 @@ def fit_ld(data: Dataset, degree=3) -> ScoreModel:
         weights = np.exp(lam * y * (1 - 2 * data.s.astype(np.float64)))
         weights = weights / weights.mean()
         assert (weights > 0).all()
-        gamma = fit_series_logit(psi, y, ridge=BASELINE_RIDGE, weights=weights).gamma
+        gamma = fit_series_logit(psi, y, ridge=BASELINE_RIDGE, weights=weights,
+                                 start=gamma).gamma
         scores = expit(psi @ gamma)
         disparity = float(scores[s1].mean() - scores[~s1].mean())
         if abs(disparity) <= LD_PARITY_TOL:
@@ -511,12 +513,9 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
         test_cfg = replace(config, n=settings.test_size)
         test, ystar, _ = gen_dataset(test_cfg, seed=seed_test)
         lap("test_draw")
-        scores = {}
-        if "dsd" in models:
-            scores["dsd"] = predict_tau(models["dsd"], test.z, test.x)
+        scores = _test_scores(models if settings.compute_auc else
+                              {name: m for name, m in models.items() if name == "dsd"}, test)
         if settings.compute_auc:
-            scores.update(_baseline_scores(
-                {name: model for name, model in models.items() if name != "dsd"}, test))
             labels = np.stack([ystar, test.y])
             for name in models:
                 out[f"auc_ystar_{name}"], out[f"auc_y_{name}"] = auc(scores[name], labels)
@@ -527,21 +526,67 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
     return out
 
 
-def _baseline_scores(models, data: Dataset):
-    """Each `ScoreModel`'s scores on ``data``, filled in row blocks of
-    `basis.MONOMIAL_BLOCK_ROWS`; within a block, models that share a feature
-    map share its design.  Bitwise equal to ``model.scores(data)``."""
-    sharing = {}
-    for name, model in models.items():
-        sharing.setdefault(model.feature_map, []).append(name)
-    scores = {name: np.empty(data.n) for name in models}
+def _stratum_columns(model, d):
+    """``model``'s logit on d covariates as one coefficient column per stratum
+    over monomials of x alone: (the x exponents, their (len, C) coefficients,
+    whether the strata are (s, z), C = 4 in the order 2 s + z, or z alone,
+    C = 2).
+
+    A baseline's monomial s^a z^b m(x), with S and Z at power at most one, is
+    m(x) on rows with s >= a and z >= b and 0 elsewhere, so stratum (s, z)
+    gives m(x) the sum of the gammas with a <= s and b <= z.  The
+    desert-decision fit's columns are tau0's and tau1's.
+    """
+    if isinstance(model, NuisanceEstimates):
+        columns = np.column_stack([model.tau0.gamma, model.tau1.gamma])
+        return basis_exponents(model.config, d), columns, False
+    fm = model.feature_map
+    n_bin = 2 if fm.use_s else 1
+    strata = [(s, z) for s in (0, 1) for z in (0, 1)] if fm.use_s else [(z,) for z in (0, 1)]
+    place = {e: i for i, e in enumerate(dict.fromkeys(e[n_bin:] for e in fm.exponents))}
+    columns = np.zeros((len(place), len(strata)))
+    for e, g in zip(fm.exponents, model.gamma):
+        for c, stratum in enumerate(strata):
+            if all(p <= v for p, v in zip(e[:n_bin], stratum)):
+                columns[place[e[n_bin:]], c] += g
+    return tuple(place), columns, fm.use_s
+
+
+def _test_scores(models, data: Dataset):
+    """Each model's scores on ``data``: a `ScoreModel`'s ``scores(data)`` and
+    the desert-decision fit's `sievemle.predict_tau`, to rounding.
+
+    Per row block of `basis.MONOMIAL_BLOCK_ROWS`: one `monomials_matrix` of
+    the union of the x monomials of every model's `_stratum_columns`, one
+    product with all their stratum columns, each row's own stratum's logit
+    per model and one expit.  The desert-decision fit's tau0 and tau1 share
+    their range, as `sievemle.fit` makes them, so tau0's clip and map serve
+    both strata.
+    """
+    parts = [_stratum_columns(model, data.d) for model in models.values()]
+    union = list(dict.fromkeys(e for exponents, _, _ in parts for e in exponents))
+    place = {e: i for i, e in enumerate(union)}
+    coefficients = np.zeros((len(union), sum(columns.shape[1] for _, columns, _ in parts)))
+    # pick[2 s + z, i] is the column of model i's stratum (s, z)
+    codes = np.arange(4)
+    pick = np.empty((4, len(parts)), dtype=np.intp)
+    offset = 0
+    for i, (exponents, columns, by_s) in enumerate(parts):
+        coefficients[[place[e] for e in exponents], offset:offset + columns.shape[1]] = columns
+        pick[:, i] = offset + (codes if by_s else codes % 2)
+        offset += columns.shape[1]
+    # the flat position of each row of a block's logits
+    row_starts = np.arange(MONOMIAL_BLOCK_ROWS)[:, None] * offset
+    scores = np.empty((len(models), data.n))
     for start in range(0, data.n, MONOMIAL_BLOCK_ROWS):
         rows = slice(start, start + MONOMIAL_BLOCK_ROWS)
-        for feature_map, names in sharing.items():
-            design = feature_map.matrix(data.s[rows], data.z[rows], data.x[rows])
-            for name in names:
-                scores[name][rows] = models[name].scores(None, design)
-    return scores
+        logits = monomials_matrix(data.x[rows], union) @ coefficients
+        stratum = 2 * data.s[rows] + data.z[rows]
+        scores[:, rows] = expit(logits.take(row_starts[:stratum.size] + pick[stratum])).T
+    for i, model in enumerate(models.values()):
+        if isinstance(model, NuisanceEstimates):
+            scores[i] = model.tau0.from_unit(scores[i])
+    return dict(zip(models, scores))
 
 
 def _mc_worker(config, settings, theta_true, rep):

@@ -478,6 +478,52 @@ def test_config_entries_are_checked_like_flags(train_csv, tmp_path, capsys, monk
     assert not out.exists()
 
 
+def _command_argv(command):
+    return {
+        "sensitivity": ["sensitivity", "--input", "{train}", "--variant", "delta"],
+        "simulate": ["simulate", "--n", "200", "--reps", "1"],
+    }.get(command, [command, "--input", "{train}"])
+
+
+def _named_flag_cases():
+    cases = []
+    for command in ("check", "estimate"):
+        for tol in ("nan", "inf", "-1"):
+            cases.append((command, "tol", tol,
+                          f"--tol must be a finite number at least 0, got {float(tol)}"))
+        for threshold in ("7", "-0.1", "nan"):
+            cases.append((command, "flag-threshold", threshold,
+                          f"--flag-threshold must lie in [0, 1], got {float(threshold)}"))
+    for command in ("estimate", "theta", "sensitivity", "simulate", "check"):
+        cases.append((command, "basis-degree", "0", "--basis-degree must be at least 1, got 0"))
+    for command in ("estimate", "theta", "sensitivity", "simulate"):
+        cases.append((command, "seed", "-1", "--seed must be a non-negative integer, got -1"))
+    return [pytest.param(*case, given, id=f"{case[0]}-{case[1]}={case[2]}-{given}")
+            for case in cases for given in ("flag", "config")]
+
+
+@pytest.mark.parametrize("command, flag, value, message, given", _named_flag_cases())
+def test_bad_tolerance_degree_or_seed_exits_2_naming_its_flag(train_csv, tmp_path, capsys,
+                                                              monkeypatch, command, flag, value,
+                                                              message, given):
+    import fairdesert.cli as cli
+    import fairdesert.sensitivity as sensitivity
+
+    def stub(*args, **kwargs):
+        raise RuntimeError("work was reached")
+
+    for module, name in ((cli, "fit"), (cli, "load_csv"), (cli, "monte_carlo"),
+                         (sensitivity, "fit_many")):
+        monkeypatch.setattr(module, name, stub)
+    argv = [a.replace("{train}", str(train_csv)) for a in _command_argv(command)]
+    argv += [f"--{flag}={value}"] if given == "flag" else ["--config", json.dumps({flag: value})]
+    out = tmp_path / "out"
+    rc = main([*argv, "--restarts", "2", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--crossfit", "2"], "--crossfit"),
     (["--method", "bootstrap", "--variant", "delta", "--delta", "0.05,0.05"],

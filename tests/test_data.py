@@ -400,3 +400,25 @@ def test_dataset_validates_binary():
             s=[0, 2], z=[0, 1], y=[1, 0], x=np.zeros((2, 1)) + 0.5,
             covariate_names=("v",), scaling=((0.0, 1.0),),
         )
+
+
+@pytest.mark.parametrize("column, values", [
+    ("s", [0.5, 1.0, 0.0, 1.0]),
+    ("y", [256, 1, 0, 1]),
+    ("y", [np.nan, 1.0, 0.0, 1.0]),
+    ("z", [0, 1, -1, 1]),
+], ids=["s-half", "y-256", "y-nan", "z-minus-1"])
+def test_dataset_checks_binary_values_before_the_cast(column, values):
+    # an int8 cast first would take 0.5 to 0 and 256 to 0, and accept both
+    columns = {"s": [0, 1, 0, 1], "z": [0, 0, 1, 1], "y": [1, 0, 0, 1], column: values}
+    with pytest.raises(ValueError, match=f"{column} must contain only 0/1"):
+        Dataset(**columns, x=np.full((4, 1), 0.5), covariate_names=("v",),
+                scaling=((0.0, 1.0),))
+
+
+def test_dataset_accepts_bool_and_float_binary_columns():
+    ds = Dataset(s=np.array([False, True, False, True]), z=np.array([0.0, 0.0, 1.0, 1.0]),
+                 y=np.array([1, 0, 0, 1], dtype=np.int64), x=np.full((4, 1), 0.5),
+                 covariate_names=("v",), scaling=((0.0, 1.0),))
+    for col, want in ((ds.s, [0, 1, 0, 1]), (ds.z, [0, 0, 1, 1]), (ds.y, [1, 0, 0, 1])):
+        assert col.dtype == np.int8 and col.tolist() == want

@@ -412,6 +412,77 @@ def test_value_grad_bitwise_where_stack_objective(variant, options):
 MC_OPTIONS = FitOptions(floor=0.05, relevance_margin=1e-3, ridge=3e-3)
 
 
+class BroadcastMeanStack(sievemle._Stack):
+    """Oracle: `_Stack.value_grad` verbatim as it was before the ridge's
+    column means were summed over one (n, 4 k) copy: it centred the logits on
+    the broadcast ``logits.sum(axis=1, keepdims=True) / n``."""
+
+    def value_grad(self, stacks):
+        k, n = self.k, self.n
+        buffers = sievemle._buffers(k, n)
+        logits, vals, slopes = self._blocks(stacks, buffers.blocks)
+        lik, dp_dt, dp_dm = self._likelihood(vals, buffers.rows[:3])
+        scratch, diff = buffers.rows[3:]
+        values = -(np.log(lik, out=scratch).reshape(k, n).sum(axis=1) / n)
+        dneg_dp = np.divide(self.dneg_sign, lik, out=lik)
+
+        weights = buffers.weights
+        weights.fill(0.0)
+        flat = weights.ravel()
+        flat[self.idx_t] = np.multiply(dneg_dp, dp_dt, out=dp_dt)
+        flat[self.idx_m] = np.multiply(dneg_dp, dp_dm, out=dp_dm)
+        rows = vals.reshape(k * n, 4)
+        np.subtract(rows[:, 1], rows[:, 0], out=diff)
+        gap = np.abs(diff, out=scratch)
+        met = np.greater_equal(gap, self.margin, out=buffers.met)
+        active = np.nonzero(np.logical_not(met, out=met))[0]
+        if active.size:
+            hinge = self.margin - gap[active]
+            dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff[active])) / n
+            squares = scratch
+            squares.fill(0.0)
+            squares[active] = hinge ** 2
+            hit = np.zeros(k, dtype=bool)
+            hit[active // n] = True
+            values[hit] += self.lam * (squares.reshape(k, n).sum(axis=1)[hit] / n)
+            rows = weights.reshape(k * n, 4)
+            rows[active, 0] -= dpen_ddiff
+            rows[active, 1] += dpen_ddiff
+        weights *= slopes
+        if self.ridge > 0:
+            centered = np.subtract(logits, logits.sum(axis=1, keepdims=True) / n, out=logits)
+            work = vals
+            squares = np.multiply(centered, centered, out=work)
+            values += 0.5 * self.ridge * squares.reshape(k, 4 * n).sum(axis=1) / n
+            weights += np.multiply(self.ridge / n, centered, out=work)
+        grads = np.matmul(np.swapaxes(self.phi, 1, 2), weights)
+        return values, grads.transpose(0, 2, 1).reshape(k, 4 * self.j)
+
+
+@pytest.mark.parametrize("n", [999, 2000])
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_stacked_ridge_bitwise_broadcast_mean(k, n):
+    config = BasisConfig(interaction_order=1)
+    problems = [SieveProblem(gen_dataset(DgpConfig(n=n, seed=b))[0], config, MC_OPTIONS)
+                for b in range(k)]
+    stack, oracle = sievemle._Stack(problems), BroadcastMeanStack(problems)
+    assert stack.ridge > 0
+    j = problems[0].j
+    rng = np.random.default_rng(k * n)
+    active = []
+    for point in range(24):
+        stacks = rng.normal(0, 0.8, (k, problems[0].dim))
+        if point % 3 == 1:
+            # tau1 a small perturbation of tau0: the hinge binds on some rows
+            stacks[:, j:2 * j] = stacks[:, :j] + rng.normal(0, 1e-4, (k, j))
+        active.append(sum(hinge_rows(p, x) for p, x in zip(problems, stacks)))
+        values, grads = stack.value_grad(stacks)
+        want_values, want_grads = oracle.value_grad(stacks)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(grads, want_grads)
+    assert all(a > 0 for a in active[1::3])
+
+
 def test_value_grad_returns_fresh_gradients():
     data, _, _ = gen_dataset(DgpConfig(n=300, seed=2))
     problem = SieveProblem(data, BasisConfig(interaction_order=1), MC_OPTIONS)
