@@ -159,7 +159,7 @@ def monomials_matrix(x, exponents):
     return out
 
 
-def orthonormal_design(phi):
+def orthonormal_design(phi, counts=None):
     """QR preconditioner of a design matrix, or None when it is near-singular.
 
     With phi = Q R, returns (Q sqrt(n), R / sqrt(n)): the first has orthogonal
@@ -169,13 +169,22 @@ def orthonormal_design(phi):
     quasi-Newton steps converge slowly in their raw coordinates.  When some
     |R_jj| is at most 1e-10 max |R_jj| the inverse is unreliable, and None
     tells the caller to stay in the raw coordinates.
+
+    ``counts`` weighs row i as ``counts[i]`` repeats of it: the QR is then
+    of the sqrt(counts)-scaled design, n is the sum of the counts, and the
+    first array is phi (R / sqrt(n))^-1, whose columns have weighted mean
+    square one; a row of count 0 gets its row too.
     """
-    q, r = np.linalg.qr(phi)
+    scaled = phi if counts is None else phi * np.sqrt(counts)[:, None]
+    q, r = np.linalg.qr(scaled)
     diag = np.abs(np.diag(r))
     if not np.min(diag) > 1e-10 * np.max(diag):
         return None
-    scale = math.sqrt(phi.shape[0])
-    return q * scale, r / scale
+    if counts is None:
+        scale = math.sqrt(phi.shape[0])
+        return q * scale, r / scale
+    r = r / math.sqrt(np.sum(counts))
+    return phi @ np.linalg.inv(r), r
 
 
 def basis_exponents(config: BasisConfig, d):

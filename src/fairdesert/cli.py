@@ -134,9 +134,11 @@ def _resolve(args):
         key = key.replace("-", "_")
         if resolved.get(key) is None:
             resolved[key] = value
+    # before the defaults, so that only a given value counts
     if args.command == "theta":
-        # before the defaults, so that only a given value counts
         _check_method_flags(resolved)
+    if "variant" in resolved:
+        _check_variant_flags(resolved)
     for key, value in _DEFAULTS.items():
         if resolved.get(key) is None and key in resolved:
             resolved[key] = value
@@ -162,6 +164,18 @@ def _check_method_flags(resolved):
             raise FairdesertError(
                 f"--{key} cannot be combined with --method {method}; "
                 f"only --method {reader} reads it"
+            )
+
+
+def _check_variant_flags(resolved):
+    """Refuse a variant-level flag (--kappa, --delta, --zeta), given directly
+    or in the config file, that the variant does not read."""
+    variant = resolved.get("variant") or _DEFAULTS["variant"]
+    for key in VARIANTS[1:]:
+        if resolved.get(key) is not None and variant != key:
+            raise FairdesertError(
+                f"--{key} cannot be combined with --variant {variant}; "
+                f"only --variant {key} reads it"
             )
 
 
@@ -246,9 +260,13 @@ def _timed(stages, name):
 
 
 def _basis(resolved):
+    order = resolved["interaction_order"]
+    if order is not None:
+        # 0 is the intercept-only model, whose functions ignore x
+        order = _checked(resolved, "interaction-order", int, lambda v: v >= 0, "be at least 0")
     return BasisConfig(
         degree=_checked(resolved, "basis-degree", int, lambda v: v >= 1, "be at least 1"),
-        interaction_order=resolved["interaction_order"],
+        interaction_order=order,
     )
 
 
@@ -590,8 +608,9 @@ def cmd_simulate(resolved):
     write_auc_summary_csv([summary], out / "auc_summary.csv")
     write_coverage_summary_csv([summary], out / "coverage_summary.csv")
     write_replications_csv([summary], out / "replications.csv")
-    _write_meta(out, resolved, "simulate", extra={"runtime_s": summary.runtime_s,
-                                                  "stage_seconds": summary.stage_seconds})
+    _write_meta(out, resolved, "simulate", extra={
+        "runtime_s": summary.runtime_s, "stage_seconds": summary.stage_seconds,
+        "ld_parity_misses": summary.ld_parity_misses})
     return 0
 
 

@@ -59,3 +59,7 @@ class VariantMismatchError(FairdesertError):
 
 class RelevanceWarning(UserWarning):
     """A fit leaves |tau1 - tau0| below the relevance margin on over 10% of rows."""
+
+
+class ParityWarning(UserWarning):
+    """The label-debiasing baseline's reweighting stopped short of its parity target."""

@@ -280,32 +280,58 @@ class SieveProblem:
     of one size share it and a sweep's K problems do not hold K sets; it
     returns a fresh value and gradient.  Two threads must not evaluate at
     once.  `functions` and `criterion` run the same code into new arrays.
+
+    ``counts`` (one per row of ``data``, ``np.bincount(rows, minlength=
+    data.n)``) makes the problem that of the resample repeating row i
+    ``counts[i]`` times, fitted on its distinct rows with their counts as
+    weights: a resample of n rows holds about (1 - 1/e) n distinct rows.
+    The problem then runs on ``rows`` (`_weighted_rows`: the rows of positive
+    count, padded with rows of count 0 to a length that depends on the
+    resample size alone, so the problems of one size stack), ``counts``
+    holds their weights and ``size`` the resample size, which every mean
+    divides by: the log-likelihood, the relevance hinge, the ridge's means
+    and squares, `criterion` and `_finish`'s violation share.  The QR
+    preconditioner is taken on the sqrt(counts)-scaled design.  The value
+    and gradient are the materialised resample's to rounding.  Without
+    counts, ``rows`` and ``counts`` are None, ``size`` is n and no weighted
+    arithmetic runs.
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions, *,
-                 sensitivity=SensitivityParams(), precondition=False, phi=None):
+                 sensitivity=SensitivityParams(), precondition=False, phi=None,
+                 counts=None):
         self.config = config
         self.options = options
         self.sensitivity = sensitivity
+        x, s, z, y = data.x, data.s, data.z, data.y
+        self.rows = self.counts = None
+        if counts is not None:
+            self.rows, self.counts = _weighted_rows(counts)
+            x, s, z, y = (v[self.rows] for v in (x, s, z, y))
+            phi = None if phi is None else phi[self.rows]
         # ``phi``: expand_matrix(data.x, config), when the caller has it
-        self.phi = expand_matrix(data.x, config) if phi is None else phi
+        self.phi = expand_matrix(x, config) if phi is None else phi
         self.n, self.j = self.phi.shape
+        self.size = self.n if counts is None else int(np.sum(self.counts))
         self.r_block = None
-        pre = orthonormal_design(self.phi) if precondition else None
+        pre = orthonormal_design(self.phi, self.counts) if precondition else None
         if pre is not None:
             self.phi, self.r_block = pre
-        self.y = np.asarray(data.y, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.float64)
         self.y1 = self.y == 1
         self.not_y = 1 - self.y
         # d(-mean log-likelihood)/dp = (p - y) / {p (1 - p) n} = dneg_sign / lik
-        self.dneg_sign = (1 - 2 * self.y) / self.n
-        self.s = np.asarray(data.s, dtype=np.float64)
-        self.z = np.asarray(data.z, dtype=np.float64)
-        self.sv0, self.sv1 = sensitivity.evaluate(data.x)
+        if self.counts is None:
+            self.dneg_sign = (1 - 2 * self.y) / self.n
+        else:
+            self.dneg_sign = self.counts * (1 - 2 * self.y) / self.size
+        self.s = np.asarray(s, dtype=np.float64)
+        self.z = np.asarray(z, dtype=np.float64)
+        self.sv0, self.sv1 = sensitivity.evaluate(x)
         self.table = stratum_table(self.s, self.z, sensitivity.variant, self.sv0, self.sv1)
-        rows = 4 * np.arange(self.n)
-        self.idx_t = rows + (self.z == 1)
-        self.idx_m = rows + 2 + (self.s == 1)
+        starts = 4 * np.arange(self.n)
+        self.idx_t = starts + (self.z == 1)
+        self.idx_m = starts + 2 + (self.s == 1)
         self.c = options.floor
         self.margin = options.margin
         self.lam = options.relevance_penalty
@@ -350,7 +376,37 @@ class SieveProblem:
 
     def criterion(self, stack):
         """Mean conditional log-likelihood (no penalty) at the packed point."""
-        return float(np.mean(np.log(self._likelihood(self._blocks(stack)[1])[0])))
+        return self._criterion(self._blocks(stack)[1])
+
+    def _criterion(self, vals):
+        """`criterion` from the (n, 4) function values."""
+        logs = np.log(self._likelihood(vals)[0])
+        if self.counts is None:
+            return float(np.mean(logs))
+        return float(np.sum(self.counts * logs) / self.size)
+
+
+def _padded_length(size):
+    """The rows of a count-weighted problem on a resample of ``size`` rows
+    (`_weighted_rows`): the expected distinct rows, (1 - 1/e) size, plus
+    3 sqrt(size), about 9.6 standard deviations of their number."""
+    return min(size, math.ceil((1 - math.exp(-1)) * size + 3 * math.sqrt(size)))
+
+
+def _weighted_rows(counts):
+    """The rows of a count-weighted `SieveProblem` and their counts, as
+    floats: the rows of positive count in order, then rows of count 0 in
+    order up to `_padded_length` of the resample size - or up to the size
+    itself when more rows are drawn - as far as ``counts`` has them.  The
+    rows depend on ``counts`` alone."""
+    counts = np.asarray(counts)
+    size = int(np.sum(counts))
+    drawn = np.flatnonzero(counts)
+    length = _padded_length(size)
+    if drawn.size > length:
+        length = size
+    rows = np.concatenate([drawn, np.flatnonzero(counts == 0)[:max(length - drawn.size, 0)]])
+    return rows, counts[rows].astype(np.float64)
 
 
 def _joined(arrays, axis):
@@ -368,14 +424,18 @@ class _Stack:
     operation on each slice: stacked matmuls and sums along the last axis of
     C-contiguous arrays give each problem the bits it gets alone, so the
     values and gradients are bitwise those of each problem's `value_grad`,
-    which is the k = 1 case.  One problem's stack shares its arrays.
+    which is the k = 1 case.  One problem's stack shares its arrays.  The
+    problems are all count-weighted, on one resample size, or none is.
     """
 
     def __init__(self, problems):
         first = problems[0]
         self.k = len(problems)
-        self.n, self.j = first.n, first.j
+        self.n, self.j, self.size = first.n, first.j, first.size
         self.c, self.margin, self.lam, self.ridge = first.c, first.margin, first.lam, first.ridge
+        self.counts = None
+        if first.counts is not None:
+            self.counts = _joined([p.counts for p in problems], 0)
         self.phi = _joined([p.phi[None] for p in problems], 0)
         offsets = range(0, 4 * self.n * self.k, 4 * self.n)
         self.idx_t = _joined([p.idx_t + o if o else p.idx_t
@@ -416,12 +476,15 @@ class _Stack:
 
     def value_grad(self, stacks):
         """Values (k,) and gradients (k, 4 J) at the (k, 4 J) packed points."""
-        k, n = self.k, self.n
+        k, n, size, counts = self.k, self.n, self.size, self.counts
         buffers = _buffers(k, n)
         logits, vals, slopes = self._blocks(stacks, buffers.blocks)
         lik, dp_dt, dp_dm = self._likelihood(vals, buffers.rows[:3])
         scratch, diff = buffers.rows[3:]
-        values = -(np.log(lik, out=scratch).reshape(k, n).sum(axis=1) / n)
+        logs = np.log(lik, out=scratch)
+        if counts is not None:
+            logs *= counts
+        values = -(logs.reshape(k, n).sum(axis=1) / size)
         dneg_dp = np.divide(self.dneg_sign, lik, out=lik)
 
         weights = buffers.weights
@@ -438,14 +501,19 @@ class _Stack:
         active = np.nonzero(np.logical_not(met, out=met))[0]
         if active.size:
             hinge = self.margin - gap[active]
-            dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff[active])) / n
+            squared = hinge ** 2
+            if counts is not None:
+                # the count-weighted hinge, and its weighted square
+                squared *= counts[active]
+                hinge *= counts[active]
+            dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff[active])) / size
             squares = scratch
             squares.fill(0.0)
-            squares[active] = hinge ** 2
+            squares[active] = squared
             # only the problems with an active row take the penalty
             hit = np.zeros(k, dtype=bool)
             hit[active // n] = True
-            values[hit] += self.lam * (squares.reshape(k, n).sum(axis=1)[hit] / n)
+            values[hit] += self.lam * (squares.reshape(k, n).sum(axis=1)[hit] / size)
             rows = weights.reshape(k * n, 4)
             rows[active, 0] -= dpen_ddiff
             rows[active, 1] += dpen_ddiff
@@ -458,12 +526,18 @@ class _Stack:
             # loop 4 k long rather than 4: the same bits, in less time
             across = buffers.across()
             np.copyto(across, logits.transpose(1, 0, 2))
-            means = across.reshape(n, 4 * k).sum(axis=0).reshape(k, 1, 4) / n
+            if counts is not None:
+                by_row = counts.reshape(k, n, 1)
+                across *= by_row.transpose(1, 0, 2)
+            means = across.reshape(n, 4 * k).sum(axis=0).reshape(k, 1, 4) / size
             centered = np.subtract(logits, np.repeat(means, n, axis=1), out=logits)
             work = vals  # read for the last time above
             squares = np.multiply(centered, centered, out=work)
-            values += 0.5 * self.ridge * squares.reshape(k, 4 * n).sum(axis=1) / n
-            weights += np.multiply(self.ridge / n, centered, out=work)
+            if counts is not None:
+                squares *= by_row
+                centered *= by_row
+            values += 0.5 * self.ridge * squares.reshape(k, 4 * n).sum(axis=1) / size
+            weights += np.multiply(self.ridge / size, centered, out=work)
         grads = np.matmul(np.swapaxes(self.phi, 1, 2), weights)
         return values, grads.transpose(0, 2, 1).reshape(k, 4 * self.j)
 
@@ -502,11 +576,18 @@ def _buffers(k, n):
 
 
 def _target_to_gamma(problem, values, valid):
-    """Least-squares pull-back of target function values onto the basis."""
+    """Least-squares pull-back of target function values onto the basis: of
+    one function's values (n,), or of several as the columns of an (n, m)
+    array, one solve for all.  A count-weighted problem's rows weigh by the
+    square roots of their counts, as their repeats would."""
     c = problem.c
     lo, hi = c + 1e-4, 1 - c - 1e-4
     w = logit((np.clip(values, lo, hi) - c) / (1 - 2 * c))
-    gamma, *_ = np.linalg.lstsq(problem.phi[valid], w[valid], rcond=None)
+    design, w = problem.phi[valid], w[valid]
+    if problem.counts is not None:
+        root = np.sqrt(problem.counts[valid])
+        design, w = design * root[:, None], w * (root if w.ndim == 1 else root[:, None])
+    gamma, *_ = np.linalg.lstsq(design, w, rcond=None)
     return gamma
 
 
@@ -522,7 +603,9 @@ def _plugin_start(problem, data):
 def _plugin_starts(data, phi, draws, problems):
     """`_plugin_start` of each of ``problems`` on its resample of ``data``,
     the rows ``draws[i]`` (None: ``data`` itself), or the FairdesertError or
-    LinAlgError that it gives.
+    LinAlgError that it gives.  A count-weighted problem (`SieveProblem`'s
+    ``counts``, those of its draw) takes its targets at its own rows and
+    pulls all four back in one weighted least-squares solve.
 
     ``phi`` is ``expand_matrix(data.x, config)``.  The draws' mu fits are one
     `regress.fit_mu_counts` call, weighted by their row counts, so they run
@@ -562,29 +645,45 @@ def _plugin_starts(data, phi, draws, problems):
         if isinstance(models[b], FairdesertError):
             starts.append(models[b])
             continue
-        i, take = fitted[b], slice(None) if rows is None else rows
+        i = fitted[b]
+        take = problem.rows if problem.counts is not None else (
+            slice(None) if rows is None else rows)
         valid_b = valid[i][take]
-        if valid_b.sum() < problem.j:
+        # the identifiable rows of the resample, repeats counted
+        usable = valid_b.sum() if problem.counts is None else problem.counts[valid_b].sum()
+        if usable < problem.j:
             starts.append(FitError("too few identifiable points for a plug-in start"))
             continue
         try:
-            starts.append(np.concatenate([_target_to_gamma(problem, v[i][take], valid_b)
-                                          for v in targets]))
+            if problem.counts is None:
+                gammas = [_target_to_gamma(problem, v[i][take], valid_b) for v in targets]
+            else:
+                # the four targets in one solve; one solve each, as above,
+                # keeps the bits of the starts of unweighted problems
+                gammas = _target_to_gamma(
+                    problem, np.stack([v[i][take] for v in targets], axis=1), valid_b).T
+            starts.append(np.concatenate(gammas))
         except np.linalg.LinAlgError as exc:
             starts.append(exc)
     return starts
 
 
-def _random_starts(problem, data, count, seed):
-    """Zero-slope starts with randomized intercepts around stratum means."""
+def _random_starts(problem, count, seed):
+    """Zero-slope starts with randomized intercepts around the stratum means
+    of ``problem``'s outcomes (count-weighted: those of its resample)."""
     if count == 0:
         return []
     rng = default_rng(SeedSequence(entropy=seed, spawn_key=(17,)))
     means = {}
     for s in (0, 1):
         for z in (0, 1):
-            mask = (data.s == s) & (data.z == z)
-            means[(s, z)] = float(np.clip(data.y[mask].mean(), 0.05, 0.95))
+            mask = (problem.s == s) & (problem.z == z)
+            if problem.counts is None:
+                mean = problem.y[mask].mean()
+            else:
+                weights = problem.counts[mask]
+                mean = np.sum(weights * problem.y[mask]) / np.sum(weights)
+            means[(s, z)] = float(np.clip(mean, 0.05, 0.95))
     starts = []
     for _ in range(count):
         stack = np.zeros(problem.dim)
@@ -643,13 +742,14 @@ class _GroupObjective:
 def _groups(problems, tasks, chunk):
     """The indices of ``tasks`` in lock-step groups, in task order.  A group's
     tasks share ``max_iter`` and their problems stack: equal (n, J), floor,
-    margin, relevance penalty and ridge.  A group holds at most
+    margin, relevance penalty and ridge, and count weights on one resample
+    size or none.  A group holds at most
     `GROUP_ROWS` stacked rows (at least one task) and at most ``chunk``
     tasks."""
     groups, filling = [], {}
     for i, (k, max_iter, _) in enumerate(tasks):
         p = problems[k]
-        key = (p.n, p.j, p.c, p.margin, p.lam, p.ridge, max_iter)
+        key = (p.n, p.j, p.c, p.margin, p.lam, p.ridge, p.counts is None, p.size, max_iter)
         group = filling.get(key)
         if group is None or len(group) >= min(chunk, max(1, GROUP_ROWS // p.n)):
             group = filling[key] = []
@@ -659,6 +759,8 @@ def _groups(problems, tasks, chunk):
 
 
 def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -668,7 +770,8 @@ def _same_objective(a: SieveProblem, b: SieveProblem):
     (the stratum table, which tells sensitivity levels apart, before the
     larger design)."""
     return all(_same_bits(getattr(a, name), getattr(b, name))
-               for name in ("c", "margin", "lam", "ridge", "y", "idx_t", "idx_m", "table", "phi"))
+               for name in ("c", "margin", "lam", "ridge", "size", "counts", "y", "idx_t",
+                            "idx_m", "table", "phi"))
 
 
 # the defaults of a `fit_many` request's optional options, sensitivity and rows
@@ -681,8 +784,10 @@ def _setups(requests):
     setting them up raises.
 
     Requests on one dataset and basis share its design: `basis.expand_matrix`
-    works row by row, so a resample gathers its rows of the design.  Those
-    that take the plug-in start share one `_plugin_starts` call.
+    works row by row, so a resample gathers its rows of the design.  A
+    resample's problem is count-weighted on its distinct rows (`SieveProblem`'s
+    ``counts``); no resample is materialised.  Those that take the plug-in
+    start share one `_plugin_starts` call.
     """
     parents, entries = {}, []
     for i, request in enumerate(requests):
@@ -695,10 +800,10 @@ def _setups(requests):
             parents[key] = data, expand_matrix(data.x, config)
         phi = parents[key][1]
         try:
-            resample = data if rows is None else data.subset(rows)
-            require_positivity(resample)
-            problem = SieveProblem(resample, config, options, sensitivity=sensitivity,
-                                   precondition=True, phi=phi if rows is None else phi[rows])
+            counts = None if rows is None else np.bincount(rows, minlength=data.n)
+            require_positivity(data, counts)
+            problem = SieveProblem(data, config, options, sensitivity=sensitivity,
+                                   precondition=True, phi=phi, counts=counts)
         except FairdesertError as exc:
             entries.append(exc)
             continue
@@ -708,23 +813,23 @@ def _setups(requests):
             if init.size != problem.dim:
                 raise ValueError("init_coefficients length mismatch")
             warm.append(problem.from_original(init))
-        entries.append((key, rows, resample, problem, warm))
+        entries.append((key, rows, problem, warm))
 
     takers, plugin = {}, {}
     for i, entry in enumerate(entries):
-        if not isinstance(entry, FairdesertError) and entry[3].options.include_plugin_start:
+        if not isinstance(entry, FairdesertError) and entry[2].options.include_plugin_start:
             takers.setdefault(entry[0], []).append(i)
     for key, members in takers.items():
         data, phi = parents[key]
         plugin.update(zip(members, _plugin_starts(data, phi, [entries[i][1] for i in members],
-                                                  [entries[i][3] for i in members])))
+                                                  [entries[i][2] for i in members])))
 
     setups = []
     for i, entry in enumerate(entries):
         if isinstance(entry, FairdesertError):
             setups.append(entry)
             continue
-        _, _, resample, problem, starts = entry
+        _, _, problem, starts = entry
         kinds = ["warm"] * len(starts)
         # a plug-in start that fails (FairdesertError, LinAlgError) is left out
         if isinstance(plugin.get(i), np.ndarray):
@@ -733,7 +838,7 @@ def _setups(requests):
         options = problem.options
         n_random = max(options.restarts - len(starts), 0)
         starts.extend(problem.from_original(s0)
-                      for s0 in _random_starts(problem, resample, n_random, options.seed))
+                      for s0 in _random_starts(problem, n_random, options.seed))
         kinds.extend(["random"] * n_random)
         setups.append((problem, starts, kinds))
     return setups
@@ -752,8 +857,10 @@ def _finish(problem, kinds, results):
     winner = min(acceptable, key=lambda i: results[i].fun)
     best = results[winner]
 
-    (t0, t1, a, b), _, _ = problem.functions(best.x)
-    viol_frac = float(np.mean(np.abs(t1 - t0) < problem.margin))
+    _, vals, _ = problem._blocks(best.x)
+    short = np.abs(vals[:, 1] - vals[:, 0]) < problem.margin
+    viol_frac = float(np.mean(short) if problem.counts is None
+                      else np.sum(problem.counts[short]) / problem.size)
     if viol_frac > 0.10:
         # _finish <- _fit_many <- fit or fit_many <- their caller
         warnings.warn(
@@ -762,7 +869,7 @@ def _finish(problem, kinds, results):
             RelevanceWarning,
             stacklevel=4,
         )
-    criterion = problem.criterion(best.x)
+    criterion = problem._criterion(vals)
     diagnostics = FitDiagnostics(
         criterion=criterion,
         penalty=float(best.fun + criterion),
@@ -771,7 +878,7 @@ def _finish(problem, kinds, results):
         restarts_used=len(kinds),
         converged=best.converged,
         relevance_violation_frac=viol_frac,
-        n=problem.n,
+        n=problem.size,
         restarts=tuple(
             RestartRecord(kind, r.iterations, float(r.fun), r.grad_norm, r.converged,
                           r.evaluations, r.message)
@@ -794,16 +901,22 @@ def _fit_many(requests, jobs):
     fit's restarts directly under its ``fit`` span."""
     setups = []
     problems, tasks, slot_of = [], [], {}
+    # the problems by their counts' bytes, which a shared objective shares:
+    # the resamples of a bootstrap chunk then compare with no other problem
+    by_counts = {}
     fits = 0
     for setup in _setups(requests):
         if isinstance(setup, FairdesertError):
             setups.append(setup)
             continue
         problem, starts, kinds = setup
-        k = next((i for i, p in enumerate(problems) if _same_objective(p, problem)), None)
+        same = by_counts.setdefault(
+            None if problem.counts is None else problem.counts.tobytes(), [])
+        k = next((i for i in same if _same_objective(problems[i], problem)), None)
         if k is None:
             k = len(problems)
             problems.append(problem)
+            same.append(k)
         max_iter = problem.options.max_iter
         fresh = len(tasks)
         slots = []
@@ -845,22 +958,26 @@ def fit_many(requests, jobs=1):
     items may be left out; a fourth item that is not a `SensitivityParams`
     raises TypeError.  Requests on one ``data`` (the same object) and
     ``config`` share its `basis.expand_matrix` design, which a resample
-    gathers its rows from, and those that take the plug-in start share one
-    `_plugin_starts` call: their mu fits run as one lock-step, count-weighted
-    Newton on the rows of ``data`` (`regress.fit_mu_counts`).  A resample's
-    start therefore matches its fit on the materialised resample to rounding,
-    not to the bit; it does not depend on the other requests, and a request
-    without rows gets the start `fit` gives it.  All restarts run in one
+    gathers its rows from.  A resample is not materialised: its problem is
+    count-weighted on its distinct rows (`SieveProblem`'s ``counts``),
+    padded to a length of the resample size alone, and its random starts
+    take its count-weighted stratum means.  Those that take the plug-in
+    start share one `_plugin_starts` call: their mu fits run as one
+    lock-step, count-weighted Newton on the rows of ``data``
+    (`regress.fit_mu_counts`).  A resample's fit therefore matches its fit
+    on the materialised resample to rounding, not to the bit; it does not
+    depend on the other requests, and a request without rows gets the
+    problem and starts `fit` gives it.  All restarts run in one
     `parallel.map_jobs` call on ``jobs`` processes, in lock-step groups
     (`optimize._bfgs_lockstep` on a `_Stack` of their problems): the
     restarts whose problems share (n, J), floor, margin, relevance penalty,
-    ridge and ``max_iter`` form groups in request order of at most
-    `GROUP_ROWS` stacked rows, and of no more than `parallel.chunk_size`
-    hands a worker at once.  A group of one restart runs on
+    ridge, count weighting and ``max_iter`` form groups in request order of
+    at most `GROUP_ROWS` stacked rows, and of no more than
+    `parallel.chunk_size` hands a worker at once.  A group of one restart runs on
     `SieveProblem.value_grad`.  Every restart ends bitwise as it does alone,
     so the outcomes do not depend on the grouping.  A restart runs once when
     an earlier request minimizes the same objective - bitwise-equal design,
-    outcomes, stratum table, gather indices and options - from a
+    outcomes, counts, stratum table, gather indices and options - from a
     bitwise-equal start with the same ``max_iter``; the later request reuses
     its result, so a zero-level sensitivity point repeats no work of the
     baseline.  Returns ``(outcomes, fits)``: per request, in order, the

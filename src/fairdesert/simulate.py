@@ -57,7 +57,7 @@ from .basis import (
     orthonormal_design,
 )
 from .data import Dataset
-from .errors import UndefinedAUCError
+from .errors import ParityWarning, UndefinedAUCError
 from .identify import flip_rates, unfairness_rate
 from .optimize import bfgs_minimize
 from .parallel import map_jobs
@@ -373,7 +373,8 @@ def fit_ld(data: Dataset, degree=3) -> ScoreModel:
     LD_PARITY_TOL, for at most 50 rounds; each round moves the weights'
     exponent by twice the gap.  Each round's Newton fit starts from the
     previous round's gamma: the logit is convex, so its optimum stays where it
-    is to within the Newton tolerance, and the fit takes fewer iterations."""
+    is to within the Newton tolerance, and the fit takes fewer iterations.
+    Warns with `ParityWarning` when the rounds run out first."""
     fm = FeatureMap.build(data.d, use_s=False, degree=degree)
     psi = fm.matrix(None, data.z, data.x)
     y = np.asarray(data.y, dtype=np.float64)
@@ -395,6 +396,7 @@ def fit_ld(data: Dataset, degree=3) -> ScoreModel:
         warnings.warn(
             f"reweighting stopped with score disparity {disparity:.2e} "
             f"(target {LD_PARITY_TOL:g})",
+            ParityWarning,
             stacklevel=2,
         )
     return ScoreModel(fm, gamma, "ld", note="indicative reconstruction")
@@ -459,6 +461,9 @@ class MonteCarloSummary:
     # ``replications`` so the rows are deterministic
     stage_seconds: dict = field(default_factory=dict)
     replications: list = field(default_factory=list)
+    # replications whose LD reweighting stopped short of LD_PARITY_TOL
+    # (`ParityWarning`); their LD scores are those of the last round
+    ld_parity_misses: int = 0
 
 
 def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
@@ -590,14 +595,19 @@ def _test_scores(models, data: Dataset):
 
 
 def _mc_worker(config, settings, theta_true, rep):
-    """(row, stage seconds) of one replication; a failed one keeps the times
-    of the stages it finished."""
+    """(row, stage seconds, whether LD missed its parity target) of one
+    replication; a failed one keeps the times of the stages it finished.
+    Every warning is still shown."""
     seconds = {}
-    try:
-        row = run_replication(config, rep, settings, theta_true, seconds)
-    except Exception as exc:  # one bad draw must not end the whole study
-        row = {"rep": rep, "failed": f"{type(exc).__name__}: {exc}"}
-    return row, seconds
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ParityWarning)
+        try:
+            row = run_replication(config, rep, settings, theta_true, seconds)
+        except Exception as exc:  # one bad draw must not end the whole study
+            row = {"rep": rep, "failed": f"{type(exc).__name__}: {exc}"}
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return row, seconds, any(issubclass(w.category, ParityWarning) for w in caught)
 
 
 def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = None,
@@ -611,9 +621,9 @@ def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = N
     started = time.perf_counter()
     theta_true = oracle_theta(config) if settings.compute_theta else None
     results = map_jobs(_mc_worker, range(reps), jobs, shared=(config, settings, theta_true))
-    rows = [row for row, _ in results]
+    rows = [row for row, _, _ in results]
     stage_seconds = Counter()
-    for _, seconds in results:
+    for _, seconds, _ in results:
         stage_seconds.update(seconds)
     good = [r for r in rows if "failed" not in r]
     failures = reps - len(good)
@@ -675,6 +685,7 @@ def monte_carlo(config: DgpConfig, reps, settings: MonteCarloSettings | None = N
         runtime_s=time.perf_counter() - started,
         stage_seconds=dict(stage_seconds),
         replications=rows,
+        ld_parity_misses=sum(missed for _, _, missed in results),
     )
 
 

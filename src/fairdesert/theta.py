@@ -239,7 +239,9 @@ def _bootstrap_chunk(est_fitter, data: Dataset, children):
     """Per seed of ``children``, the integrand mean of the replicate drawn with
     it, or the type name of the `FairdesertError` its fit gave; and the number
     of `RelevanceWarning`s the fits emitted, which are counted instead of
-    shown.  ``est_fitter`` fits the whole chunk in one call."""
+    shown.  ``est_fitter`` fits the whole chunk in one call.  A replicate's
+    mean is sum(count * integrand) / n over its distinct rows: the integrand
+    works row by row, so the resample is never materialised."""
     draws = [default_rng(child).integers(0, data.n, size=data.n) for child in children]
     results = []
     with warnings.catch_warnings(record=True) as caught:
@@ -248,8 +250,9 @@ def _bootstrap_chunk(est_fitter, data: Dataset, children):
             try:
                 if isinstance(est_b, FairdesertError):
                     raise est_b
-                resampled = data.subset(rows)
-                results.append(float(np.mean(unfairness_integrand(est_b, resampled))))
+                distinct, counts = np.unique(rows, return_counts=True)
+                values = unfairness_integrand(est_b, data.subset(distinct))
+                results.append(float(np.sum(counts * values) / data.n))
             except FairdesertError as exc:
                 results.append(type(exc).__name__)
     relevance = 0
@@ -271,17 +274,18 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
     draw, in order: its NuisanceEstimates (any variant) or the
     `FairdesertError` its fit gave.  `sensitivity.VariantFitter` fits a
     call's draws together, their plug-in starts from count-weighted fits on
-    the rows of ``data``.  The point estimate is the plug-in integrand mean
-    on the full data.  The replicates go to ``jobs`` processes
-    (`parallel.map_jobs`) in chunks of seeds, each chunk holding at most
-    `sievemle.GROUP_ROWS` resampled rows (at least one replicate) and no more
-    than `parallel.chunk_size` hands a worker at once; a worker draws its
-    chunk's rows, fits them with one ``est_fitter`` call and takes each
-    replicate's integrand mean over its resample.  Each replicate draws from
-    its own seed, so the result does not depend on ``jobs`` as long as a
-    draw's fit does not depend on the other draws of its call (true of
-    `VariantFitter`); with ``jobs > 1`` ``est_fitter`` must be picklable.  A
-    replicate fails when its fit gives a `FairdesertError`;
+    the rows of ``data``, each fit count-weighted on its draw's distinct
+    rows.  The point estimate is the plug-in integrand mean on the full data.
+    The replicates go to ``jobs`` processes (`parallel.map_jobs`) in chunks
+    of seeds, each chunk holding at most `sievemle.GROUP_ROWS` resampled rows
+    (at least one replicate) and no more than `parallel.chunk_size` hands a
+    worker at once; a worker draws its chunk's rows, fits them with one
+    ``est_fitter`` call and takes each replicate's integrand mean over its
+    resample, as sum(count * integrand) / n over the draw's distinct rows.
+    Each replicate draws from its own seed, so the result does not depend on
+    ``jobs`` as long as a draw's fit does not depend on the other draws of
+    its call (true of `VariantFitter`); with ``jobs > 1`` ``est_fitter`` must
+    be picklable.  A replicate fails when its fit gives a `FairdesertError`;
     ``flags["failure_types"]`` counts the failures by exception type.
     ``flags["relevance_warnings"]`` counts the replicate fits that emitted a
     `RelevanceWarning`; one summary warning replaces theirs.  Errors out when

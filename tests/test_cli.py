@@ -498,6 +498,9 @@ def _named_flag_cases():
         cases.append((command, "basis-degree", "0", "--basis-degree must be at least 1, got 0"))
     for command in ("estimate", "theta", "sensitivity", "simulate"):
         cases.append((command, "seed", "-1", "--seed must be a non-negative integer, got -1"))
+    for command in ("estimate", "theta", "sensitivity", "simulate", "check"):
+        cases.append((command, "interaction-order", "-1",
+                      "--interaction-order must be at least 0, got -1"))
     return [pytest.param(*case, given, id=f"{case[0]}-{case[1]}={case[2]}-{given}")
             for case in cases for given in ("flag", "config")]
 
@@ -564,6 +567,42 @@ def test_theta_refuses_a_flag_its_method_does_not_read(train_csv, tmp_path, caps
     assert rc == 2
     assert err.startswith(f"error: {flag} cannot be combined with --method {method}")
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, flag, variant", [
+    (["estimate", "--kappa", "0.1,0.1"], {}, "--kappa", "baseline"),
+    (["estimate"], {"kappa": "0.1,0.1"}, "--kappa", "baseline"),
+    (["estimate", "--variant", "delta", "--delta", "0.05,0.05", "--zeta", "0.1,0.1"], {},
+     "--zeta", "delta"),
+    (["theta", "--method", "bootstrap", "--variant", "delta", "--delta", "0.05,0.05",
+      "--kappa", "0.1,0.1"], {}, "--kappa", "delta"),
+    (["theta", "--method", "bootstrap"], {"variant": "delta", "delta": "0.05,0.05",
+                                          "kappa": "0.1,0.1"}, "--kappa", "delta"),
+    (["theta", "--delta", "0.05,0.05"], {}, "--delta", "baseline"),
+    (["sensitivity", "--variant", "zeta", "--kappa", "0.1,0.1"], {}, "--kappa", "zeta"),
+    (["sensitivity", "--variant", "delta"], {"zeta": "0.1,0.1"}, "--zeta", "delta"),
+], ids=["estimate-kappa", "estimate-config-kappa", "estimate-delta-zeta",
+        "theta-bootstrap-delta-kappa", "theta-config-delta-kappa", "theta-baseline-delta",
+        "sensitivity-zeta-kappa", "sensitivity-config-delta-zeta"])
+def test_variant_flag_refused_unless_the_variant_reads_it(train_csv, tmp_path, capsys,
+                                                          monkeypatch, argv, config, flag,
+                                                          variant):
+    import fairdesert.cli as cli
+    import fairdesert.sensitivity as sensitivity
+
+    def stub(*args, **kwargs):
+        raise RuntimeError("work was reached")
+
+    for module, name in ((cli, "fit"), (cli, "load_csv"), (sensitivity, "fit_many")):
+        monkeypatch.setattr(module, name, stub)
+    out = tmp_path / "out"
+    rc = main([*argv, "--input", str(train_csv), "--config", json.dumps(config),
+               "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: {flag} cannot be combined with --variant {variant}; "
+                   f"only --variant {flag[2:]} reads it\n")
     assert not out.exists()
 
 
@@ -771,6 +810,8 @@ def test_simulate_cli(tmp_path):
     stages = meta["stage_seconds"]
     assert set(stages) == {"train_draw", "dsd", "theta", "test_draw", "scoring"}
     assert 0 < sum(stages.values()) <= meta["runtime_s"]
+    # no LD fit, so no LD reweighting fell short
+    assert meta["ld_parity_misses"] == 0
 
 
 def _run_fresh(code):

@@ -1153,3 +1153,134 @@ def test_threshold_preserving_rate_end_to_end(univariate_basis):
     scores = decision_scores(est, data)
     t_star = rate_threshold(scores, target)
     assert np.mean(scores >= t_star) >= target
+
+
+def weighted_and_materialised(variant, options, precondition=False):
+    """A count-weighted problem on a resample's distinct rows, and the
+    problem of the materialised resample."""
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=6))
+    config = BasisConfig(interaction_order=1)
+    rows = np.random.default_rng(0).integers(0, data.n, data.n)
+    counts = np.bincount(rows, minlength=data.n)
+    sens = VARIANT_SENS[variant]
+    weighted = SieveProblem(data, config, options, sensitivity=sens, precondition=precondition,
+                            counts=counts)
+    alone = SieveProblem(data.subset(rows), config, options, sensitivity=sens,
+                         precondition=precondition)
+    return weighted, alone
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("options", [
+    FitOptions(relevance_margin=0.05),
+    FitOptions(floor=0.05, relevance_margin=0.05, ridge=3e-3),
+], ids=["ridge0", "ridge"])
+def test_count_weighted_problem_matches_materialised_resample(variant, options):
+    weighted, alone = weighted_and_materialised(variant, options)
+    assert weighted.n == sievemle._padded_length(400) < alone.n == weighted.size == 400
+    assert np.count_nonzero(weighted.counts) < weighted.n
+    rng = np.random.default_rng(13)
+    j = weighted.j
+    active = []
+    for k in range(20):
+        stack = rng.normal(0, 0.8, weighted.dim)
+        if k % 2:
+            # tau1 a small perturbation of tau0: the hinge binds on some rows
+            stack[j:2 * j] = stack[:j] + rng.normal(0, 1e-2, j)
+        active.append(hinge_rows(alone, stack))
+        value, grad = weighted.value_grad(stack)
+        want_value, want_grad = alone.value_grad(stack)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        criterion = weighted.criterion(stack)
+        assert abs(criterion - alone.criterion(stack)) <= 1e-12 * abs(criterion)
+    assert all(a > 0 for a in active[1::2])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_count_weighted_preconditioner_matches_materialised_resample(variant):
+    weighted, alone = weighted_and_materialised(variant, MC_OPTIONS, precondition=True)
+    # the working design has weighted mean square one and orthogonal columns,
+    # and times the back map gives the design of the rows back
+    gram = weighted.phi.T @ (weighted.counts[:, None] * weighted.phi) / weighted.size
+    assert np.max(np.abs(gram - np.eye(weighted.j))) <= 1e-12
+    raw = expand_matrix(gen_dataset(DgpConfig(n=400, seed=6))[0].x, weighted.config)[weighted.rows]
+    assert np.max(np.abs(weighted.phi @ weighted.r_block - raw)) <= 1e-12
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        gamma = rng.normal(0, 0.8, weighted.dim)
+        value, _ = weighted.value_grad(weighted.from_original(gamma))
+        want, _ = alone.value_grad(alone.from_original(gamma))
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_count_weighted_finish_matches_materialised_resample():
+    from fairdesert.optimize import OptResult
+
+    weighted, alone = weighted_and_materialised("delta", FitOptions(relevance_margin=0.3))
+    # tau0 flat at 1/2 and tau1 rising in x1: the margin binds on part of the rows
+    stack = np.zeros(weighted.dim)
+    stack[weighted.j + 1] = 2.0
+    value, _ = alone.value_grad(stack)
+    result = OptResult(stack, value, 1e-9, 7, True, "", 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelevanceWarning)
+        got = sievemle._finish(weighted, ["plugin"], [result]).diagnostics
+        want = sievemle._finish(alone, ["plugin"], [result]).diagnostics
+    assert got.n == want.n == 400
+    assert 0 < got.relevance_violation_frac == want.relevance_violation_frac < 1
+    assert abs(got.criterion - want.criterion) <= 1e-12 * abs(want.criterion)
+
+
+def test_weighted_rows_pad_to_a_length_of_the_resample_size():
+    assert sievemle._padded_length(1000) == 727
+    assert [sievemle._padded_length(n) for n in (1, 4, 9)] == [1, 4, 9]
+    counts = np.bincount(np.random.default_rng(1).integers(0, 1000, 1000), minlength=1000)
+    rows, weights = sievemle._weighted_rows(counts)
+    drawn = np.flatnonzero(counts)
+    assert rows.size == 727 and np.array_equal(rows[:drawn.size], drawn)
+    assert np.all(counts[rows[drawn.size:]] == 0) and weights.sum() == 1000
+    # more distinct rows than the padded length: padded to the resample size
+    many = np.ones(1000, dtype=int)
+    many[:100], many[100:200] = 2, 0
+    rows, weights = sievemle._weighted_rows(many)
+    assert rows.size == 1000 and np.array_equal(weights, many[rows])
+
+
+def test_padding_length_moves_nothing_beyond_rounding(monkeypatch):
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=6))
+    config = BasisConfig(degree=1, interaction_order=1)
+    options = FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3)
+    sens = VARIANT_SENS["delta"]
+    rng = np.random.default_rng(16)
+    draws = [rng.integers(0, data.n, data.n) for _ in range(4)]
+    requests = [(data, config, options, sens, rows) for rows in draws]
+    outcomes, problems = {}, {}
+    for label, length in (("default", sievemle._padded_length), ("full", lambda size: size)):
+        monkeypatch.setattr(sievemle, "_padded_length", length)
+        problems[label] = SieveProblem(data, config, options, sensitivity=sens,
+                                       counts=np.bincount(draws[0], minlength=data.n))
+        outcomes[label], _ = fit_many(requests)
+    short, full = problems["default"], problems["full"]
+    assert short.n < full.n == data.n
+    for stack in rng.normal(0, 0.8, (10, short.dim)):
+        value, grad = short.value_grad(stack)
+        want_value, want_grad = full.value_grad(stack)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+    for got, want in zip(outcomes["default"], outcomes["full"], strict=True):
+        assert got.diagnostics.n == want.diagnostics.n == data.n
+        assert abs(got.diagnostics.criterion - want.diagnostics.criterion) <= 1e-9
+        assert np.max(np.abs(got.coefficient_stack() - want.coefficient_stack())) <= 1e-5
+
+
+def test_fit_many_shares_a_resample_only_with_equal_counts():
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=6))
+    config = BasisConfig(degree=1, interaction_order=1)
+    options = FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3)
+    rng = np.random.default_rng(17)
+    first, second = rng.integers(0, data.n, (2, data.n))
+    # the same rows in another order: the same counts
+    _, fits = fit_many([(data, config, options, SensitivityParams(), rows)
+                        for rows in (first, first[::-1], second)])
+    assert fits == 2

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -588,6 +589,30 @@ def test_monte_carlo_parallel_parity():
     assert serial.method_auc == parallel.method_auc
     assert serial.theta_mean == parallel.theta_mean
     assert serial.coverage == parallel.coverage
+    assert serial.replications == parallel.replications
+
+
+def test_monte_carlo_counts_ld_parity_misses(monkeypatch):
+    from fairdesert import simulate
+    from fairdesert.errors import ParityWarning
+
+    settings_obj = MonteCarloSettings(methods=("uml", "ld"), test_size=1000,
+                                      compute_theta=False)
+    reached = monte_carlo(DgpConfig(n=600, seed=2), reps=3, settings=settings_obj, jobs=1)
+    assert reached.ld_parity_misses == 0
+    # no reweighting meets a target of zero disparity
+    monkeypatch.setattr(simulate, "LD_PARITY_TOL", 0.0)
+    summaries = []
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ParityWarning)
+            summaries.append(monte_carlo(DgpConfig(n=600, seed=2), reps=3,
+                                         settings=settings_obj, jobs=jobs))
+        if jobs == 1:
+            # the replications' warnings are still shown
+            assert sum(issubclass(w.category, ParityWarning) for w in caught) == 3
+    serial, parallel = summaries
+    assert serial.ld_parity_misses == parallel.ld_parity_misses == 3
     assert serial.replications == parallel.replications
 
 

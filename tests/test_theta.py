@@ -325,18 +325,21 @@ def test_bootstrap_draws_same_for_every_chunk_size(monkeypatch):
 
 BOOTSTRAP_PINS = {
     # restarts: (point, ci_low, ci_high, stderr, sha256 of the 200 draws);
-    # the replicates' plug-in starts come from count-weighted mu fits
-    1: (0.30964587560901224, 0.20340052523417132, 0.3682751525123827, 0.04434514193040232,
-        "b94c4d27b952cf7db7c748d3bf97295ac6a22afa130d1e5bf6b7bc5a97e7016b"),
-    3: (0.2672344054977271, 0.20100635797624902, 0.3682751525123827, 0.04514908906097613,
-        "23ab1e6ee21af86e6b0f58488e82956206b769b94c8e0b3d109584ea225e0e85"),
+    # the replicates' plug-in starts come from count-weighted mu fits, and
+    # each replicate is fitted count-weighted on its distinct rows
+    1: (0.30964587560901224, 0.20097863374020294, 0.3738699577220558, 0.04458911732707249,
+        "86329f3b71816d553842d4667df25676b5c05320920320752c654ac2388cf202"),
+    3: (0.2672344054977271, 0.19639767780617864, 0.3738699577220558, 0.045384699651015284,
+        "d1b861da5426134ba45b4db3612cc4ba26a577c92721f1ef076a46c70d28307b"),
 }
 
 
 @pytest.mark.parametrize("restarts", sorted(BOOTSTRAP_PINS))
 def test_bootstrap_bitwise_pinned(restarts, monkeypatch):
-    # the replicate draws are the integrand means after the full-data point,
-    # recorded as the bootstrap computes them
+    # the replicate draws are the integrand means the chunks return, in
+    # replicate order
+    from fairdesert import parallel
+
     data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
     basis = BasisConfig(degree=1, interaction_order=1)
     sens = SensitivityParams("delta", 0.05, 0.05)
@@ -344,17 +347,18 @@ def test_bootstrap_bitwise_pinned(restarts, monkeypatch):
     full = fit(data, basis, options, sensitivity=sens)
     means = []
 
-    def recording(est, ds):
-        values = unfairness_integrand(est, ds)
-        means.append(float(np.mean(values)))
-        return values
-    monkeypatch.setattr(theta_module, "unfairness_integrand", recording)
+    def recording(func, tasks, jobs, shared=()):
+        chunks = parallel.map_jobs(func, tasks, jobs, shared)
+        means.extend(r for results, _ in chunks for r in results)
+        return chunks
+    monkeypatch.setattr(theta_module, "map_jobs", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RelevanceWarning)
         result = theta_bootstrap(VariantFitter(basis, options, sens), data, replicates=200,
                                  seed=1, full_fit=full)
-    assert len(means) == 201 and means[0] == result.point
-    digest = hashlib.sha256(np.array(means[1:]).tobytes()).hexdigest()
+    assert len(means) == 200
+    assert result.point == float(np.mean(unfairness_integrand(full, data)))
+    digest = hashlib.sha256(np.array(means).tobytes()).hexdigest()
     assert (result.point, result.ci_low, result.ci_high, result.stderr, digest) == (
         BOOTSTRAP_PINS[restarts])
     assert result.flags["failures"] == 0
