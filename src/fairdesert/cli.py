@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,19 +62,36 @@ from .theta import (
 )
 
 
-def _load_json_arg(value):
-    """Accept an inline JSON string or a path to a JSON file; a JSON object
-    from a config file as it is."""
+@contextlib.contextmanager
+def _reading(flag):
+    """Name ``--flag`` in the error of a file it names that cannot be read."""
+    try:
+        yield
+    except OSError as exc:
+        raise FairdesertError(f"--{flag}: cannot read {exc.filename}: {exc.strerror}") from exc
+
+
+def _load_json_arg(value, flag):
+    """The JSON object of ``--flag``: inline JSON text, a path to a JSON
+    file, or (from a config file) the object itself.  Anything else fails
+    naming the flag."""
     if value is None or isinstance(value, dict):
         return value
     if not isinstance(value, str):
-        raise FairdesertError(
-            f"--config: expected a JSON object, inline JSON text or a file path, got {value!r}"
-        )
+        # only a config file gives a value that is not text
+        raise FairdesertError(f"--config: {flag!r} must be a JSON object, inline JSON text "
+                              f"or a file path, got {value!r}")
     text = value.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    return json.loads(Path(value).read_text(encoding="utf-8"))
+    if not text.startswith(("{", "[")):
+        with _reading(flag):
+            text = Path(value).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FairdesertError(f"--{flag}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FairdesertError(f"--{flag}: expected a JSON object, got {doc!r}")
+    return doc
 
 
 def _schema_from(doc):
@@ -82,7 +100,7 @@ def _schema_from(doc):
         s=doc.get("s", "s"),
         z=doc.get("z", "z"),
         y=doc.get("y", "y"),
-        covariates=tuple(doc.get("covariates", ())),
+        covariates=doc.get("covariates", ()),
         binary_values=doc.get("binary_values", {}),
     )
 
@@ -128,7 +146,7 @@ def _resolve(args):
     resolved = vars(args).copy()
     flags = {action.dest: action for action in resolved.pop("parser")._actions
              if action.option_strings and action.dest not in ("help", "config")}
-    config_doc = _load_json_arg(resolved.pop("config", None)) or {}
+    config_doc = _load_json_arg(resolved.pop("config", None), "config") or {}
     for key, value in config_doc.items():
         value = _config_value(args.command, flags, key, value)
         key = key.replace("-", "_")
@@ -139,7 +157,8 @@ def _resolve(args):
         _check_method_flags(resolved)
     if "variant" in resolved:
         _check_variant_flags(resolved)
-    for key, value in _DEFAULTS.items():
+    defaults = _SIMULATE_DEFAULTS if args.command == "simulate" else _DEFAULTS
+    for key, value in defaults.items():
         if resolved.get(key) is None and key in resolved:
             resolved[key] = value
     resolved["jobs"] = int(resolved["jobs"])
@@ -194,12 +213,16 @@ _DEFAULTS = {
     "reps": 100,
     "n": 2000,
     "dgp_delta": 0.0,
-    "test_size": 100_000,
     "tol": 0.005,
     "flag_threshold": 0.1,
     "out_dir": "fairdesert_out",
-    "methods": "dsd,uml,ftu,mlc,ld",
 }
+# simulate fits as the Monte Carlo study that the acceptance suite validates
+_MC = MonteCarloSettings()
+_SIMULATE_DEFAULTS = {**_DEFAULTS, "basis_degree": _MC.basis.degree,
+                      "interaction_order": _MC.basis.interaction_order,
+                      "restarts": _MC.fit_options.restarts, "test_size": _MC.test_size,
+                      "methods": ",".join(_MC.methods)}
 
 
 def _out_dir(resolved):
@@ -270,12 +293,12 @@ def _basis(resolved):
     )
 
 
-def _fit_options(resolved, **fields):
-    """FitOptions from --restarts, --seed and ``fields``; a bad value fails
+def _fit_options(resolved, base=FitOptions(), **fields):
+    """``base`` with --restarts, --seed and ``fields``; a bad value fails
     naming its flag, before any fit."""
     try:
-        return FitOptions(restarts=int(resolved["restarts"]), seed=resolved["seed"],
-                          **fields)
+        return replace(base, restarts=int(resolved["restarts"]), seed=resolved["seed"],
+                       **fields)
     except ValueError as exc:
         # FitOptions starts each message with the field, named like its flag
         raise FairdesertError(f"--{exc}") from exc
@@ -348,8 +371,10 @@ def _sensitivity(resolved):
 def _load_dataset(resolved) -> Dataset:
     if not resolved.get("input"):
         raise FairdesertError("--input CSV is required")
-    schema_doc = _sniff_covariates(resolved["input"], _load_json_arg(resolved.get("schema")))
-    raw = load_csv(resolved["input"], _schema_from(schema_doc))
+    schema_doc = _load_json_arg(resolved.get("schema"), "schema")
+    with _reading("input"):
+        schema_doc = _sniff_covariates(resolved["input"], schema_doc)
+        raw = load_csv(resolved["input"], _schema_from(schema_doc))
     return scale_covariates(raw)
 
 
@@ -437,15 +462,17 @@ def cmd_predict(resolved):
         raise FairdesertError("--model and --input are required")
     rate_target = _rate(resolved)
     threshold = _threshold(resolved)
-    artifact = load_model(resolved["model"])
-    schema_doc = dict(_load_json_arg(resolved.get("schema")) or {})
+    with _reading("model"):
+        artifact = load_model(resolved["model"])
+    schema_doc = dict(_load_json_arg(resolved.get("schema"), "schema") or {})
     schema_doc["covariates"] = list(artifact.covariate_names)
     schema = _schema_from(schema_doc)
-    with Path(resolved["input"]).open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-    # s only enters kappa scores; without the column every row scores as s=0
-    binary, x_raw = read_csv(resolved["input"], schema,
-                             (schema.z, schema.s) if schema.s in header else (schema.z,))
+    with _reading("input"):
+        with Path(resolved["input"]).open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+        # s only enters kappa scores; without the column every row scores as s=0
+        binary, x_raw = read_csv(resolved["input"], schema,
+                                 (schema.z, schema.s) if schema.s in header else (schema.z,))
     z = binary[0]
     s = binary[1] if len(binary) > 1 else np.zeros_like(z)
     x_scaled, clamped = apply_scaling(artifact.scaling, x_raw)
@@ -520,7 +547,8 @@ def cmd_theta(resolved):
             )
     else:
         if resolved.get("model"):
-            artifact = load_model(resolved["model"])
+            with _reading("model"):
+                artifact = load_model(resolved["model"])
             est, prop = artifact.estimates, artifact.propensity
         else:
             with _timed(stages, "fit"):
@@ -595,7 +623,8 @@ def cmd_simulate(resolved):
     )
     reps = _checked(resolved, "reps", int, lambda v: v >= 1, "be at least 1")
     methods = tuple(m.strip() for m in str(resolved["methods"]).split(",") if m.strip())
-    basis, options, level = _basis(resolved), _fit_options(resolved), _level(resolved)
+    basis, level = _basis(resolved), _level(resolved)
+    options = _fit_options(resolved, _MC.fit_options)
     test_size = _rows(resolved, "test-size")
     try:
         settings = MonteCarloSettings(methods=methods, test_size=test_size, basis=basis,

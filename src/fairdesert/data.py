@@ -46,6 +46,15 @@ class CsvSchema:
         codes = self.binary_values
         if not isinstance(codes, dict) or any(v not in (0, 1) for v in codes.values()):
             raise SchemaError(f"binary_values must map cell text to 0 or 1; got {codes!r}")
+        names = self.covariates
+        if not isinstance(names, (list, tuple)) or not all(isinstance(c, str) for c in names):
+            raise SchemaError(f"covariates must be a list of column names; got {names!r}")
+        # a desert rule may not depend on S; Z and Y enter the model on their own
+        bad = sorted({c for c in names if names.count(c) > 1 or c in (self.s, self.z, self.y)})
+        if bad:
+            raise SchemaError("covariates must name distinct columns other than the s, z "
+                              f"and y columns; got {', '.join(bad)}")
+        object.__setattr__(self, "covariates", tuple(names))
 
     def binary_map(self):
         mapping = dict(_DEFAULT_BINARY)

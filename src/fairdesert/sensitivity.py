@@ -208,16 +208,16 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
 
 class VariantFitter:
     """Picklable fitter of bootstrap replicates under ``sensitivity``, for
-    `theta.theta_bootstrap`: a dataset and a list of draws in - each an
-    array of its row indices, a resample, or None for the dataset itself -
-    and per draw the `NuisanceEstimates` that `fit` returns on that resample
-    or the `FairdesertError` it raises out, to rounding: each resample is
-    fitted on its distinct rows, weighted by their counts, never
-    materialised.  The fits are one `fit_many` call in this process, so
-    their plug-in starts come from one lock-step count-weighted fit of the
-    mu models on the dataset's rows (`regress.fit_mu_counts`), and their
-    restarts run in lock-step groups.  A draw's outcome does not depend on
-    the other draws of the call."""
+    `theta.theta_bootstrap`: a dataset and a list of draws in - each a
+    resample's count of each row, or None for the dataset itself - and per
+    draw the `NuisanceEstimates` that `fit` returns on that resample or the
+    `FairdesertError` it raises out, to rounding: each resample is fitted on
+    its distinct rows, weighted by their counts, never materialised.  The
+    fits are one `fit_many` call in this process, so their plug-in starts
+    come from one lock-step count-weighted fit of the mu models on the
+    dataset's rows (`regress.fit_mu_counts`), and their restarts run in
+    lock-step groups.  A draw's outcome does not depend on the other draws
+    of the call."""
 
     def __init__(self, config, options, sensitivity):
         self.config = config
@@ -225,5 +225,6 @@ class VariantFitter:
         self.sensitivity = sensitivity
 
     def __call__(self, data, draws):
-        requests = [(data, self.config, self.options, self.sensitivity, rows) for rows in draws]
+        requests = [(data, self.config, self.options, self.sensitivity, counts)
+                    for counts in draws]
         return fit_many(requests, jobs=1)[0]

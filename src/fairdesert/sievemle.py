@@ -28,8 +28,8 @@ from .basis import (
     logit,
     orthonormal_design,
 )
-from .data import Dataset, require_positivity
-from .errors import FairdesertError, FitError, RelevanceWarning
+from .data import Dataset
+from .errors import FairdesertError, FitError, PositivityError, RelevanceWarning
 from .identify import (
     PointwiseMu,
     _bilinear,
@@ -113,7 +113,6 @@ class FitOptions:
     relevance_margin: float | None = None
     ridge: float = 0.0
     seed: int = 0
-    include_plugin_start: bool = True
     init_coefficients: np.ndarray | None = None
 
     def __post_init__(self):
@@ -218,11 +217,6 @@ class NuisanceEstimates:
         phi = expand_matrix(x, self.config)
         return tuple(f.eval_features(phi) for f in (self.tau0, self.tau1, self.alpha, self.beta))
 
-    def coefficient_stack(self):
-        return np.concatenate(
-            [self.tau0.gamma, self.tau1.gamma, self.alpha.gamma, self.beta.gamma]
-        )
-
 
 def stratum_probability(t0, t1, a, b, s, z, variant="baseline", sv0=0.0, sv1=0.0):
     """f(Y=1 | s, z, x) for candidate function values under a model variant.
@@ -282,9 +276,10 @@ class SieveProblem:
     once.  `functions` and `criterion` run the same code into new arrays.
 
     ``counts`` (one per row of ``data``, ``np.bincount(rows, minlength=
-    data.n)``) makes the problem that of the resample repeating row i
-    ``counts[i]`` times, fitted on its distinct rows with their counts as
-    weights: a resample of n rows holds about (1 - 1/e) n distinct rows.
+    data.n)`` of n drawn rows) makes the problem that of the resample
+    repeating row i ``counts[i]`` times, fitted on its distinct rows with
+    their counts as weights: a resample of n rows holds about (1 - 1/e) n
+    distinct rows.
     The problem then runs on ``rows`` (`_weighted_rows`: the rows of positive
     count, padded with rows of count 0 to a length that depends on the
     resample size alone, so the problems of one size stack), ``counts``
@@ -306,7 +301,7 @@ class SieveProblem:
         x, s, z, y = data.x, data.s, data.z, data.y
         self.rows = self.counts = None
         if counts is not None:
-            self.rows, self.counts = _weighted_rows(counts)
+            self.rows, self.counts = _weighted_rows(counts, data.n)
             x, s, z, y = (v[self.rows] for v in (x, s, z, y))
             phi = None if phi is None else phi[self.rows]
         # ``phi``: expand_matrix(data.x, config), when the caller has it
@@ -318,7 +313,6 @@ class SieveProblem:
         if pre is not None:
             self.phi, self.r_block = pre
         self.y = np.asarray(y, dtype=np.float64)
-        self.y1 = self.y == 1
         self.not_y = 1 - self.y
         # d(-mean log-likelihood)/dp = (p - y) / {p (1 - p) n} = dneg_sign / lik
         if self.counts is None:
@@ -393,14 +387,18 @@ def _padded_length(size):
     return min(size, math.ceil((1 - math.exp(-1)) * size + 3 * math.sqrt(size)))
 
 
-def _weighted_rows(counts):
+def _weighted_rows(counts, n):
     """The rows of a count-weighted `SieveProblem` and their counts, as
     floats: the rows of positive count in order, then rows of count 0 in
     order up to `_padded_length` of the resample size - or up to the size
     itself when more rows are drawn - as far as ``counts`` has them.  The
-    rows depend on ``counts`` alone."""
+    rows depend on ``counts`` alone.  ValueError unless ``counts`` holds one
+    non-negative integer per row of n, summing to n (not an index array)."""
     counts = np.asarray(counts)
     size = int(np.sum(counts))
+    if counts.shape != (n,) or counts.dtype.kind not in "iu" or counts.min() < 0 or size != n:
+        raise ValueError(f"counts must hold one non-negative integer per row of the {n} rows, "
+                         f"summing to {n}; got shape {counts.shape}, {counts.dtype}, sum {size}")
     drawn = np.flatnonzero(counts)
     length = _padded_length(size)
     if drawn.size > length:
@@ -591,41 +589,33 @@ def _target_to_gamma(problem, values, valid):
     return gamma
 
 
-def _plugin_start(problem, data):
-    """Initialization from the closed-form inversion of direct mu_sz fits:
-    the one-draw case of `_plugin_starts`."""
-    (start,) = _plugin_starts(data, expand_matrix(data.x, problem.config), [None], [problem])
-    if isinstance(start, Exception):
-        raise start
-    return start
+def _plugin_starts(data, phi, counts, problems):
+    """The plug-in start of each of ``problems``, the problem of the resample
+    of ``data`` that ``counts[i]`` gives (None: ``data`` itself), or the
+    FairdesertError or LinAlgError that it gives: the initialization from
+    the closed-form inversion of direct mu_sz fits.  A count-weighted problem
+    takes its targets at its own rows and pulls all four back in one
+    weighted least-squares solve.
 
-
-def _plugin_starts(data, phi, draws, problems):
-    """`_plugin_start` of each of ``problems`` on its resample of ``data``,
-    the rows ``draws[i]`` (None: ``data`` itself), or the FairdesertError or
-    LinAlgError that it gives.  A count-weighted problem (`SieveProblem`'s
-    ``counts``, those of its draw) takes its targets at its own rows and
-    pulls all four back in one weighted least-squares solve.
-
-    ``phi`` is ``expand_matrix(data.x, config)``.  The draws' mu fits are one
-    `regress.fit_mu_counts` call, weighted by their row counts, so they run
-    in lock-step; draws of None share one fit.  The inversion from mu to the
+    ``phi`` is ``expand_matrix(data.x, config)``.  The mu fits are one
+    `regress.fit_mu_counts` call, weighted by the counts, so they run in
+    lock-step; entries of None share one fit.  A resample with an empty
+    stratum fails there with PositivityError.  The inversion from mu to the
     targets works row by row, so it runs once on the (k, n) stack of the
-    fits' mu at the rows of ``data``, and each draw gathers its own rows;
-    then one least-squares pull-back per problem.  A draw's start does not
-    depend on the other draws; one of None is bitwise `_plugin_start` on
-    ``data``.
+    fits' mu at the rows of ``data``, and each problem gathers its own rows;
+    then one least-squares pull-back per problem.  A start does not depend
+    on the other entries.
     """
-    counts, fit_of, whole = [], [], None
-    for rows in draws:
-        if rows is None and whole is not None:
+    fits, fit_of, whole = [], [], None
+    for c in counts:
+        if c is None and whole is not None:
             fit_of.append(whole)
             continue
-        fit_of.append(len(counts))
-        if rows is None:
-            whole = len(counts)
-        counts.append(None if rows is None else np.bincount(rows, minlength=data.n))
-    models = fit_mu_counts(data, problems[0].config, counts, RIDGE_INIT, phi=phi)
+        fit_of.append(len(fits))
+        if c is None:
+            whole = len(fits)
+        fits.append(c)
+    models = fit_mu_counts(data, problems[0].config, fits, RIDGE_INIT, phi=phi)
     # the fitted draws' places in the stack
     fitted = {b: i for i, b in enumerate(
         b for b, model in enumerate(models) if not isinstance(model, FairdesertError))}
@@ -641,13 +631,12 @@ def _plugin_starts(data, phi, draws, problems):
             rec = recover_mechanism(m, np.clip(t0, 0.02, 0.98), np.clip(t1, 0.02, 0.98))
         targets = (t0, t1, np.asarray(rec.alpha), np.asarray(rec.beta))
     starts = []
-    for problem, rows, b in zip(problems, draws, fit_of):
+    for problem, b in zip(problems, fit_of):
         if isinstance(models[b], FairdesertError):
             starts.append(models[b])
             continue
         i = fitted[b]
-        take = problem.rows if problem.counts is not None else (
-            slice(None) if rows is None else rows)
+        take = slice(None) if problem.counts is None else problem.rows
         valid_b = valid[i][take]
         # the identifiable rows of the resample, repeats counted
         usable = valid_b.sum() if problem.counts is None else problem.counts[valid_b].sum()
@@ -687,13 +676,10 @@ def _random_starts(problem, count, seed):
     starts = []
     for _ in range(count):
         stack = np.zeros(problem.dim)
-        t0 = means[(0, 0)]
-        t1 = means[(0, 1)]
         a = rng.uniform(0.02, 0.35)
         b = rng.uniform(0.02, 0.35)
-        for k, v in enumerate((t0, t1, a, b)):
-            u = logit(v) + rng.normal(0.0, 0.5)
-            stack[k * problem.j] = u
+        for k, v in enumerate((means[(0, 0)], means[(0, 1)], a, b)):
+            stack[k * problem.j] = logit(v) + rng.normal(0.0, 0.5)
         starts.append(stack)
     return starts
 
@@ -774,68 +760,58 @@ def _same_objective(a: SieveProblem, b: SieveProblem):
                             "idx_m", "table", "phi"))
 
 
-# the defaults of a `fit_many` request's optional options, sensitivity and rows
+# the defaults of a `fit_many` request's optional options, sensitivity and counts
 _DEFAULTS = (None, SensitivityParams(), None)
 
 
 def _setups(requests):
     """Per `fit_many` request, in order, the preconditioned problem of its
-    fit, its packed starts and their kinds, or the FairdesertError that
-    setting them up raises.
+    fit, its packed starts and their kinds, or the PositivityError of a
+    request with an empty stratum.
 
     Requests on one dataset and basis share its design: `basis.expand_matrix`
     works row by row, so a resample gathers its rows of the design.  A
     resample's problem is count-weighted on its distinct rows (`SieveProblem`'s
-    ``counts``); no resample is materialised.  Those that take the plug-in
-    start share one `_plugin_starts` call.
+    ``counts``); no resample is materialised.  The requests on one dataset
+    and basis share one `_plugin_starts` call, whose mu fits check each
+    request's strata, once.
     """
-    parents, entries = {}, []
+    parents, problems, counts = {}, [], []
     for i, request in enumerate(requests):
         if len(request) > 3 and not isinstance(request[3], SensitivityParams):
             raise TypeError(f"request {i}: {request[3]!r} is not a SensitivityParams")
-        data, config, options, sensitivity, rows = (*request, *_DEFAULTS[len(request) - 2:])
-        options = options or FitOptions()
+        data, config, options, sensitivity, c = (*request, *_DEFAULTS[len(request) - 2:])
         key = (id(data), config)
         if key not in parents:
-            parents[key] = data, expand_matrix(data.x, config)
-        phi = parents[key][1]
-        try:
-            counts = None if rows is None else np.bincount(rows, minlength=data.n)
-            require_positivity(data, counts)
-            problem = SieveProblem(data, config, options, sensitivity=sensitivity,
-                                   precondition=True, phi=phi, counts=counts)
-        except FairdesertError as exc:
-            entries.append(exc)
+            parents[key] = data, expand_matrix(data.x, config), []
+        parents[key][2].append(i)
+        problems.append(SieveProblem(data, config, options or FitOptions(),
+                                     sensitivity=sensitivity, precondition=True,
+                                     phi=parents[key][1], counts=c))
+        counts.append(c)
+
+    plugin = {}
+    for data, phi, members in parents.values():
+        plugin.update(zip(members, _plugin_starts(data, phi, [counts[i] for i in members],
+                                                  [problems[i] for i in members])))
+
+    setups = []
+    for i, problem in enumerate(problems):
+        if isinstance(plugin[i], PositivityError):
+            setups.append(plugin[i])
             continue
-        warm = []
+        options = problem.options
+        starts = []
         if options.init_coefficients is not None:
             init = np.asarray(options.init_coefficients, dtype=np.float64)
             if init.size != problem.dim:
                 raise ValueError("init_coefficients length mismatch")
-            warm.append(problem.from_original(init))
-        entries.append((key, rows, problem, warm))
-
-    takers, plugin = {}, {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, FairdesertError) and entry[2].options.include_plugin_start:
-            takers.setdefault(entry[0], []).append(i)
-    for key, members in takers.items():
-        data, phi = parents[key]
-        plugin.update(zip(members, _plugin_starts(data, phi, [entries[i][1] for i in members],
-                                                  [entries[i][2] for i in members])))
-
-    setups = []
-    for i, entry in enumerate(entries):
-        if isinstance(entry, FairdesertError):
-            setups.append(entry)
-            continue
-        _, _, problem, starts = entry
+            starts.append(problem.from_original(init))
         kinds = ["warm"] * len(starts)
-        # a plug-in start that fails (FairdesertError, LinAlgError) is left out
-        if isinstance(plugin.get(i), np.ndarray):
+        # any other plug-in start that fails (FairdesertError, LinAlgError) is left out
+        if isinstance(plugin[i], np.ndarray):
             starts.append(plugin[i])
             kinds.append("plugin")
-        options = problem.options
         n_random = max(options.restarts - len(starts), 0)
         starts.extend(problem.from_original(s0)
                       for s0 in _random_starts(problem, n_random, options.seed))
@@ -952,32 +928,21 @@ def _fit_many(requests, jobs):
 def fit_many(requests, jobs=1):
     """`fit` for each request, with every restart of every request on one pool.
 
-    Each request is a tuple ``(data, config, options, sensitivity, rows)``:
-    `fit`'s arguments, and the rows of ``data`` to fit on - an index array,
-    a resample when rows repeat - or None for all of ``data``.  Trailing
-    items may be left out; a fourth item that is not a `SensitivityParams`
-    raises TypeError.  Requests on one ``data`` (the same object) and
-    ``config`` share its `basis.expand_matrix` design, which a resample
-    gathers its rows from.  A resample is not materialised: its problem is
-    count-weighted on its distinct rows (`SieveProblem`'s ``counts``),
-    padded to a length of the resample size alone, and its random starts
-    take its count-weighted stratum means.  Those that take the plug-in
-    start share one `_plugin_starts` call: their mu fits run as one
-    lock-step, count-weighted Newton on the rows of ``data``
-    (`regress.fit_mu_counts`).  A resample's fit therefore matches its fit
-    on the materialised resample to rounding, not to the bit; it does not
-    depend on the other requests, and a request without rows gets the
-    problem and starts `fit` gives it.  All restarts run in one
-    `parallel.map_jobs` call on ``jobs`` processes, in lock-step groups
-    (`optimize._bfgs_lockstep` on a `_Stack` of their problems): the
-    restarts whose problems share (n, J), floor, margin, relevance penalty,
-    ridge, count weighting and ``max_iter`` form groups in request order of
-    at most `GROUP_ROWS` stacked rows, and of no more than
-    `parallel.chunk_size` hands a worker at once.  A group of one restart runs on
-    `SieveProblem.value_grad`.  Every restart ends bitwise as it does alone,
-    so the outcomes do not depend on the grouping.  A restart runs once when
-    an earlier request minimizes the same objective - bitwise-equal design,
-    outcomes, counts, stratum table, gather indices and options - from a
+    Each request is a tuple ``(data, config, options, sensitivity, counts)``:
+    `fit`'s arguments, and a resample's count of each row of ``data``
+    (``np.bincount(rows, minlength=data.n)``) or None for ``data`` itself.
+    Trailing items may be left out; a fourth item that is not a
+    `SensitivityParams` raises TypeError, and counts that are not one
+    non-negative integer per row summing to n (an index array, say) raise
+    ValueError.  A resample is fitted count-weighted on its distinct rows,
+    never materialised (`_setups`), so its fit matches the materialised
+    resample's to rounding, not to the bit; no outcome depends on the other
+    requests, and a request without counts gets `fit`'s bits.  All restarts
+    run in one `parallel.map_jobs` call on ``jobs`` processes, in lock-step
+    groups (`_groups`, each one `optimize._bfgs_lockstep` on a `_Stack` of
+    its problems), and every restart ends bitwise as it does alone, so the
+    outcomes do not depend on the grouping.  A restart runs once when an
+    earlier request minimizes the same objective (`_same_objective`) from a
     bitwise-equal start with the same ``max_iter``; the later request reuses
     its result, so a zero-level sensitivity point repeats no work of the
     baseline.  Returns ``(outcomes, fits)``: per request, in order, the

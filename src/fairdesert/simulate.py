@@ -424,8 +424,6 @@ class MonteCarloSettings:
     )
     level: float = 0.95
     compute_theta: bool = True
-    compute_auc: bool = True
-    compute_tau_error: bool = True
 
     def __post_init__(self):
         unknown = [m for m in self.methods if m not in ALL_METHODS]
@@ -434,6 +432,8 @@ class MonteCarloSettings:
                 f"methods must name one or more of {', '.join(ALL_METHODS)}, "
                 f"got {', '.join(map(repr, self.methods)) or 'none'}"
             )
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must name each method once, got {', '.join(self.methods)}")
         if self.test_size < MIN_ROWS:
             raise ValueError(f"test_size must be at least {MIN_ROWS}, got {self.test_size}")
 
@@ -514,20 +514,17 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
         models[name] = fitter(train, degree=settings.basis.degree)
         lap(name)
 
-    if settings.compute_auc or settings.compute_tau_error:
-        test_cfg = replace(config, n=settings.test_size)
-        test, ystar, _ = gen_dataset(test_cfg, seed=seed_test)
-        lap("test_draw")
-        scores = _test_scores(models if settings.compute_auc else
-                              {name: m for name, m in models.items() if name == "dsd"}, test)
-        if settings.compute_auc:
-            labels = np.stack([ystar, test.y])
-            for name in models:
-                out[f"auc_ystar_{name}"], out[f"auc_y_{name}"] = auc(scores[name], labels)
-        if settings.compute_tau_error and "dsd" in models:
-            tau_true = truth.tau(test.z, test.x)
-            out["tau_error"] = float(np.sqrt(np.mean((scores["dsd"] - tau_true) ** 2)))
-        lap("scoring")
+    test_cfg = replace(config, n=settings.test_size)
+    test, ystar, _ = gen_dataset(test_cfg, seed=seed_test)
+    lap("test_draw")
+    scores = _test_scores(models, test)
+    labels = np.stack([ystar, test.y])
+    for name in models:
+        out[f"auc_ystar_{name}"], out[f"auc_y_{name}"] = auc(scores[name], labels)
+    if "dsd" in models:
+        tau_true = truth.tau(test.z, test.x)
+        out["tau_error"] = float(np.sqrt(np.mean((scores["dsd"] - tau_true) ** 2)))
+    lap("scoring")
     return out
 
 

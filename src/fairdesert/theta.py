@@ -239,20 +239,22 @@ def _bootstrap_chunk(est_fitter, data: Dataset, children):
     """Per seed of ``children``, the integrand mean of the replicate drawn with
     it, or the type name of the `FairdesertError` its fit gave; and the number
     of `RelevanceWarning`s the fits emitted, which are counted instead of
-    shown.  ``est_fitter`` fits the whole chunk in one call.  A replicate's
-    mean is sum(count * integrand) / n over its distinct rows: the integrand
-    works row by row, so the resample is never materialised."""
-    draws = [default_rng(child).integers(0, data.n, size=data.n) for child in children]
+    shown.  A replicate is its count of each row of ``data``; ``est_fitter``
+    fits the whole chunk in one call.  A replicate's mean is
+    sum(count * integrand) / n over its distinct rows: the integrand works
+    row by row, so the resample is never materialised."""
+    draws = [np.bincount(default_rng(child).integers(0, data.n, size=data.n), minlength=data.n)
+             for child in children]
     results = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RelevanceWarning)
-        for est_b, rows in zip(est_fitter(data, draws), draws, strict=True):
+        for est_b, counts in zip(est_fitter(data, draws), draws, strict=True):
             try:
                 if isinstance(est_b, FairdesertError):
                     raise est_b
-                distinct, counts = np.unique(rows, return_counts=True)
+                distinct = np.flatnonzero(counts)
                 values = unfairness_integrand(est_b, data.subset(distinct))
-                results.append(float(np.sum(counts * values) / data.n))
+                results.append(float(np.sum(counts[distinct] * values) / data.n))
             except FairdesertError as exc:
                 results.append(type(exc).__name__)
     relevance = 0
@@ -264,22 +266,21 @@ def _bootstrap_chunk(est_fitter, data: Dataset, children):
     return results, relevance
 
 
-def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.95,
-                    full_fit: NuisanceEstimates | None = None, jobs=1) -> ThetaEstimate:
+def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.95, jobs=1, *,
+                    full_fit: NuisanceEstimates) -> ThetaEstimate:
     """Nonparametric bootstrap over records with a percentile CI.
 
-    ``est_fitter(data, draws)`` fits resamples of ``data``: ``draws`` lists
-    each resample's rows of ``data`` (an index array of length n, drawn with
+    ``est_fitter(data, draws)`` fits resamples of ``data``, as
+    `sensitivity.VariantFitter` does: ``draws`` lists each resample's count
+    of each row of ``data`` (``np.bincount`` of n rows drawn with
     replacement) or None for ``data`` itself, and it returns one outcome per
     draw, in order: its NuisanceEstimates (any variant) or the
-    `FairdesertError` its fit gave.  `sensitivity.VariantFitter` fits a
-    call's draws together, their plug-in starts from count-weighted fits on
-    the rows of ``data``, each fit count-weighted on its draw's distinct
-    rows.  The point estimate is the plug-in integrand mean on the full data.
+    `FairdesertError` its fit gave.  The point estimate is the plug-in
+    integrand mean of ``full_fit``, the fit on ``data`` itself.
     The replicates go to ``jobs`` processes (`parallel.map_jobs`) in chunks
     of seeds, each chunk holding at most `sievemle.GROUP_ROWS` resampled rows
     (at least one replicate) and no more than `parallel.chunk_size` hands a
-    worker at once; a worker draws its chunk's rows, fits them with one
+    worker at once; a worker draws its chunk's counts, fits them with one
     ``est_fitter`` call and takes each replicate's integrand mean over its
     resample, as sum(count * integrand) / n over the draw's distinct rows.
     Each replicate draws from its own seed, so the result does not depend on
@@ -293,10 +294,6 @@ def theta_bootstrap(est_fitter, data: Dataset, replicates=200, seed=0, level=0.9
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"bootstrap requires at least {MIN_REPLICATES} replicates")
-    if full_fit is None:
-        (full_fit,) = est_fitter(data, [None])
-        if isinstance(full_fit, FairdesertError):
-            raise full_fit
     point = float(np.mean(unfairness_integrand(full_fit, data)))
     children = SeedSequence(entropy=seed, spawn_key=(31,)).spawn(replicates)
     size = min(chunk_size(replicates, jobs), max(1, GROUP_ROWS // data.n))

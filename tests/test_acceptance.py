@@ -31,7 +31,7 @@ from fairdesert.regress import (
 )
 from fairdesert.sensitivity import VariantFitter
 from fairdesert.sievemle import FitOptions, SensitivityParams, SieveProblem, fit
-from fairdesert.simulate import DgpConfig, MonteCarloSettings, gen_dataset, monte_carlo
+from fairdesert.simulate import MIN_ROWS, DgpConfig, MonteCarloSettings, gen_dataset, monte_carlo
 from fairdesert.theta import influence_coefficients, theta_bootstrap, theta_onestep
 
 JOBS = 2
@@ -209,32 +209,31 @@ def mc_method_comparison():
 
 @pytest.fixture(scope="session")
 def mc_coverage_delta0():
-    settings = MonteCarloSettings(methods=("dsd",), compute_auc=False,
-                                  compute_tau_error=False)
+    # the smallest test draw: these criteria read no AUC or tau error
+    settings = MonteCarloSettings(methods=("dsd",), test_size=MIN_ROWS)
     return monte_carlo(DgpConfig(n=2000, delta=0.0, seed=SEED), reps=500,
                        settings=settings, jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def mc_coverage_delta10():
-    settings = MonteCarloSettings(methods=("dsd",), compute_auc=False,
-                                  compute_tau_error=False)
+    # the smallest test draw: these criteria read no AUC or tau error
+    settings = MonteCarloSettings(methods=("dsd",), test_size=MIN_ROWS)
     return monte_carlo(DgpConfig(n=2000, delta=0.1, seed=SEED), reps=500,
                        settings=settings, jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def mc_bias_delta05():
-    settings = MonteCarloSettings(methods=("dsd",), compute_auc=False,
-                                  compute_tau_error=False)
+    # the smallest test draw: these criteria read no AUC or tau error
+    settings = MonteCarloSettings(methods=("dsd",), test_size=MIN_ROWS)
     return monte_carlo(DgpConfig(n=2000, delta=0.05, seed=SEED), reps=200,
                        settings=settings, jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def mc_tau_n4000():
-    settings = MonteCarloSettings(methods=("dsd",), compute_theta=False,
-                                  compute_auc=False)
+    settings = MonteCarloSettings(methods=("dsd",), compute_theta=False)
     return monte_carlo(DgpConfig(n=4000, delta=0.0, seed=SEED), reps=200,
                        settings=settings, jobs=JOBS)
 

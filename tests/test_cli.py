@@ -273,8 +273,8 @@ def test_predict_scores_every_row_or_exits_2(fitted_model, scoring_dir, rows):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["estimate", "--input", "{missing}"], "error: FileNotFoundError: "),
-    (["estimate", "--input", "{train}", "--schema", "{bad"], "error: JSONDecodeError: "),
+    (["estimate", "--input", "{missing}"], "error: --input: cannot read "),
+    (["estimate", "--input", "{train}", "--schema", "{bad"], "error: --schema: invalid JSON: "),
     (["theta", "--input", "{train}", "--variant", "delta", "--delta", "0.05",
       "--method", "bootstrap"], "error: --delta expects two numbers"),
     (["theta", "--input", "{train}", "--variant", "delta", "--delta", "0.05,x",
@@ -402,6 +402,7 @@ def test_bad_level_or_threshold_exits_2_before_any_work(train_csv, fitted_model,
        f"error: --methods must name one or more of dsd, uml, ftu, mlc, ld, got {got}")
       for methods, got in (("dsd,foo", "'dsd', 'foo'"), ("DSD", "'DSD'"), ("", "none"),
                            (" , ", "none"))),
+    ("--methods", "uml,uml", "error: --methods must name each method once, got uml, uml"),
 ])
 def test_simulate_bad_flag_exits_2_before_the_output_folder(tmp_path, capsys, monkeypatch,
                                                             flag, value, message):
@@ -431,10 +432,34 @@ def test_simulate_bad_flag_exits_2_before_the_output_folder(tmp_path, capsys, mo
     (["estimate", "--input", "{train}", "--restarts", "0"], "error: --restarts must be at least 1"),
     (["estimate", "--input", "{train}", "--variant", "delta"],
      "error: --delta v0,v1 required for variant 'delta'"),
-    (["check", "--input", "{missing}"], "error: FileNotFoundError: "),
+    (["check", "--input", "{missing}"], "error: --input: cannot read "),
+    (["check", "--input", "{train}", "--config", "{bad"], "error: --config: invalid JSON: "),
+    (["check", "--input", "{train}", "--config", "{missing}.json"],
+     "error: --config: cannot read "),
+    (["check", "--input", "{train}", "--schema", "{missing}.json"],
+     "error: --schema: cannot read "),
+    (["check", "--input", "{train}", "--config", "[1,2]"],
+     "error: --config: expected a JSON object, got [1, 2]\n"),
+    (["check", "--input", "{train}", "--schema", "[1]"],
+     "error: --schema: expected a JSON object, got [1]\n"),
+    (["predict", "--model", "{missing}.json", "--input", "{train}"],
+     "error: --model: cannot read "),
+    (["predict", "--model", "{model}", "--input", "{missing}"], "error: --input: cannot read "),
+    (["theta", "--model", "{missing}.json", "--input", "{train}"],
+     "error: --model: cannot read "),
+    (["check", "--input", "{train}", "--schema", '{"covariates": "x1"}'],
+     "error: covariates must be a list of column names; got 'x1'\n"),
+    *((["check", "--input", "{train}", "--schema", f'{{"covariates": {names}}}'],
+       f"error: covariates must name distinct columns other than the s, z and y columns; "
+       f"got {got}\n")
+      for names, got in (('["x1", "x1"]', "x1"), ('["s", "x1"]', "s"),
+                         ('["x1", "y", "z"]', "y, z"))),
 ], ids=["theta-level-0", "theta-variant-without-bootstrap", "sensitivity-boot-50",
         "predict-threshold-nan", "estimate-restarts-0", "estimate-delta-without-levels",
-        "check-missing-input"])
+        "check-missing-input", "config-bad-json", "config-missing-file",
+        "schema-missing-file", "config-list", "schema-list", "predict-model-missing",
+        "predict-input-missing", "theta-model-missing",
+        *("schema-" + c for c in ("string", "repeated", "s-column", "y-and-z-columns"))])
 def test_refused_run_leaves_no_output_folder(train_csv, fitted_model, tmp_path, capsys,
                                              argv, message):
     argv = [a.replace("{model}", str(fitted_model)).replace("{train}", str(train_csv))
@@ -444,6 +469,28 @@ def test_refused_run_leaves_no_output_folder(train_csv, fitted_model, tmp_path, 
     assert rc == 2
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+def test_simulate_defaults_to_the_monte_carlo_fit(tmp_path):
+    # without --basis-degree, --interaction-order or --restarts, one CLI
+    # replication is run_replication's row under MonteCarloSettings()
+    from dataclasses import replace
+
+    from fairdesert.simulate import MIN_ROWS, MonteCarloSettings, oracle_theta, run_replication
+
+    rc = main(["simulate", "--n", "600", "--reps", "1", "--seed", "3", "--methods", "dsd,uml",
+               "--test-size", str(MIN_ROWS), "--jobs", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    with (tmp_path / "replications.csv").open(newline="") as fh:
+        (got,) = csv.DictReader(fh)
+    config = DgpConfig(n=600, seed=3)
+    settings = replace(MonteCarloSettings(), methods=("dsd", "uml"), test_size=MIN_ROWS)
+    want = run_replication(config, 0, settings, theta_true=oracle_theta(config))
+    assert {k: got[k] for k in want} == {k: str(v) for k, v in want.items()}
+    resolved = json.loads((tmp_path / "run_meta.json").read_text())["resolved_config"]
+    basis, options = settings.basis, settings.fit_options
+    assert (resolved["basis_degree"], resolved["interaction_order"], resolved["restarts"]) == (
+        basis.degree, basis.interaction_order, options.restarts)
 
 
 @pytest.mark.parametrize("argv, config, message", [

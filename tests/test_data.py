@@ -114,6 +114,23 @@ def test_schema_rejects_binary_codes_other_than_0_1(codes):
         CsvSchema(binary_values=codes)
 
 
+@pytest.mark.parametrize("schema, match", [
+    ({"covariates": "x1"}, "list of column names; got 'x1'"),
+    ({"covariates": None}, "list of column names; got None"),
+    ({"covariates": ("x1", 2)}, "list of column names"),
+    ({"covariates": ("x1", "x2", "x1")}, "distinct columns .* got x1$"),
+    ({"covariates": ("s", "x1")}, "other than the s, z and y columns; got s$"),
+    ({"z": "quality", "covariates": ("quality", "y")}, "got quality, y$"),
+])
+def test_schema_rejects_bad_covariate_lists(schema, match):
+    with pytest.raises(SchemaError, match=match):
+        CsvSchema(**schema)
+
+
+def test_schema_stores_covariates_as_a_tuple():
+    assert CsvSchema(covariates=["b", "a"]).covariates == ("b", "a")
+
+
 def test_csv_round_trip_full_precision(tmp_path):
     rng = np.random.default_rng(3)
     n = 25

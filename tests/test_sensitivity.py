@@ -105,7 +105,7 @@ def test_sweep_bootstrap_rows_same_for_every_jobs():
 
 def test_sweep_records_per_point_failures():
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=52))
-    bad_opts = FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)
+    bad_opts = FitOptions(restarts=1, max_iter=1, seed=0)
     spec = SweepSpec(variant="delta", grid=((0.0, 0.0), (0.05, 0.05)),
                      bootstrap_replicates=0)
     table = run_sweep(data, CONFIG, bad_opts, spec, baseline=_quick_baseline(data))
@@ -143,7 +143,7 @@ def test_sweep_fits_each_grid_point_once(monkeypatch):
 
 def test_sweep_raises_when_the_baseline_fit_fails():
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=52))
-    bad_opts = FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)
+    bad_opts = FitOptions(restarts=1, max_iter=1, seed=0)
     spec = SweepSpec(variant="delta", grid=((0.05, 0.05),), bootstrap_replicates=0)
     with pytest.raises(FitError, match="no restart converged"):
         run_sweep(data, CONFIG, bad_opts, spec)

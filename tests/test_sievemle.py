@@ -31,7 +31,6 @@ from fairdesert.sievemle import (
     NuisanceEstimates,
     SensitivityParams,
     SieveProblem,
-    _plugin_start,
     _plugin_starts,
     decision_scores,
     fit,
@@ -66,6 +65,20 @@ def constant_dataset(n, tau0, tau1, alpha, beta, seed=0):
     return Dataset(
         s, z, y, x, ("x1", "x2"), ((0.0, 1.0), (0.0, 1.0)), scaled=True
     )
+
+
+def coefficients(est):
+    """The packed coefficients (tau0, tau1, alpha, beta) of a fit."""
+    return np.concatenate([est.tau0.gamma, est.tau1.gamma, est.alpha.gamma, est.beta.gamma])
+
+
+def plugin_start(problem, data):
+    """The plug-in start of ``problem``, the problem on ``data`` itself: the
+    one-problem case of `_plugin_starts`, raising the error it gives."""
+    (start,) = _plugin_starts(data, expand_matrix(data.x, problem.config), [None], [problem])
+    if isinstance(start, Exception):
+        raise start
+    return start
 
 
 def test_sensitivity_params_validation():
@@ -320,6 +333,7 @@ class WhereStackSieveProblem(SieveProblem):
         super().__init__(*args, **kwargs)
         self.s1 = self.s == 1
         self.z1 = self.z == 1
+        self.y1 = self.y == 1
 
     def _blocks(self, stack):
         """(n, 4) logits, function values and expit derivative factors."""
@@ -532,7 +546,7 @@ def test_problems_of_two_sizes_alternating_match_the_oracle():
 # fit(DgpConfig(n=600, seed=4) draw, BasisConfig(interaction_order=1),
 # FitOptions(restarts=3)) per variant at the VARIANT_SENS levels, as the
 # objective and BFGS computed them before the gather/scatter rewrite, with
-# scipy.special's expit: (diagnostics.criterion, coefficient_stack())
+# scipy.special's expit: (diagnostics.criterion, coefficients(est))
 PINNED_FITS = {
     "baseline": (-0.515425217363901, [
         2.2522111506056706, -8.768270137894593, -24.677415469456527,
@@ -643,7 +657,7 @@ SHIPPED_FITS = {
 def _pinned_fit(variant, basis_config):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=4))
     est = fit(data, basis_config, FitOptions(restarts=3), sensitivity=VARIANT_SENS[variant])
-    return est.diagnostics.criterion, est.coefficient_stack().tolist()
+    return est.diagnostics.criterion, coefficients(est).tolist()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -677,7 +691,7 @@ def test_restart_evaluations_count_value_grad_calls(univariate_basis, monkeypatc
     assert sum(r.evaluations for r in cold.diagnostics.restarts) == len(calls)
     calls.clear()
     warm = fit(data, univariate_basis,
-               FitOptions(restarts=2, seed=2, init_coefficients=cold.coefficient_stack()),
+               FitOptions(restarts=2, seed=2, init_coefficients=coefficients(cold)),
                sensitivity=SensitivityParams("delta", 0.05, 0.05))
     records = warm.diagnostics.restarts
     assert [r.start for r in records] == ["warm", "plugin"]
@@ -719,7 +733,7 @@ def test_plugin_start_matches_inline_inversion(seed):
     data, _, _ = gen_dataset(DgpConfig(n=1000, seed=seed))
     problem = SieveProblem(data, BasisConfig(interaction_order=1), FitOptions(),
                            precondition=True)
-    assert np.array_equal(_plugin_start(problem, data), reference_plugin_start(problem, data))
+    assert np.array_equal(plugin_start(problem, data), reference_plugin_start(problem, data))
 
 
 def resample_outcome(call):
@@ -732,7 +746,9 @@ def resample_outcome(call):
 
 def test_count_weighted_starts_match_materialised_resamples():
     # the batched mu fits and plug-in starts of 24 resamples, against
-    # fit_mu_models and _plugin_start on each materialised resample
+    # fit_mu_models and the plug-in start on each materialised resample;
+    # the starts compare in the raw basis, as each problem has its own
+    # preconditioner
     from fairdesert.regress import fit_mu_counts, fit_mu_models
 
     data, _, _ = gen_dataset(DgpConfig(n=400, seed=5))
@@ -744,10 +760,11 @@ def test_count_weighted_starts_match_materialised_resamples():
     phi = expand_matrix(data.x, config)
     counts = [np.bincount(rows, minlength=data.n) for rows in draws]
     models = fit_mu_counts(data, config, counts, RIDGE_INIT, phi=phi)
-    resamples = [data.subset(rows) for rows in draws]
-    problems = [SieveProblem(r, config, FitOptions(), precondition=True) for r in resamples]
-    starts = _plugin_starts(data, phi, draws, problems)
-    for model, start, resample, problem in zip(models, starts, resamples, problems, strict=True):
+    problems = [SieveProblem(data, config, FitOptions(), precondition=True, counts=c)
+                for c in counts]
+    starts = _plugin_starts(data, phi, counts, problems)
+    for model, start, rows, problem in zip(models, starts, draws, problems, strict=True):
+        resample = data.subset(rows)
         alone = resample_outcome(lambda: fit_mu_models(resample, config, ridge=RIDGE_INIT))
         if isinstance(alone, type):
             assert alone is PositivityError
@@ -755,20 +772,22 @@ def test_count_weighted_starts_match_materialised_resamples():
             continue
         for sz, f in alone.functions.items():
             assert np.max(np.abs(model.functions[sz].gamma - f.gamma)) <= 1e-10
-        assert np.max(np.abs(start - _plugin_start(problem, resample))) <= 1e-10
+        materialised = SieveProblem(resample, config, FitOptions(), precondition=True)
+        want = materialised.to_original(plugin_start(materialised, resample))
+        assert np.max(np.abs(problem.to_original(start) - want)) <= 1e-10 * np.max(np.abs(want))
     assert isinstance(models[-1], PositivityError)
     # one fit per draw, whichever draws share the call: the last ten alone
     for b in range(len(draws) - 10, len(draws)):
-        (single,) = _plugin_starts(data, phi, [draws[b]], [problems[b]])
+        (single,) = _plugin_starts(data, phi, [counts[b]], [problems[b]])
         if isinstance(single, Exception):
             assert type(single) is type(starts[b])
         else:
             assert single.tobytes() == starts[b].tobytes()
-    # the whole dataset (rows None) next to a resample: the start fit gives it
+    # the whole dataset (counts None) next to a resample: the start fit gives it
     whole = SieveProblem(data, config, FitOptions(), precondition=True)
-    first, drawn, second = _plugin_starts(data, phi, [None, draws[0], None],
+    first, drawn, second = _plugin_starts(data, phi, [None, counts[0], None],
                                           [whole, problems[0], whole])
-    assert first.tobytes() == second.tobytes() == _plugin_start(whole, data).tobytes()
+    assert first.tobytes() == second.tobytes() == plugin_start(whole, data).tobytes()
     assert drawn.tobytes() == starts[0].tobytes()
 
 
@@ -788,13 +807,18 @@ def test_count_weighted_start_refused_like_materialised_resample():
     twins = np.concatenate([picked, picked + half])
     drawn = rng.integers(0, data.n, size=data.n)
     phi = expand_matrix(data.x, config)
-    problems = [SieveProblem(data.subset(rows), config, FitOptions(), precondition=True)
-                for rows in (twins, drawn)]
-    refused, accepted = _plugin_starts(data, phi, [twins, drawn], problems)
+    counts = [np.bincount(rows, minlength=data.n) for rows in (twins, drawn)]
+    problems = [SieveProblem(data, config, FitOptions(), precondition=True, counts=c)
+                for c in counts]
+    refused, accepted = _plugin_starts(data, phi, counts, problems)
     assert isinstance(refused, FitError) and "too few identifiable points" in str(refused)
+    resamples = [data.subset(rows) for rows in (twins, drawn)]
+    materialised = [SieveProblem(r, config, FitOptions(), precondition=True) for r in resamples]
     with pytest.raises(FitError, match="too few identifiable points"):
-        _plugin_start(problems[0], data.subset(twins))
-    assert np.max(np.abs(accepted - _plugin_start(problems[1], data.subset(drawn)))) <= 1e-10
+        plugin_start(materialised[0], resamples[0])
+    want = materialised[1].to_original(plugin_start(materialised[1], resamples[1]))
+    got = problems[1].to_original(accepted)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_truth_beats_perturbations_in_population_criterion():
@@ -826,7 +850,7 @@ def test_fit_deterministic(univariate_basis):
     options = FitOptions(restarts=3, seed=123)
     est1 = fit(data, univariate_basis, options)
     est2 = fit(data, univariate_basis, options)
-    assert np.array_equal(est1.coefficient_stack(), est2.coefficient_stack())
+    assert np.array_equal(coefficients(est1), coefficients(est2))
 
 
 def test_fit_same_for_every_jobs(univariate_basis):
@@ -834,12 +858,12 @@ def test_fit_same_for_every_jobs(univariate_basis):
     cold = {jobs: fit(data, univariate_basis, FitOptions(restarts=10, seed=4), jobs=jobs)
             for jobs in (1, 2)}
     warm_options = FitOptions(restarts=3, seed=4,
-                              init_coefficients=cold[1].coefficient_stack())
+                              init_coefficients=coefficients(cold[1]))
     sens = SensitivityParams("delta", 0.05, 0.05)
     warm = {jobs: fit(data, univariate_basis, warm_options, sensitivity=sens, jobs=jobs)
             for jobs in (1, 2)}
     for fits in (cold, warm):
-        assert np.array_equal(fits[1].coefficient_stack(), fits[2].coefficient_stack())
+        assert np.array_equal(coefficients(fits[1]), coefficients(fits[2]))
         assert fits[1].diagnostics == fits[2].diagnostics
     assert [r.start for r in warm[1].diagnostics.restarts] == ["warm", "plugin", "random"]
 
@@ -880,7 +904,7 @@ def _fit_request(data, config, options, sensitivity=SensitivityParams()):
 def _same_fit(a, b):
     if isinstance(a, FitError):
         return type(b) is FitError and str(a) == str(b)
-    return (a.coefficient_stack().tobytes() == b.coefficient_stack().tobytes()
+    return (coefficients(a).tobytes() == coefficients(b).tobytes()
             and a.diagnostics == b.diagnostics
             and (a.variant, a.sensitivity) == (b.variant, b.sensitivity))
 
@@ -895,7 +919,7 @@ def test_fit_many_equals_one_fit_per_request(univariate_basis):
         # the baseline's objective and starts, under its own labels
         (data, univariate_basis, opts, SensitivityParams("delta", 0.0, 0.0)),
         (data, univariate_basis,
-         FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0)),
+         FitOptions(restarts=1, max_iter=1, seed=0)),
         (weak, univariate_basis,
          FitOptions(restarts=1, seed=0, relevance_margin=0.5, relevance_penalty=0.0)),
     ]
@@ -910,6 +934,39 @@ def test_fit_many_equals_one_fit_per_request(univariate_basis):
         assert fits == 4
     assert outcomes[2].diagnostics == outcomes[0].diagnostics
     assert outcomes[2].variant == "delta"
+
+
+def test_fit_many_refuses_a_resample_with_an_empty_stratum(univariate_basis):
+    # the stratum check runs once, in the plug-in start's mu fits: the
+    # request's outcome is the PositivityError that fit raises on the
+    # materialised resample, and the other requests still fit
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=9))
+    rows = np.random.default_rng(2).choice(np.flatnonzero((data.s == 1) | (data.z == 1)),
+                                           size=data.n)
+    opts = FitOptions(restarts=1, seed=0)
+    (whole, lost), _ = fit_many([(data, univariate_basis, opts),
+                                 (data, univariate_basis, opts, SensitivityParams(),
+                                  np.bincount(rows, minlength=data.n))])
+    with pytest.raises(PositivityError, match=r"empty stratum \(s=0, z=0\)") as alone:
+        fit(data.subset(rows), univariate_basis, opts)
+    assert type(lost) is PositivityError and str(lost) == str(alone.value)
+    assert isinstance(whole, NuisanceEstimates)
+
+
+@pytest.mark.parametrize("case", ["rows", "short", "negative", "float", "sum"])
+def test_fit_many_refuses_counts_that_are_not_one_per_row(univariate_basis, case):
+    # a resample's index array (its old form) must not pass for its counts
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=9))
+    rows = np.random.default_rng(2).integers(0, data.n, size=data.n)
+    counts = np.bincount(rows, minlength=data.n)
+    negative, more = counts.copy(), counts.copy()
+    negative[[0, 1]] += [-counts[0] - 1, counts[0] + 1]  # still n in all
+    more[0] += 1
+    bad = {"rows": rows, "short": counts[:-1], "negative": negative,
+           "float": counts.astype(np.float64), "sum": more}[case]
+    with pytest.raises(ValueError, match="one non-negative integer per row"):
+        fit_many([(data, univariate_basis, FitOptions(restarts=1, seed=0), SensitivityParams(),
+                   bad)])
 
 
 def test_fit_many_lockstep_groups_equal_fits_alone(monkeypatch):
@@ -1005,12 +1062,16 @@ def test_variant_reductions_match_baseline(univariate_basis):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=12))
     base_opts = FitOptions(restarts=2, seed=4)
     base = fit(data, univariate_basis, base_opts)
-    init = base.coefficient_stack()
-    opts = FitOptions(restarts=1, seed=4, include_plugin_start=False,
-                      init_coefficients=init)
+    init = coefficients(base)
+    best = min(r.objective for r in base.diagnostics.restarts)
+    # the warm restart itself, started at the baseline's optimum, stays there;
+    # the plug-in start next to it is the baseline fit's own
+    opts = FitOptions(restarts=1, seed=4, init_coefficients=init)
     for variant in ("kappa", "delta", "zeta"):
         est = fit(data, univariate_basis, opts,
                   sensitivity=SensitivityParams(variant, 0.0, 0.0))
+        (warm,) = [r for r in est.diagnostics.restarts if r.start == "warm"]
+        assert warm.objective == pytest.approx(best, abs=1e-8)
         assert est.diagnostics.criterion == pytest.approx(
             base.diagnostics.criterion, abs=1e-8
         )
@@ -1063,7 +1124,7 @@ def test_fit_error_when_nothing_converges(univariate_basis):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=17))
     with pytest.raises(FitError):
         fit(data, univariate_basis,
-            FitOptions(restarts=1, max_iter=1, include_plugin_start=False, seed=0))
+            FitOptions(restarts=1, max_iter=1, seed=0))
 
 
 def test_predict_tau_selector(univariate_basis):
@@ -1236,14 +1297,14 @@ def test_weighted_rows_pad_to_a_length_of_the_resample_size():
     assert sievemle._padded_length(1000) == 727
     assert [sievemle._padded_length(n) for n in (1, 4, 9)] == [1, 4, 9]
     counts = np.bincount(np.random.default_rng(1).integers(0, 1000, 1000), minlength=1000)
-    rows, weights = sievemle._weighted_rows(counts)
+    rows, weights = sievemle._weighted_rows(counts, 1000)
     drawn = np.flatnonzero(counts)
     assert rows.size == 727 and np.array_equal(rows[:drawn.size], drawn)
     assert np.all(counts[rows[drawn.size:]] == 0) and weights.sum() == 1000
     # more distinct rows than the padded length: padded to the resample size
     many = np.ones(1000, dtype=int)
     many[:100], many[100:200] = 2, 0
-    rows, weights = sievemle._weighted_rows(many)
+    rows, weights = sievemle._weighted_rows(many, 1000)
     assert rows.size == 1000 and np.array_equal(weights, many[rows])
 
 
@@ -1254,7 +1315,8 @@ def test_padding_length_moves_nothing_beyond_rounding(monkeypatch):
     sens = VARIANT_SENS["delta"]
     rng = np.random.default_rng(16)
     draws = [rng.integers(0, data.n, data.n) for _ in range(4)]
-    requests = [(data, config, options, sens, rows) for rows in draws]
+    requests = [(data, config, options, sens, np.bincount(rows, minlength=data.n))
+                for rows in draws]
     outcomes, problems = {}, {}
     for label, length in (("default", sievemle._padded_length), ("full", lambda size: size)):
         monkeypatch.setattr(sievemle, "_padded_length", length)
@@ -1271,7 +1333,7 @@ def test_padding_length_moves_nothing_beyond_rounding(monkeypatch):
     for got, want in zip(outcomes["default"], outcomes["full"], strict=True):
         assert got.diagnostics.n == want.diagnostics.n == data.n
         assert abs(got.diagnostics.criterion - want.diagnostics.criterion) <= 1e-9
-        assert np.max(np.abs(got.coefficient_stack() - want.coefficient_stack())) <= 1e-5
+        assert np.max(np.abs(coefficients(got) - coefficients(want))) <= 1e-5
 
 
 def test_fit_many_shares_a_resample_only_with_equal_counts():
@@ -1281,6 +1343,7 @@ def test_fit_many_shares_a_resample_only_with_equal_counts():
     rng = np.random.default_rng(17)
     first, second = rng.integers(0, data.n, (2, data.n))
     # the same rows in another order: the same counts
-    _, fits = fit_many([(data, config, options, SensitivityParams(), rows)
+    _, fits = fit_many([(data, config, options, SensitivityParams(),
+                         np.bincount(rows, minlength=data.n))
                         for rows in (first, first[::-1], second)])
     assert fits == 2

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import warnings
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_bootstrap_zero_width_when_integrand_constant():
     est = constant_estimates(0.5, 0.5, 0.2, 0.2)
     data = half_split_dataset(300)
     result = theta_bootstrap(lambda data, draws: [est] * len(draws), data, replicates=200,
-                             seed=1)
+                             seed=1, full_fit=est)
     assert result.point == pytest.approx(0.1, abs=1e-12)
     assert result.ci_low == pytest.approx(0.1, abs=1e-12)
     assert result.ci_high == pytest.approx(0.1, abs=1e-12)
@@ -236,7 +237,7 @@ def test_bootstrap_requires_200_replicates():
     est = constant_estimates(0.5, 0.5, 0.2, 0.2)
     with pytest.raises(ValueError):
         theta_bootstrap(lambda data, draws: [est] * len(draws), half_split_dataset(100),
-                        replicates=50)
+                        replicates=50, full_fit=est)
 
 
 def test_bootstrap_error_on_failures():
@@ -251,21 +252,23 @@ def test_bootstrap_error_on_failures():
 
 
 class FlakyFitter:
-    """Constant estimates, but a replicate whose outcome total is 0 mod 37
-    fails with FitError, and 1 mod 37 with PositivityError (about 5% in all);
-    ``crash`` instead raises a non-package error on those replicates."""
+    """Constant estimates, but a replicate whose outcome total (over its
+    resample, repeats counted) is 0 mod 37 fails with FitError, and 1 mod 37
+    with PositivityError (about 5% in all); ``crash`` instead raises a
+    non-package error on those replicates."""
 
     def __init__(self, crash=False):
         self.est = constant_estimates(0.5, 0.6, 0.2, 0.1)
         self.crash = crash
 
     def __call__(self, data, draws):
-        return [self.outcome(data.y if rows is None else data.y[rows]) for rows in draws]
+        return [self.outcome(int(data.y.sum() if counts is None else counts @ data.y))
+                for counts in draws]
 
-    def outcome(self, y):
+    def outcome(self, total):
         from fairdesert.errors import FitError, PositivityError
 
-        residue = int(y.sum()) % 37
+        residue = total % 37
         if residue < 2 and self.crash:
             raise RuntimeError("not a fitting failure")
         if residue == 0:
@@ -284,7 +287,8 @@ def test_bootstrap_same_result_for_every_jobs():
     for jobs in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            emitted.append(theta_bootstrap(fitter, data, replicates=200, seed=1, jobs=jobs))
+            emitted.append(theta_bootstrap(fitter, data, replicates=200, seed=1, jobs=jobs,
+                                           full_fit=fitter(data, [None])[0]))
         # the replicates' relevance warnings are counted, with one summary warning
         assert sum(issubclass(w.category, RelevanceWarning) for w in caught) == 1
     serial, parallel = emitted
@@ -321,6 +325,32 @@ def test_bootstrap_draws_same_for_every_chunk_size(monkeypatch):
                 theta_bootstrap(fitter, data, replicates=200, seed=1, full_fit=full, jobs=jobs)
     assert [size for size, _ in recorded] == [1, 1, 5, 5, 16, 16]
     assert {digest for _, digest in recorded} == {BOOTSTRAP_PINS[1][4]}
+
+
+def test_bootstrap_checks_each_replicate_strata_once(monkeypatch):
+    # the stratum check of a resample runs in its plug-in start's mu fits
+    # alone, once per replicate; the full-data fit is given
+    import fairdesert.data
+
+    calls = []
+    check = fairdesert.data.require_positivity
+
+    def counting(data, counts=None):
+        calls.append(counts is None)
+        return check(data, counts)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fairdesert") and hasattr(module, "require_positivity"):
+            monkeypatch.setattr(module, "require_positivity", counting)
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    fitter = VariantFitter(BasisConfig(degree=1, interaction_order=1),
+                           FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3, seed=0),
+                           SensitivityParams("delta", 0.05, 0.05))
+    full = fitter(data, [None])[0]
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelevanceWarning)
+        theta_bootstrap(fitter, data, replicates=200, seed=1, full_fit=full)
+    assert calls == [False] * 200
 
 
 BOOTSTRAP_PINS = {
