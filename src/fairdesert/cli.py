@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .regress import fit_mu_models, fit_propensity
 from .sensitivity import DEFAULT_GRIDS, SweepSpec, VariantFitter, run_sweep
 from .sievemle import VARIANTS, FitOptions, SensitivityParams, fit, predict_tau_sz, rate_threshold
 from .simulate import (
+    ALL_METHODS,
     MIN_ROWS,
     DgpConfig,
     MonteCarloSettings,
@@ -117,112 +119,219 @@ def _sniff_covariates(path, schema_doc):
     return doc
 
 
-def _config_value(command, flags, key, value):
+ALL = ("estimate", "predict", "theta", "check", "sensitivity", "simulate")
+# the commands that fit the sieve on an --input CSV
+FITTING = ("estimate", "theta", "sensitivity")
+# simulate fits as the Monte Carlo study that the acceptance suite validates
+_MC = MonteCarloSettings()
+
+
+class Flag(NamedTuple):
+    """One flag: the commands that register it, its help, its type (int,
+    float, a tuple of choices, or None for text), its default, its range
+    check, and when a run reads it.
+
+    ``default`` and ``check`` may be dicts by command ("*" for the rest).
+    ``check(value, resolved)`` returns the value the command reads, or raises
+    ValueError with the message that follows the flag's name.  ``read_when``
+    maps another flag to the values under which a run reads this one (None:
+    that flag not given); a command without that flag sets no condition."""
+
+    commands: tuple
+    help: str
+    type: object = None
+    default: object = None
+    check: object = None
+    read_when: dict = {}
+
+
+def _flag(key):
+    """The command-line name of the setting ``key``."""
+    return "--" + key.replace("_", "-")
+
+
+def _within(ok, requirement):
+    """A range: a value that is not ``ok`` fails with ``requirement``, which
+    the flag's help shows."""
+    def check(value, resolved):
+        if not ok(value):
+            raise ValueError(f"{requirement}, got {value}")
+        return value
+    check.requirement = requirement
+    return check
+
+
+def _checked_by(cls, field, parse=lambda value: value):
+    """A range that ``cls`` checks on ``field``, of the value ``parse``
+    makes; its message starts with the field's name, which the flag's name
+    replaces."""
+    def check(value, resolved):
+        value = parse(value)
+        try:
+            cls(**{field: value})
+        except ValueError as exc:
+            raise ValueError(str(exc).partition(" ")[2]) from None
+        return value
+    return check
+
+
+def _levels(text, resolved):
+    """A "v0,v1" pair of --variant levels, or in a sweep ';'-separated pairs."""
+    variant, sweep = resolved["variant"], resolved["command"] == "sensitivity"
+    points = []
+    for pair in str(text).split(";") if sweep else [str(text)]:
+        try:
+            v0, v1 = (float(v) for v in pair.split(","))
+            points.append(SensitivityParams(variant, v0, v1))
+        except ValueError as exc:
+            raise ValueError(f"expects two numbers v0,v1 for variant {variant!r}, "
+                             f"got {pair!r}: {exc}") from None
+    return tuple(points) if sweep else points[0]
+
+
+_SIEVE = FITTING + ("check", "simulate")
+_WITHOUT_MODEL = {"model": (None,)}
+# Refused and checked in this order, so that the flag that decides whether
+# another is read comes first.
+FLAGS = {
+    "config": Flag(ALL, "JSON config file; flags override its entries"),
+    "seed": Flag(ALL, "seed of every random draw", int, 0,
+                 _within(lambda v: v >= 0, "must be a non-negative integer")),
+    "out_dir": Flag(ALL, "output folder", default="fairdesert_out"),
+    "jobs": Flag(ALL, "worker processes", int, len(os.sched_getaffinity(0)),
+                 _within(lambda v: v >= 1, "expects at least 1 process")),
+    # every command but simulate reads a CSV
+    "input": Flag(ALL[:-1], "input CSV path"),
+    "schema": Flag(ALL[:-1], "JSON column mapping (inline or file)",
+                   check=lambda value, resolved: _load_json_arg(value, "schema")),
+    "method": Flag(("theta",), "theta estimator", ("plugin", "onestep", "bootstrap"), "onestep"),
+    "crossfit": Flag(("theta",), "cross-fitting folds", int, 0,
+                     _within(lambda v: v == 0 or v >= 2, "must be 0 (off) or at least 2 folds"),
+                     {"method": ("onestep",)}),
+    "model": Flag(("predict", "theta"), "model.json written by estimate",
+                  read_when={"method": ("plugin", "onestep"), "crossfit": (0,)}),
+    "boot": Flag(("theta", "sensitivity"), "bootstrap replicates", int, 200, {
+        "theta": _within(lambda v: v >= MIN_REPLICATES, f"must be at least {MIN_REPLICATES}"),
+        "sensitivity": _within(lambda v: v == 0 or v >= MIN_REPLICATES,
+                               f"must be 0 (no bootstrap) or at least {MIN_REPLICATES}"),
+    }, {"method": ("bootstrap",)}),
+    "level": Flag(("theta", "sensitivity", "simulate"), "confidence level", float, 0.95,
+                  _within(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+    "variant": Flag(FITTING, "model variant", VARIANTS, "baseline"),
+    **{name: Flag(FITTING, f"{name}0,{name}1 levels (a ';'-separated grid in a sweep)",
+                  check=_levels, read_when={"variant": (name,)}) for name in VARIANTS[1:]},
+    "grid": Flag(("sensitivity",), "v0,v1;v0,v1;... grid points", check=_levels,
+                 read_when={name: (None,) for name in VARIANTS[1:]}),
+    "basis_degree": Flag(_SIEVE, "polynomial degree of the sieve", int,
+                         {"simulate": _MC.basis.degree, "*": 3},
+                         _within(lambda v: v >= 1, "must be at least 1"), _WITHOUT_MODEL),
+    # 0 is the intercept-only model, whose functions ignore x
+    "interaction_order": Flag(_SIEVE, "most covariates in one basis term; unset: pairwise "
+                              "up to 4 covariates, else none", int,
+                              {"simulate": _MC.basis.interaction_order},
+                              _within(lambda v: v >= 0, "must be at least 0"), _WITHOUT_MODEL),
+    "floor": Flag(FITTING, "floor c of the fitted nuisances, in [0, 0.5)", float, 1e-3,
+                  _checked_by(FitOptions, "floor"), _WITHOUT_MODEL),
+    "restarts": Flag(FITTING + ("simulate",), "optimizer starts per fit, at least 1", int,
+                     {"simulate": _MC.fit_options.restarts, "*": 10},
+                     _checked_by(FitOptions, "restarts"), _WITHOUT_MODEL),
+    "tol": Flag(("estimate", "check"), "tolerance of the testable implications", float, 0.005,
+                _within(lambda v: 0.0 <= v < math.inf, "must be a finite number at least 0")),
+    "flag_threshold": Flag(("estimate", "check"), "violation share that flags an implication",
+                           float, 0.1, _within(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+    "threshold": Flag(("predict",), "score cut-off of a positive decision", float,
+                      check=_within(math.isfinite, "must be a finite number")),
+    "rate": Flag(("predict", "sensitivity"), "positive rate of the decision threshold", float,
+                 check=_within(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+                 read_when={"threshold": (None,)}),
+    "n": Flag(("simulate",), "rows of each training draw", int, 2000,
+              _within(lambda v: v >= MIN_ROWS, f"must be at least {MIN_ROWS}")),
+    "reps": Flag(("simulate",), "replications", int, 100,
+                 _within(lambda v: v >= 1, "must be at least 1")),
+    "dgp_delta": Flag(("simulate",), "delta of the generative model", float, 0.0,
+                      _within(lambda v: 0.0 <= v < 0.5, "must lie in [0, 0.5)")),
+    "methods": Flag(("simulate",), f"comma list, each once, from {','.join(ALL_METHODS)}",
+                    default=",".join(_MC.methods), check=_checked_by(
+                        MonteCarloSettings, "methods",
+                        lambda text: tuple(m.strip() for m in str(text).split(",") if m.strip()))),
+    "test_size": Flag(("simulate",), f"rows of each test draw, at least {MIN_ROWS}", int,
+                      _MC.test_size, _checked_by(MonteCarloSettings, "test_size")),
+}
+
+
+def _per_command(value, command):
+    """``value``, or its entry for ``command`` where it differs by command."""
+    return value.get(command, value.get("*")) if isinstance(value, dict) else value
+
+
+def _config_value(command, key, value):
     """A config file's ``value`` for ``key``, checked as its flag's value is:
-    through the flag's ``type`` (given the value's text, as argparse is)
-    and ``choices``.  A key that names no flag of ``command`` fails."""
-    action = flags.get(key.replace("-", "_"))
-    if action is None:
+    through the flag's type (given the value's text, as argparse is) and
+    choices.  A key that names no flag of ``command`` fails."""
+    flag = FLAGS.get(key.replace("-", "_"))
+    if flag is None or command not in flag.commands or key == "config":
         raise FairdesertError(f"--config: {key!r} is not a setting of {command}")
     if value is None:
         return None
-    if action.type is not None:
+    if isinstance(flag.type, tuple):
+        if value not in flag.type:
+            raise FairdesertError(
+                f"--config: {key!r} must be one of {', '.join(flag.type)}, got {value!r}")
+    elif flag.type is not None:
         try:
-            value = action.type(str(value))
+            value = flag.type(str(value))
         except ValueError:
             raise FairdesertError(
-                f"--config: {key!r}: invalid {action.type.__name__} value {value!r}"
-            ) from None
-    if action.choices is not None and value not in action.choices:
-        raise FairdesertError(
-            f"--config: {key!r} must be one of {', '.join(map(str, action.choices))}, "
-            f"got {value!r}"
-        )
+                f"--config: {key!r}: invalid {flag.type.__name__} value {value!r}") from None
     return value
 
 
-def _resolve(args):
-    """Merge the optional config file under explicit flags."""
-    resolved = vars(args).copy()
-    flags = {action.dest: action for action in resolved.pop("parser")._actions
-             if action.option_strings and action.dest not in ("help", "config")}
-    config_doc = _load_json_arg(resolved.pop("config", None), "config") or {}
-    for key, value in config_doc.items():
-        value = _config_value(args.command, flags, key, value)
+def _unread(key, resolved):
+    """Why a run does not read the flag ``key``, given to it; None when it does."""
+    for other, allowed in FLAGS[key].read_when.items():
+        if other not in resolved or resolved[other] in allowed:
+            continue
+        if allowed == (None,):
+            return (f"{_flag(key)} cannot be combined with {_flag(other)}; "
+                    f"only a run without {_flag(other)} reads it")
+        return (f"{_flag(key)} cannot be combined with {_flag(other)} {resolved[other]}; "
+                f"only {_flag(other)} {' or '.join(map(str, allowed))} reads it")
+    return None
+
+
+def _resolve(args, unknown=()):
+    """The settings of ``args.command``, all checked before the command runs:
+    the flags over the --config file's entries, then the defaults, every
+    value in its range, and a refusal of each given flag that the run does
+    not read (``unknown`` holds the command-line words that name no flag of
+    the command).  "record" holds the values before their checks, for
+    run_meta.json."""
+    command = args.command
+    resolved = {key: value for key, value in vars(args).items() if key != "config"}
+    for key, value in (_load_json_arg(args.config, "config") or {}).items():
+        value = _config_value(command, key, value)
         key = key.replace("-", "_")
-        if resolved.get(key) is None:
+        if resolved[key] is None:
             resolved[key] = value
-    # before the defaults, so that only a given value counts
-    if args.command == "theta":
-        _check_method_flags(resolved)
-    if "variant" in resolved:
-        _check_variant_flags(resolved)
-    defaults = _SIMULATE_DEFAULTS if args.command == "simulate" else _DEFAULTS
-    for key, value in defaults.items():
-        if resolved.get(key) is None and key in resolved:
-            resolved[key] = value
-    resolved["jobs"] = int(resolved["jobs"])
-    if resolved["jobs"] < 1:
-        raise FairdesertError(f"--jobs expects at least 1 process, got {resolved['jobs']}")
-    # every random draw of every command is seeded from it
-    resolved["seed"] = _checked(resolved, "seed", int, lambda v: v >= 0,
-                                "be a non-negative integer")
+    keys = [key for key in FLAGS if key in resolved]
+    given = [key for key in keys if resolved[key] is not None]
+    for key in keys:
+        if resolved[key] is None:
+            resolved[key] = _per_command(FLAGS[key].default, command)
+    unread = {key: why for key in given if (why := _unread(key, resolved))}
+    resolved["record"] = dict(resolved)
+    for key in keys:
+        check = _per_command(FLAGS[key].check, command)
+        if check is not None and resolved[key] is not None and key not in unread:
+            try:
+                resolved[key] = check(resolved[key], resolved)
+            except ValueError as exc:
+                raise FairdesertError(f"{_flag(key)} {exc}") from None
+    if unread:
+        raise FairdesertError(next(iter(unread.values())))
+    if unknown:
+        raise FairdesertError(f"{command} does not take {' '.join(unknown)}")
     return resolved
-
-
-# theta flags that one --method alone reads
-_METHOD_FLAGS = {"crossfit": "onestep", "boot": "bootstrap"}
-
-
-def _check_method_flags(resolved):
-    """Refuse a theta flag, given directly or in the config file, that the
-    method does not read."""
-    method = resolved.get("method") or _DEFAULTS["method"]
-    for key, reader in _METHOD_FLAGS.items():
-        if resolved.get(key) is not None and method != reader:
-            raise FairdesertError(
-                f"--{key} cannot be combined with --method {method}; "
-                f"only --method {reader} reads it"
-            )
-
-
-def _check_variant_flags(resolved):
-    """Refuse a variant-level flag (--kappa, --delta, --zeta), given directly
-    or in the config file, that the variant does not read."""
-    variant = resolved.get("variant") or _DEFAULTS["variant"]
-    for key in VARIANTS[1:]:
-        if resolved.get(key) is not None and variant != key:
-            raise FairdesertError(
-                f"--{key} cannot be combined with --variant {variant}; "
-                f"only --variant {key} reads it"
-            )
-
-
-_DEFAULTS = {
-    "basis_degree": 3,
-    "interaction_order": None,
-    "floor": 1e-3,
-    "restarts": 10,
-    "seed": 0,
-    "level": 0.95,
-    "boot": 200,
-    "crossfit": 0,
-    "method": "onestep",
-    "variant": "baseline",
-    "jobs": len(os.sched_getaffinity(0)),
-    "reps": 100,
-    "n": 2000,
-    "dgp_delta": 0.0,
-    "tol": 0.005,
-    "flag_threshold": 0.1,
-    "out_dir": "fairdesert_out",
-}
-# simulate fits as the Monte Carlo study that the acceptance suite validates
-_MC = MonteCarloSettings()
-_SIMULATE_DEFAULTS = {**_DEFAULTS, "basis_degree": _MC.basis.degree,
-                      "interaction_order": _MC.basis.interaction_order,
-                      "restarts": _MC.fit_options.restarts, "test_size": _MC.test_size,
-                      "methods": ",".join(_MC.methods)}
 
 
 def _out_dir(resolved):
@@ -252,7 +361,7 @@ def _write_meta(out, resolved, command, extra=None):
         "command": command,
         "version": __version__,
         "resolved_config": {
-            k: v for k, v in sorted(resolved.items()) if k not in ("func",)
+            k: v for k, v in sorted(resolved["record"].items()) if k not in ("func",)
         },
         "seed": resolved.get("seed"),
         "environment": {
@@ -282,98 +391,25 @@ def _timed(stages, name):
         stages[name] += time.perf_counter() - started
 
 
-def _basis(resolved):
-    order = resolved["interaction_order"]
-    if order is not None:
-        # 0 is the intercept-only model, whose functions ignore x
-        order = _checked(resolved, "interaction-order", int, lambda v: v >= 0, "be at least 0")
-    return BasisConfig(
-        degree=_checked(resolved, "basis-degree", int, lambda v: v >= 1, "be at least 1"),
-        interaction_order=order,
-    )
-
-
-def _fit_options(resolved, base=FitOptions(), **fields):
-    """``base`` with --restarts, --seed and ``fields``; a bad value fails
-    naming its flag, before any fit."""
-    try:
-        return replace(base, restarts=int(resolved["restarts"]), seed=resolved["seed"],
-                       **fields)
-    except ValueError as exc:
-        # FitOptions starts each message with the field, named like its flag
-        raise FairdesertError(f"--{exc}") from exc
-
-
-def _rate(resolved):
-    """The --rate target, or None when the flag is absent."""
-    if resolved.get("rate") is None:
-        return None
-    return _checked(resolved, "rate", float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
-
-
-def _threshold(resolved):
-    """The --threshold cut-off, or None when the flag is absent."""
-    if resolved.get("threshold") is None:
-        return None
-    return _checked(resolved, "threshold", float, math.isfinite, "be a finite number")
-
-
-def _checked(resolved, flag, convert, ok, requirement):
-    """The value of --flag, converted; a value that is not ``ok`` fails
-    naming the flag and the ``requirement``."""
-    value = convert(resolved[flag.replace("-", "_")])
-    if not ok(value):
-        raise FairdesertError(f"--{flag} must {requirement}, got {value}")
-    return value
-
-
-def _level(resolved):
-    """The --level of a confidence interval."""
-    return _checked(resolved, "level", float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-
-
-def _boot(resolved, allow_off):
-    """The --boot replicates: at least MIN_REPLICATES, or 0 (no bootstrap)
-    where ``allow_off``, as a sweep does."""
-    allowed = "0 (no bootstrap) or at least" if allow_off else "at least"
-    return _checked(resolved, "boot", int,
-                    lambda v: v >= MIN_REPLICATES or (allow_off and v == 0),
-                    f"be {allowed} {MIN_REPLICATES}")
-
-
-def _rows(resolved, flag):
-    """The --n or --test-size rows of a simulated draw."""
-    return _checked(resolved, flag, int, lambda v: v >= MIN_ROWS, f"be at least {MIN_ROWS}")
-
-
-def _sensitivity_point(flag, variant, text):
-    """Parse one "v0,v1" pair given to ``--flag``: two finite numbers that are
-    in range for the variant."""
-    try:
-        v0, v1 = (float(v) for v in str(text).split(","))
-        return SensitivityParams(variant, v0, v1)
-    except ValueError as exc:
-        raise FairdesertError(
-            f"--{flag} expects two numbers v0,v1 for variant {variant!r}, got {text!r}: {exc}"
-        ) from exc
+def _fit_options(resolved, base=FitOptions()):
+    """``base`` with --restarts, --seed and, where the command has it, --floor."""
+    return replace(base, restarts=resolved["restarts"], seed=resolved["seed"],
+                   floor=resolved.get("floor", base.floor))
 
 
 def _sensitivity(resolved):
+    """The chosen variant's --kappa, --delta or --zeta levels, or the baseline."""
     variant = resolved["variant"]
-    if variant == "baseline":
-        return SensitivityParams.baseline()
-    raw = resolved.get(variant)
-    if raw is None:
+    if variant != "baseline" and resolved[variant] is None:
         raise FairdesertError(f"--{variant} v0,v1 required for variant {variant!r}")
-    return _sensitivity_point(variant, variant, raw)
+    return resolved.get(variant) or SensitivityParams.baseline()
 
 
 def _load_dataset(resolved) -> Dataset:
     if not resolved.get("input"):
         raise FairdesertError("--input CSV is required")
-    schema_doc = _load_json_arg(resolved.get("schema"), "schema")
     with _reading("input"):
-        schema_doc = _sniff_covariates(resolved["input"], schema_doc)
+        schema_doc = _sniff_covariates(resolved["input"], resolved["schema"])
         raw = load_csv(resolved["input"], _schema_from(schema_doc))
     return scale_covariates(raw)
 
@@ -383,22 +419,12 @@ def _histogram(values, bins=20):
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 
 
-def _implication_limits(resolved):
-    """The --tol and --flag-threshold of the testable-implication checks."""
-    tol = _checked(resolved, "tol", float, lambda v: 0.0 <= v < math.inf,
-                   "be a finite number at least 0")
-    flag_threshold = _checked(resolved, "flag-threshold", float, lambda v: 0.0 <= v <= 1.0,
-                              "lie in [0, 1]")
-    return tol, flag_threshold
-
-
-def _write_implications(out, data, config, limits):
-    """Fit the mu models, check the testable implications against the
-    (--tol, --flag-threshold) ``limits``, and write implications.json and
-    implications.txt."""
-    tol, flag_threshold = limits
+def _write_implications(out, data, config, resolved):
+    """Fit the mu models, check the testable implications against --tol and
+    --flag-threshold, and write implications.json and implications.txt."""
     report = check_testable_implications(
-        fit_mu_models(data, config), data, tol=tol, flag_threshold=flag_threshold,
+        fit_mu_models(data, config), data, tol=resolved["tol"],
+        flag_threshold=resolved["flag_threshold"],
     )
     (out / "implications.json").write_text(report.to_json(), encoding="utf-8")
     (out / "implications.txt").write_text(report.to_text() + "\n", encoding="utf-8")
@@ -406,10 +432,9 @@ def _write_implications(out, data, config, limits):
 
 
 def cmd_estimate(resolved):
-    config = _basis(resolved)
-    options = _fit_options(resolved, floor=float(resolved["floor"]))
+    config = BasisConfig(resolved["basis_degree"], resolved["interaction_order"])
+    options = _fit_options(resolved)
     sensitivity = _sensitivity(resolved)
-    limits = _implication_limits(resolved)
     data = _load_dataset(resolved)
     out = _out_dir(resolved)
     stages = {"fit": 0.0, "propensity": 0.0, "implications": 0.0, "write": 0.0}
@@ -421,7 +446,7 @@ def cmd_estimate(resolved):
         save_model(ModelArtifact(est, prop, data.covariate_names, data.scaling),
                    out / "model.json")
     with _timed(stages, "implications"):
-        report = _write_implications(out, data, config, limits)
+        report = _write_implications(out, data, config, resolved)
     with _timed(stages, "write"):
         _write_estimate_reports(out, data, est, sensitivity, report)
     _write_meta(out, resolved, "estimate", extra={"stage_seconds": stages})
@@ -460,11 +485,10 @@ def _write_estimate_reports(out, data, est, sensitivity, report):
 def cmd_predict(resolved):
     if not resolved.get("model") or not resolved.get("input"):
         raise FairdesertError("--model and --input are required")
-    rate_target = _rate(resolved)
-    threshold = _threshold(resolved)
+    rate_target, threshold = resolved["rate"], resolved["threshold"]
     with _reading("model"):
         artifact = load_model(resolved["model"])
-    schema_doc = dict(_load_json_arg(resolved.get("schema"), "schema") or {})
+    schema_doc = dict(resolved["schema"] or {})
     schema_doc["covariates"] = list(artifact.covariate_names)
     schema = _schema_from(schema_doc)
     with _reading("input"):
@@ -479,9 +503,7 @@ def cmd_predict(resolved):
     est = artifact.estimates
     scores = predict_tau_sz(est, s, z, x_scaled)
 
-    if threshold is not None:
-        rate_target = None
-    else:
+    if threshold is None:
         if rate_target is None:
             rate_target = float(np.mean(scores))
         threshold = rate_threshold(scores, rate_target)
@@ -505,18 +527,9 @@ def cmd_predict(resolved):
 
 
 def cmd_theta(resolved):
-    level = _level(resolved)
-    folds = _checked(resolved, "crossfit", int, lambda v: v == 0 or v >= 2,
-                     "be 0 (off) or at least 2 folds")
-    method = resolved["method"]
-    refitting = "--crossfit" if folds else "--method bootstrap" if method == "bootstrap" else None
-    if resolved.get("model") and refitting:
-        raise FairdesertError(
-            f"--model cannot be combined with {refitting}, which fits its own nuisances"
-        )
-    boot = _boot(resolved, allow_off=False) if method == "bootstrap" else None
-    config = _basis(resolved)
-    options = _fit_options(resolved, floor=float(resolved["floor"]))
+    level, folds, method = resolved["level"], resolved["crossfit"], resolved["method"]
+    config = BasisConfig(resolved["basis_degree"], resolved["interaction_order"])
+    options = _fit_options(resolved)
     sensitivity = _sensitivity(resolved)
     data = _load_dataset(resolved)
 
@@ -535,7 +548,7 @@ def cmd_theta(resolved):
                            jobs=resolved["jobs"])
         with _timed(stages, "inference"):
             estimate = theta_bootstrap(
-                fitter, data, replicates=boot, seed=resolved["seed"], level=level,
+                fitter, data, replicates=resolved["boot"], seed=resolved["seed"], level=level,
                 full_fit=full_fit, jobs=resolved["jobs"],
             )
     elif method == "onestep" and folds:
@@ -550,6 +563,9 @@ def cmd_theta(resolved):
             with _reading("model"):
                 artifact = load_model(resolved["model"])
             est, prop = artifact.estimates, artifact.propensity
+            if prop is None and method == "onestep":
+                raise FairdesertError("model document: no propensity coefficients, "
+                                      "which --method onestep reads")
         else:
             with _timed(stages, "fit"):
                 est = fit(data, config, options, jobs=resolved["jobs"])
@@ -572,37 +588,28 @@ def cmd_theta(resolved):
 
 
 def cmd_check(resolved):
-    config, limits = _basis(resolved), _implication_limits(resolved)
+    config = BasisConfig(resolved["basis_degree"], resolved["interaction_order"])
     data = _load_dataset(resolved)
     out = _out_dir(resolved)
-    report = _write_implications(out, data, config, limits)
+    report = _write_implications(out, data, config, resolved)
     print(report.to_text())
     _write_meta(out, resolved, "check")
     return 1 if report.flagged else 0
 
 
 def cmd_sensitivity(resolved):
-    target_rate = _rate(resolved)
-    level = _level(resolved)
-    boot = _boot(resolved, allow_off=True)
-    config = _basis(resolved)
-    options = _fit_options(resolved, floor=float(resolved["floor"]))
+    config = BasisConfig(resolved["basis_degree"], resolved["interaction_order"])
+    options = _fit_options(resolved)
     data = _load_dataset(resolved)
     variant = resolved["variant"]
     if variant == "baseline":
         raise FairdesertError("--variant kappa|delta|zeta is required for sweeps")
-    flag = variant if resolved.get(variant) else "grid"
-    raw = resolved.get(flag)
-    if raw:
-        grid = tuple(_sensitivity_point(flag, variant, pair) for pair in str(raw).split(";"))
-    else:
-        grid = DEFAULT_GRIDS[variant]
     spec = SweepSpec(
         variant=variant,
-        grid=grid,
-        bootstrap_replicates=boot,
-        level=level,
-        target_rate=target_rate,
+        grid=resolved[variant] or resolved["grid"] or DEFAULT_GRIDS[variant],
+        bootstrap_replicates=resolved["boot"],
+        level=resolved["level"],
+        target_rate=resolved["rate"],
     )
     out = _out_dir(resolved)
     # the sweep's fits, and the bootstrap replicates of its grid points
@@ -616,24 +623,13 @@ def cmd_sensitivity(resolved):
 
 
 def cmd_simulate(resolved):
-    config = DgpConfig(
-        n=_rows(resolved, "n"),
-        delta=_checked(resolved, "dgp-delta", float, lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
-        seed=resolved["seed"],
-    )
-    reps = _checked(resolved, "reps", int, lambda v: v >= 1, "be at least 1")
-    methods = tuple(m.strip() for m in str(resolved["methods"]).split(",") if m.strip())
-    basis, level = _basis(resolved), _level(resolved)
-    options = _fit_options(resolved, _MC.fit_options)
-    test_size = _rows(resolved, "test-size")
-    try:
-        settings = MonteCarloSettings(methods=methods, test_size=test_size, basis=basis,
-                                      fit_options=options, level=level)
-    except ValueError as exc:
-        # the test size is checked above, so this is the method list's message
-        raise FairdesertError(f"--{exc}") from exc
+    config = DgpConfig(n=resolved["n"], delta=resolved["dgp_delta"], seed=resolved["seed"])
+    basis = BasisConfig(resolved["basis_degree"], resolved["interaction_order"])
+    settings = MonteCarloSettings(methods=resolved["methods"], test_size=resolved["test_size"],
+                                  basis=basis, fit_options=_fit_options(resolved, _MC.fit_options),
+                                  level=resolved["level"])
     out = _out_dir(resolved)
-    summary = monte_carlo(config, reps, settings, jobs=resolved["jobs"])
+    summary = monte_carlo(config, resolved["reps"], settings, jobs=resolved["jobs"])
     write_auc_summary_csv([summary], out / "auc_summary.csv")
     write_coverage_summary_csv([summary], out / "coverage_summary.csv")
     write_replications_csv([summary], out / "replications.csv")
@@ -643,6 +639,17 @@ def cmd_simulate(resolved):
     return 0
 
 
+def _help(flag, command):
+    """The flag's help line: its text, default, range and readers."""
+    default, check = (_per_command(v, command) for v in (flag.default, flag.check))
+    notes = [f"default: {default}"] if default is not None else []
+    notes += [check.requirement] if hasattr(check, "requirement") else []
+    notes += [f"not read with {_flag(other)}" if allowed == (None,) else
+              f"read only with {_flag(other)} {' or '.join(map(str, allowed))}"
+              for other, allowed in flag.read_when.items() if command in FLAGS[other].commands]
+    return f"{flag.help} ({'; '.join(notes)})" if notes else flag.help
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fairdesert",
@@ -650,96 +657,28 @@ def build_parser():
         "unfairness from potentially biased observed decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        # `_resolve` checks a config file's entries against p's flags
-        p.set_defaults(parser=p)
-        p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: the usable CPUs)")
-
-    def data_flags(p):
-        p.add_argument("--input", help="input CSV path")
-        p.add_argument("--schema", help="JSON column mapping (inline or file)")
-        p.add_argument("--basis-degree", dest="basis_degree", type=int, default=None)
-        p.add_argument("--interaction-order", dest="interaction_order", type=int, default=None)
-        p.add_argument("--floor", type=float, default=None)
-        p.add_argument("--restarts", type=int, default=None)
-
-    def variant_flags(p):
-        p.add_argument("--variant", choices=VARIANTS, default=None)
-        p.add_argument("--kappa", help="kappa0,kappa1 (or ';'-separated grid for sweeps)")
-        p.add_argument("--delta", help="delta0,delta1 (or ';'-separated grid for sweeps)")
-        p.add_argument("--zeta", help="zeta0,zeta1 (or ';'-separated grid for sweeps)")
-
-    p_est = sub.add_parser("estimate", help="fit the sieve MLE and propensities")
-    common(p_est)
-    data_flags(p_est)
-    variant_flags(p_est)
-    p_est.add_argument("--tol", type=float, default=None)
-    p_est.add_argument("--flag-threshold", dest="flag_threshold", type=float, default=None)
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_pred = sub.add_parser("predict", help="score new rows with a saved model")
-    common(p_pred)
-    p_pred.add_argument("--model", help="model.json from estimate")
-    p_pred.add_argument("--input", help="CSV with the model's covariates and z")
-    p_pred.add_argument("--schema", help="JSON column mapping (inline or file)")
-    p_pred.add_argument("--rate", type=float, default=None,
-                        help="rate-preserving threshold target")
-    p_pred.add_argument("--threshold", type=float, default=None,
-                        help="explicit threshold (overrides --rate)")
-    p_pred.set_defaults(func=cmd_predict)
-
-    p_theta = sub.add_parser("theta", help="estimate the degree of unfairness")
-    common(p_theta)
-    data_flags(p_theta)
-    variant_flags(p_theta)
-    p_theta.add_argument("--model", help="reuse a saved model.json")
-    p_theta.add_argument("--method", choices=["plugin", "onestep", "bootstrap"], default=None)
-    p_theta.add_argument("--level", type=float, default=None)
-    p_theta.add_argument("--boot", type=int, default=None)
-    p_theta.add_argument("--crossfit", type=int, default=None)
-    p_theta.set_defaults(func=cmd_theta)
-
-    p_check = sub.add_parser("check", help="testable implications of the assumptions")
-    common(p_check)
-    data_flags(p_check)
-    p_check.add_argument("--tol", type=float, default=None)
-    p_check.add_argument("--flag-threshold", dest="flag_threshold", type=float, default=None)
-    p_check.set_defaults(func=cmd_check)
-
-    p_sens = sub.add_parser("sensitivity", help="sweep misspecification settings")
-    common(p_sens)
-    data_flags(p_sens)
-    variant_flags(p_sens)
-    p_sens.add_argument("--grid", help="v0,v1;v0,v1;... grid points")
-    p_sens.add_argument("--boot", type=int, default=None)
-    p_sens.add_argument("--level", type=float, default=None)
-    p_sens.add_argument("--rate", type=float, default=None)
-    p_sens.set_defaults(func=cmd_sensitivity)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo study of all methods")
-    common(p_sim)
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--reps", type=int, default=None)
-    p_sim.add_argument("--dgp-delta", dest="dgp_delta", type=float, default=None)
-    p_sim.add_argument("--methods", default=None, help="comma list from dsd,uml,ftu,mlc,ld")
-    p_sim.add_argument("--test-size", dest="test_size", type=int, default=None)
-    p_sim.add_argument("--basis-degree", dest="basis_degree", type=int, default=None)
-    p_sim.add_argument("--interaction-order", dest="interaction_order", type=int, default=None)
-    p_sim.add_argument("--restarts", type=int, default=None)
-    p_sim.add_argument("--level", type=float, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
+    for command, func, text in (
+        ("estimate", cmd_estimate, "fit the sieve MLE and propensities"),
+        ("predict", cmd_predict, "score new rows with a saved model"),
+        ("theta", cmd_theta, "estimate the degree of unfairness"),
+        ("check", cmd_check, "testable implications of the assumptions"),
+        ("sensitivity", cmd_sensitivity, "sweep misspecification settings"),
+        ("simulate", cmd_simulate, "Monte Carlo study of all methods"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        for key, flag in FLAGS.items():
+            if command in flag.commands:
+                choices = flag.type if isinstance(flag.type, tuple) else None
+                p.add_argument(_flag(key), type=None if choices else flag.type,
+                               choices=choices, help=_help(flag, command))
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
-        resolved = _resolve(args)
+        resolved = _resolve(args, unknown)
         started = time.perf_counter()
         code = args.func(resolved)
         elapsed = time.perf_counter() - started

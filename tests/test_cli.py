@@ -653,6 +653,88 @@ def test_variant_flag_refused_unless_the_variant_reads_it(train_csv, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command, pairs, flag_message, config_message", [
+    ("check", {"floor": "0.3", "restarts": "7"},
+     "check does not take --floor 0.3 --restarts 7", "--config: 'floor' is not a setting of check"),
+    ("theta", {"model": "{model}", "basis-degree": "2", "restarts": "5", "floor": "0.2",
+               "interaction-order": "0"},
+     "--basis-degree cannot be combined with --model; only a run without --model reads it", None),
+    ("sensitivity", {"variant": "delta", "delta": "0.1,0.1", "grid": "0.2,0.2;0.3,0.3"},
+     "--grid cannot be combined with --delta; only a run without --delta reads it", None),
+    ("sensitivity", {"variant": "delta", "grid": ""},
+     "--grid expects two numbers v0,v1 for variant 'delta', got ''", None),
+    ("sensitivity", {"variant": "delta", "delta": ""},
+     "--delta expects two numbers v0,v1 for variant 'delta', got ''", None),
+    ("predict", {"model": "{model}", "rate": "0.3", "threshold": "0.5"},
+     "--rate cannot be combined with --threshold; only a run without --threshold reads it", None),
+], ids=["check-floor-restarts", "theta-model-fit-flags", "sensitivity-delta-grid",
+        "sensitivity-empty-grid", "sensitivity-empty-delta", "predict-rate-threshold"])
+def test_flag_the_run_would_not_read_exits_2(train_csv, fitted_model, tmp_path, capsys,
+                                             monkeypatch, command, pairs, flag_message,
+                                             config_message, given):
+    import fairdesert.cli as cli
+    import fairdesert.sensitivity as sensitivity
+
+    def stub(*args, **kwargs):
+        raise RuntimeError("work was reached")
+
+    for module, name in ((cli, "fit"), (cli, "load_csv"), (cli, "load_model"),
+                         (sensitivity, "fit_many")):
+        monkeypatch.setattr(module, name, stub)
+    pairs = {flag: value.replace("{model}", str(fitted_model)) for flag, value in pairs.items()}
+    if given == "flag":
+        argv = [a for flag, value in pairs.items() for a in (f"--{flag}", value)]
+    else:
+        argv = ["--config", json.dumps(pairs)]
+    message = flag_message if given == "flag" else config_message or flag_message
+    out = tmp_path / "out"
+    rc = main([command, "--input", str(train_csv), *argv, "--out-dir", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
+    assert not re.match(r"error: \w+: ", lines[0]), lines[0]
+    assert not out.exists()
+
+
+# each command's flags, written out; 85 command-flag pairs in all
+COMMAND_FLAGS = {
+    "estimate": "config seed out-dir jobs input schema variant kappa delta zeta basis-degree "
+                "interaction-order floor restarts tol flag-threshold",
+    "predict": "config seed out-dir jobs input schema model threshold rate",
+    "theta": "config seed out-dir jobs input schema method crossfit model boot level variant "
+             "kappa delta zeta basis-degree interaction-order floor restarts",
+    "check": "config seed out-dir jobs input schema basis-degree interaction-order tol "
+             "flag-threshold",
+    "sensitivity": "config seed out-dir jobs input schema boot level variant kappa delta zeta "
+                   "grid basis-degree interaction-order floor restarts rate",
+    "simulate": "config seed out-dir jobs level basis-degree interaction-order restarts n reps "
+                "dgp-delta methods test-size",
+}
+
+
+def test_each_command_registers_its_flags():
+    import argparse
+
+    from fairdesert.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {command: {option: action.help for action in parser._actions
+                       for option in action.option_strings if option not in ("-h", "--help")}
+             for command, parser in sub.choices.items()}
+    assert {command: sorted(flags) for command, flags in helps.items()} == {
+        command: sorted(f"--{flag}" for flag in flags.split())
+        for command, flags in COMMAND_FLAGS.items()}
+    assert sum(map(len, helps.values())) == 85
+    # the help line gives the default, the range and the readers
+    assert helps["theta"]["--boot"] == ("bootstrap replicates (default: 200; must be at least 200;"
+                                        " read only with --method bootstrap)")
+    assert helps["sensitivity"]["--boot"].startswith(
+        "bootstrap replicates (default: 200; must be 0 (no bootstrap) or at least 200)")
+    assert "default: 4" in helps["simulate"]["--restarts"]
+    assert "default: 10" in helps["estimate"]["--restarts"]
+
+
 def test_config_schema_may_be_a_json_object(train_csv, tmp_path, capsys):
     schema = {"s": "s", "z": "z", "y": "y"}
     rc = main(["check", "--input", str(train_csv), "--config", json.dumps({"schema": schema}),
@@ -681,8 +763,10 @@ def test_theta_records_stage_seconds(train_csv, fitted_model, tmp_path, argv):
     import time
 
     argv = [a.replace("{model}", str(fitted_model)) for a in argv]
+    # a run on a saved model reads no fit flag
+    fast = ["--seed", "7"] if "--model" in argv else FAST
     started = time.perf_counter()
-    rc = main(["theta", "--input", str(train_csv), *argv, "--out-dir", str(tmp_path), *FAST])
+    rc = main(["theta", "--input", str(train_csv), *argv, "--out-dir", str(tmp_path), *fast])
     wall = time.perf_counter() - started
     assert rc == 0
     stages = json.loads((tmp_path / "run_meta.json").read_text())["stage_seconds"]

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -251,3 +252,67 @@ def test_document_without_a_sensitivity_block_reads_its_variant_at_level_0(tmp_p
     est = load_model(path).estimates
     assert est.sensitivity == SensitivityParams("kappa", 0.0, 0.0)
     assert est.variant == "kappa"
+
+
+def _family_model_with(edit):
+    doc = json.loads(FAMILY_MODEL.read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "invalid JSON: Expecting property name"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"basis": {}}', "missing covariate_names, scaling, coefficients, floor"),
+    (_family_model_with(lambda d: d["coefficients"]["tau0"].pop()),
+     "coefficients.tau0 must hold 3 finite numbers for the basis on the named covariates, "
+     "got shape (2,)"),
+    (_family_model_with(lambda d: d["coefficients"]["beta"].__setitem__(0, "x")),
+     "coefficients.beta: could not convert string to float: 'x'"),
+    (_family_model_with(lambda d: d["coefficients"]["propensity"].pop()),
+     "coefficients.propensity must hold 3 x 3 finite numbers"),
+    (_family_model_with(lambda d: d.update(floor="abc")),
+     "floor must be a number in [0, 0.5), got 'abc'"),
+    (_family_model_with(lambda d: d.update(floor=0.7)),
+     "floor must be a number in [0, 0.5), got 0.7"),
+    (_family_model_with(lambda d: d.update(scaling=d["scaling"][:1])),
+     "scaling must hold one pair lo < hi of finite numbers per covariate (2)"),
+    (_family_model_with(lambda d: d.update(scaling=[[0, 1], [2, 2]])),
+     "scaling must hold one pair lo < hi of finite numbers per covariate (2)"),
+    (_family_model_with(lambda d: d.update(covariate_names="x1")),
+     "covariate_names must be a list of column names, got 'x1'"),
+    (_family_model_with(lambda d: d["basis"].update(degree=0)), "basis: degree must be >= 1"),
+], ids=["not-json", "list", "basis-only", "tau0-short", "beta-text", "propensity-short",
+        "floor-text", "floor-0.7", "scaling-one-pair", "scaling-lo-equals-hi",
+        "names-string", "degree-0"])
+def test_malformed_document_exits_2_naming_the_document(tmp_path, capsys, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(FairdesertError, match=re.escape(f"model document: {message}")):
+        load_model(path)
+    rows = tmp_path / "new.csv"
+    rows.write_text(FAMILY_MODEL_ROWS)
+    out = tmp_path / "out"
+    rc = main(["predict", "--model", str(path), "--input", str(rows), "--out-dir", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: model document: {message}")
+    # a FairdesertError is printed bare; any other exception with its type
+    assert not re.match(r"error: \w+: ", lines[0]), lines[0]
+    assert not out.exists()
+
+
+def test_onestep_theta_refuses_a_document_without_propensities(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(_family_model_with(lambda d: d["coefficients"].pop("propensity")))
+    assert load_model(path).propensity is None
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    write_csv(data, tmp_path / "data.csv")
+    argv = ["theta", "--input", str(tmp_path / "data.csv"), "--model", str(path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: model document: no propensity coefficients, "
+                                       "which --method onestep reads\n")
+    assert not out.exists()
+    # the plug-in theta reads no propensity
+    assert main([*argv, "--method", "plugin", "--out-dir", str(out)]) == 0
