@@ -170,21 +170,23 @@ def orthonormal_design(phi, counts=None):
     |R_jj| is at most 1e-10 max |R_jj| the inverse is unreliable, and None
     tells the caller to stay in the raw coordinates.
 
-    ``counts`` weighs row i as ``counts[i]`` repeats of it: the QR is then
-    of the sqrt(counts)-scaled design, n is the sum of the counts, and the
-    first array is phi (R / sqrt(n))^-1, whose columns have weighted mean
-    square one; a row of count 0 gets its row too.
+    ``counts`` (all one by default) weighs row i as ``counts[i]`` repeats of
+    it: the QR is of the sqrt(counts)-scaled design, n is the sum of the
+    counts, and the first array is phi (R / sqrt(n))^-1, whose columns have
+    weighted mean square one.  A row of positive count takes its row of
+    Q sqrt(n) / sqrt(count), which is the first array's row to rounding and
+    its very bits where the count is one; a row of count 0 takes its row of
+    phi (R / sqrt(n))^-1.
     """
-    scaled = phi if counts is None else phi * np.sqrt(counts)[:, None]
-    q, r = np.linalg.qr(scaled)
+    counts = np.ones(phi.shape[0]) if counts is None else counts
+    root = np.sqrt(counts)[:, None]
+    q, r = np.linalg.qr(phi * root)
     diag = np.abs(np.diag(r))
     if not np.min(diag) > 1e-10 * np.max(diag):
         return None
-    if counts is None:
-        scale = math.sqrt(phi.shape[0])
-        return q * scale, r / scale
-    r = r / math.sqrt(np.sum(counts))
-    return phi @ np.linalg.inv(r), r
+    scale = math.sqrt(np.sum(counts))
+    r = r / scale
+    return np.divide(q * scale, root, out=phi @ np.linalg.inv(r), where=root > 0), r
 
 
 def basis_exponents(config: BasisConfig, d):

@@ -216,7 +216,8 @@ FLAGS = {
                                f"must be 0 (no bootstrap) or at least {MIN_REPLICATES}"),
     }, {"method": ("bootstrap",)}),
     "level": Flag(("theta", "sensitivity", "simulate"), "confidence level", float, 0.95,
-                  _within(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+                  _within(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+                  {"method": ("onestep", "bootstrap")}),
     "variant": Flag(FITTING, "model variant", VARIANTS, "baseline"),
     **{name: Flag(FITTING, f"{name}0,{name}1 levels (a ';'-separated grid in a sweep)",
                   check=_levels, read_when={"variant": (name,)}) for name in VARIANTS[1:]},
@@ -267,7 +268,8 @@ def _per_command(value, command):
 def _config_value(command, key, value):
     """A config file's ``value`` for ``key``, checked as its flag's value is:
     through the flag's type (given the value's text, as argparse is) and
-    choices.  A key that names no flag of ``command`` fails."""
+    choices; a text flag's value must be text, but the schema's may be the
+    JSON object itself.  A key that names no flag of ``command`` fails."""
     flag = FLAGS.get(key.replace("-", "_"))
     if flag is None or command not in flag.commands or key == "config":
         raise FairdesertError(f"--config: {key!r} is not a setting of {command}")
@@ -283,6 +285,9 @@ def _config_value(command, key, value):
         except ValueError:
             raise FairdesertError(
                 f"--config: {key!r}: invalid {flag.type.__name__} value {value!r}") from None
+    elif not isinstance(value, str) and key != "schema":
+        # a text flag; the schema may also be the JSON object itself
+        raise FairdesertError(f"--config: {key!r} must be text, got {value!r}")
     return value
 
 

@@ -43,6 +43,9 @@ class CsvSchema:
     binary_values: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("s", "z", "y"):
+            if not isinstance(getattr(self, name), str):
+                raise SchemaError(f"{name} must be a column name; got {getattr(self, name)!r}")
         codes = self.binary_values
         if not isinstance(codes, dict) or any(v not in (0, 1) for v in codes.values()):
             raise SchemaError(f"binary_values must map cell text to 0 or 1; got {codes!r}")

@@ -267,29 +267,31 @@ class SieveProblem:
     weight only from the relevance hinge (tau0, tau1), which is worked out on
     the few rows where |tau1 - tau0| is below the margin, and from the ridge.
 
-    `value_grad` is the one-problem case of `_Stack.value_grad`, which
-    evaluates k problems of one shape at once for the lock-step restarts of
-    `fit_many`.  It writes every (k, n, 4) and length-k n intermediate into
-    one buffer set per process, reallocated when k or n changes, so problems
-    of one size share it and a sweep's K problems do not hold K sets; it
-    returns a fresh value and gradient.  Two threads must not evaluate at
+    `value_grad` is the one-problem case of `_Stack.value_grad`, on a stack
+    of this problem alone that is made once; `_Stack.value_grad` evaluates k
+    problems of one shape at once for the lock-step restarts of `fit_many`.
+    It writes every (k, n, 4) and length-k n intermediate into one buffer
+    set per process, reallocated when k or n changes, so problems of one
+    size share it and a sweep's K problems do not hold K sets; it returns a
+    fresh value and gradient.  Two threads must not evaluate at
     once.  `functions` and `criterion` run the same code into new arrays.
 
-    ``counts`` (one per row of ``data``, ``np.bincount(rows, minlength=
-    data.n)`` of n drawn rows) makes the problem that of the resample
-    repeating row i ``counts[i]`` times, fitted on its distinct rows with
-    their counts as weights: a resample of n rows holds about (1 - 1/e) n
-    distinct rows.
-    The problem then runs on ``rows`` (`_weighted_rows`: the rows of positive
+    Every problem is count-weighted.  ``counts`` (one per row of ``data``,
+    ``np.bincount(rows, minlength=data.n)`` of n drawn rows) makes it the
+    problem of the resample repeating row i ``counts[i]`` times, fitted on
+    its distinct rows with their counts as weights: a resample of n rows
+    holds about (1 - 1/e) n distinct rows.  Without ``counts`` it is the
+    problem of ``data`` itself, the resample whose counts are all one.
+    The problem runs on ``rows`` (`_weighted_rows`: the rows of positive
     count, padded with rows of count 0 to a length that depends on the
     resample size alone, so the problems of one size stack), ``counts``
     holds their weights and ``size`` the resample size, which every mean
     divides by: the log-likelihood, the relevance hinge, the ridge's means
     and squares, `criterion` and `_finish`'s violation share.  The QR
-    preconditioner is taken on the sqrt(counts)-scaled design.  The value
-    and gradient are the materialised resample's to rounding.  Without
-    counts, ``rows`` and ``counts`` are None, ``size`` is n and no weighted
-    arithmetic runs.
+    preconditioner is taken on the sqrt(counts)-scaled design
+    (`basis.orthonormal_design`).  The value and gradient are the
+    materialised resample's to rounding; with counts of one they are the
+    unweighted sums' to the bit, as every weight then multiplies by 1.0.
     """
 
     def __init__(self, data: Dataset, config: BasisConfig, options: FitOptions, *,
@@ -298,16 +300,14 @@ class SieveProblem:
         self.config = config
         self.options = options
         self.sensitivity = sensitivity
-        x, s, z, y = data.x, data.s, data.z, data.y
-        self.rows = self.counts = None
-        if counts is not None:
-            self.rows, self.counts = _weighted_rows(counts, data.n)
-            x, s, z, y = (v[self.rows] for v in (x, s, z, y))
-            phi = None if phi is None else phi[self.rows]
+        # the data itself is the resample that draws each row once
+        counts = np.ones(data.n, int) if counts is None else counts
+        self.rows, self.counts = _weighted_rows(counts, data.n)
+        x, s, z, y = (v[self.rows] for v in (data.x, data.s, data.z, data.y))
         # ``phi``: expand_matrix(data.x, config), when the caller has it
-        self.phi = expand_matrix(x, config) if phi is None else phi
+        self.phi = expand_matrix(x, config) if phi is None else phi[self.rows]
         self.n, self.j = self.phi.shape
-        self.size = self.n if counts is None else int(np.sum(self.counts))
+        self.size = int(np.sum(self.counts))
         self.r_block = None
         pre = orthonormal_design(self.phi, self.counts) if precondition else None
         if pre is not None:
@@ -315,10 +315,7 @@ class SieveProblem:
         self.y = np.asarray(y, dtype=np.float64)
         self.not_y = 1 - self.y
         # d(-mean log-likelihood)/dp = (p - y) / {p (1 - p) n} = dneg_sign / lik
-        if self.counts is None:
-            self.dneg_sign = (1 - 2 * self.y) / self.n
-        else:
-            self.dneg_sign = self.counts * (1 - 2 * self.y) / self.size
+        self.dneg_sign = self.counts * (1 - 2 * self.y) / self.size
         self.s = np.asarray(s, dtype=np.float64)
         self.z = np.asarray(z, dtype=np.float64)
         self.sv0, self.sv1 = sensitivity.evaluate(x)
@@ -330,6 +327,7 @@ class SieveProblem:
         self.margin = options.margin
         self.lam = options.relevance_penalty
         self.ridge = options.ridge
+        self._stack = None
 
     @property
     def dim(self):
@@ -350,9 +348,15 @@ class SieveProblem:
             return np.asarray(stack, dtype=np.float64)
         return np.concatenate([self.r_block @ g for g in self.unpack(stack)])
 
+    def _alone(self):
+        """The `_Stack` of this problem alone, made at its first use."""
+        if self._stack is None:
+            self._stack = _Stack((self,))
+        return self._stack
+
     def _blocks(self, stack):
         """(n, 4) logits, function values and expit derivative factors."""
-        return [block[0] for block in _Stack((self,))._blocks(np.reshape(stack, (1, -1)))]
+        return [block[0] for block in self._alone()._blocks(np.reshape(stack, (1, -1)))]
 
     def functions(self, stack):
         """Function values, expit derivative factors, and logits per point."""
@@ -362,10 +366,10 @@ class SieveProblem:
     def _likelihood(self, vals):
         """Per-row probability of the observed outcome, and the partials of
         f(Y=1 | s, z, x) in tz and m."""
-        return _Stack((self,))._likelihood(vals[None])
+        return self._alone()._likelihood(vals[None])
 
     def value_grad(self, stack):
-        values, grads = _Stack((self,)).value_grad(np.reshape(stack, (1, -1)))
+        values, grads = self._alone().value_grad(np.reshape(stack, (1, -1)))
         return float(values[0]), grads[0]
 
     def criterion(self, stack):
@@ -375,8 +379,6 @@ class SieveProblem:
     def _criterion(self, vals):
         """`criterion` from the (n, 4) function values."""
         logs = np.log(self._likelihood(vals)[0])
-        if self.counts is None:
-            return float(np.mean(logs))
         return float(np.sum(self.counts * logs) / self.size)
 
 
@@ -423,7 +425,7 @@ class _Stack:
     C-contiguous arrays give each problem the bits it gets alone, so the
     values and gradients are bitwise those of each problem's `value_grad`,
     which is the k = 1 case.  One problem's stack shares its arrays.  The
-    problems are all count-weighted, on one resample size, or none is.
+    problems share one resample size.
     """
 
     def __init__(self, problems):
@@ -431,9 +433,7 @@ class _Stack:
         self.k = len(problems)
         self.n, self.j, self.size = first.n, first.j, first.size
         self.c, self.margin, self.lam, self.ridge = first.c, first.margin, first.lam, first.ridge
-        self.counts = None
-        if first.counts is not None:
-            self.counts = _joined([p.counts for p in problems], 0)
+        self.counts = _joined([p.counts for p in problems], 0)
         self.phi = _joined([p.phi[None] for p in problems], 0)
         offsets = range(0, 4 * self.n * self.k, 4 * self.n)
         self.idx_t = _joined([p.idx_t + o if o else p.idx_t
@@ -443,6 +443,12 @@ class _Stack:
         self.table = _joined([p.table for p in problems], 1)
         self.not_y = _joined([p.not_y for p in problems], 0)
         self.dneg_sign = _joined([p.dneg_sign for p in problems], 0)
+        if self.ridge > 0:
+            # each logit's count, in the (k, n, 4) layout of the blocks and
+            # the (n, k, 4) one of the ridge's column sums (one array for k = 1)
+            block = np.repeat(self.counts[:, None], 4, axis=1).reshape(self.k, self.n, 4)
+            self.count_block = block
+            self.count_across = np.ascontiguousarray(block.transpose(1, 0, 2))
 
     def _blocks(self, stacks, out=None):
         """(k, n, 4) logits, function values and expit derivative factors at
@@ -480,8 +486,7 @@ class _Stack:
         lik, dp_dt, dp_dm = self._likelihood(vals, buffers.rows[:3])
         scratch, diff = buffers.rows[3:]
         logs = np.log(lik, out=scratch)
-        if counts is not None:
-            logs *= counts
+        logs *= counts
         values = -(logs.reshape(k, n).sum(axis=1) / size)
         dneg_dp = np.divide(self.dneg_sign, lik, out=lik)
 
@@ -499,11 +504,9 @@ class _Stack:
         active = np.nonzero(np.logical_not(met, out=met))[0]
         if active.size:
             hinge = self.margin - gap[active]
-            squared = hinge ** 2
-            if counts is not None:
-                # the count-weighted hinge, and its weighted square
-                squared *= counts[active]
-                hinge *= counts[active]
+            # the count-weighted hinge, and its weighted square
+            squared = hinge ** 2 * counts[active]
+            hinge *= counts[active]
             dpen_ddiff = self.lam * 2 * hinge * (-np.sign(diff[active])) / size
             squares = scratch
             squares.fill(0.0)
@@ -519,23 +522,19 @@ class _Stack:
         if self.ridge > 0:
             # coordinate-free shrinkage of the demeaned logit functions;
             # stabilizes the decomposition into (tau, alpha, beta) at small n.
-            # Each column mean sums its rows in order, as logits.sum(axis=1)
-            # does, but over one (n, 4 k) copy, whose reduction runs an inner
-            # loop 4 k long rather than 4: the same bits, in less time
-            across = buffers.across()
-            np.copyto(across, logits.transpose(1, 0, 2))
-            if counts is not None:
-                by_row = counts.reshape(k, n, 1)
-                across *= by_row.transpose(1, 0, 2)
+            # Each column mean sums its rows' weighted logits in order, as
+            # (counts * logits).sum(axis=1) does, but over one (n, 4 k) block,
+            # whose reduction runs an inner loop 4 k long rather than 4: the
+            # same bits, in less time
+            across = np.multiply(logits.transpose(1, 0, 2), self.count_across,
+                                 out=buffers.across())
             means = across.reshape(n, 4 * k).sum(axis=0).reshape(k, 1, 4) / size
             centered = np.subtract(logits, np.repeat(means, n, axis=1), out=logits)
-            work = vals  # read for the last time above
-            squares = np.multiply(centered, centered, out=work)
-            if counts is not None:
-                squares *= by_row
-                centered *= by_row
+            # vals is read for the last time above
+            weighted = np.multiply(centered, self.count_block, out=vals)
+            squares = np.multiply(weighted, centered, out=logits)
             values += 0.5 * self.ridge * squares.reshape(k, 4 * n).sum(axis=1) / size
-            weights += np.multiply(self.ridge / size, centered, out=work)
+            weights += np.multiply(self.ridge / size, weighted, out=weighted)
         grads = np.matmul(np.swapaxes(self.phi, 1, 2), weights)
         return values, grads.transpose(0, 2, 1).reshape(k, 4 * self.j)
 
@@ -573,19 +572,15 @@ def _buffers(k, n):
     return _BUFFERS
 
 
-def _target_to_gamma(problem, values, valid):
-    """Least-squares pull-back of target function values onto the basis: of
-    one function's values (n,), or of several as the columns of an (n, m)
-    array, one solve for all.  A count-weighted problem's rows weigh by the
-    square roots of their counts, as their repeats would."""
-    c = problem.c
+def _target_to_gamma(c, design, root, values):
+    """Least-squares pull-back of one function's target values onto the
+    basis, for floor ``c``: ``design`` holds the rows' design times ``root``,
+    the square roots of their counts, so that each row weighs as its repeats
+    would.  One solve per function: `lstsq` with several right-hand sides is
+    not bitwise the solve of each."""
     lo, hi = c + 1e-4, 1 - c - 1e-4
     w = logit((np.clip(values, lo, hi) - c) / (1 - 2 * c))
-    design, w = problem.phi[valid], w[valid]
-    if problem.counts is not None:
-        root = np.sqrt(problem.counts[valid])
-        design, w = design * root[:, None], w * (root if w.ndim == 1 else root[:, None])
-    gamma, *_ = np.linalg.lstsq(design, w, rcond=None)
+    gamma, *_ = np.linalg.lstsq(design, w * root, rcond=None)
     return gamma
 
 
@@ -593,9 +588,9 @@ def _plugin_starts(data, phi, counts, problems):
     """The plug-in start of each of ``problems``, the problem of the resample
     of ``data`` that ``counts[i]`` gives (None: ``data`` itself), or the
     FairdesertError or LinAlgError that it gives: the initialization from
-    the closed-form inversion of direct mu_sz fits.  A count-weighted problem
-    takes its targets at its own rows and pulls all four back in one
-    weighted least-squares solve.
+    the closed-form inversion of direct mu_sz fits.  Each problem takes its
+    targets at its own rows and pulls them back by count-weighted least
+    squares.
 
     ``phi`` is ``expand_matrix(data.x, config)``.  The mu fits are one
     `regress.fit_mu_counts` call, weighted by the counts, so they run in
@@ -636,22 +631,18 @@ def _plugin_starts(data, phi, counts, problems):
             starts.append(models[b])
             continue
         i = fitted[b]
-        take = slice(None) if problem.counts is None else problem.rows
-        valid_b = valid[i][take]
+        valid_b = valid[i][problem.rows]
+        weights = problem.counts[valid_b]
         # the identifiable rows of the resample, repeats counted
-        usable = valid_b.sum() if problem.counts is None else problem.counts[valid_b].sum()
-        if usable < problem.j:
+        if weights.sum() < problem.j:
             starts.append(FitError("too few identifiable points for a plug-in start"))
             continue
+        root = np.sqrt(weights)
+        design = problem.phi[valid_b] * root[:, None]
         try:
-            if problem.counts is None:
-                gammas = [_target_to_gamma(problem, v[i][take], valid_b) for v in targets]
-            else:
-                # the four targets in one solve; one solve each, as above,
-                # keeps the bits of the starts of unweighted problems
-                gammas = _target_to_gamma(
-                    problem, np.stack([v[i][take] for v in targets], axis=1), valid_b).T
-            starts.append(np.concatenate(gammas))
+            starts.append(np.concatenate([
+                _target_to_gamma(problem.c, design, root, v[i][problem.rows][valid_b])
+                for v in targets]))
         except np.linalg.LinAlgError as exc:
             starts.append(exc)
     return starts
@@ -667,11 +658,8 @@ def _random_starts(problem, count, seed):
     for s in (0, 1):
         for z in (0, 1):
             mask = (problem.s == s) & (problem.z == z)
-            if problem.counts is None:
-                mean = problem.y[mask].mean()
-            else:
-                weights = problem.counts[mask]
-                mean = np.sum(weights * problem.y[mask]) / np.sum(weights)
+            weights = problem.counts[mask]
+            mean = np.sum(weights * problem.y[mask]) / np.sum(weights)
             means[(s, z)] = float(np.clip(mean, 0.05, 0.95))
     starts = []
     for _ in range(count):
@@ -728,14 +716,13 @@ class _GroupObjective:
 def _groups(problems, tasks, chunk):
     """The indices of ``tasks`` in lock-step groups, in task order.  A group's
     tasks share ``max_iter`` and their problems stack: equal (n, J), floor,
-    margin, relevance penalty and ridge, and count weights on one resample
-    size or none.  A group holds at most
-    `GROUP_ROWS` stacked rows (at least one task) and at most ``chunk``
+    margin, relevance penalty, ridge and resample size.  A group holds at
+    most `GROUP_ROWS` stacked rows (at least one task) and at most ``chunk``
     tasks."""
     groups, filling = [], {}
     for i, (k, max_iter, _) in enumerate(tasks):
         p = problems[k]
-        key = (p.n, p.j, p.c, p.margin, p.lam, p.ridge, p.counts is None, p.size, max_iter)
+        key = (p.n, p.j, p.c, p.margin, p.lam, p.ridge, p.size, max_iter)
         group = filling.get(key)
         if group is None or len(group) >= min(chunk, max(1, GROUP_ROWS // p.n)):
             group = filling[key] = []
@@ -745,8 +732,6 @@ def _groups(problems, tasks, chunk):
 
 
 def _same_bits(a, b):
-    if a is None or b is None:
-        return a is b
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -835,8 +820,7 @@ def _finish(problem, kinds, results):
 
     _, vals, _ = problem._blocks(best.x)
     short = np.abs(vals[:, 1] - vals[:, 0]) < problem.margin
-    viol_frac = float(np.mean(short) if problem.counts is None
-                      else np.sum(problem.counts[short]) / problem.size)
+    viol_frac = float(np.sum(problem.counts[short]) / problem.size)
     if viol_frac > 0.10:
         # _finish <- _fit_many <- fit or fit_many <- their caller
         warnings.warn(
@@ -886,8 +870,7 @@ def _fit_many(requests, jobs):
             setups.append(setup)
             continue
         problem, starts, kinds = setup
-        same = by_counts.setdefault(
-            None if problem.counts is None else problem.counts.tobytes(), [])
+        same = by_counts.setdefault(problem.counts.tobytes(), [])
         k = next((i for i in same if _same_objective(problems[i], problem)), None)
         if k is None:
             k = len(problems)
@@ -937,7 +920,8 @@ def fit_many(requests, jobs=1):
     ValueError.  A resample is fitted count-weighted on its distinct rows,
     never materialised (`_setups`), so its fit matches the materialised
     resample's to rounding, not to the bit; no outcome depends on the other
-    requests, and a request without counts gets `fit`'s bits.  All restarts
+    requests, and a request without counts, or with counts all one, gets
+    `fit`'s bits: every fit runs the one count-weighted path.  All restarts
     run in one `parallel.map_jobs` call on ``jobs`` processes, in lock-step
     groups (`_groups`, each one `optimize._bfgs_lockstep` on a `_Stack` of
     its problems), and every restart ends bitwise as it does alone, so the

@@ -228,3 +228,24 @@ def test_orthonormal_design_round_trip_and_fallback():
     np.testing.assert_allclose(q @ r, phi, atol=1e-12)
     # a duplicated covariate duplicates columns: R is singular
     assert orthonormal_design(expand_matrix(x[:, [0, 0]], BasisConfig())) is None
+
+
+def test_orthonormal_design_of_unit_counts_is_the_scaled_qr():
+    # counts of one are the design itself, to the bit: (Q sqrt(n), R / sqrt(n))
+    x = np.random.default_rng(4).uniform(size=(2000, 2))
+    phi = expand_matrix(x, BasisConfig(interaction_order=1))
+    q, r = np.linalg.qr(phi)
+    scale = math.sqrt(len(phi))
+    for got_q, got_r in (orthonormal_design(phi), orthonormal_design(phi, np.ones(len(phi), int))):
+        assert got_q.tobytes() == (q * scale).tobytes()
+        assert got_r.tobytes() == (r / scale).tobytes()
+
+
+def test_orthonormal_design_maps_rows_of_count_zero_back():
+    x = np.random.default_rng(5).uniform(size=(300, 2))
+    phi = expand_matrix(x, BasisConfig(interaction_order=1))
+    counts = np.bincount(np.random.default_rng(6).integers(0, 300, 300), minlength=300)
+    q, r = orthonormal_design(phi, counts)
+    np.testing.assert_allclose(q @ r, phi, atol=1e-12)
+    np.testing.assert_allclose(q.T @ (counts[:, None] * q) / 300, np.eye(phi.shape[1]),
+                               atol=1e-12)

@@ -219,6 +219,24 @@ def test_predict_honours_schema_binary_values(fitted_model, train_csv, tmp_path)
     assert scores["coded"] == scores["plain"]
 
 
+@pytest.mark.parametrize("command, schema, field", [
+    ("predict", {"z": 3}, "z"), ("predict", {"s": None}, "s"), ("predict", {"y": ["y"]}, "y"),
+    ("check", {"z": 3}, "z"), ("check", {"covariates": [1]}, "covariates"),
+], ids=["predict-z-number", "predict-s-null", "predict-y-list", "check-z-number",
+        "check-covariate-number"])
+def test_schema_names_that_are_not_text_exit_2_naming_the_field(fitted_model, train_csv,
+                                                                 tmp_path, capsys, command,
+                                                                 schema, field):
+    out = tmp_path / "out"
+    model = ["--model", str(fitted_model)] if command == "predict" else []
+    rc = main([command, *model, "--input", str(train_csv),
+               "--config", json.dumps({"schema": schema}), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {field} must be ") and len(err.splitlines()) == 1
+    assert not any(out.glob("*.csv"))
+
+
 def test_predict_rejects_binary_codes_other_than_0_1(fitted_model, train_csv, tmp_path, capsys):
     path = scoring_csv(train_csv, tmp_path / "coded.csv", 1, "z", "yes")
     rc = main(["predict", "--model", str(fitted_model), "--input", str(path),
@@ -505,8 +523,13 @@ def test_simulate_defaults_to_the_monte_carlo_fit(tmp_path):
     (["estimate"], {"floor": "low"}, "error: --config: 'floor': invalid float value 'low'"),
     (["estimate"], {"reps": 3}, "error: --config: 'reps' is not a setting of estimate"),
     (["check"], {"variant": "delta"}, "error: --config: 'variant' is not a setting of check"),
+    (["check"], {"out_dir": 5}, "error: --config: 'out_dir' must be text, got 5"),
+    (["estimate"], {"input": ["a.csv"]}, "error: --config: 'input' must be text, got ['a.csv']"),
+    (["estimate"], {"variant": "delta", "delta": [0.05, 0.05]},
+     "error: --config: 'delta' must be text, got [0.05, 0.05]"),
 ], ids=["theta-method-bogus", "estimate-variant-foo", "restarts-text", "restarts-fraction",
-        "basis-degree-bool", "floor-text", "estimate-unknown-key", "check-foreign-key"])
+        "basis-degree-bool", "floor-text", "estimate-unknown-key", "check-foreign-key",
+        "out-dir-number", "input-list", "delta-list"])
 def test_config_entries_are_checked_like_flags(train_csv, tmp_path, capsys, monkeypatch,
                                                argv, config, message):
     import fairdesert.cli as cli
@@ -596,8 +619,11 @@ def test_theta_refuses_a_model_it_would_not_use(train_csv, tmp_path, capsys, arg
     (["--boot", "200"], {}, "--boot", "onestep"),
     (["--method", "plugin"], {"boot": 250}, "--boot", "plugin"),
     ([], {"method": "bootstrap", "crossfit": 0}, "--crossfit", "bootstrap"),
+    (["--method", "plugin", "--level", "0.9"], {}, "--level", "plugin"),
+    (["--method", "plugin"], {"level": 0.9}, "--level", "plugin"),
 ], ids=["plugin-crossfit", "plugin-boot", "bootstrap-crossfit", "onestep-boot",
-        "plugin-config-boot", "config-bootstrap-crossfit"])
+        "plugin-config-boot", "config-bootstrap-crossfit", "plugin-level",
+        "plugin-config-level"])
 def test_theta_refuses_a_flag_its_method_does_not_read(train_csv, tmp_path, capsys,
                                                        monkeypatch, argv, config, flag, method):
     import fairdesert.cli as cli

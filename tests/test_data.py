@@ -127,6 +127,13 @@ def test_schema_rejects_bad_covariate_lists(schema, match):
         CsvSchema(**schema)
 
 
+@pytest.mark.parametrize("field", ["s", "z", "y"])
+@pytest.mark.parametrize("value", [3, None, ["z"]], ids=["number", "null", "list"])
+def test_schema_rejects_column_names_that_are_not_text(field, value):
+    with pytest.raises(SchemaError, match=f"^{field} must be a column name; got "):
+        CsvSchema(**{field: value})
+
+
 def test_schema_stores_covariates_as_a_tuple():
     assert CsvSchema(covariates=["b", "a"]).covariates == ("b", "a")
 

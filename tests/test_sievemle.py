@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -722,8 +723,9 @@ def reference_plugin_start(problem, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec = recover_mechanism(m, np.clip(t0, 0.02, 0.98), np.clip(t1, 0.02, 0.98))
+    # the data's rows all have count one
     return np.concatenate([
-        _target_to_gamma(problem, v, valid)
+        _target_to_gamma(problem.c, problem.phi[valid], np.ones(valid.sum()), v[valid])
         for v in (t0, t1, np.asarray(rec.alpha), np.asarray(rec.beta))
     ])
 
@@ -1084,9 +1086,8 @@ def test_fit_criterion_beats_truth_projection(univariate_basis):
     problem = SieveProblem(data, univariate_basis, options, precondition=True)
     from fairdesert.sievemle import _target_to_gamma
 
-    valid = np.ones(data.n, dtype=bool)
     proj = np.concatenate([
-        _target_to_gamma(problem, v, valid)
+        _target_to_gamma(problem.c, problem.phi, np.ones(data.n), v)
         for v in (truth.tau0(data.x), truth.tau1(data.x),
                   truth.alpha(data.x), truth.beta(data.x))
     ])
@@ -1273,6 +1274,32 @@ def test_count_weighted_preconditioner_matches_materialised_resample(variant):
         value, _ = weighted.value_grad(weighted.from_original(gamma))
         want, _ = alone.value_grad(alone.from_original(gamma))
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("options", [FitOptions(relevance_margin=0.05), MC_OPTIONS],
+                         ids=["ridge0", "ridge"])
+def test_unit_counts_are_the_data_to_the_bit(options):
+    # the data itself is the resample whose counts are all one: its problem
+    # and its fit are bitwise those of counts None
+    data, _, _ = gen_dataset(DgpConfig(n=2000, seed=5))
+    config = BasisConfig(interaction_order=1)
+    ones = np.ones(data.n, int)
+    plain = SieveProblem(data, config, options, precondition=True)
+    unit = SieveProblem(data, config, options, precondition=True, counts=ones)
+    assert plain.phi.tobytes() == unit.phi.tobytes()
+    assert plain.r_block.tobytes() == unit.r_block.tobytes()
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        stack = rng.normal(0, 0.8, plain.dim)
+        (value, grad), (want, want_grad) = unit.value_grad(stack), plain.value_grad(stack)
+        assert value == want and grad.tobytes() == want_grad.tobytes()
+        assert unit.criterion(stack) == plain.criterion(stack)
+    options = replace(options, restarts=3)
+    (got,), _ = fit_many([(data, config, options, SensitivityParams(), ones)])
+    (want,), _ = fit_many([(data, config, options)])
+    assert got.diagnostics == want.diagnostics
+    for name in ("tau0", "tau1", "alpha", "beta"):
+        assert getattr(got, name).gamma.tobytes() == getattr(want, name).gamma.tobytes()
 
 
 def test_count_weighted_finish_matches_materialised_resample():

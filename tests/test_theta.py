@@ -356,11 +356,12 @@ def test_bootstrap_checks_each_replicate_strata_once(monkeypatch):
 BOOTSTRAP_PINS = {
     # restarts: (point, ci_low, ci_high, stderr, sha256 of the 200 draws);
     # the replicates' plug-in starts come from count-weighted mu fits, and
-    # each replicate is fitted count-weighted on its distinct rows
-    1: (0.30964587560901224, 0.20097863374020294, 0.3738699577220558, 0.04458911732707249,
-        "86329f3b71816d553842d4667df25676b5c05320920320752c654ac2388cf202"),
-    3: (0.2672344054977271, 0.19639767780617864, 0.3738699577220558, 0.045384699651015284,
-        "d1b861da5426134ba45b4db3612cc4ba26a577c92721f1ef076a46c70d28307b"),
+    # each replicate is fitted count-weighted on its distinct rows, with the
+    # preconditioner and the plug-in pull-back that keep the whole data's bits
+    1: (0.30964587560901224, 0.20340051834175607, 0.3702119365112613, 0.044398786072660575,
+        "1ccb42b7400329743e910449ed628bf3f160900e50bacd25c9147323129856a0"),
+    3: (0.2672344054977271, 0.2010063420368238, 0.36831614924209083, 0.04463595065622905,
+        "9679ad666ecee50c9f9d52136b435f5b2544f42eccae57a5167d6123ea83e7ef"),
 }
 
 
