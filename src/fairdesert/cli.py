@@ -494,7 +494,10 @@ def cmd_predict(resolved):
     with _reading("model"):
         artifact = load_model(resolved["model"])
     schema_doc = dict(resolved["schema"] or {})
-    schema_doc["covariates"] = list(artifact.covariate_names)
+    names = list(artifact.covariate_names)
+    if schema_doc.setdefault("covariates", names) != names:
+        raise FairdesertError(f"schema.covariates must be the model's covariates {names}, "
+                              f"got {schema_doc['covariates']!r}")
     schema = _schema_from(schema_doc)
     with _reading("input"):
         with Path(resolved["input"]).open(newline="", encoding="utf-8") as fh:

@@ -146,13 +146,20 @@ def gen_dataset(config: DgpConfig, seed=None):
 
     The latent vector is for evaluation only and is never part of the Dataset.
     """
+    dataset, ystar, _ = _draw(config, seed)
+    return dataset, ystar, TrueFunctions()
+
+
+def _draw(config: DgpConfig, seed=None):
+    """`gen_dataset`'s draw as (Dataset, latent decisions, each row's true
+    tau_Z(x)), the last bitwise ``TrueFunctions().tau(data.z, data.x)``."""
     rng = default_rng(config.seed if seed is None else seed)
     n = config.n
     x = rng.uniform(size=(n, 2))
     s = (rng.random(n) < _p_s1(x)).astype(np.int8)
     z = (rng.random(n) < _p_z1(x)).astype(np.int8)
-    q, down, up = flip_rates(np.where(z == 1, _tau1(x), _tau0(x)), _alpha(x), _beta(x),
-                             s, z, "delta", config.delta, config.delta)
+    tz = np.where(z == 1, _tau1(x), _tau0(x))
+    q, down, up = flip_rates(tz, _alpha(x), _beta(x), s, z, "delta", config.delta, config.delta)
     ystar = (rng.random(n) < q).astype(np.int8)
     flip_to_0 = rng.random(n) < down
     flip_to_1 = rng.random(n) < up
@@ -163,7 +170,7 @@ def gen_dataset(config: DgpConfig, seed=None):
         scaling=((0.0, 1.0), (0.0, 1.0)),
         scaled=True,
     )
-    return dataset, ystar, TrueFunctions()
+    return dataset, ystar, tz
 
 
 def oracle_theta(config: DgpConfig, draws=4096):
@@ -201,7 +208,10 @@ def auc(scores, labels):
     ``scores`` is a 1-d vector and ``labels`` one vector of 0/1 labels of the
     same length, or a (k, n) stack of them that are all scored against one
     sort of ``scores``; a stack returns a tuple of k AUCs.  Any other shape or
-    label value raises ValueError.  A NaN score makes the AUC NaN.
+    label value raises ValueError.  A NaN score makes the AUC NaN.  Scores in
+    [0, 2) with at most two label vectors (probabilities, say) are ranked by
+    one sort of integer keys, any others by `np.argsort`; both give the same
+    bits.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -217,26 +227,41 @@ def auc(scores, labels):
     counts = [int(pos.sum()) for pos in positives]
     if any(n1 == 0 or n1 == n for n1 in counts):
         raise UndefinedAUCError("AUC needs both label classes present")
-    order = np.argsort(scores)
-    ordered = scores[order]
-    if np.isnan(ordered[-1]):  # NaN sorts last
-        values = (math.nan,) * len(counts)
-        return values if labels.ndim > 1 else values[0]
+    if len(positives) <= 2 and scores.min() >= 0 and scores.max() < 2:
+        # Below 2 a non-negative double's top two bits are zero and its bits
+        # sort as it does (+ 0.0 turns -0.0 into +0.0), so one integer sort
+        # of the score bits shifted up, with the labels in the freed low
+        # bits, orders the scores and carries each label along.  A NaN fails
+        # the range test.
+        shift = len(positives)
+        keys = (scores + 0.0).view(np.uint64) << np.uint64(shift)
+        bits = [np.uint64(1 << (shift - 1 - i)) for i in range(shift)]
+        for pos, bit in zip(positives, bits):
+            keys |= pos * bit
+        keys.sort()
+        ordered = keys >> np.uint64(shift)
+        ranked = [(keys & bit) != 0 for bit in bits]
+    else:
+        order = np.argsort(scores)
+        ordered = scores[order]
+        if np.isnan(ordered[-1]):  # NaN sorts last
+            values = (math.nan,) * len(counts)
+            return values if labels.ndim > 1 else values[0]
+        ranked = [pos[order] for pos in positives]
     # Twice the rank sum of the positives, in integers.  Untied, the rank of
     # sorted position i is i + 1; a tie spanning positions a..b gives each
     # member the average rank (a + b) / 2 + 1 (as scipy.stats.rankdata), so
     # a tied position i adds a + b - 2i to twice its rank.  The order within
-    # a tie cannot change the sum, so the unstable default sort serves.
+    # a tie cannot change the sum, so neither sort needs to be stable.
     differs = ordered[1:] != ordered[:-1]
     first = np.append(True, differs)  # a run of equal scores starts here
     last = np.append(differs, True)  # and ends here
     tied = np.flatnonzero(~(first & last))  # empty when no score repeats
     group = np.cumsum(first[tied]) - 1
-    shift = tied[first[tied]][group] + tied[last[tied]][group] - 2 * tied
+    gain = tied[first[tied]][group] + tied[last[tied]][group] - 2 * tied
     values = []
-    for pos, n1 in zip(positives, counts):
-        pos = pos[order]
-        twice = 2 * (int(np.flatnonzero(pos).sum()) + n1) + int(shift[pos[tied]].sum())
+    for pos, n1 in zip(ranked, counts):
+        twice = 2 * (int(np.flatnonzero(pos).sum()) + n1) + int(gain[pos[tied]].sum())
         # each rank is a half-integer and the sum is below 2^53, so this is
         # the exact rank sum, as any float summation of the ranks gives
         values.append(float((twice / 2 - n1 * (n1 + 1) / 2) / (n1 * (n - n1))))
@@ -487,7 +512,7 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
 
     ss = SeedSequence(entropy=config.seed, spawn_key=(101, rep))
     seed_train, seed_test, seed_fit = ss.spawn(3)
-    train, _, truth = gen_dataset(config, seed=seed_train)
+    train, _, _ = gen_dataset(config, seed=seed_train)
     lap("train_draw")
     out = {"rep": rep}
     options = replace(settings.fit_options, seed=int(seed_fit.generate_state(1)[0]))
@@ -515,14 +540,13 @@ def run_replication(config: DgpConfig, rep: int, settings: MonteCarloSettings,
         lap(name)
 
     test_cfg = replace(config, n=settings.test_size)
-    test, ystar, _ = gen_dataset(test_cfg, seed=seed_test)
+    test, ystar, tau_true = _draw(test_cfg, seed=seed_test)
     lap("test_draw")
     scores = _test_scores(models, test)
     labels = np.stack([ystar, test.y])
     for name in models:
         out[f"auc_ystar_{name}"], out[f"auc_y_{name}"] = auc(scores[name], labels)
     if "dsd" in models:
-        tau_true = truth.tau(test.z, test.x)
         out["tau_error"] = float(np.sqrt(np.mean((scores["dsd"] - tau_true) ** 2)))
     lap("scoring")
     return out

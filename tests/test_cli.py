@@ -237,6 +237,28 @@ def test_schema_names_that_are_not_text_exit_2_naming_the_field(fitted_model, tr
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("covariates", [[1], ["x9"], ["x2", "x1"], []],
+                         ids=["number", "unknown", "reordered", "empty"])
+def test_predict_refuses_schema_covariates_other_than_the_models(fitted_model, train_csv,
+                                                                 tmp_path, capsys, covariates):
+    out = tmp_path / "out"
+    rc = main(["predict", "--model", str(fitted_model), "--input", str(train_csv),
+               "--config", json.dumps({"schema": {"covariates": covariates}}),
+               "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: schema.covariates must be the model's covariates ['x1', 'x2'], "
+                   f"got {covariates!r}\n")
+    assert not out.exists()
+
+
+def test_predict_accepts_the_models_own_covariates(fitted_model, train_csv, tmp_path):
+    rc = main(["predict", "--model", str(fitted_model), "--input", str(train_csv),
+               "--config", json.dumps({"schema": {"covariates": ["x1", "x2"]}}),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0 and (tmp_path / "out" / "predictions.csv").exists()
+
+
 def test_predict_rejects_binary_codes_other_than_0_1(fitted_model, train_csv, tmp_path, capsys):
     path = scoring_csv(train_csv, tmp_path / "coded.csv", 1, "z", "yes")
     rc = main(["predict", "--model", str(fitted_model), "--input", str(path),

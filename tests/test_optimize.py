@@ -7,6 +7,7 @@ from fairdesert.basis import BasisConfig
 from fairdesert.optimize import (
     OptResult,
     _bfgs_lockstep,
+    _lockstep,
     _newton_lockstep,
     bfgs_minimize,
     newton_minimize,
@@ -414,3 +415,66 @@ def stop_fields(result):
     start keeps a NaN value)."""
     return (np.float64(result.fun).tobytes(), np.float64(result.grad_norm).tobytes(),
             result.iterations, result.converged, result.message)
+
+
+def one_start(fn):
+    """The lock-step objective of the 1-d objective ``fn`` for one start."""
+    def stacked_fn(ids, x):
+        assert ids.tolist() == [0] and x.shape[0] == 1
+        return tuple(np.asarray(part)[None] for part in fn(x[0]))
+    return stacked_fn
+
+
+def result_fields(result):
+    return (result.x.tobytes(), *stop_fields(result), result.evaluations)
+
+
+def logistic_fg():
+    fgh, x0, _ = logistic_case(False)
+    return (lambda g: fgh(g)[:2]), x0
+
+
+# (objective, start, keyword arguments) of one start: a sieve objective, a
+# logistic one, the iteration limit, a failed line search, a non-finite start
+ONE_START_BFGS = {
+    "sieve": lambda: (*sieve_objective("delta", True), dict(max_iter=80)),
+    "logistic": lambda: (*logistic_fg(), {}),
+    "iteration-limit": lambda: (rosenbrock, np.array([-1.2, 0.7]), dict(tol=1e-12, max_iter=2)),
+    "line-search-fails": lambda: (wrong_gradient, np.zeros(2), {}),
+    "non-finite-start": lambda: (finite_left_of_five, np.array([10.0, 0.0]), {}),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_START_BFGS))
+def test_one_bfgs_start_gets_the_same_bits_from_both_drivers(case):
+    fg, x0, kwargs = ONE_START_BFGS[case]()
+    options = dict(tol=1e-8, max_iter=500) | kwargs
+    alone = bfgs_minimize(fg, x0, **options)
+    (loop,) = _lockstep(one_start(fg), x0[None], **options, newton=False)
+    (group,) = _bfgs_lockstep(one_start(fg), x0[None], **options)
+    assert result_fields(loop) == result_fields(alone) == result_fields(group)
+    assert loop.converged == alone.converged == group.converged
+
+
+ONE_START_NEWTON = {
+    "logistic": lambda: logistic_case(False),
+    "multinomial": multinomial_case,
+    "iteration-limit": lambda: (quartic, np.array([1.0, -0.5]), dict(tol=0.0, max_iter=20)),
+    "line-search-fails": lambda: (
+        with_hessian(wrong_gradient, lambda x: np.eye(2)), np.zeros(2), {}),
+    "non-finite-start": lambda: (nan_start, np.array([1.0, 1.0]), {}),
+    "singular-hessian": lambda: (flat_direction, np.array([1.0, 2.0]), dict(tol=0.0, max_iter=20)),
+    "uphill-step": lambda: (concave_model, np.array([0.5, -1.5]), dict(tol=0.0, max_iter=20)),
+    "overflowing-step": lambda: (huge_step, np.array([2.0, 1.0]), dict(tol=0.0, max_iter=20)),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_START_NEWTON))
+def test_one_newton_start_gets_the_same_bits_from_both_drivers(case):
+    fgh, x0, kwargs = ONE_START_NEWTON[case]()
+    options = dict(tol=1e-8, max_iter=200) | kwargs
+    alone = newton_minimize(fgh, x0, **options)
+    (loop,) = _lockstep(one_start(fgh), x0[None], **options, newton=True)
+    (group,) = _newton_lockstep(one_start(fgh), x0[None], **options)
+    assert result_fields(loop) == result_fields(alone) == result_fields(group)
+    assert loop.converged == alone.converged == group.converged

@@ -257,6 +257,27 @@ def test_auc_matches_rankdata(decimals):
     assert np.isnan(auc(scores, labels)) and np.isnan(reference_auc(scores, labels))
 
 
+@pytest.mark.parametrize("kind", ["random", "tied", "saturated", "signed-zeros"])
+def test_auc_key_sort_and_argsort_give_the_same_bits(kind):
+    # scores in [0, 2) take the packed-key sort; four times them (exact, so
+    # every order and tie is kept) fall outside and take the argsort path
+    rng = np.random.default_rng(31)
+    n = 20_000
+    scores = {
+        "random": rng.uniform(size=n),
+        "tied": np.round(rng.uniform(size=n), 2),
+        "saturated": rng.integers(0, 2, n).astype(float),
+        "signed-zeros": np.where(rng.random(n) < 0.5, -0.0, 0.0) + (rng.random(n) < 0.3),
+    }[kind]
+    assert scores.max() >= 0.5
+    labels = rng.integers(0, 2, (2, n))
+    packed = auc(scores, labels)
+    assert np.array(packed).tobytes() == np.array(auc(4 * scores, labels)).tobytes()
+    for row, value in zip(labels, packed):
+        assert np.float64(auc(scores, row)).tobytes() == np.float64(value).tobytes()
+        assert value == reference_auc(scores, row)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_auc_monotone_invariance(seed):

@@ -1,6 +1,9 @@
 """The benchmark's span tracer (``perfbench/tracing.py``) still finds the
 package names it reads: a one-restart fit, traced in a fresh process, shows
-its fit, its BFGS restart and the objective evaluations under them."""
+its fit, its one BFGS restart and the objective evaluations under them, and
+a series logit fit shows its one damped Newton minimization.  The one-start
+loops behind both are private, so a start that runs them neither adds nor
+drops a span."""
 
 import json
 import os
@@ -14,8 +17,9 @@ PROBE = """
 import json, os, sys, time
 from pathlib import Path
 
+import numpy as np
 import tracing
-from fairdesert import sievemle
+from fairdesert import regress, sievemle
 from fairdesert.basis import BasisConfig
 from fairdesert.simulate import DgpConfig, gen_dataset
 
@@ -24,10 +28,14 @@ tracer = tracing.Tracer(out, "probe")
 tracing.install(tracer)
 data, _, _ = gen_dataset(DgpConfig(n=400, seed=0))
 start = time.perf_counter()
-sievemle.fit(data, BasisConfig(degree=1, interaction_order=1), sievemle.FitOptions(restarts=1))
+est = sievemle.fit(data, BasisConfig(degree=1, interaction_order=1),
+                   sievemle.FitOptions(restarts=1))
+logit = regress.fit_series_logit(np.column_stack([np.ones(data.n), data.x]), data.y)
 wall_s = time.perf_counter() - start
 tracer.flush()
-print(json.dumps(tracing.layer_metrics(tracing.load_spans(out), os.getpid(), wall_s)))
+metrics = tracing.layer_metrics(tracing.load_spans(out), os.getpid(), wall_s)
+print(json.dumps({"metrics": metrics, "bfgs_iterations": est.diagnostics.restarts[0].iterations,
+                  "newton_iterations": logit.iterations}))
 """
 
 
@@ -38,9 +46,14 @@ def test_traced_fit_reports_its_fit_restart_and_evaluations(tmp_path):
     proc = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout)
+    probe = json.loads(proc.stdout)
+    metrics = probe["metrics"]
     assert metrics["sievemle.fit.calls"] == 1
     assert metrics["sievemle.fit.warm_calls"] == 0
     assert metrics["optimize.bfgs_minimize.calls"] == 1
+    assert metrics["optimize.bfgs_minimize.iterations"] == probe["bfgs_iterations"] > 0
+    # the plug-in start's mu fits run the private one-start Newton loop: no span
+    assert metrics["optimize.newton_minimize.calls"] == 1
+    assert metrics["optimize.newton_minimize.iterations"] == probe["newton_iterations"] > 0
     assert metrics["sievemle.value_grad.calls"] > 0
     assert metrics["sievemle.evals_per_fit"] == metrics["sievemle.value_grad.calls"]
