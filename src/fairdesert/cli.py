@@ -176,7 +176,8 @@ def _checked_by(cls, field, parse=lambda value: value):
 
 
 def _levels(text, resolved):
-    """A "v0,v1" pair of --variant levels, or in a sweep ';'-separated pairs."""
+    """A "v0,v1" pair of --variant levels, or in a sweep ';'-separated pairs,
+    each point once (`SweepSpec`)."""
     variant, sweep = resolved["variant"], resolved["command"] == "sensitivity"
     points = []
     for pair in str(text).split(";") if sweep else [str(text)]:
@@ -186,7 +187,13 @@ def _levels(text, resolved):
         except ValueError as exc:
             raise ValueError(f"expects two numbers v0,v1 for variant {variant!r}, "
                              f"got {pair!r}: {exc}") from None
-    return tuple(points) if sweep else points[0]
+    if not sweep:
+        return points[0]
+    try:
+        SweepSpec(variant, tuple(points)).params()
+    except ValueError as exc:
+        raise ValueError(str(exc).partition(" ")[2]) from None
+    return tuple(points)
 
 
 _SIEVE = FITTING + ("check", "simulate")
@@ -619,11 +626,11 @@ def cmd_sensitivity(resolved):
         level=resolved["level"],
         target_rate=resolved["rate"],
     )
-    out = _out_dir(resolved)
     # the sweep's fits, and the bootstrap replicates of its grid points
     stages = {"fit": 0.0, "bootstrap": 0.0}
     table = run_sweep(data, config, options, spec, jobs=resolved["jobs"],
                       timed=functools.partial(_timed, stages))
+    out = _out_dir(resolved)
     table.write_csv(out / "sweep.csv")
     table.write_metadata(out / "sweep_meta.json")
     _write_meta(out, resolved, "sensitivity", extra={"stage_seconds": stages})

@@ -108,9 +108,15 @@ def _require_both_labels(y, ridge):
         )
 
 
+def _failed(res):
+    """Whether a Newton result failed to converge: it stopped short of its
+    tolerance with a gradient norm above 1e-5."""
+    return not res.converged and res.grad_norm > 1e-5
+
+
 def _logit_fit(res):
     """The `LogitFit` of a Newton result, or SeparationError when it did not converge."""
-    if not res.converged and res.grad_norm > 1e-5:
+    if _failed(res):
         raise SeparationError(
             "series logit did not converge (gradient norm "
             f"{res.grad_norm:.2e}); data may be separable - increase ridge"
@@ -204,6 +210,15 @@ def fit_mu_counts(data: Dataset, config: BasisConfig, counts, ridge=1e-8, phi=No
     return [out if isinstance(out, FairdesertError) else MuModel(out) for out in outcomes]
 
 
+def _class_probabilities(phi, coef):
+    """The (n, 4) softmax of the linear predictors ``phi @ coef.T`` of classes
+    1..3 against the reference class 0, whose predictor is 0."""
+    eta = np.column_stack([np.zeros(phi.shape[0]), phi @ coef.T])
+    eta -= eta.max(axis=1, keepdims=True)
+    num = np.exp(eta)
+    return num / num.sum(axis=1, keepdims=True)
+
+
 def multinomial_negloglik(coef_flat, phi, classes, ridge=0.0):
     """Mean negative multinomial log-likelihood, reference class 0.
 
@@ -211,11 +226,7 @@ def multinomial_negloglik(coef_flat, phi, classes, ridge=0.0):
     Returns (value, gradient, hessian).
     """
     n, j = phi.shape
-    coef = coef_flat.reshape(3, j)
-    eta = np.column_stack([np.zeros(n), phi @ coef.T])
-    eta -= eta.max(axis=1, keepdims=True)
-    num = np.exp(eta)
-    probs = num / num.sum(axis=1, keepdims=True)
+    probs = _class_probabilities(phi, coef_flat.reshape(3, j))
     ll = np.log(np.clip(probs[np.arange(n), classes], 1e-300, None)).sum()
     value = -ll / n + 0.5 * ridge * coef_flat @ coef_flat
     ind = np.zeros((n, 3))
@@ -247,11 +258,7 @@ class PropensityModel:
 
     def predict_matrix(self, x, floored=True):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        phi = expand_matrix(x, self.config)
-        eta = np.column_stack([np.zeros(phi.shape[0]), phi @ self.coefficients.T])
-        eta -= eta.max(axis=1, keepdims=True)
-        num = np.exp(eta)
-        probs = num / num.sum(axis=1, keepdims=True)
+        probs = _class_probabilities(expand_matrix(x, self.config), self.coefficients)
         if floored:
             probs = floor_probabilities(probs, self.floor)
         return probs
@@ -302,7 +309,7 @@ def fit_multinomial(features, class_labels, ridge=1e-8, config=None, tol=1e-8, m
         tol=tol,
         max_iter=max_iter,
     )
-    if not res.converged and res.grad_norm > 1e-5:
+    if _failed(res):
         raise SeparationError(
             f"multinomial fit did not converge (gradient norm {res.grad_norm:.2e})"
         )

@@ -5,9 +5,9 @@ of unfairness move.
 Each grid point is an independent fit with the caller's options, so a row
 does not depend on which other points the grid holds.  The baseline and the
 grid points are fitted together by `sievemle.fit_many`, whose restarts share
-one process pool; a point whose fit is bitwise the baseline's (a zero level
-reads the same stratum table) reuses the baseline's restarts instead of
-repeating them.  Inference per grid point uses the bootstrap.
+one process pool; a point at levels (0, 0), where every variant's mechanism
+is the baseline's (`identify.mechanism`), takes the sweep's own baseline fit
+instead of repeating it.  Inference per grid point uses the bootstrap.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,8 @@ class SweepSpec:
     """A sweep: variant, grid of (v0, v1) pairs, and output settings.
 
     Every grid point gets its own cold fit; the table lists the points in
-    sorted (v0, v1) order, whatever order ``grid`` gives them in.
+    sorted (v0, v1) order, whatever order ``grid`` gives them in.  A grid
+    that names one point twice, its levels compared as numbers, is refused.
     ``bootstrap_replicates`` of 0 skips the bootstrap: each row's theta is
     then the plug-in integrand mean, with no interval.
     """
@@ -54,15 +55,18 @@ class SweepSpec:
     def params(self):
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
-        out = []
+        out, seen = [], set()
         for point in self.grid:
-            if isinstance(point, SensitivityParams):
-                if point.variant != self.variant:
-                    raise ValueError("grid point variant mismatch")
-                out.append(point)
-            else:
+            if not isinstance(point, SensitivityParams):
                 v0, v1 = point
-                out.append(SensitivityParams(self.variant, v0, v1))
+                point = SensitivityParams(self.variant, v0, v1)
+            elif point.variant != self.variant:
+                raise ValueError("grid point variant mismatch")
+            levels = tuple(v if callable(v) else float(v) for v in (point.v0, point.v1))
+            if levels in seen:
+                raise ValueError(f"grid names the point {','.join(map(str, levels))} twice")
+            seen.add(levels)
+            out.append(point)
         return out
 
 
@@ -141,30 +145,39 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
     Rows come in sorted (v0, v1) order, and each grid point is fitted on its
     own with ``options``.  The fits - the baseline (unless given) and every
     grid point - are one `fit_many` call, so their restarts share one pool of
-    ``jobs`` processes, and a point whose objective and starts are bitwise
-    the baseline's reuses its restarts.  After that, each point's bootstrap
-    replicates run on their own pool of ``jobs`` processes.  The table does
-    not depend on ``jobs``.  A failing grid point keeps its row, with the
-    error; a failing baseline fit raises.  ``metadata["fits"]`` counts the
-    sieve fits that ran restarts of their own (`fit_many`).  ``timed(stage)``
+    ``jobs`` processes.  When the sweep fits its own baseline, a point whose
+    two levels are both 0 sends no fit: at (0, 0) its variant's model is the
+    baseline model, so it takes the baseline fit under its own sensitivity
+    settings, the bits its own fit would give.  After that, each point's
+    bootstrap replicates run on their own pool of ``jobs`` processes.  The
+    table does not depend on ``jobs``.  A failing grid point keeps its row,
+    with the error; a failing baseline fit raises.  The target rate of the
+    flip rates (``spec.target_rate``, by default the mean outcome) must lie
+    in (0, 1]; it is checked before any fit.  ``metadata["fits"]`` counts
+    the sieve fits that ran (the `fit_many` requests).  ``timed(stage)``
     gives a context manager that the fits run in with stage ``"fit"``, and
     each point's bootstrap with ``"bootstrap"``; by default it does nothing.
     """
     grid = sorted(spec.params(), key=_sort_key)
-    requests = [(data, config, options, point) for point in grid]
+    target = spec.target_rate if spec.target_rate is not None else float(np.mean(data.y))
+    if not 0.0 < target <= 1.0:
+        raise FairdesertError(f"the sweep's target rate (--rate; by default the mean outcome) "
+                              f"must lie in (0, 1], got {target}")
+    zero = [baseline is None and _sort_key(point) == (0.0, 0.0) for point in grid]
+    requests = [(data, config, options, point) for point, z in zip(grid, zero) if not z]
     if baseline is None:
         requests.insert(0, (data, config, options))
     with timed("fit"):
-        outcomes, fits = fit_many(requests, jobs)
+        outcomes = iter(fit_many(requests, jobs))
     if baseline is None:
-        baseline, *outcomes = outcomes
+        baseline = next(outcomes)
         if isinstance(baseline, FairdesertError):
             raise baseline
     base_scores = decision_scores(baseline, data)
-    target = spec.target_rate if spec.target_rate is not None else float(np.mean(data.y))
 
     rows = []
-    for point, est in zip(grid, outcomes):
+    for point, z in zip(grid, zero):
+        est = replace(baseline, sensitivity=point) if z else next(outcomes)
         row = SweepRow(
             v0=None if callable(point.v0) else float(point.v0),
             v1=None if callable(point.v1) else float(point.v1),
@@ -178,6 +191,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         row.converged = est.diagnostics.converged
         row.mean_abs_tau_diff = float(np.mean(np.abs(scores - base_scores)))
         row.flip_rate = flip_rate(scores, base_scores, target)
+        row.theta = float(np.mean(unfairness_integrand(est, data)))
         if spec.bootstrap_replicates > 0:
             fitter = VariantFitter(config, options, point)
             try:
@@ -186,14 +200,9 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
                         fitter, data, replicates=spec.bootstrap_replicates,
                         seed=options.seed, level=spec.level, full_fit=est, jobs=jobs,
                     )
-                row.theta = estimate.point
-                row.ci_low = estimate.ci_low
-                row.ci_high = estimate.ci_high
+                row.ci_low, row.ci_high = estimate.ci_low, estimate.ci_high
             except FairdesertError as exc:
-                row.theta = float(np.mean(unfairness_integrand(est, data)))
                 row.error = f"bootstrap failed: {exc}"
-        else:
-            row.theta = float(np.mean(unfairness_integrand(est, data)))
         rows.append(row)
 
     metadata = {
@@ -201,7 +210,7 @@ def run_sweep(data: Dataset, config: BasisConfig, options: FitOptions,
         "target_rate": target,
         "baseline_criterion": baseline.diagnostics.criterion,
         "seed": options.seed,
-        "fits": fits,
+        "fits": len(requests),
     }
     return SweepTable(variant=spec.variant, rows=rows, metadata=metadata)
 
@@ -227,4 +236,4 @@ class VariantFitter:
     def __call__(self, data, draws):
         requests = [(data, self.config, self.options, self.sensitivity, counts)
                     for counts in draws]
-        return fit_many(requests, jobs=1)[0]
+        return fit_many(requests, jobs=1)

@@ -731,20 +731,6 @@ def _groups(problems, tasks, chunk):
     return groups
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _same_objective(a: SieveProblem, b: SieveProblem):
-    """Whether ``a.value_grad`` and ``b.value_grad`` read bitwise-equal inputs
-    (the stratum table, which tells sensitivity levels apart, before the
-    larger design)."""
-    return all(_same_bits(getattr(a, name), getattr(b, name))
-               for name in ("c", "margin", "lam", "ridge", "size", "counts", "y", "idx_t",
-                            "idx_m", "table", "phi"))
-
-
 # the defaults of a `fit_many` request's optional options, sensitivity and counts
 _DEFAULTS = (None, SensitivityParams(), None)
 
@@ -859,34 +845,13 @@ def _fit_many(requests, jobs):
     """`fit_many`; `fit` calls this rather than `fit_many`, so that a tracer
     that wraps the public functions (``perfbench/tracing.py``) still sees a
     fit's restarts directly under its ``fit`` span."""
-    setups = []
-    problems, tasks, slot_of = [], [], {}
-    # the problems by their counts' bytes, which a shared objective shares:
-    # the resamples of a bootstrap chunk then compare with no other problem
-    by_counts = {}
-    fits = 0
-    for setup in _setups(requests):
-        if isinstance(setup, FairdesertError):
-            setups.append(setup)
-            continue
-        problem, starts, kinds = setup
-        same = by_counts.setdefault(problem.counts.tobytes(), [])
-        k = next((i for i in same if _same_objective(problems[i], problem)), None)
-        if k is None:
-            k = len(problems)
+    setups = _setups(requests)
+    problems, tasks = [], []
+    for setup in setups:
+        if not isinstance(setup, FairdesertError):
+            problem, starts, _ = setup
+            tasks.extend((len(problems), problem.options.max_iter, s0) for s0 in starts)
             problems.append(problem)
-            same.append(k)
-        max_iter = problem.options.max_iter
-        fresh = len(tasks)
-        slots = []
-        for s0 in starts:
-            key = (k, max_iter, s0.tobytes())
-            if key not in slot_of:
-                slot_of[key] = len(tasks)
-                tasks.append((k, max_iter, s0))
-            slots.append(slot_of[key])
-        fits += len(tasks) > fresh
-        setups.append((problem, kinds, slots))
 
     groups = _groups(problems, tasks, chunk_size(len(tasks), jobs))
     results = [None] * len(tasks)
@@ -895,17 +860,18 @@ def _fit_many(requests, jobs):
     for group, group_results in zip(groups, done):
         for i, result in zip(group, group_results, strict=True):
             results[i] = result
-    outcomes = []
+    outcomes, first = [], 0
     for setup in setups:
         if isinstance(setup, FairdesertError):
             outcomes.append(setup)
             continue
-        problem, kinds, slots = setup
+        problem, _, kinds = setup
         try:
-            outcomes.append(_finish(problem, kinds, [results[i] for i in slots]))
+            outcomes.append(_finish(problem, kinds, results[first:first + len(kinds)]))
         except FairdesertError as exc:
             outcomes.append(exc)
-    return outcomes, fits
+        first += len(kinds)
+    return outcomes
 
 
 def fit_many(requests, jobs=1):
@@ -921,18 +887,14 @@ def fit_many(requests, jobs=1):
     never materialised (`_setups`), so its fit matches the materialised
     resample's to rounding, not to the bit; no outcome depends on the other
     requests, and a request without counts, or with counts all one, gets
-    `fit`'s bits: every fit runs the one count-weighted path.  All restarts
-    run in one `parallel.map_jobs` call on ``jobs`` processes, in lock-step
-    groups (`_groups`, each one `optimize._bfgs_lockstep` on a `_Stack` of
-    its problems), and every restart ends bitwise as it does alone, so the
-    outcomes do not depend on the grouping.  A restart runs once when an
-    earlier request minimizes the same objective (`_same_objective`) from a
-    bitwise-equal start with the same ``max_iter``; the later request reuses
-    its result, so a zero-level sensitivity point repeats no work of the
-    baseline.  Returns ``(outcomes, fits)``: per request, in order, the
-    `NuisanceEstimates` that `fit` returns for it or the `FairdesertError` it
-    raises; and ``fits``, the number of requests that ran a restart of their
-    own.  Other exceptions propagate.
+    `fit`'s bits: every fit runs the one count-weighted path.  Each request
+    runs its own restarts, all in one `parallel.map_jobs` call on ``jobs``
+    processes, in lock-step groups (`_groups`, each one
+    `optimize._bfgs_lockstep` on a `_Stack` of its problems), and every
+    restart ends bitwise as it does alone, so the outcomes do not depend on
+    the grouping.  Returns per request, in order, the `NuisanceEstimates`
+    that `fit` returns for it or the `FairdesertError` it raises.  Other
+    exceptions propagate.
     """
     return _fit_many(requests, jobs)
 
@@ -949,7 +911,7 @@ def fit(data: Dataset, config: BasisConfig, options: FitOptions | None = None, *
     (`RelevanceWarning`).  ``sensitivity`` names the variant and its levels.
     The one-request case of `fit_many`.
     """
-    (outcome,), _ = _fit_many([(data, config, options, sensitivity)], jobs)
+    (outcome,) = _fit_many([(data, config, options, sensitivity)], jobs)
     if isinstance(outcome, FairdesertError):
         raise outcome
     return outcome

@@ -220,7 +220,7 @@ def theta_onestep_crossfit(data: Dataset, config: BasisConfig,
     for k in range(folds):
         assignments[perm[k::folds]] = k
     trains = [data.subset(np.flatnonzero(assignments != k)) for k in range(folds)]
-    fold_fits, _ = fit_many([(train, config, options) for train in trains], jobs)
+    fold_fits = fit_many([(train, config, options) for train in trains], jobs)
     phi = np.empty(data.n)
     excluded = np.zeros(data.n, dtype=bool)
     for k, (train, est_k) in enumerate(zip(trains, fold_fits)):

@@ -461,6 +461,16 @@ def test_simulate_bad_flag_exits_2_before_the_output_folder(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def no_positive_csv(tmp_path_factory):
+    from dataclasses import replace
+
+    path = tmp_path_factory.mktemp("data") / "no_positive.csv"
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    write_csv(replace(data, y=np.zeros_like(data.y)), path)
+    return path
+
+
 @pytest.mark.parametrize("argv, message", [
     (["theta", "--input", "{train}", "--level", "0"], "error: --level must lie in (0, 1)"),
     (["theta", "--input", "{train}", "--variant", "delta", "--delta", "0.05,0.05"],
@@ -494,16 +504,30 @@ def test_simulate_bad_flag_exits_2_before_the_output_folder(tmp_path, capsys, mo
        f"got {got}\n")
       for names, got in (('["x1", "x1"]', "x1"), ('["s", "x1"]', "s"),
                          ('["x1", "y", "z"]', "y, z"))),
+    (["sensitivity", "--input", "{train}", "--variant", "delta", "--grid", "0,0;0.05,0.05;0,0"],
+     "error: --grid names the point 0.0,0.0 twice\n"),
+    # levels compare as numbers
+    (["sensitivity", "--input", "{train}", "--variant", "delta", "--grid", "0,0;0,-0"],
+     "error: --grid names the point 0.0,-0.0 twice\n"),
+    (["sensitivity", "--input", "{train}", "--variant", "delta",
+      "--delta", "0.05,0.05;0.1,0.1;0.05,0.05"], "error: --delta names the point 0.05,0.05 twice\n"),
+    # without --rate the target is the mean outcome, here 0
+    (["sensitivity", "--input", "{no_positive}", "--variant", "delta", "--boot", "0", *FAST],
+     "error: the sweep's target rate (--rate; by default the mean outcome) must lie in "
+     "(0, 1], got 0.0\n"),
 ], ids=["theta-level-0", "theta-variant-without-bootstrap", "sensitivity-boot-50",
         "predict-threshold-nan", "estimate-restarts-0", "estimate-delta-without-levels",
         "check-missing-input", "config-bad-json", "config-missing-file",
         "schema-missing-file", "config-list", "schema-list", "predict-model-missing",
         "predict-input-missing", "theta-model-missing",
-        *("schema-" + c for c in ("string", "repeated", "s-column", "y-and-z-columns"))])
-def test_refused_run_leaves_no_output_folder(train_csv, fitted_model, tmp_path, capsys,
-                                             argv, message):
+        *("schema-" + c for c in ("string", "repeated", "s-column", "y-and-z-columns")),
+        "sweep-grid-repeated", "sweep-grid-negative-zero", "sweep-delta-repeated",
+        "sweep-mean-outcome-0"])
+def test_refused_run_leaves_no_output_folder(train_csv, fitted_model, no_positive_csv, tmp_path,
+                                             capsys, argv, message):
     argv = [a.replace("{model}", str(fitted_model)).replace("{train}", str(train_csv))
-             .replace("{missing}", str(tmp_path / "missing.csv")) for a in argv]
+             .replace("{missing}", str(tmp_path / "missing.csv"))
+             .replace("{no_positive}", str(no_positive_csv)) for a in argv]
     out = tmp_path / "out"
     rc = main([*argv, "--out-dir", str(out)])
     assert rc == 2

@@ -1,15 +1,16 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdesert import sievemle
+from fairdesert import sensitivity, sievemle
 from fairdesert.basis import BasisConfig
-from fairdesert.errors import FitError
+from fairdesert.errors import FairdesertError, FitError
 from fairdesert.sensitivity import DEFAULT_GRIDS, SweepSpec, flip_rate, run_sweep
-from fairdesert.sievemle import FitOptions, fit
+from fairdesert.sievemle import FitOptions, SensitivityParams, fit
 from fairdesert.simulate import DgpConfig, gen_dataset, oracle_theta
 
 CONFIG = BasisConfig(interaction_order=1)
@@ -117,7 +118,8 @@ def _quick_baseline(data):
     return fit(data, CONFIG, OPTS)
 
 
-def test_sweep_fits_each_grid_point_once(monkeypatch):
+@pytest.mark.parametrize("variant", ["delta", "kappa", "zeta"])
+def test_sweep_fits_each_grid_point_once(monkeypatch, variant):
     data, _, _ = gen_dataset(DgpConfig(n=600, seed=56))
     runs = []
     minimize_group = sievemle._minimize_group
@@ -127,18 +129,28 @@ def test_sweep_fits_each_grid_point_once(monkeypatch):
         return minimize_group(problems, group)
 
     monkeypatch.setattr(sievemle, "_minimize_group", counting)
-    spec = SweepSpec(variant="delta", grid=((0.05, 0.05), (0.0, 0.0), (0.1, 0.1)),
+    last = -0.05 if variant == "kappa" else 0.1
+    spec = SweepSpec(variant=variant, grid=((0.05, 0.05), (0.0, 0.0), (last, last)),
                      bootstrap_replicates=0)
-    table = run_sweep(data, CONFIG, OPTS, spec)
-    # one set of restarts per distinct problem: the baseline, then every grid
-    # point but (0, 0), whose objective and starts are bitwise the baseline's
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        table = run_sweep(data, CONFIG, OPTS, spec)
+    # one set of restarts per fit: the baseline, then every grid point but
+    # (0, 0), where the variant's model is the baseline model
     distinct = 1 + len(spec.grid) - 1
     assert len(runs) == distinct * OPTS.restarts
     assert table.metadata["fits"] == distinct
-    zero = table.rows[0]
+    zero = table.rows[int(variant == "kappa")]
     assert (zero.v0, zero.v1) == (0.0, 0.0)
     assert zero.criterion == table.metadata["baseline_criterion"]
     assert zero.mean_abs_tau_diff == 0.0 and zero.flip_rate == 0.0
+    # the row the (0, 0) point's own fit gives, against a given baseline
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        alone = run_sweep(data, CONFIG, OPTS, replace(spec, grid=((0.0, 0.0),)),
+                          baseline=_quick_baseline(data))
+    assert alone.metadata["fits"] == 1
+    assert alone.rows[0].__dict__ == zero.__dict__
 
 
 def test_sweep_raises_when_the_baseline_fit_fails():
@@ -174,7 +186,7 @@ def test_sweep_csv_and_metadata(tmp_path):
     meta = json.loads((tmp_path / "sweep_meta.json").read_text())
     assert meta["variant"] == "kappa"
     assert set(meta) == {"variant", "n", "target_rate", "baseline_criterion", "seed", "fits"}
-    # the (0, 0) point reuses the baseline's restarts
+    # the (0, 0) point takes the baseline fit
     assert meta["fits"] == 1
 
 
@@ -183,6 +195,39 @@ def test_sweep_grid_validation():
         SweepSpec(variant="delta").params()
     spec = SweepSpec(variant="delta", grid=((0.0, 0.0),))
     assert spec.params()[0].variant == "delta"
+
+
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Make a sweep that reaches its fits raise."""
+    def stub(*args, **kwargs):
+        raise RuntimeError("fit_many was reached")
+
+    monkeypatch.setattr(sensitivity, "fit_many", stub)
+
+
+@pytest.mark.parametrize("grid, named", [
+    (((0.05, 0.05), (0.0, 0.1), (0.05, 0.05)), "0.05,0.05"),
+    # levels compare as numbers
+    (((0.0, 0.0), (0.0, -0.0)), "0.0,-0.0"),
+    (((0.0, 0.0), SensitivityParams("delta", 0, 0)), "0.0,0.0"),
+])
+def test_sweep_grid_refuses_a_repeated_point(no_fit, grid, named):
+    spec = SweepSpec(variant="delta", grid=grid, bootstrap_replicates=0)
+    with pytest.raises(ValueError, match=f"^grid names the point {named} twice$"):
+        spec.params()
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    with pytest.raises(ValueError, match="twice"):
+        run_sweep(data, CONFIG, OPTS, spec)
+
+
+def test_sweep_refuses_a_target_rate_outside_the_unit_interval(no_fit):
+    # without a target rate the sweep takes the mean outcome, here 0
+    data, _, _ = gen_dataset(DgpConfig(n=400, seed=3))
+    data = replace(data, y=np.zeros_like(data.y))
+    spec = SweepSpec(variant="delta", grid=DEFAULT_GRIDS["delta"], bootstrap_replicates=0)
+    with pytest.raises(FairdesertError, match=r"--rate.* must lie in \(0, 1\], got 0.0"):
+        run_sweep(data, CONFIG, OPTS, spec)
 
 
 def test_sweep_fit_rows_same_for_every_jobs():

@@ -929,11 +929,9 @@ def test_fit_many_equals_one_fit_per_request(univariate_basis):
     expected_warnings = [m for _, caught in singles for m in caught]
     assert isinstance(singles[3][0], FitError) and len(expected_warnings) == 1
     for jobs in (1, 2):
-        (outcomes, fits), caught = _outcome(lambda: fit_many(requests, jobs=jobs))
+        outcomes, caught = _outcome(lambda: fit_many(requests, jobs=jobs))
         assert all(_same_fit(o, f) for o, (f, _) in zip(outcomes, singles, strict=True))
         assert caught == expected_warnings
-        # the zero-level request reused the baseline's restarts
-        assert fits == 4
     assert outcomes[2].diagnostics == outcomes[0].diagnostics
     assert outcomes[2].variant == "delta"
 
@@ -946,9 +944,9 @@ def test_fit_many_refuses_a_resample_with_an_empty_stratum(univariate_basis):
     rows = np.random.default_rng(2).choice(np.flatnonzero((data.s == 1) | (data.z == 1)),
                                            size=data.n)
     opts = FitOptions(restarts=1, seed=0)
-    (whole, lost), _ = fit_many([(data, univariate_basis, opts),
-                                 (data, univariate_basis, opts, SensitivityParams(),
-                                  np.bincount(rows, minlength=data.n))])
+    whole, lost = fit_many([(data, univariate_basis, opts),
+                            (data, univariate_basis, opts, SensitivityParams(),
+                             np.bincount(rows, minlength=data.n))])
     with pytest.raises(PositivityError, match=r"empty stratum \(s=0, z=0\)") as alone:
         fit(data.subset(rows), univariate_basis, opts)
     assert type(lost) is PositivityError and str(lost) == str(alone.value)
@@ -991,38 +989,30 @@ def test_fit_many_lockstep_groups_equal_fits_alone(monkeypatch):
     assert sizes == [3] * len(requests)
     for jobs in (1, 2):
         sizes.clear()
-        (outcomes, fits), caught = _outcome(lambda: fit_many(requests, jobs=jobs))
+        outcomes, caught = _outcome(lambda: fit_many(requests, jobs=jobs))
         assert all(_same_fit(o, f) for o, (f, _) in zip(outcomes, singles, strict=True))
         assert caught == [m for _, warned in singles for m in warned]
-        assert fits == len(requests)
         if jobs == 1:
             # one group of every restart (the pool's workers record elsewhere)
             assert sizes == [3 * len(requests)]
 
 
-def test_fit_many_runs_each_distinct_restart_once(univariate_basis, monkeypatch):
+def test_fit_many_reseeded_and_zero_level_requests_match_the_base(univariate_basis):
     data, _, _ = gen_dataset(DgpConfig(n=800, seed=9))
-    runs = []
-    minimize_group = sievemle._minimize_group
-
-    def counting(problems, group):
-        runs.extend([1] * len(group))
-        return minimize_group(problems, group)
-    monkeypatch.setattr(sievemle, "_minimize_group", counting)
     opts = FitOptions(restarts=3, seed=0)
-    (base, reseeded, zero, _), fits = fit_many([
+    base, reseeded, zero = fit_many([
         (data, univariate_basis, opts),
         # another seed changes the random starts only
         (data, univariate_basis, FitOptions(restarts=3, seed=1)),
+        # at levels (0, 0) the zeta model is the baseline model
         (data, univariate_basis, opts, SensitivityParams("zeta", 0.0, 0.0)),
-        # another iteration limit is another minimization
-        (data, univariate_basis, FitOptions(restarts=3, seed=0, max_iter=400)),
     ])
-    assert len(runs) == 3 + 2 + 0 + 3
-    assert fits == 3
     assert [r.start for r in reseeded.diagnostics.restarts] == ["plugin", "random", "random"]
     assert reseeded.diagnostics.restarts[0] == base.diagnostics.restarts[0]
+    assert reseeded.diagnostics.restarts[1:] != base.diagnostics.restarts[1:]
     assert zero.diagnostics == base.diagnostics
+    assert coefficients(zero).tobytes() == coefficients(base).tobytes()
+    assert zero.variant == "zeta"
 
 
 def test_variant_name_in_place_of_sensitivity_params_is_a_type_error(univariate_basis):
@@ -1295,8 +1285,8 @@ def test_unit_counts_are_the_data_to_the_bit(options):
         assert value == want and grad.tobytes() == want_grad.tobytes()
         assert unit.criterion(stack) == plain.criterion(stack)
     options = replace(options, restarts=3)
-    (got,), _ = fit_many([(data, config, options, SensitivityParams(), ones)])
-    (want,), _ = fit_many([(data, config, options)])
+    (got,) = fit_many([(data, config, options, SensitivityParams(), ones)])
+    (want,) = fit_many([(data, config, options)])
     assert got.diagnostics == want.diagnostics
     for name in ("tau0", "tau1", "alpha", "beta"):
         assert getattr(got, name).gamma.tobytes() == getattr(want, name).gamma.tobytes()
@@ -1349,7 +1339,7 @@ def test_padding_length_moves_nothing_beyond_rounding(monkeypatch):
         monkeypatch.setattr(sievemle, "_padded_length", length)
         problems[label] = SieveProblem(data, config, options, sensitivity=sens,
                                        counts=np.bincount(draws[0], minlength=data.n))
-        outcomes[label], _ = fit_many(requests)
+        outcomes[label] = fit_many(requests)
     short, full = problems["default"], problems["full"]
     assert short.n < full.n == data.n
     for stack in rng.normal(0, 0.8, (10, short.dim)):
@@ -1362,15 +1352,3 @@ def test_padding_length_moves_nothing_beyond_rounding(monkeypatch):
         assert abs(got.diagnostics.criterion - want.diagnostics.criterion) <= 1e-9
         assert np.max(np.abs(coefficients(got) - coefficients(want))) <= 1e-5
 
-
-def test_fit_many_shares_a_resample_only_with_equal_counts():
-    data, _, _ = gen_dataset(DgpConfig(n=400, seed=6))
-    config = BasisConfig(degree=1, interaction_order=1)
-    options = FitOptions(restarts=1, floor=0.05, relevance_margin=1e-3)
-    rng = np.random.default_rng(17)
-    first, second = rng.integers(0, data.n, (2, data.n))
-    # the same rows in another order: the same counts
-    _, fits = fit_many([(data, config, options, SensitivityParams(),
-                         np.bincount(rows, minlength=data.n))
-                        for rows in (first, first[::-1], second)])
-    assert fits == 2
